@@ -30,8 +30,11 @@ is unchanged: :meth:`engine` returns a live
 cannot express (adopting an externally built engine, ``replace_engine``,
 dynamic machine mutation through a view, an unknown drive policy)
 transparently *materializes* real engines -- bit-identical state, same
-schedules -- and continues in per-engine mode.  ``backend="engines"`` or
-``backend="kernel"`` forces either mode.
+schedules -- and continues in per-engine mode (several times slower, so
+the fallback is counted and named: :attr:`CoalitionFleet.n_materializations`,
+:attr:`~CoalitionFleet.materialize_reason`, :meth:`~CoalitionFleet.
+backend_status`).  ``backend="engines"`` or ``backend="kernel"`` forces
+either mode.
 
 Dirty tracking: an engine's :attr:`~repro.core.engine.ClusterEngine.version`
 counter bumps only on value-affecting mutations (job starts / completions),
@@ -121,6 +124,8 @@ class CoalitionFleet:
         self._engines: dict[int, ClusterEngine] = {}
         self._order: list[int] = []
         self._mask_set: set[int] = set()
+        #: union of the registered masks (which orgs have any coalition)
+        self._covered = 0
         #: shared decision-time queue: job releases of covered orgs, plus
         #: completion times of every start made through the fleet
         self.events = EventQueue()
@@ -147,6 +152,12 @@ class CoalitionFleet:
         self._kernel_obj: FleetKernel | None = None
         self._kernel_stale = False
         self._views: dict[int, KernelEngineView] = {}
+        #: kernel -> per-engine fallbacks taken, and why the last one was:
+        #: ``unsafe_submit``, ``adopt_engine``, ``add_mask`` (on a used
+        #: kernel), ``remove_mask``, ``unknown_drive``, ``view_mutation``
+        #: or ``explicit`` (a direct ``_materialize()`` call)
+        self.n_materializations = 0
+        self.materialize_reason: str | None = None
         self._constructing = True
         for m in masks:
             self.add_mask(m)
@@ -185,11 +196,13 @@ class CoalitionFleet:
             self._kernel_stale = False
         return self._kernel_obj
 
-    def _materialize(self) -> None:
+    def _materialize(self, reason: str = "explicit") -> None:
         """Escape hatch: reconstruct every kernel row as a real, bit-identical
         :class:`~repro.core.engine.ClusterEngine` and continue per-engine."""
         if not self._use_kernel:
             return
+        self.n_materializations += 1
+        self.materialize_reason = reason
         kern = self._kernel_obj
         if kern is not None and not self._kernel_stale:
             for i, m in enumerate(self._order):
@@ -211,6 +224,20 @@ class CoalitionFleet:
         while len(self._seen) < len(self._order):
             self._grow()
         self._seen[: len(self._order)] = -1
+
+    def backend_status(self) -> dict:
+        """Which backend serves this fleet, how often it fell back from the
+        kernel, and how many starts its log(s) hold (JSON-friendly)."""
+        if self._use_kernel:
+            kern = self._kernel_obj
+            entries = 0 if kern is None or self._kernel_stale else kern._log_len
+        else:
+            entries = sum(len(e._log) for e in self._engines.values())
+        return {
+            "backend": "kernel" if self._use_kernel else "engines",
+            "materializations": self.n_materializations,
+            "start_log_entries": int(entries),
+        }
 
     @staticmethod
     def _kernel_select(select: "SelectFn | None") -> "str | None":
@@ -258,7 +285,8 @@ class CoalitionFleet:
         simulating ``mask`` over ``self.workload`` from time zero.
         """
         if isinstance(engine, KernelEngineView):
-            engine = engine._escape()  # adopt the underlying real engine
+            # adopt the underlying real engine
+            engine = engine._escape("adopt_engine")
         if mask in self._mask_set:
             return self.engine(mask)
         if mask <= 0:
@@ -271,20 +299,16 @@ class CoalitionFleet:
                 raise ValueError(
                     "cannot adopt an external engine at construction"
                 )
-            self._order.append(mask)
-            self._mask_set.add(mask)
-            self._seed_releases(members)
+            self._register(mask, members)
             return None  # unused during construction
         if self._use_kernel:
             kern = self._kernel_obj
             if engine is None and (kern is None or not kern._used):
                 # pristine kernel: absorb the mask by (lazily) rebuilding
-                self._order.append(mask)
-                self._mask_set.add(mask)
+                self._register(mask, members)
                 self._kernel_stale = True
-                self._seed_releases(members)
                 return self.engine(mask)
-            self._materialize()
+            self._materialize("add_mask" if engine is None else "adopt_engine")
         eng = (
             engine
             if engine is not None
@@ -294,10 +318,14 @@ class CoalitionFleet:
         if row == len(self._seen):
             self._grow()
         self._engines[mask] = eng
+        self._register(mask, members)
+        return eng
+
+    def _register(self, mask: int, members: "list[int]") -> None:
         self._order.append(mask)
         self._mask_set.add(mask)
+        self._covered |= mask
         self._seed_releases(members)
-        return eng
 
     def _seed_releases(self, members: "list[int]") -> None:
         if not self._track_events:
@@ -320,11 +348,14 @@ class CoalitionFleet:
         """
         if mask not in self._mask_set:
             raise KeyError(f"mask {mask} is not registered")
-        self._materialize()
+        self._materialize("remove_mask")
         eng = self._engines.pop(mask)
         self._mask_set.discard(mask)
         i = self._order.index(mask)
         self._order.pop(i)
+        self._covered = 0
+        for m in self._order:
+            self._covered |= m
         n = len(self._order)
         for name in ("_units", "_wstart", "_rcount", "_rsum", "_rsq", "_seen"):
             col = getattr(self, name)
@@ -343,8 +374,8 @@ class CoalitionFleet:
         if mask not in self._mask_set:
             raise KeyError(f"mask {mask} is not registered")
         if isinstance(engine, KernelEngineView):
-            engine = engine._escape()
-        self._materialize()
+            engine = engine._escape("adopt_engine")
+        self._materialize("adopt_engine")
         self._engines[mask] = engine
         self._seen[self._order.index(mask)] = -1
 
@@ -353,7 +384,7 @@ class CoalitionFleet:
         push its release into the shared decision queue (online ingestion;
         the batch path instead freezes streams at construction)."""
         bit = 1 << job.org
-        if not any(mask & bit for mask in self._order):
+        if not self._covered & bit:
             raise ValueError(f"no registered coalition covers org {job.org}")
         if self._use_kernel:
             try:
@@ -361,7 +392,7 @@ class CoalitionFleet:
                 assert kern is not None
                 kern.submit(job)
             except KernelUnsafe:
-                self._materialize()
+                self._materialize("unsafe_submit")
         if not self._use_kernel:
             for mask in self._order:
                 if mask & bit:
@@ -381,8 +412,7 @@ class CoalitionFleet:
         if not jobs:
             return
         for job in jobs:
-            bit = 1 << job.org
-            if not any(mask & bit for mask in self._order):
+            if not self._covered & (1 << job.org):
                 raise ValueError(
                     f"no registered coalition covers org {job.org}"
                 )
@@ -392,7 +422,7 @@ class CoalitionFleet:
                 assert kern is not None
                 kern.submit_many(jobs)
             except KernelUnsafe:
-                self._materialize()
+                self._materialize("unsafe_submit")
         if not self._use_kernel:
             for job in jobs:
                 bit = 1 << job.org
@@ -461,8 +491,7 @@ class CoalitionFleet:
     def drive(self, mask: int, select: SelectFn, until: int) -> None:
         """Drive one engine's own greedy event loop to ``until`` (events at
         ``until`` included), then align its clock with ``until``."""
-        if self._use_kernel:
-            self._materialize()
+        self._materialize("unknown_drive")
         eng = self._engines[mask]
         eng.drive(select, until=until)
         if eng.t < until:
@@ -478,7 +507,7 @@ class CoalitionFleet:
                 if until >= kern.t:
                     kern.drive_fifo(until)
                 return
-            self._materialize()
+            self._materialize("unknown_drive")
         self._sync(until, select)
 
     def _sync(self, t: int, select: SelectFn | None) -> list[int]:
@@ -599,7 +628,7 @@ class CoalitionFleet:
             if t >= kern.t:
                 kern.drive_fifo(t)
         else:
-            self._materialize()
+            self._materialize("unknown_drive")
             return None
         return kern
 

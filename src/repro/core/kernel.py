@@ -17,7 +17,12 @@ with one structure-of-arrays simulation advanced in **vectorized lockstep**:
   job arrays, so one *global* release pointer per organization plus a
   per-(engine, org) started counter describe every engine's FIFO queues
   (engine ``e`` waits on exactly the org-``u`` jobs in ``[started[e,u],
-  released[u])``).
+  released[u])``);
+* one chronological start log holds ``(row, time, machine, job)`` per
+  start, the job as **(org, rank in the org's stream)**, never as a flat
+  position: ingest splices into an org's unreleased tail, past every
+  logged rank (``rank < started[e,u] <= released[u]``), so it never
+  touches the log; readers resolve ``org_start[org] + rank`` when asked.
 
 Lockstep invariant: all rows share one clock ``t``; completions and releases
 at times ``<= t`` are processed for every engine in a handful of scatter
@@ -227,10 +232,12 @@ class FleetKernel:
         self.version = np.zeros(n, dtype=np.int64)
 
         # --- global chronological start log (SoA, grown geometrically) -----
+        # _log_job packs the job identity as rank * k + org; 24 bytes per
+        # start, times every coalition row, is most of a long run's memory
         cap = 256
-        self._log_row = np.empty(cap, dtype=np.int64)
+        self._log_row = np.empty(cap, dtype=np.int32)
         self._log_start = np.empty(cap, dtype=np.int64)
-        self._log_mach = np.empty(cap, dtype=np.int64)
+        self._log_mach = np.empty(cap, dtype=np.int32)
         self._log_job = np.empty(cap, dtype=np.int64)
         self._log_len = 0
 
@@ -412,27 +419,32 @@ class FleetKernel:
         nf = int(fins.min())
         if nf < self._next_fin:
             self._next_fin = nf
-        self._log_append(rows, mach, flat, t)
+        self._log_append(rows, mach, jidx * self.k + sel, t)
         if self.events is not None:
             for end in set(fins.tolist()):
                 self.events.push(end)
 
-    def _log_append(self, rows, mach, flat, t) -> None:
+    def _log_append(self, rows, mach, job, t) -> None:
         b = len(rows)
         need = self._log_len + b
         if need > len(self._log_row):
             cap = max(need, 2 * len(self._log_row))
             for name in ("_log_row", "_log_start", "_log_mach", "_log_job"):
                 old = getattr(self, name)
-                new = np.empty(cap, dtype=np.int64)
+                new = np.empty(cap, dtype=old.dtype)
                 new[: self._log_len] = old[: self._log_len]
                 setattr(self, name, new)
         s = slice(self._log_len, need)
         self._log_row[s] = rows
         self._log_start[s] = t
         self._log_mach[s] = mach
-        self._log_job[s] = flat
+        self._log_job[s] = job
         self._log_len = need
+
+    def _log_flat(self, idx) -> np.ndarray:
+        """Current flat stream positions of the log entries ``idx``."""
+        rank, org = np.divmod(self._log_job[idx], self.k)
+        return self.org_start[org] + rank
 
     # ------------------------------------------------------------------
     # single-row actions (the per-engine API surface)
@@ -456,8 +468,8 @@ class FleetKernel:
             machine = int(self.free[row].argmax())
         elif not (0 <= machine < self.n_mach and self.free[row, machine]):
             raise ValueError(f"machine {machine} is not free at t={t}")
-        flat = int(self.org_start[org] + self.started[row, org])
-        job = self.jobs_flat[flat]
+        rank = int(self.started[row, org])
+        job = self.jobs_flat[int(self.org_start[org]) + rank]
         self.finish[row, machine] = t + job.size
         self.run_org[row, machine] = org
         self.run_start[row, machine] = t
@@ -473,7 +485,7 @@ class FleetKernel:
         self._log_append(
             np.array([row], dtype=np.int64),
             np.array([machine], dtype=np.int64),
-            np.array([flat], dtype=np.int64),
+            np.array([rank * self.k + org], dtype=np.int64),
             t,
         )
         return ScheduledJob(t, machine, job)
@@ -504,17 +516,13 @@ class FleetKernel:
         u = job.org
         lo = int(self.org_start[u] + self.released[u])
         hi = int(self.org_start[u + 1])
-        pos = lo + bisect_right(self.jobs_flat[lo:hi], job)
+        pos = bisect_right(self.jobs_flat, job, lo, hi)
         self.jobs_flat.insert(pos, job)
         # manual splice: ~5x cheaper than np.insert's generic machinery on
         # this per-op hot path (online ingest runs it once per job)
         self.rel_flat = self._splice_one(self.rel_flat, pos, job.release)
         self.size_flat = self._splice_one(self.size_flat, pos, job.size)
         self.org_start[u + 1 :] += 1
-        # log/job indices at or past the insertion point shift by one
-        if self._log_len:
-            live = self._log_job[: self._log_len]
-            live[live >= pos] += 1
         self._total_units = total
         self._max_release = rel
         self._org_clip = np.maximum(
@@ -564,7 +572,7 @@ class FleetKernel:
             u = job.org
             lo = int(self.org_start[u] + self.released[u])
             hi = int(self.org_start[u + 1])
-            pos[i] = lo + bisect_right(self.jobs_flat[lo:hi], job)
+            pos[i] = bisect_right(self.jobs_flat, job, lo, hi)
         # splice the Job list by merging in position order (stable: equal
         # positions keep the canonical job order, matching np.insert)
         order = np.argsort(pos, kind="stable")
@@ -586,12 +594,6 @@ class FleetKernel:
         counts = np.zeros(self.k, dtype=np.int64)
         np.add.at(counts, [j.org for j in ordered], 1)
         self.org_start[1:] += np.cumsum(counts)
-        # a live log/job index f shifts by the number of insertions at or
-        # before it (the simultaneous form of the per-op ``>= pos`` bump)
-        if self._log_len:
-            spos = np.sort(pos)
-            live = self._log_job[: self._log_len]
-            live += np.searchsorted(spos, live, side="right")
         self._total_units = total
         self._max_release = rel
         self._org_clip = np.maximum(
@@ -670,7 +672,7 @@ class FleetKernel:
         if not n:
             return out
         starts = self._log_start[:n]
-        sizes = self.size_flat[self._log_job[:n]]
+        sizes = self.size_flat[self._log_flat(slice(n))]
         c = np.clip(t - starts, 0, sizes)
         vals = c * (t - starts) - c * (c - 1) // 2
         np.add.at(out, self._log_row[:n], vals)
@@ -703,12 +705,12 @@ class FleetKernel:
         idx = self.row_log_indices(row)
         jobs = self.jobs_flat
         return [
-            ScheduledJob(
-                int(self._log_start[i]),
-                int(self._log_mach[i]),
-                jobs[int(self._log_job[i])],
+            ScheduledJob(start, mach, jobs[flat])
+            for start, mach, flat in zip(
+                self._log_start[idx].tolist(),
+                self._log_mach[idx].tolist(),
+                self._log_flat(idx).tolist(),
             )
-            for i in idx
         ]
 
     def row_psis(self, row: int, t: "int | None" = None) -> "list[int]":
@@ -795,11 +797,9 @@ class FleetKernel:
         ]
         heapq.heapify(eng._busy)
         eng._running = {}
-        for m in running_m:
-            s = int(self.run_start[row, m])
-            size = int(self.finish[row, m]) - s
-            flat = self._find_running_job(row, int(m), s, size)
-            eng._running[int(m)] = RunningJob(flat, s, int(m))
+        for m in running_m.tolist():
+            job = self._find_running_job(row, m)
+            eng._running[m] = RunningJob(job, int(self.run_start[row, m]), m)
         eng._retiring = set()
         eng._retired = set()
         eng._done_units = self.done_units[row].tolist()
@@ -807,7 +807,8 @@ class FleetKernel:
         # by-machine-owner aggregates over *completed* jobs, from the log
         eng._done_units_mach = [0] * self.k
         eng._done_wstart_mach = [0] * self.k
-        for e in self.row_entries(row):
+        entries = self.row_entries(row)
+        for e in entries:
             if e.end <= self.t:
                 p = e.job.size
                 owner = int(self.machine_org[e.machine])
@@ -818,7 +819,6 @@ class FleetKernel:
         eng._run_start_sum = int(self.rsum[row].sum())
         eng._run_start_sq = int(self.rsq[row].sum())
         eng.version = int(self.version[row])
-        entries = self.row_entries(row)
         eng._log = entries
         eng._completed = sorted(
             (e for e in entries if e.end <= self.t),
@@ -826,12 +826,12 @@ class FleetKernel:
         )
         return eng
 
-    def _find_running_job(self, row: int, machine: int, start: int, size: int) -> Job:
+    def _find_running_job(self, row: int, machine: int) -> Job:
         """The Job object running on ``(row, machine)`` via the start log."""
         idx = self.row_log_indices(row)
         for i in idx[::-1]:  # most recent start on that machine wins
             if int(self._log_mach[i]) == machine:
-                return self.jobs_flat[int(self._log_job[i])]
+                return self.jobs_flat[int(self._log_flat(i))]
         raise RuntimeError(
             f"no log entry for running job on row {row} machine {machine}"
         )  # pragma: no cover - running implies a logged start
@@ -864,8 +864,8 @@ class KernelEngineView:
             return self._bound
         return self._fleet._engines.get(self._mask)
 
-    def _escape(self) -> ClusterEngine:
-        self._fleet._materialize()
+    def _escape(self, reason: str = "view_mutation") -> ClusterEngine:
+        self._fleet._materialize(reason)
         return self._real()
 
     def _kr(self):
@@ -1005,8 +1005,7 @@ class KernelEngineView:
         if not (0 <= machine < kern.n_mach) or kern.finish[row, machine] >= _FAR:
             return None
         s = int(kern.run_start[row, machine])
-        size = int(kern.finish[row, machine]) - s
-        return RunningJob(kern._find_running_job(row, machine, s, size), s, machine)
+        return RunningJob(kern._find_running_job(row, machine), s, machine)
 
     def consumed_cpu(self, org: int, t: "int | None" = None) -> int:
         real = self._real()

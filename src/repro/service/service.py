@@ -121,6 +121,11 @@ class OnlinePolicy(ABC):
     def grand_engine(self) -> ClusterEngine:
         """The physical cluster: the grand coalition's engine."""
 
+    def backend_status(self) -> "dict | None":
+        """What simulates the policy's coalitions (``status()``'s
+        ``policy_backend``); ``None`` for single-engine policies."""
+        return None
+
     @abstractmethod
     def join(self, org: int) -> None:
         """An organization was admitted (census already updated)."""
@@ -292,6 +297,17 @@ class _FleetPolicy(OnlinePolicy):
 
     def _fleets(self) -> "tuple[CoalitionFleet, ...]":
         return (self.fleet,)
+
+    def backend_status(self) -> dict:
+        """The policy's fleets as one record: on the kernel while any of
+        them is, with their fallbacks and start-log entries summed."""
+        parts = [fl.backend_status() for fl in self._fleets()]
+        on_kernel = any(p["backend"] == "kernel" for p in parts)
+        return {
+            "backend": "kernel" if on_kernel else "engines",
+            "materializations": sum(p["materializations"] for p in parts),
+            "start_log_entries": sum(p["start_log_entries"] for p in parts),
+        }
 
     def machines_added(self, org: int, machine_ids: "list[int]") -> None:
         self._mutate_pool(org, machine_ids, add=True)
@@ -916,7 +932,11 @@ class ClusterService:
         ``ingest.buffered`` reports the micro-batch buffer depth *as the
         status call found it* (observation flushes the buffer, so the live
         value afterwards is always 0); ``per_org`` carries the ingest and
-        queue counters the gateway's aggregate status rolls up.
+        queue counters the gateway's aggregate status rolls up;
+        ``policy_backend`` says whether a fleet-backed policy (REF, RAND,
+        the approximation ladder) still runs on the batched kernel or fell
+        back to per-coalition engines, which is several times slower
+        (``None`` for single-engine policies).
         """
         buffered = self.pending_ingest
         self.flush_ingest()
@@ -942,6 +962,7 @@ class ClusterService:
                 "flushes": self.n_flushes,
                 "jobs_flushed": self.n_jobs_flushed,
             },
+            "policy_backend": self._policy.backend_status(),
             "per_org": {
                 str(u): {
                     "jobs_submitted": self.census.next_index.get(u, 0),

@@ -19,24 +19,32 @@ Four layers of protection for the batched kernel (DESIGN.md §8):
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.algorithms.base import members_mask
+from repro.algorithms import ref as ref_mod
+from repro.algorithms.base import fill_capacity, members_mask
 from repro.algorithms.direct import DirectContributionScheduler
 from repro.algorithms.greedy import fifo_select
 from repro.algorithms.rand import RandScheduler
-from repro.algorithms.ref import GeneralRefScheduler, RefScheduler
+from repro.algorithms.ref import GeneralRefScheduler, RefRun, RefScheduler
 from repro.core import kernel as kernel_mod
 from repro.core.coalition import iter_members, iter_subsets
 from repro.core.engine import ClusterEngine
 from repro.core.fleet import CoalitionFleet
+from repro.core.job import Job
 from repro.core.kernel import (
     KERNEL_MIN_ENGINES,
     FleetKernel,
     KernelEngineView,
     kernel_certified,
 )
+from repro.core.organization import Organization
+from repro.core.workload import Workload
 
 from .conftest import make_workload, random_workload
 
@@ -342,6 +350,51 @@ class TestMaterialization:
         assert fleet.kernel is None and 0b111 not in fleet
 
 
+    @pytest.mark.parametrize(
+        "reason",
+        [
+            "unsafe_submit", "adopt_engine", "add_mask", "remove_mask",
+            "unknown_drive", "view_mutation",
+        ],
+    )
+    def test_fallbacks_are_counted_and_named(self, reason, rng):
+        """ISSUE 12 observability: a fleet that left the kernel says so,
+        once, with the cause; the start-log count survives the move."""
+        wl = random_workload(rng, n_orgs=3, n_jobs=12, max_release=6)
+        fleet = CoalitionFleet(wl, all_masks(3)[1:], backend="kernel")
+        fleet.values_at(4, select=fifo_select)
+        before = fleet.backend_status()
+        assert before["backend"] == "kernel"
+        assert before["materializations"] == fleet.n_materializations == 0
+        assert before["start_log_entries"] == fleet.kernel._log_len > 0
+        assert fleet.materialize_reason is None
+        trigger = {
+            "unsafe_submit": lambda: fleet.submit(Job(9, 0, 99, 1 << 40)),
+            "adopt_engine": lambda: fleet.replace_engine(
+                0b001, ClusterEngine(wl, [0])
+            ),
+            "add_mask": lambda: fleet.add_mask(0b111),
+            "remove_mask": lambda: fleet.remove_mask(0b011),
+            "unknown_drive": lambda: fleet.drive(0b001, fifo_select, 5),
+            "view_mutation": lambda: fleet.engine(0b011).fork(),
+        }
+        trigger[reason]()
+        assert fleet.kernel is None
+        assert (fleet.n_materializations, fleet.materialize_reason) == (
+            1, reason
+        )
+        fleet.remove_mask(0b101)  # already per-engine: not a fallback
+        assert (fleet.n_materializations, fleet.materialize_reason) == (
+            1, reason
+        )
+        after = fleet.backend_status()
+        assert (after["backend"], after["materializations"]) == ("engines", 1)
+        if reason in ("unsafe_submit", "view_mutation"):  # same engines
+            assert after["start_log_entries"] == sum(
+                len(fleet.engine(m).schedule()) for m in fleet.masks
+            )
+
+
 class TestDispatchAndCertification:
     def test_auto_threshold(self, rng, monkeypatch):
         monkeypatch.setattr(kernel_mod, "KERNEL_MIN_ENGINES", 8)
@@ -559,3 +612,229 @@ class TestKernelInternals:
         kern.drive_fifo(10)
         assert kern.t == 10
         assert kern.next_event_time() is None
+
+
+def log_bytes(kern: FleetKernel) -> dict:
+    """Every start-log column's live prefix, byte for byte."""
+    return {
+        name: col[: kern._log_len].tobytes()
+        for name, col in vars(kern).items()
+        if name.startswith("_log_") and isinstance(col, np.ndarray)
+    }
+
+
+def assert_rows_match(kf: CoalitionFleet, ef: CoalitionFleet, t_past: int):
+    """Every kernel row reads back, through each log reader, exactly what
+    the per-engine fleet fed the same ops recorded."""
+    kern = kf.kernel
+    assert kern is not None
+    for row, mask in enumerate(kf.masks):
+        ref = ef.engine(mask)
+        view = kf.engine(mask)
+        assert kern.row_entries(row) == ref._log, mask
+        assert view.schedule() == ref.schedule(), mask
+        assert view.completed_log == ref.completed_log, mask
+        assert kern.materialize_row(row).schedule() == ref.schedule(), mask
+        for mid in ref.machine_owner:  # _find_running_job
+            a, b = view.running_on(mid), ref.running_on(mid)
+            assert (a and (a.job, a.start)) == (b and (b.job, b.start)), mask
+    assert kf.values_at(t_past) == ef.values_at(t_past)  # values_retro
+    assert kf.kernel is kern  # nothing above materialized the fleet
+
+
+class TestStartLogIdentity:
+    """ISSUE 12: the start log names a job by (org, rank in the org's
+    stream), which no ingest splice can move -- so ingest never rewrites
+    (or reads) the log, and every reader resolves the same job the
+    per-engine backend started, however the stream grew in between."""
+
+    MACHINES = [1, 2, 1]
+    EARLY = [(0, 0, 2), (0, 1, 3), (1, 1, 1), (1, 2, 2), (2, 2, 1), (3, 0, 1)]
+    #: fed online, in this order (per org in FIFO order)
+    LATE = [
+        (4, 0, 2),   # (a)+(c): lowest org, which already has logged starts
+        (5, 2, 1), (5, 0, 3), (5, 1, 2), (5, 1, 1),   # (b): one release, 3 orgs
+        (5, 0, 1), (7, 1, 2), (7, 0, 2),   # release == clock, and ahead
+        (8, 0, 1),   # (a) again, after keyed fills logged more starts
+        (9, 2, 3), (9, 0, 1), (9, 1, 1),
+    ]
+
+    def _fleets(self):
+        """Both backends over the EARLY stream, and the LATE jobs in
+        feeding order with the FIFO indices a service would assign."""
+        seen = [0] * len(self.MACHINES)
+        jobs = []
+        for release, org, size in self.EARLY + self.LATE:
+            jobs.append(Job(release, org, seen[org], size))
+            seen[org] += 1
+        early = make_workload(self.MACHINES, self.EARLY)
+        masks = all_masks(3)
+        kf = CoalitionFleet(early, masks, backend="kernel")
+        ef = CoalitionFleet(early, masks, backend="engines")
+        return kf, ef, jobs[len(self.EARLY):]
+
+    @staticmethod
+    def _ingest(kf, ef, batch):
+        """Feed one batch to both fleets; the kernel's log must come out
+        byte-identical (ingest never writes it)."""
+        before = log_bytes(kf.kernel)
+        assert set(before) == {"_log_row", "_log_start", "_log_mach", "_log_job"}
+        for fleet in (kf, ef):
+            if len(batch) == 1:
+                fleet.submit(batch[0])
+            else:
+                fleet.submit_many(batch)
+        assert log_bytes(kf.kernel) == before
+
+    @staticmethod
+    def _fifo(kf, ef, t):
+        assert kf.values_at(t, select=fifo_select) == ef.values_at(
+            t, select=fifo_select
+        )
+
+    @staticmethod
+    def _keyed_fill(kf, ef, t, keys):
+        """Advance without starts, then fill every coalition by ``keys``
+        (ties: lowest org): the kernel side through ``fill_rows`` on the
+        even rows and ``start_row`` on the odd ones."""
+        kf.advance_all(t)
+        ef.advance_all(t)
+        by_org = dict(enumerate(keys))
+        rows = np.arange(0, len(kf.masks), 2)
+        kf.fill_rows(rows, np.tile(np.array(keys), (len(rows), 1)), t)
+        for row, mask in enumerate(kf.masks):
+            if row % 2:
+                fill_capacity(kf, mask, by_org)
+            fill_capacity(ef, mask, by_org)
+
+    def test_interleaved_ingest_and_fills_match_engines(self):
+        kf, ef, late = self._fleets()
+        self._fifo(kf, ef, 2)
+        assert kf.kernel._log_len > 0
+        assert_rows_match(kf, ef, 1)
+        self._ingest(kf, ef, late[0:1])     # lower org's window: orgs 1, 2 shift
+        assert_rows_match(kf, ef, 2)
+        self._ingest(kf, ef, late[1:5])     # tie at release 5 across all orgs
+        assert_rows_match(kf, ef, 1)
+        self._fifo(kf, ef, 5)
+        assert_rows_match(kf, ef, 3)
+        self._ingest(kf, ef, late[5:8])     # release == kernel clock
+        assert_rows_match(kf, ef, 4)
+        self._keyed_fill(kf, ef, 6, [3, 1, 3])
+        assert_rows_match(kf, ef, 5)
+        self._ingest(kf, ef, late[8:9])
+        assert_rows_match(kf, ef, 6)
+        self._keyed_fill(kf, ef, 8, [0, 2, 2])
+        self._ingest(kf, ef, late[9:12])
+        assert_rows_match(kf, ef, 7)
+        for t in (12, 40):
+            self._fifo(kf, ef, t)
+            assert_rows_match(kf, ef, t - 3)
+        n_jobs = len(self.EARLY) + len(self.LATE)
+        assert len(kf.engine(0b111).schedule()) == n_jobs
+
+    def test_log_entry_is_at_most_32_bytes(self):
+        """ISSUE 12: the log (one entry per start per coalition row) is
+        most of a long-running REF service's kernel memory; the job
+        identity must not widen it."""
+        kf, ef, late = self._fleets()
+        self._fifo(kf, ef, 3)
+        cols = log_bytes(kf.kernel)
+        assert sum(map(len, cols.values())) <= 32 * kf.kernel._log_len
+
+
+# ----------------------------------------------------------------------
+# generated: online kernel ingest == batch REF == per-engine backend
+# ----------------------------------------------------------------------
+@st.composite
+def online_instances(draw):
+    """Machine counts, a canonical job stream with ties and zero gaps, and
+    where to cut it into ingest batches / how far to run between them."""
+    k = draw(st.integers(2, 4))
+    machines = draw(
+        st.lists(st.integers(0, 2), min_size=k, max_size=k).filter(any)
+    )
+    n = draw(st.integers(1, 14))
+    gaps = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 5]), min_size=n, max_size=n))
+    orgs = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    cuts = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    runs = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    triples, t = [], 0
+    for gap, u, p in zip(gaps, orgs, sizes):
+        t += gap
+        triples.append((t, u, p))
+    return machines, triples, cuts, runs
+
+
+def serve_ref(workload, backend, cuts, runs, check):
+    """REF stepped online over a fleet that starts jobless: the stream is
+    fed in canonical order, cut into ``submit`` / ``submit_many`` batches
+    after every job whose ``cuts`` flag is set, and where ``runs`` is set
+    too the decisions strictly before the next unseen release are
+    processed (never the next release itself: its round must see the
+    whole tie group, like the service's).  ``check(fleet, t)`` runs after
+    every such advance."""
+    k = workload.n_orgs
+    empty = Workload(workload.organizations, ())
+    fleet = CoalitionFleet(empty, all_masks(k), backend=backend)
+    run = RefRun(empty, tuple(range(k)), (1 << k) - 1, None, fleet=fleet)
+
+    def advance(limit):
+        while (t := fleet.peek_decision()) is not None and (
+            limit is None or t < limit
+        ):
+            fleet.next_decision()
+            run.step(t)
+            check(fleet, t)
+
+    jobs = sorted(workload.jobs)
+    batch = []
+    for i, job in enumerate(jobs):
+        batch.append(job)
+        if not cuts[i] and i + 1 < len(jobs):
+            continue
+        if len(batch) == 1:
+            fleet.submit(batch[0])
+        else:
+            fleet.submit_many(batch)
+        batch = []
+        if runs[i] and i + 1 < len(jobs):
+            advance(jobs[i + 1].release)
+    advance(None)
+    return fleet, run
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=online_instances(), vectorize=st.booleans())
+def test_online_kernel_ingest_equals_batch_and_engines(instance, vectorize):
+    machines, triples, cuts, runs = instance
+    wl = make_workload(machines, triples)
+    k = len(machines)
+    grand = (1 << k) - 1
+    seen: dict = {"kernel": [], "engines": []}
+
+    def checker(name):
+        def check(fleet, t):
+            # a past and the current time, mid-stream (a future query would
+            # advance the fleet past decisions it has not scheduled yet)
+            seen[name].append((t, fleet.values_at(t // 2), fleet.values_at(t)))
+        return check
+
+    # both REF bodies: the fused kernel one (fill_rows) and the exact
+    # small-k one (start_row through engine views)
+    threshold = 0 if vectorize else 99
+    with mock.patch.object(ref_mod, "VECTORIZE_MIN_K", threshold):
+        batch = RefScheduler().run(wl).schedule
+        kf, krun = serve_ref(wl, "kernel", cuts, runs, checker("kernel"))
+        ef, erun = serve_ref(wl, "engines", cuts, runs, checker("engines"))
+    assert kf.kernel is not None, kf.materialize_reason
+    assert kf.engine(grand).schedule() == batch
+    assert ef.engine(grand).schedule() == batch
+    assert seen["kernel"] == seen["engines"]
+    for row, mask in enumerate(kf.masks):
+        assert kf.kernel.row_entries(row) == ef.engine(mask)._log, mask
+    last = krun.last_event
+    assert last == erun.last_event
+    for t in (last // 2, last, last + 7):
+        assert kf.values_at(t) == ef.values_at(t), t

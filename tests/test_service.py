@@ -568,6 +568,30 @@ class TestDaemon:
         restored = ClusterService.restore(load_snapshot(snap_path))
         assert restored.schedule() == svc.schedule()
 
+    def test_status_names_the_policy_backend(self):
+        """A fleet-backed policy reports whether it still runs on the
+        batched kernel; a membership change drops REF to per-coalition
+        engines and the status says so (ISSUE 12 observability)."""
+        svc = ClusterService([1] * 6, "ref", seed=0)  # 63 masks: kernel
+        for org in range(6):
+            svc.submit(org, 2)
+        svc.advance(3)
+        status = svc.status()
+        backend = status["policy_backend"]
+        assert backend["backend"] == "kernel"
+        assert backend["materializations"] == 0
+        assert backend["start_log_entries"] >= status["jobs_started"] > 0
+        json.dumps(status)
+        svc.leave_org(5)
+        backend = svc.status()["policy_backend"]
+        assert (backend["backend"], backend["materializations"]) == (
+            "engines", 1
+        )
+        assert svc._policy.fleet.materialize_reason == "remove_mask"
+        rand = ClusterService([1, 1, 1], "rand", seed=0)
+        assert set(rand.status()["policy_backend"]) == set(backend)
+        assert ClusterService([1], "fifo").status()["policy_backend"] is None
+
     def test_malformed_json_is_in_band_error(self):
         svc = ClusterService([1], "fifo")
         out = io.StringIO()
