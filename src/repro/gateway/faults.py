@@ -286,7 +286,9 @@ class FaultInjector:
         return True
 
     def after_reply(self) -> None:
-        """Called after a response is written and flushed."""
+        """Called after a response is written (the worker buffers its
+        replies; :meth:`_hard_exit` flushes them first, so the reply
+        is delivered before the crash)."""
         if not self._armed("crash_late"):
             return
         if self.op_count < int(self.fault.get("at_op", 1)):

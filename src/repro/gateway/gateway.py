@@ -80,6 +80,10 @@ __all__ = [
     "gateway_serve_loop",
 ]
 
+#: Ingest round-trip samples kept for :meth:`Gateway.latency_percentiles`
+#: (a sliding window: the newest this many).
+LATENCY_WINDOW = 10_000
+
 #: Ops the WAL must capture: everything that mutates shard state.  Pure
 #: observations (status, inline snapshot) replay to nothing and are not
 #: logged.
@@ -106,18 +110,29 @@ class WorkerDied(GatewayError):
 
 @dataclass
 class _Pending:
-    """One in-flight request awaiting its (positional) response."""
+    """One in-flight request awaiting its (positional) response.
+
+    ``sent_at`` is stamped when the request's bytes leave in a frame, not
+    when it is enqueued: the response deadline measures the worker, and a
+    command still waiting in the tx buffer is not the worker's fault.
+    """
 
     req_id: int
     shard: "int | None"
     op: str
-    sent_at: float
-    track_latency: bool = False
+    sent_at: "float | None" = None
     callback: "Callable[[dict], None] | None" = None
 
 
 class _WorkerHandle:
-    """One spawned worker: binary pipes, tx batching, rx line splitting."""
+    """One spawned worker: binary pipes, frame coalescing, rx line
+    splitting.
+
+    A *frame* is every command enqueued since the last :meth:`flush`,
+    written to the worker's stdin in one syscall.  Commands only leave
+    when someone is about to block on their answers (:meth:`settle_one`)
+    or the pool reaches one of its other flush points.
+    """
 
     HANDSHAKE_TIMEOUT_S = 60.0
 
@@ -126,9 +141,13 @@ class _WorkerHandle:
         worker_id: int,
         manifest: dict,
         env: "dict[str, str]",
+        counters: "dict[str, int]",
     ) -> None:
         self.worker_id = worker_id
         self.on_settle: "Callable[[], None] | None" = None
+        #: ``tx_writes`` / ``tx_commands`` / ``rx_reads``; owned by the
+        #: pool so the totals survive a respawn
+        self.counters = counters
         # -c instead of -m: the latter warns when repro.gateway is already
         # imported as a package before runpy executes the submodule
         self.proc = subprocess.Popen(
@@ -148,11 +167,12 @@ class _WorkerHandle:
         self._rx = bytearray()
         self._rx_lines: "deque[str]" = deque()
         self._tx: "list[bytes]" = []
+        self._unsent: "list[_Pending]" = []
         self.hello = self._handshake(manifest)
 
     # -- low-level I/O --------------------------------------------------
     def _handshake(self, manifest: dict) -> dict:
-        self.write_line(manifest)
+        self._tx.append(json.dumps(manifest).encode("utf-8") + b"\n")
         self.flush()
         resp = self._read_response(timeout=self.HANDSHAKE_TIMEOUT_S)
         if resp is None or not resp.get("ok"):
@@ -161,15 +181,24 @@ class _WorkerHandle:
             )
         return resp
 
-    def write_line(self, payload: dict) -> None:
+    def send(self, pending: _Pending, payload: dict) -> None:
+        """Enqueue one request into the current frame (no I/O)."""
+        self.pending.append(pending)
+        self._unsent.append(pending)
         self._tx.append(json.dumps(payload).encode("utf-8") + b"\n")
 
+    @property
+    def has_unsent(self) -> bool:
+        return bool(self._tx)
+
     def flush(self) -> None:
-        if not self._tx or self.dead:
-            self._tx.clear()
+        """Write the buffered frame in one syscall and start its
+        commands' response deadlines."""
+        if not self._tx:
             return
         data = b"".join(self._tx)
         self._tx.clear()
+        unsent, self._unsent = self._unsent, []
         try:
             self.proc.stdin.write(data)
             self.proc.stdin.flush()
@@ -178,6 +207,11 @@ class _WorkerHandle:
             raise WorkerDied(
                 f"worker {self.worker_id} pipe closed: {exc}"
             ) from exc
+        self.counters["tx_writes"] += 1
+        self.counters["tx_commands"] += len(unsent)
+        now = time.perf_counter()
+        for p in unsent:
+            p.sent_at = now
 
     def _fill_rx(self, timeout: "float | None") -> bool:
         """Read once from the worker's stdout; False on timeout/EOF."""
@@ -189,6 +223,7 @@ class _WorkerHandle:
         if not chunk:
             self.dead = True
             return False
+        self.counters["rx_reads"] += 1
         self._rx.extend(chunk)
         while True:
             nl = self._rx.find(b"\n")
@@ -221,7 +256,7 @@ class _WorkerHandle:
         """Match the oldest pending request with the next response."""
         if not self.pending:
             return None
-        self.flush()
+        self.flush()  # flush before you block
         resp = self._read_response(timeout)
         if resp is None:
             if self.dead:
@@ -244,14 +279,8 @@ class _WorkerHandle:
         return resp
 
     def settle_available(self) -> int:
-        """Opportunistically consume already-arrived responses."""
+        """Consume already-arrived responses without waiting."""
         n = 0
-        if self.pending:
-            # the tx buffer may still hold the very commands we are
-            # waiting on (pipelining batches writes): a worker can only
-            # answer what it has received, so an unflushed buffer would
-            # otherwise read as a stalled worker
-            self.flush()
         while self.pending and (self._rx_lines or self._peek_readable()):
             if self.settle_one(timeout=0) is None:
                 break
@@ -275,6 +304,7 @@ class _WorkerHandle:
         lost = len(self.pending)
         self.pending.clear()
         self._tx.clear()
+        self._unsent.clear()
         self._rx.clear()
         self._rx_lines.clear()
         self.dead = True
@@ -305,6 +335,13 @@ class ShardPool:
     ``max_inflight`` per worker); mutating commands are write-ahead
     logged per shard until the next acknowledged checkpoint, which is
     what makes :meth:`restore_worker` exact.
+
+    One rule moves bytes, *flush before you block*: a pipelined command
+    only joins its worker's current frame, and frames leave when the
+    caller waits for an answer (``wait=True``, :meth:`barrier`,
+    :meth:`worker_cmd`), when a worker's window of unanswered commands
+    reaches ``max_inflight``, on the supervisor :meth:`tick`, and on
+    :meth:`flush` (the serve loop, before it blocks for input).
     """
 
     def __init__(
@@ -328,7 +365,9 @@ class ShardPool:
             s: [] for s in config.shard_ids()
         }
         self.checkpointed: "set[int]" = set()
-        self.latencies_s: "list[float]" = []
+        self.latencies_s: "deque[float]" = deque(maxlen=LATENCY_WINDOW)
+        #: worker -> pipe I/O counters (see :meth:`transport_status`)
+        self.transport: "dict[int, dict[str, int]]" = {}
         self.lost_responses = 0
         self.restores = 0
         self._next_id = 0
@@ -408,6 +447,9 @@ class ShardPool:
             worker,
             self._manifest(worker, restore, incarnation),
             self._worker_env(),
+            self.transport.setdefault(
+                worker, {"tx_writes": 0, "tx_commands": 0, "rx_reads": 0}
+            ),
         )
         handle.on_settle = lambda w=worker: self.supervisor.on_settled(w)
         self.workers[worker] = handle
@@ -538,32 +580,41 @@ class ShardPool:
         (bypasses park checks -- the worker is mid-heal).  Raises
         :class:`WorkerDied` if it dies or stalls during replay."""
         handle = self.workers[worker]
-        hb = self.supervisor.policy.heartbeat_timeout_s
         replayed = {}
         for s in self.config.worker_shards(worker):
             for cmd in self.wal[s]:
                 self._next_id += 1
-                handle.pending.append(
-                    _Pending(
-                        req_id=self._next_id,
-                        shard=s,
-                        op=cmd.get("op", "?"),
-                        sent_at=time.perf_counter(),
-                    )
+                handle.send(
+                    _Pending(self._next_id, s, cmd.get("op", "?")),
+                    {"id": self._next_id, "shard": s, **cmd},
                 )
-                handle.write_line({"id": self._next_id, "shard": s, **cmd})
                 if len(handle.pending) >= self.max_inflight:
-                    if handle.settle_one(timeout=hb) is None:
-                        raise WorkerDied(
-                            f"worker {worker} unresponsive during WAL replay"
-                        )
+                    self._settle_down_to(
+                        handle, self.max_inflight // 2, "during WAL replay"
+                    )
             replayed[s] = len(self.wal[s])
-        while handle.pending:
+        self._settle_down_to(handle, 0, "during WAL replay")
+        return replayed
+
+    def _settle_down_to(
+        self, handle: _WorkerHandle, keep: int, when: str
+    ) -> None:
+        """Flush and wait (heartbeat-bounded per response) until at most
+        ``keep`` requests are unanswered.  A full window settles down to
+        half, not by one: the room made is the size of the next frame.
+        *Every* worker's frame leaves first: while the pool blocks on
+        this worker the others must be working, not waiting for bytes
+        that sit in the front door."""
+        self.flush()
+        if handle.dead:
+            raise WorkerDied(f"worker {handle.worker_id} died {when}")
+        hb = self.supervisor.policy.heartbeat_timeout_s
+        while len(handle.pending) > keep:
             if handle.settle_one(timeout=hb) is None:
                 raise WorkerDied(
-                    f"worker {worker} unresponsive during WAL replay"
+                    f"worker {handle.worker_id} heartbeat timeout "
+                    f"({hb:g}s) {when} with {len(handle.pending)} pending"
                 )
-        return replayed
 
     def _respawn(self, worker: int) -> bool:
         """One automatic recovery attempt: spawn a new incarnation from
@@ -590,7 +641,8 @@ class ShardPool:
         return True
 
     def tick(self) -> None:
-        """One supervisor pass: deadline checks, idle pings, due respawns.
+        """One supervisor pass: send buffered frames, deadline checks,
+        idle pings, due respawns.
 
         Called from every command path (and the serve loop's idle path);
         throttled to a few-ms cadence when the fleet is healthy so the
@@ -607,18 +659,25 @@ class ShardPool:
                 continue
             if meta.state == UP:
                 handle = self.workers[w]
-                if handle.pending:
-                    # settle everything already readable BEFORE judging
-                    # the deadline: while the gateway was busy elsewhere
-                    # (e.g. replaying another worker's WAL) this worker
-                    # may have answered long ago -- aging unread
-                    # responses must not read as a stall
-                    try:
-                        handle.settle_available()
-                    except (WorkerDied, GatewayError) as exc:
-                        self._worker_failed(w, str(exc))
-                        degraded = True
-                        continue
+                if not handle.pending and self.supervisor.needs_ping(w):
+                    self._enqueue_ping(w)
+                if not handle.pending:
+                    continue
+                # send the frame, then settle everything already readable
+                # BEFORE judging the deadline: while the gateway was busy
+                # elsewhere (e.g. replaying another worker's WAL) this
+                # worker may have answered long ago -- aging unread
+                # responses must not read as a stall.  The deadline runs
+                # from the flush that carried the oldest request, so a
+                # caller's pause between enqueue and flush is not charged
+                # to the worker.
+                try:
+                    handle.flush()
+                    handle.settle_available()
+                except (WorkerDied, GatewayError) as exc:
+                    self._worker_failed(w, str(exc))
+                    degraded = True
+                    continue
                 if handle.pending:
                     age = time.perf_counter() - handle.pending[0].sent_at
                     hb = self.supervisor.policy.heartbeat_timeout_s
@@ -629,8 +688,6 @@ class ShardPool:
                             f"heartbeat {hb:g}s)",
                         )
                         degraded = True
-                elif self.supervisor.needs_ping(w):
-                    self._enqueue_ping(w)
             elif meta.state == ADMIN_DOWN:
                 continue  # operator kill: manual restore only
             elif self.supervisor.due_for_respawn(w, self.vclock):
@@ -642,23 +699,13 @@ class ShardPool:
 
     def _enqueue_ping(self, worker: int) -> None:
         """Probe an idle worker so silent death is noticed without
-        traffic; the pong settles with normal positional matching."""
-        handle = self.workers[worker]
+        traffic (the calling :meth:`tick` flushes it); the pong settles
+        with normal positional matching."""
         self._next_id += 1
-        handle.pending.append(
-            _Pending(
-                req_id=self._next_id,
-                shard=None,
-                op="ping",
-                sent_at=time.perf_counter(),
-            )
+        self.workers[worker].send(
+            _Pending(self._next_id, None, "ping"),
+            {"id": self._next_id, "op": "ping"},
         )
-        handle.write_line({"id": self._next_id, "op": "ping"})
-        try:
-            handle.flush()
-        except WorkerDied as exc:
-            self._worker_failed(worker, str(exc))
-            return
         self.pings_sent += 1
         # don't re-ping while this probe is outstanding
         self.supervisor.meta[worker].last_activity = time.monotonic()
@@ -666,21 +713,23 @@ class ShardPool:
     def _drain_handle(self, worker: int) -> bool:
         """Settle everything pending on one worker under the heartbeat
         deadline; False (never an exception) when the worker failed."""
-        handle = self.workers[worker]
-        hb = self.supervisor.policy.heartbeat_timeout_s
         try:
-            while handle.pending:
-                if handle.settle_one(timeout=hb) is None:
-                    self._worker_failed(
-                        worker,
-                        f"heartbeat timeout ({hb:g}s) with "
-                        f"{len(handle.pending)} pending",
-                    )
-                    return False
+            self._settle_down_to(self.workers[worker], 0, "at a barrier")
         except (WorkerDied, GatewayError) as exc:
             self._worker_failed(worker, str(exc))
             return False
         return True
+
+    def flush(self) -> None:
+        """Send every worker's buffered frame now.  For a caller about
+        to block on something other than the workers (the serve loop
+        waiting for input): nothing it enqueued may sit unsent while it
+        sleeps.  A worker found dead is handed to the supervisor."""
+        for w, handle in self.workers.items():
+            try:
+                handle.flush()
+            except WorkerDied as exc:
+                self._worker_failed(w, str(exc))
 
     def heal_shard(self, shard: int, timeout_s: float = 30.0) -> None:
         """Block (bounded) until the worker owning ``shard`` is up,
@@ -808,6 +857,11 @@ class ShardPool:
     ) -> "dict | None":
         """Send one shard-tagged command; pipeline unless ``wait``.
 
+        Pipelined, the command is WAL-logged and joins its worker's
+        current frame -- no I/O on the pipe; ``wait`` flushes and blocks
+        for the answer, and a window that reaches ``max_inflight``
+        flushes and settles down to half before returning.
+
         A command to a shard whose worker is auto-down parks or is
         refused (:meth:`_park`); a worker failure detected mid-send
         parks the command too (it is already in the WAL) instead of
@@ -839,17 +893,7 @@ class ShardPool:
                 if _inner is not None:
                     _inner(resp)
 
-        handle.pending.append(
-            _Pending(
-                req_id=self._next_id,
-                shard=shard,
-                op=op,
-                sent_at=time.perf_counter(),
-                track_latency=track_latency,
-                callback=cb,
-            )
-        )
-        handle.write_line(payload)
+        handle.send(_Pending(self._next_id, shard, op, callback=cb), payload)
         if wait:
             drained = self._drain_handle(w)
             if captured:
@@ -864,22 +908,17 @@ class ShardPool:
                 self.supervisor.state(w),
                 f"worker {w} failed mid-command ({op})",
             )
-        hb = self.supervisor.policy.heartbeat_timeout_s
-        try:
-            if len(handle.pending) >= self.max_inflight:
-                if handle.settle_one(timeout=hb) is None:
-                    raise WorkerDied(
-                        f"worker {w} heartbeat timeout ({hb:g}s) under "
-                        f"backpressure"
-                    )
-            else:
-                handle.settle_available()
-        except (WorkerDied, GatewayError) as exc:
-            self._worker_failed(w, str(exc))
-            if not (mutating and log):
-                raise ShardUnavailable(
-                    shard, self.supervisor.state(w), str(exc)
-                ) from exc
+        if len(handle.pending) >= self.max_inflight:
+            try:
+                self._settle_down_to(
+                    handle, self.max_inflight // 2, "under backpressure"
+                )
+            except (WorkerDied, GatewayError) as exc:
+                self._worker_failed(w, str(exc))
+                if not (mutating and log):
+                    raise ShardUnavailable(
+                        shard, self.supervisor.state(w), str(exc)
+                    ) from exc
         return None
 
     def _wrap_latency(
@@ -902,24 +941,13 @@ class ShardPool:
         through :meth:`_worker_failed`).
         """
         handle = self.workers[worker]
-        if handle.dead:
-            raise WorkerDied(f"worker {worker} is dead")
         hb = self.supervisor.policy.heartbeat_timeout_s
-        while handle.pending:  # worker-level ops are barriers on that worker
-            if handle.settle_one(timeout=hb) is None:
-                raise WorkerDied(
-                    f"worker {worker} unresponsive (heartbeat {hb:g}s)"
-                )
+        # worker-level ops are barriers on that worker (raises on a dead one)
+        self._settle_down_to(handle, 0, "before a worker op")
         self._next_id += 1
-        payload = {"id": self._next_id, **cmd}
-        handle.write_line(payload)
-        handle.pending.append(
-            _Pending(
-                req_id=self._next_id,
-                shard=None,
-                op=cmd.get("op", "?"),
-                sent_at=time.perf_counter(),
-            )
+        handle.send(
+            _Pending(self._next_id, None, cmd.get("op", "?")),
+            {"id": self._next_id, **cmd},
         )
         resp = handle.settle_one(timeout=hb)
         if resp is None:
@@ -1087,6 +1115,20 @@ class ShardPool:
         st["pings_sent"] = self.pings_sent
         return st
 
+    def transport_status(self) -> dict:
+        """The frame-coalescing block of the aggregate status op: per
+        worker, pipe writes (``tx_writes``, spawn manifests included),
+        commands they carried (``tx_commands``) and pipe reads
+        (``rx_reads``), summed over its incarnations; fleet-wide, durable
+        WAL records appended.  ``tx_commands / tx_writes`` is the mean
+        frame size."""
+        return {
+            "workers": {
+                str(w): dict(row) for w, row in sorted(self.transport.items())
+            },
+            "wal_appends": sum(dw.appends for dw in self.dwal.values()),
+        }
+
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
         for w, handle in sorted(self.workers.items()):
@@ -1097,6 +1139,8 @@ class ShardPool:
             except (GatewayError, OSError):
                 pass
             handle.close()
+        for dw in self.dwal.values():
+            dw.close()
 
     def __enter__(self) -> "ShardPool":
         return self
@@ -1163,10 +1207,11 @@ class Gateway:
     ) -> dict:
         """Submit one job for ``tenant``; admission-checked at the door.
 
-        Pipelined by default (the returned dict only acknowledges
-        forwarding; shard-side errors surface in :attr:`forward_errors`
-        and the next barrier).  ``wait=True`` returns the shard's full
-        response.
+        Pipelined by default: when this returns the command is in the
+        shard's WAL and in its worker's current frame, not yet on the
+        pipe (see :class:`ShardPool` for when frames leave); shard-side
+        errors surface in :attr:`forward_errors` and the next barrier.
+        ``wait=True`` returns the shard's full response.
 
         Degradation contract: shard health is checked **before**
         admission charges, so a ``shard_unavailable`` refusal (worker
@@ -1373,6 +1418,7 @@ class Gateway:
             **totals,
             "degraded": degraded,
             "supervisor": supervision,
+            "transport": self.pool.transport_status(),
             "per_shard": {str(s): v for s, v in shard_statuses.items()},
             "per_tenant": tenants,
         }
@@ -1462,7 +1508,9 @@ def gateway_serve_loop(
             last_stats = now
 
     try:
-        for line in timed_lines(lines, lambda: 0.25):
+        # before blocking for input, send what the handled commands
+        # enqueued: a lone piped submit must not wait for the idle tick
+        for line in timed_lines(lines, lambda: 0.25, gateway.pool.flush):
             if line is None:
                 # idle: run the supervisor pass (deadline checks, pings,
                 # due respawns) so healing doesn't wait for traffic

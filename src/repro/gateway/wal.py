@@ -116,12 +116,21 @@ def load_wal(path: "str | Path") -> WalImage:
 
 @dataclass
 class ShardWal:
-    """The append side of one shard's durable WAL."""
+    """The append side of one shard's durable WAL.
+
+    The file is opened once (``O_APPEND``, on the first record) and held
+    until :meth:`close`; a record is one ``write(2)`` of its encoded
+    line, issued before :meth:`append` returns -- so it is in the OS
+    before the pool can hand the command to a worker.
+    """
 
     path: Path
     next_seq: int = 0
     fsyncs: int = 0
+    appends: int = 0
+    opens: int = 0
     _repair_newline: bool = field(default=False, repr=False)
+    _fd: "int | None" = field(default=None, repr=False)
 
     @classmethod
     def create(
@@ -157,28 +166,32 @@ class ShardWal:
             pass
         return cls(path=path, next_seq=next_seq, _repair_newline=repair)
 
-    def _append_line(self, text: str, fsync: bool) -> None:
-        with open(self.path, "a", encoding="utf-8") as f:
-            if self._repair_newline:
-                # the previous append was torn (injected or crashed):
-                # terminate the partial record so it parses as exactly one
-                # droppable junk line instead of corrupting this one
-                f.write("\n")
-                self._repair_newline = False
-            f.write(text + "\n")
-            f.flush()
-            if fsync:
-                os.fsync(f.fileno())
-                self.fsyncs += 1
+    def _write_record(self, row: dict, fsync: bool) -> None:
+        data = json.dumps(row, separators=(",", ":")).encode("utf-8") + b"\n"
+        if self._repair_newline:
+            # the previous append was torn (injected or crashed):
+            # terminate the partial record so it parses as exactly one
+            # droppable junk line instead of corrupting this one
+            data = b"\n" + data
+            self._repair_newline = False
+        fd = self._fd
+        if fd is None:
+            fd = self._fd = os.open(
+                self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
+            )
+            self.opens += 1
+        while data:  # one write(2) unless the kernel takes it in parts
+            data = data[os.write(fd, data):]
+        if fsync:
+            os.fsync(fd)
+            self.fsyncs += 1
 
     def append(self, cmd: dict) -> int:
         """Log one mutating command; returns its seq."""
         seq = self.next_seq
         self.next_seq += 1
-        self._append_line(
-            json.dumps({"seq": seq, "cmd": cmd}, separators=(",", ":")),
-            fsync=False,
-        )
+        self._write_record({"seq": seq, "cmd": cmd}, fsync=False)
+        self.appends += 1
         return seq
 
     def mark_checkpoint(self, content_hash: str) -> None:
@@ -186,12 +199,8 @@ class ShardWal:
         command below :attr:`next_seq`.  The fsync here is the WAL's
         durability point: everything before the marker is on disk before
         the marker claims the checkpoint happened."""
-        self._append_line(
-            json.dumps(
-                {"mark": content_hash, "seq": self.next_seq},
-                separators=(",", ":"),
-            ),
-            fsync=True,
+        self._write_record(
+            {"mark": content_hash, "seq": self.next_seq}, fsync=True
         )
 
     def tear_tail(self) -> None:
@@ -201,3 +210,9 @@ class ShardWal:
 
         tear_file_tail(self.path)
         self._repair_newline = True
+
+    def close(self) -> None:
+        """Release the file handle (a later append reopens it)."""
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None

@@ -160,8 +160,11 @@ def serve_shards(
                 s.flush_ingest()
             buffered_since = None
 
+    # replies are buffered and leave in one write when the loop is about
+    # to wait for more commands (flush before you block), at exit, and
+    # before an injected hard exit (the injector holds ``out``)
     source = timed_lines(
-        lines, lambda: linger_s if any_pending() else None
+        lines, lambda: linger_s if any_pending() else None, out.flush
     )
     try:
         for line in source:
@@ -237,7 +240,6 @@ def serve_shards(
             check_linger()
             if not suppress:
                 out.write(json.dumps(response) + "\n")
-                out.flush()
                 if injector is not None:
                     injector.after_reply()
             if not keep:
@@ -246,6 +248,8 @@ def serve_shards(
         # supervisor kill: leave restorable checkpoints behind
         if snapshot_dir is not None:
             _snapshot_all(shards, snapshot_dir)
+    finally:
+        out.flush()
     return shards
 
 

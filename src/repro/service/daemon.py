@@ -27,7 +27,6 @@ Every response carries ``"ok": true/false``; errors are reported in-band
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import selectors
@@ -78,32 +77,41 @@ def install_shutdown_handlers(
 
 
 def timed_lines(
-    stream, timeout: "Callable[[], float | None]"
+    stream,
+    timeout: "Callable[[], float | None]",
+    before_wait: "Callable[[], None]" = lambda: None,
 ) -> "Iterable[str | None]":
     """Yield lines from ``stream``, yielding ``None`` on read timeouts.
 
     ``timeout()`` is consulted before each wait: ``None`` blocks until
     input arrives, a number bounds the wait in seconds (yielding ``None``
     when it elapses without a complete line, so the caller can run idle
-    work such as a linger flush).  Sources without a real file descriptor
+    work such as a linger flush).  ``before_wait()`` runs every time the
+    reader is about to wait for input it does not already hold: the place
+    to flush output the peer may be waiting on before sending more
+    (*flush before you block*).  Sources without a real file descriptor
     (lists, ``StringIO``, generators) fall back to plain iteration --
-    they cannot block indefinitely, so per-line timing is moot there.
+    per-line timing is moot there, but fetching the next line may still
+    block (a generator fed by the peer), so ``before_wait`` runs before
+    each one.
     """
+    sel = None
     try:
         fd = stream.fileno()
-    except (AttributeError, ValueError, OSError, io.UnsupportedOperation):
-        yield from stream
-        return
-    sel = selectors.DefaultSelector()
-    try:
+        sel = selectors.DefaultSelector()
         sel.register(fd, selectors.EVENT_READ)
-    except (OSError, ValueError, PermissionError):
-        sel.close()
-        yield from stream
+    except (AttributeError, ValueError, OSError):
+        if sel is not None:
+            sel.close()
+        before_wait()
+        for line in stream:
+            yield line
+            before_wait()
         return
     buf = bytearray()
     try:
         while True:
+            before_wait()
             wait = timeout()
             if wait is not None and wait <= 0:
                 # never busy-spin a zero linger

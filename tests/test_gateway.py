@@ -31,13 +31,18 @@ from repro.gateway import (
     TokenBucket,
     WorkerDied,
     generate_stream,
+    load_wal,
     run_loadgen,
     shard_of,
     stable_hash,
     verify_against_batch,
+    wal_path,
     worker_of,
 )
+from repro.gateway.gateway import LATENCY_WINDOW, gateway_serve_loop
+from repro.gateway.supervisor import SupervisorPolicy
 from repro.gateway.worker import serve_shards, shard_snapshot_path
+from repro.service.daemon import timed_lines
 from repro.service.snapshot import load_snapshot
 
 REPO_ROOT = Path(__file__).parent.parent
@@ -376,6 +381,18 @@ class TestGatewayFleet:
                 status["per_shard"].values())
             == 8
         )
+        # the transport block: what crossed each worker's pipes (no
+        # snapshot_dir here, so no durable WAL records)
+        transport = status["transport"]
+        assert set(transport["workers"]) == {"0", "1"}
+        assert transport["wal_appends"] == 0
+        for row in transport["workers"].values():
+            assert set(row) == {"tx_writes", "tx_commands", "rx_reads"}
+            assert row["rx_reads"] >= 1
+        # 8 submits + 4 advances + the status barrier's worker_status ops
+        assert sum(
+            r["tx_commands"] for r in transport["workers"].values()
+        ) >= 12
 
     def test_latency_percentiles_present(self):
         config = small_config(n_tenants=4)
@@ -383,8 +400,186 @@ class TestGatewayFleet:
             report = run_loadgen(
                 gw, LoadSpec(n_events=200, n_releases=10, seed=5)
             )
+            # the sample window is bounded: a long-lived gateway keeps
+            # the newest LATENCY_WINDOW round trips, same keys
+            gw.pool.latencies_s.extend([0.001] * (LATENCY_WINDOW + 5))
+            assert len(gw.pool.latencies_s) == LATENCY_WINDOW
+            assert set(gw.latency_percentiles()) == {"p50_ms", "p99_ms"}
         assert report.p50_ms > 0
         assert report.p99_ms >= report.p50_ms
+
+
+# ---------------------------------------------------------------------------
+# frame coalescing: flush before you block (ISSUE 13, DESIGN.md §11.3)
+# ---------------------------------------------------------------------------
+def unsent(gw):
+    return [w for w, h in gw.pool.workers.items() if h.has_unsent]
+
+
+class TestFrames:
+    def test_pipelined_commands_share_one_frame(self):
+        config = small_config(n_tenants=8)
+        with Gateway(config) as gw:
+            gw.pool.barrier()
+            before = gw.pool.transport_status()["workers"]
+            for i in range(8):
+                assert gw.submit(f"t{i}", 1)["queued"]
+            # nothing left the front door: the submits wait in the frames
+            assert gw.pool.transport_status()["workers"] == before
+            assert unsent(gw) == [0, 1]
+            # the caller waits on ONE shard: every worker's frame leaves
+            # (one write each), or the others would sit idle meanwhile
+            assert gw.submit("t0", 1, wait=True)["ok"]
+            after = gw.pool.transport_status()["workers"]
+            assert unsent(gw) == []
+        assert sum(after[w]["tx_writes"] - before[w]["tx_writes"]
+                   for w in after) == 2
+        assert sum(after[w]["tx_commands"] - before[w]["tx_commands"]
+                   for w in after) == 9
+
+    def test_window_bounds_unanswered_commands(self):
+        config = small_config(n_tenants=8)
+        stream = generate_stream(
+            config, LoadSpec(n_events=300, n_releases=3, seed=2)
+        )
+        with Gateway(config, max_inflight=8) as gw:
+            for release, tenant, size in stream:
+                assert gw.submit(tenant, size, release)["ok"]
+                assert all(
+                    len(h.pending) <= 8 for h in gw.pool.workers.values()
+                )
+            gw.drain()
+            workers = gw.pool.transport_status()["workers"]
+            assert gw.shard_digests() == verify_against_batch(config, stream)
+        # a full window settles down to half, so frames under
+        # backpressure carry about half a window, not one command
+        assert all(
+            row["tx_commands"] / row["tx_writes"] >= 3
+            for row in workers.values()
+        )
+
+    def test_caller_pause_is_not_charged_to_the_worker(self, tmp_path):
+        # the response deadline runs from the flush that carried a
+        # command, not from its enqueue: a caller that pipelines a few
+        # submits and pauses longer than the heartbeat must not get a
+        # healthy worker declared stalled (stamping at enqueue did:
+        # 3 spurious recoveries, 32 lost responses on this pattern)
+        sup = SupervisorPolicy(heartbeat_timeout_s=0.3, ping_interval_s=None)
+        config = small_config(n_tenants=8)
+        stream = []
+        with Gateway(config, snapshot_dir=tmp_path, supervisor=sup) as gw:
+            for release in range(3):
+                for i in range(8):
+                    assert gw.submit(f"t{i}", 1 + i % 3, release)["ok"]
+                    stream.append((release, f"t{i}", 1 + i % 3))
+                time.sleep(0.45)
+            gw.drain()
+            status = gw.status()
+            digests = gw.shard_digests()
+        assert status["supervisor"]["auto_recoveries"] == 0
+        assert status["lost_responses"] == 0
+        assert digests == verify_against_batch(config, stream)
+
+    def test_wal_record_precedes_the_frame(self, tmp_path):
+        # write-ahead order: when a pipelined submit returns, its record
+        # is already in the shard's WAL file while its bytes have not
+        # even left for the worker
+        config = small_config(n_tenants=8)
+        with Gateway(config, snapshot_dir=tmp_path) as gw:
+            for i, tenant in enumerate(config.routes):
+                shard, org = config.routes[tenant]
+                assert gw.submit(tenant, 1 + i, 0)["queued"]
+                assert worker_of(shard, config.n_workers) in unsent(gw)
+                assert load_wal(wal_path(tmp_path, shard)).commands[-1] == {
+                    "op": "submit", "org": org, "size": 1 + i, "release": 0,
+                }
+            wals = gw.pool.dwal.values()
+            assert sum(w.fsyncs for w in wals) == 0
+            gw.snapshot_all()  # one fsynced marker per shard, as before
+            assert sum(w.fsyncs for w in wals) == len(config.shard_ids())
+            gw.advance(1)
+            gw.snapshot_all()
+            assert sum(w.fsyncs for w in wals) == 2 * len(config.shard_ids())
+            assert gw.status()["transport"]["wal_appends"] == 8 + 4
+            assert all(w.opens == 1 for w in wals)  # the handles stay open
+
+    def test_serve_loop_flushes_before_waiting_for_input(self):
+        # a lone piped submit must not sit in the tx buffer until the
+        # idle tick: the loop flushes before it goes back to its input
+        config = small_config(n_tenants=4)
+        seen = []
+
+        def lines(gw):
+            yield json.dumps({"id": 1, "op": "submit", "tenant": "t0",
+                              "size": 1})
+            seen.append(unsent(gw))  # the loop is asking for more input
+            yield json.dumps({"id": 2, "op": "stop"})
+
+        out = io.StringIO()
+        with Gateway(config) as gw:
+            gateway_serve_loop(gw, lines(gw), out)
+        assert seen == [[]]
+        assert [json.loads(l)["ok"] for l in out.getvalue().splitlines()] == [
+            True, True,
+        ]
+
+    def test_timed_lines_calls_before_wait_once_per_wait_not_per_line(self):
+        r, w = os.pipe()
+        events = []
+        with os.fdopen(r, "rb") as stream:
+            os.write(w, b"a\nb\n")
+            source = timed_lines(
+                stream, lambda: None, lambda: events.append("wait")
+            )
+            assert [next(source), next(source)] == ["a", "b"]
+            os.write(w, b"c\n")
+            os.close(w)
+            assert list(source) == ["c"]
+        # before the first read, after the chunk "a b", before EOF
+        assert events == ["wait", "wait", "wait"]
+
+
+def spawn_worker():
+    return subprocess.Popen(
+        [
+            sys.executable,
+            "-c",
+            "from repro.gateway.worker import worker_main; "
+            "raise SystemExit(worker_main())",
+        ],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        cwd=str(REPO_ROOT),
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+
+
+class TestWorkerFlushPoints:
+    CMDS = [
+        {"id": i, "shard": 0, "op": "submit", "org": 0, "size": 1}
+        for i in range(1, 41)
+    ]
+
+    def converse(self, manifest, cmds):
+        proc = spawn_worker()
+        text = "".join(json.dumps(row) + "\n" for row in [manifest, *cmds])
+        out, _ = proc.communicate(text.encode(), timeout=60)
+        return proc.returncode, [json.loads(l) for l in out.splitlines()]
+
+    def test_real_pipe_to_eof_returns_every_reply(self):
+        # no shutdown op: the buffered replies must leave at EOF
+        code, replies = self.converse(MANIFEST, self.CMDS)
+        assert code == 0
+        assert [r.get("id") for r in replies] == [None, *range(1, 41)]
+        assert all(r["ok"] for r in replies)
+
+    def test_crash_late_delivers_its_reply_before_exit(self):
+        fault = {"worker": 0, "incarnation": 0, "kind": "crash_late",
+                 "at_op": 7}
+        code, replies = self.converse({**MANIFEST, "fault": fault}, self.CMDS)
+        assert code == 137  # the injected hard exit
+        # the 7th reply was written, then the worker died: all 7 arrive
+        assert [r.get("id") for r in replies] == [None, *range(1, 8)]
 
 
 class TestCrashRecovery:
@@ -552,18 +747,7 @@ class TestGracefulShutdown:
             "snapshot_dir": str(tmp_path),
             "linger_ms": None,
         }
-        proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-c",
-                "from repro.gateway.worker import worker_main; "
-                "raise SystemExit(worker_main())",
-            ],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            cwd=str(REPO_ROOT),
-            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
-        )
+        proc = spawn_worker()
         try:
             proc.stdin.write((json.dumps(manifest) + "\n").encode())
             proc.stdin.flush()

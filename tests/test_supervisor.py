@@ -264,6 +264,11 @@ class TestDurableWal:
         wal.append({"op": "advance", "t": 2})
         image = load_wal(wal.path)
         assert [c["op"] for c in image.commands] == ["submit", "advance"]
+        # all through the one handle the first append opened
+        assert (wal.opens, wal.appends) == (1, 2)
+        wal.close()
+        wal.append({"op": "drain"})  # a closed WAL reopens, still appending
+        assert len(load_wal(wal.path).commands) == 3 and wal.opens == 2
 
     def test_attach_schedules_newline_repair(self, tmp_path):
         wal = ShardWal.create(tmp_path, 0)
