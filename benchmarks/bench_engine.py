@@ -12,10 +12,9 @@ import numpy as np
 
 from repro.algorithms.greedy import fifo_select
 from repro.core.engine import ClusterEngine
-from repro.sim.tick_reference import TickSimulator
-
 from .conftest import FULL
 from tests.conftest import random_workload
+from tests.tick_reference import TickSimulator
 
 
 def _workload(scale: int):

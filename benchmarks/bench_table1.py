@@ -9,7 +9,7 @@ Full mode (REPRO_BENCH_SCALE=full): duration 50,000, 25 windows.
 
 from __future__ import annotations
 
-from repro.experiments.reporting import render_table
+from repro.experiments.reporting import render_pipeline
 from repro.experiments.tables import TABLE1_PAPER, table1
 
 from .conftest import FULL, once
@@ -26,15 +26,15 @@ def test_table1(benchmark):
     print()
     print("=" * 72)
     print("Table 1 -- avg delay (delta_psi / p_tot), reproduced")
-    print(render_table(result))
+    print(render_pipeline(result))
     print()
     print("paper's published means (full-size traces):")
     header = "            " + "".join(
-        t.rjust(16) for t in result.config.traces
+        t.rjust(16) for t in result.spec.traces
     )
     print(header)
     for alg, row in TABLE1_PAPER.items():
-        cells = "".join(f"{row[t]:>16g}" for t in result.config.traces)
+        cells = "".join(f"{row[t]:>16g}" for t in result.spec.traces)
         print(f"{alg:<12}{cells}")
     print("=" * 72)
 
@@ -44,10 +44,10 @@ def test_table1(benchmark):
     algs = result.algorithms()
     means = {
         trace: {a: result.mean_std(trace, a)[0] for a in algs}
-        for trace in result.config.traces
+        for trace in result.spec.traces
     }
     totals = {
-        a: sum(means[t][a] for t in result.config.traces) for a in algs
+        a: sum(means[t][a] for t in result.spec.traces) for a in algs
     }
     # (i) RAND is at least as fair as the whole fair share family overall
     assert totals["Rand(N=15)"] <= totals["FairShare"] + 1e-9

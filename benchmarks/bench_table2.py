@@ -10,7 +10,7 @@ Full mode: the paper's 500,000.
 
 from __future__ import annotations
 
-from repro.experiments.reporting import render_table
+from repro.experiments.reporting import render_pipeline
 from repro.experiments.tables import TABLE2_PAPER, table1, table2
 
 from .conftest import FULL, once
@@ -29,15 +29,15 @@ def test_table2(benchmark):
     print()
     print("=" * 72)
     print("Table 2 -- avg delay over the longer window, reproduced")
-    print(render_table(result))
+    print(render_pipeline(result))
     print()
     print("paper's published means (full-size traces):")
     header = "            " + "".join(
-        t.rjust(16) for t in result.config.traces
+        t.rjust(16) for t in result.spec.traces
     )
     print(header)
     for alg, row in TABLE2_PAPER.items():
-        cells = "".join(f"{row[t]:>16g}" for t in result.config.traces)
+        cells = "".join(f"{row[t]:>16g}" for t in result.spec.traces)
         print(f"{alg:<12}{cells}")
     print("=" * 72)
 

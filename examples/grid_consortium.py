@@ -19,20 +19,16 @@ import sys
 import numpy as np
 
 from repro import RefScheduler, compare_algorithms
-from repro.experiments.harness import ExperimentConfig, default_algorithms, sample_instance
+from repro.experiments.harness import sample_instance
+from repro.experiments.registry import paper_portfolio
 
 
 def main(seed: int = 7) -> None:
     duration = 4_000
-    config = ExperimentConfig(
-        traces=("LPC-EGEE",),
-        n_orgs=5,
-        duration=duration,
-        machine_dist="zipf",
-        seed=seed,
-    )
     rng = np.random.default_rng(seed)
-    workload = sample_instance("LPC-EGEE", config, rng)
+    workload = sample_instance(
+        "LPC-EGEE", duration, 5, rng, machine_dist="zipf"
+    )
 
     print("consortium instance")
     print(f"  {workload.stats()}")
@@ -42,7 +38,7 @@ def main(seed: int = 7) -> None:
     print()
 
     comparison = compare_algorithms(
-        default_algorithms(duration, seed),
+        paper_portfolio(duration, seed),
         RefScheduler(horizon=duration),
         workload,
         duration,

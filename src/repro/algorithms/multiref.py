@@ -11,17 +11,15 @@ not per instance-event.
 
 Bit-identity contract: for every admitted instance the returned schedule is
 exactly ``RefScheduler(horizon).run(workload).schedule``.  Instances that
-are not admitted (small ``k`` below the vectorization threshold, or failing
-the per-instance int64 certification / static coefficient guard) come back
-as ``None`` and the caller falls back to the stock per-instance path, which
-carries its own exact fallbacks -- one oversized instance never evicts or
-perturbs its batch siblings.
+are not admitted (failing the per-instance int64 certification or the
+static coefficient guard) come back as ``None`` and the caller falls back
+to the stock per-instance path, which carries its own exact fallback --
+one oversized instance never evicts or perturbs its batch siblings.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
 from typing import Sequence
 
 import numpy as np
@@ -32,8 +30,7 @@ from ..core.kernel import _QUERY_CAP
 from ..core.schedule import Schedule
 from ..core.workload import Workload
 from .base import SchedulerResult, members_mask
-from . import ref as ref_mod
-from .ref import _solver_for
+from .ref import _solver_for, fused_plan
 
 __all__ = ["ref_results_batched", "batchable"]
 
@@ -44,42 +41,32 @@ _KEY_CAP = 1 << 63
 @lru_cache(maxsize=8)
 def _layout_for(k: int):
     """Shared per-k REF layout: subcoalition masks (size-ascending, grand
-    coalition last -- the exact row order of the per-instance path), the
-    cached solver plans per size group, per-row |C|! factors, and the
-    static guard coefficients."""
-    grand = (1 << k) - 1
-    nonempty = [m for group in subsets_by_size(grand)[1:] for m in group]
-    solver = _solver_for(tuple(nonempty))
+    coalition last -- the exact row order of the per-instance path) and
+    :func:`~repro.algorithms.ref.fused_plan` over them (per-group plans
+    with rows relative to one instance, per-row |C|! factors, the static
+    guard coefficients)."""
+    groups = [tuple(g) for g in subsets_by_size((1 << k) - 1)[1:]]
+    nonempty = [m for group in groups for m in group]
     index = {m: i for i, m in enumerate(nonempty)}
-    plans = []
-    max_rw = 1
-    for group in subsets_by_size(grand)[1:]:
-        coef, vrows, cols, rw = solver.matrix_plan(tuple(group))
-        krows = np.array([index[m] for m in group], dtype=np.intp)
-        plans.append((coef, vrows, krows, cols))
-        max_rw = max(max_rw, rw)
-    facts = np.array(
-        [factorial(bin(m).count("1")) for m in nonempty], dtype=np.int64
-    )[:, None]
-    return nonempty, plans, facts, max_rw, factorial(k)
+    solver = _solver_for(tuple(nonempty))
+    return nonempty, *fused_plan(solver, groups, index, len(nonempty))
 
 
 def batchable(workload: Workload, horizon: "int | None") -> bool:
-    """Whether this instance is admitted to a fused batch: vectorizable
-    ``k``, per-instance int64 certification, and the REF coefficient guard
-    satisfied *statically* with the certified bound in place of runtime
-    maxima (strictly stronger than the per-event runtime guard, so admitted
-    instances never trip it)."""
-    k = workload.n_orgs
-    if k < ref_mod.VECTORIZE_MIN_K:
-        return False
+    """Whether this instance is admitted to a fused batch: per-instance
+    int64 certification, and the REF coefficient guard satisfied
+    *statically* with the certified bound in place of runtime maxima
+    (strictly stronger than the per-event runtime guard, so admitted
+    instances never trip it).  Every ``k`` is admitted: the batch axis
+    amortizes the array overhead that makes the single-instance path
+    prefer dict arithmetic below ``VECTORIZE_MIN_K``."""
     bound = instance_bound(workload, horizon)
     if bound >= _QUERY_CAP:
         return False
-    max_rw = _layout_for(k)[3]
+    _, _, _, max_rw, max_fact = _layout_for(workload.n_orgs)
     if max_rw * bound >= _PHI_CAP:
         return False
-    return max_rw * bound + factorial(k) * bound < _KEY_CAP
+    return max_rw * bound + max_fact * bound < _KEY_CAP
 
 
 def ref_results_batched(

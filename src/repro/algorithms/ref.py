@@ -34,6 +34,12 @@ is a cached coefficient-matrix product
 (:class:`repro.shapley.vectorized.ScaledShapleySolver`) with
 :func:`update_vals_scaled` as the exact big-int fallback and reference.
 
+The loop is stated twice, and only twice (DESIGN.md §2.5):
+:meth:`RefRun._on_event_kernel`, the fused array body tried first on a
+kernel-backed fleet, and :meth:`RefRun._on_event`, the per-coalition body
+that serves every other fleet and is the one fallback for whatever the
+array body declines.
+
 The general-utility variant of Fig. 1 (arbitrary ψ, explicit ``Distance``)
 is :class:`GeneralRefScheduler`.
 """
@@ -119,6 +125,29 @@ def _solver_for(masks: "tuple[int, ...]") -> ScaledShapleySolver:
     return ScaledShapleySolver({m: i for i, m in enumerate(masks)})
 
 
+def fused_plan(solver: ScaledShapleySolver, groups, row_of, n_rows: int):
+    """The fused event body's plan over all size groups, shared by the
+    single-instance body (:meth:`RefRun._on_event_kernel`) and the
+    multi-instance sweep (:mod:`repro.algorithms.multiref`): per group the
+    stacked ``UpdateVals`` coefficients, value-row gather, simulation rows
+    (``row_of[mask]``) and phi scatter columns; the per-row ``|C|!`` column
+    over ``n_rows`` rows; and the two int64 guard coefficients (largest
+    coefficient row weight, largest ``|C|!``)."""
+    plans = []
+    facts = np.zeros((n_rows, 1), dtype=np.int64)
+    max_rw = 0
+    max_fact = 1
+    for group in groups:
+        coef, vrows, cols, rw = solver.matrix_plan(group)
+        krows = np.array([row_of[m] for m in group], dtype=np.intp)
+        fact = factorial(popcount(group[0]))
+        facts[krows, 0] = fact
+        plans.append((coef, vrows, krows, cols))
+        max_rw = max(max_rw, rw)
+        max_fact = max(max_fact, fact)
+    return plans, facts, max_rw, max_fact
+
+
 def update_vals_scaled(mask: int, values: dict[int, int]) -> dict[int, int]:
     """Shapley contributions of the members of ``mask``, scaled by ``|mask|!``.
 
@@ -178,8 +207,11 @@ class RefRun:
         self.members_t = members_t
         self.grand_mask = grand_mask
         self.horizon = horizon
-        self.size_groups = subsets_by_size(grand_mask)
-        self.nonempty = [m for group in self.size_groups[1:] for m in group]
+        # nonempty subcoalitions by ascending size (Fig. 1's processing
+        # order), as stable tuples: the solver caches its stacked
+        # coefficient plans per tuple
+        self._groups = [tuple(g) for g in subsets_by_size(grand_mask)[1:]]
+        self.nonempty = [m for group in self._groups for m in group]
         self.fleet = (
             fleet
             if fleet is not None
@@ -193,13 +225,6 @@ class RefRun:
         self.solver = (
             _solver_for(tuple(self.fleet.masks)) if self._vectorize else None
         )
-        # per size group: (row range in fleet.masks order, masks tuple) --
-        # the kernel fast path addresses whole groups as contiguous rows
-        self._group_rows: list[tuple[int, int, tuple[int, ...]]] = []
-        row = 0
-        for group in self.size_groups[1:]:
-            self._group_rows.append((row, row + len(group), tuple(group)))
-            row += len(group)
         self.last_phi_scaled: dict[int, int] = {}
         self.last_event: int = 0
 
@@ -216,10 +241,17 @@ class RefRun:
         self._on_event(self.fleet, t)
 
     def _on_event(self, fleet: CoalitionFleet, t: int) -> None:
-        """Fig. 1's per-event body: batched values, then size-ordered
-        ``UpdateVals`` + Fig. 3 scheduling for every capable coalition."""
-        if self._vectorize and fleet.kernel is not None:
-            self._on_event_kernel(fleet, t)
+        """Fig. 1's per-event body.  A kernel-backed fleet is served by the
+        fused array body; whatever that body declines, and every per-engine
+        fleet, takes the per-coalition body below: batched values, then
+        size-ordered ``UpdateVals`` + Fig. 3 scheduling for every capable
+        coalition (engine views make it backend-agnostic, and it reads a
+        retrospective ``t`` from the start logs)."""
+        if (
+            self._vectorize
+            and fleet.kernel is not None
+            and self._on_event_kernel(fleet, t)
+        ):
             return
         vals = None
         max_abs = 0
@@ -233,14 +265,14 @@ class RefRun:
         # coalition: a decision time with no free-machine/waiting-job pair
         # anywhere (a pure release or completion) costs no value query
         values_dict: dict[int, int] | None = None
-        for group in self.size_groups[1:]:
+        for group in self._groups:
             # a coalition's starts at t touch only its own engine and cannot
             # change any value at t (a job started at t has executed no
             # parts), so capability and contributions for the whole size
             # group are fixed before any of its coalitions schedules
             capable = [
-                m
-                for m in group
+                (i, m)
+                for i, m in enumerate(group)
                 if (eng := fleet.engine(m)).free_count > 0
                 and eng.has_waiting()
             ]
@@ -248,14 +280,19 @@ class RefRun:
                 continue
             if vals is None and values_dict is None:
                 values_dict = fleet.values_exact(t)
-            phis = (
-                self.solver.phi_scaled_batch(tuple(group), vals, max_abs)
+            phi = (
+                self.solver.phi_scaled_matrix(
+                    group, vals, max_abs, self.workload.n_orgs
+                )
                 if vals is not None
                 else None
             )
-            for m in capable:
-                phi_scaled = phis[m] if phis is not None else None
-                if phi_scaled is None:  # int64 guard tripped: exact path
+            phi_rows = phi.tolist() if phi is not None else None
+            for i, m in capable:
+                if phi_rows is not None:
+                    row = phi_rows[i]
+                    phi_scaled = {u: row[u] for u in iter_members(m)}
+                else:  # small k, or the int64 guard tripped: exact path
                     if values_dict is None:
                         # the batch guard tripped but the (exact) values are
                         # already in hand -- no need to re-query the fleet
@@ -263,85 +300,48 @@ class RefRun:
                         values_dict.update(zip(fleet.masks, vals.tolist()))
                     phi_scaled = update_vals_scaled(m, values_dict)
                 if m == self.grand_mask:
-                    self.last_phi_scaled = dict(phi_scaled)
-                eng = fleet.engine(m)
+                    self.last_phi_scaled = phi_scaled
                 fact = factorial(popcount(m))
-                psis = eng.psis(t)
+                psis = fleet.engine(m).psis(t)
                 keys = {
                     u: phi_scaled[u] - fact * psis[u]
                     for u in iter_members(m)
                 }
                 fill_capacity(fleet, m, keys)
 
-    def _kernel_rows(self, kern) -> "list[tuple[np.ndarray, tuple[int, ...]]]":
-        """Per size group, the kernel row indices of the group's masks
-        (cached per kernel object; an injected fleet may order rows
-        differently from ``self.nonempty``)."""
-        cached = getattr(self, "_kernel_rows_cache", None)
-        if cached is not None and cached[0] is kern:
-            return cached[1]
-        groups = [
-            (
-                np.array([kern._row[m] for m in group], dtype=np.intp),
-                group,
-            )
-            for _, _, group in self._group_rows
-        ]
-        self._kernel_rows_cache = (kern, groups)
-        return groups
-
     def _kernel_plan(self, kern):
         """The fused per-event plan over *all* size groups (cached per
-        kernel object): each group's stacked ``UpdateVals`` coefficients,
-        value-row gather, kernel row indices and phi scatter columns, plus
-        the per-row ``|C|!`` column and the global overflow weights."""
+        kernel object): :func:`fused_plan` over the kernel's rows, plus the
+        grand coalition's row."""
         cached = getattr(self, "_kernel_plan_cache", None)
         if cached is not None and cached[0] is kern:
             return cached[1]
-        groups = []
-        facts = np.zeros((kern.n, 1), dtype=np.int64)
-        max_rw = 0
-        max_fact = 1
-        for _, _, group in self._group_rows:
-            coef, vrows, cols, rw = self.solver.matrix_plan(group)
-            krows = np.array([kern._row[m] for m in group], dtype=np.intp)
-            fact = factorial(popcount(group[0]))
-            facts[krows, 0] = fact
-            groups.append((coef, vrows, krows, cols))
-            max_rw = max(max_rw, rw)
-            max_fact = max(max_fact, fact)
         plan = (
-            groups,
-            facts,
-            max_rw,
-            max_fact,
+            *fused_plan(self.solver, self._groups, kern._row, kern.n),
             kern._row.get(self.grand_mask),
         )
         self._kernel_plan_cache = (kern, plan)
         return plan
 
-    def _on_event_kernel(self, fleet: CoalitionFleet, t: int) -> None:
+    def _on_event_kernel(self, fleet: CoalitionFleet, t: int) -> bool:
         """Fig. 1's per-event body fused over the structure-of-arrays
         kernel: one lockstep advance, one psi-ledger evaluation (coalition
         values are its row sums), one dense ``UpdateVals`` matmul per size
         group scattered into a single ``(rows, orgs)`` phi matrix, one
         global int64 guard, and one batched scheduling pass -- bit-identical
-        decisions to the per-engine body (the guard only picks *which*
-        exact-equivalent path computes them)."""
+        decisions to the per-coalition body.  Returns ``False``, *before
+        any start*, for an event it cannot serve (a retrospective ``t``, or
+        int64 arithmetic it cannot certify); the caller then runs the
+        per-coalition body, which carries the exact big-int fallback."""
         kern = fleet.kernel
-        if kern is None:  # materialized (unknown drive policy elsewhere)
-            self._on_event(fleet, t)
-            return
-        if t < kern.t:  # retrospective step: rare, take the grouped path
-            self._on_event_kernel_groups(fleet, t)
-            return
+        if t < kern.t:  # retrospective step: values come from the start log
+            return False
         kern.advance(t)
         if not kern._query_safe(t):
-            self._on_event_exact(fleet, t, None)
-            return
+            return False
         capable = kern.capable_rows()
         if not capable.any():
-            return
+            return True
         plan_groups, facts, max_rw, max_fact, grand_row = self._kernel_plan(
             kern
         )
@@ -352,15 +352,12 @@ class RefRun:
         vals = psis.sum(axis=1)
         max_abs = int(np.abs(vals).max()) if len(vals) else 0
         psis_absmax = int(np.abs(psis).max()) if psis.size else 0
-        # one conservative guard for every group's |phi| + |C|!·|psi|; on a
-        # trip the grouped path re-checks per size group and falls back to
-        # exact big-int arithmetic only where needed
+        # one conservative guard for every group's |phi| + |C|!·|psi|
         if (
             max_rw * max_abs >= 1 << 62
             or max_rw * max_abs + max_fact * psis_absmax >= 1 << 63
         ):
-            self._on_event_kernel_groups(fleet, t)
-            return
+            return False
         phi_full = np.zeros((kern.n, self.workload.n_orgs), dtype=np.int64)
         for coef, vrows, krows, cols in plan_groups:
             phi = np.matmul(coef, vals[vrows][:, :, None])[:, :, 0]
@@ -373,102 +370,7 @@ class RefRun:
         keys = phi_full - facts * psis
         rows = np.flatnonzero(capable)
         fleet.fill_rows(rows, keys[rows], t)
-
-    def _on_event_kernel_groups(self, fleet: CoalitionFleet, t: int) -> None:
-        """The per-size-group kernel event body (the fused path's fallback
-        for retrospective steps and near-overflow states): one value/psi
-        query, one ``UpdateVals`` matmul per size group with a per-group
-        int64 guard, exact big-int fallback per group."""
-        vals = fleet.values_array(t)  # advances the kernel to t
-        kern = fleet.kernel
-        if kern is None:  # materialized mid-query (unknown drive policy)
-            self._on_event(fleet, t)
-            return
-        if vals is None:
-            self._on_event_exact(fleet, t, None)
-            return
-        capable = kern.capable_rows()
-        if not capable.any():
-            return
-        max_abs = int(np.abs(vals).max()) if len(vals) else 0
-        psis = kern.psis_matrix(t)
-        if psis is None:
-            self._on_event_exact(fleet, t, vals)
-            return
-        psis_absmax = int(np.abs(psis).max()) if psis.size else 0
-        values_dict: dict[int, int] | None = None
-        all_rows: list[np.ndarray] = []
-        all_keys: list[np.ndarray] = []
-        for rows_arr, group in self._kernel_rows(kern):
-            sel = np.flatnonzero(capable[rows_arr])
-            if not sel.size:
-                continue
-            grp_rows = rows_arr[sel]
-            fact = factorial(popcount(group[0]))
-            dense = self.solver.phi_scaled_matrix(
-                group, vals, max_abs, self.workload.n_orgs
-            )
-            # int64 keys need |phi| + |C|!·|psi| certified below 2^63
-            if dense is None or dense[1] + fact * psis_absmax >= 1 << 63:
-                if values_dict is None:
-                    values_dict = {0: 0}
-                    values_dict.update(zip(fleet.masks, vals.tolist()))
-                self._schedule_group_exact(fleet, t, group, values_dict)
-                continue
-            phi_full, _ = dense
-            if self.grand_mask in group:
-                g = group.index(self.grand_mask)
-                if capable[rows_arr[g]]:
-                    self.last_phi_scaled = {
-                        u: int(phi_full[g, u])
-                        for u in iter_members(self.grand_mask)
-                    }
-            all_rows.append(grp_rows)
-            all_keys.append(phi_full[sel] - fact * psis[grp_rows])
-        if all_rows:
-            # coalitions only ever start jobs on their own engine, so the
-            # whole capable set fills in one batched round sequence
-            fleet.fill_rows(
-                np.concatenate(all_rows), np.concatenate(all_keys), t
-            )
-
-    def _schedule_group_exact(
-        self,
-        fleet: CoalitionFleet,
-        t: int,
-        group: "tuple[int, ...]",
-        values_dict: dict[int, int],
-    ) -> None:
-        """Exact big-int ``UpdateVals`` + Fig. 3 scheduling for one size
-        group (the kernel path's overflow fallback; engine views keep the
-        selection loop identical to the per-engine body)."""
-        fact = factorial(popcount(group[0]))
-        for m in group:
-            eng = fleet.engine(m)
-            if eng.free_count <= 0 or not eng.has_waiting():
-                continue
-            phi_scaled = update_vals_scaled(m, values_dict)
-            if m == self.grand_mask:
-                self.last_phi_scaled = dict(phi_scaled)
-            psis = eng.psis(t)
-            keys = {
-                u: phi_scaled[u] - fact * psis[u] for u in iter_members(m)
-            }
-            fill_capacity(fleet, m, keys)
-
-    def _on_event_exact(
-        self, fleet: CoalitionFleet, t: int, vals: "np.ndarray | None"
-    ) -> None:
-        """Kernel-mode overflow fallback: the whole Fig. 1 body in exact
-        big-int arithmetic (values from the certified ledgers, selection
-        through engine views)."""
-        values_dict: dict[int, int] = {0: 0}
-        if vals is not None:
-            values_dict.update(zip(fleet.masks, vals.tolist()))
-        else:
-            values_dict = fleet.values_at(t)
-        for group in self.size_groups[1:]:
-            self._schedule_group_exact(fleet, t, group, values_dict)
+        return True
 
     def values_at(self, t: int) -> dict[int, int]:
         """Coalition values at ``t`` (all engines advanced at least to ``t``)."""

@@ -464,16 +464,13 @@ def _cmd_gadget(values_csv: str, x: int) -> None:
 
 
 def _cmd_demo(trace: str, duration: int, orgs: int, seed: int) -> None:
-    from .experiments.harness import ExperimentConfig, sample_instance
+    from .experiments.harness import sample_instance
     from .experiments.registry import PORTFOLIO_SPECS
     from .sim.runner import compare_algorithms
     from .viz import fairness_report
 
-    config = ExperimentConfig(
-        traces=(trace,), n_orgs=orgs, duration=duration, seed=seed
-    )
     rng = np.random.default_rng(seed)
-    workload = sample_instance(trace, config, rng)
+    workload = sample_instance(trace, duration, orgs, rng)
     print(f"{trace} window: {workload.stats()}")
     comparison = compare_algorithms(
         PORTFOLIO_SPECS["paper"], "ref", workload, duration, seed=seed
@@ -482,7 +479,7 @@ def _cmd_demo(trace: str, duration: int, orgs: int, seed: int) -> None:
 
 
 def _cmd_table(which: str, args: argparse.Namespace) -> None:
-    from .experiments.reporting import render_table
+    from .experiments.reporting import render_pipeline
     from .experiments.tables import table1, table2
 
     fn = table1 if which == "table1" else table2
@@ -494,7 +491,7 @@ def _cmd_table(which: str, args: argparse.Namespace) -> None:
         cache_dir=args.cache_dir,
         resume=not args.no_resume,
     )
-    print(render_table(result, title=f"{which} (scaled reproduction)"))
+    print(render_pipeline(result, title=f"{which} (scaled reproduction)"))
 
 
 def _cmd_figure10(args: argparse.Namespace) -> None:

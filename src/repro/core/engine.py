@@ -11,7 +11,7 @@ Design notes (see DESIGN.md §2):
 * **Event-driven**: scheduling decisions only occur at release/completion
   times; the engine advances lazily between them.  Tests prove equivalence
   with a literal per-time-tick transcription of the paper's pseudo-code
-  (:mod:`repro.sim.tick_reference`).
+  (``tests/tick_reference.py``).
 * **Exact integer utility aggregates**: the strategy-proof utility
   :math:`\\psi_{sp}` of a completed job ``(s, p)`` at time ``t`` is
   ``p*(t-s) - p*(p-1)/2``, so per-organization sums ``(Σp, Σ(p·s+p(p-1)/2))``

@@ -23,7 +23,7 @@ algorithm modules are thin policies:
 whose arithmetic is :func:`~repro.core.kernel.kernel_certified` does not
 build per-coalition engines at all -- the whole family lives in one
 :class:`~repro.core.kernel.FleetKernel` structure-of-arrays simulation, and
-``advance_all`` / ``drive_all`` (FIFO) / ``values_array`` / ``submit`` /
+``advance_all`` / ``values_array`` (lockstep or FIFO-driven) / ``submit`` /
 ``start_next`` become a handful of vectorized array passes.  The public API
 is unchanged: :meth:`engine` returns a live
 :class:`~repro.core.kernel.KernelEngineView`, and any operation the arrays
@@ -238,12 +238,6 @@ class CoalitionFleet:
             "materializations": self.n_materializations,
             "start_log_entries": int(entries),
         }
-
-    @staticmethod
-    def _kernel_select(select: "SelectFn | None") -> "str | None":
-        """The kernel-native policy tag of a drive callback (``"fifo"`` for
-        the canonical greedy FIFO selectors), or ``None``."""
-        return getattr(select, "kernel_policy", None)
 
     # ------------------------------------------------------------------
     # membership
@@ -497,19 +491,6 @@ class CoalitionFleet:
         if eng.t < until:
             eng.advance_to(until)
 
-    def drive_all(self, select: SelectFn, until: int) -> None:
-        """Drive every engine's own greedy loop to ``until`` (RAND's lazily
-        tracked sampled coalitions), then align clocks with ``until``."""
-        if self._use_kernel:
-            if self._kernel_select(select) == "fifo":
-                kern = self.kernel
-                assert kern is not None
-                if until >= kern.t:
-                    kern.drive_fifo(until)
-                return
-            self._materialize("unknown_drive")
-        self._sync(until, select)
-
     def _sync(self, t: int, select: SelectFn | None) -> list[int]:
         """Bring every engine to ``t`` (advance, or drive with ``select``)
         in one pass and return the row indices of engines already *past*
@@ -624,7 +605,9 @@ class CoalitionFleet:
         if select is None:
             if t >= kern.t:
                 kern.advance(t)
-        elif self._kernel_select(select) == "fifo":
+        elif getattr(select, "kernel_policy", None) == "fifo":
+            # the canonical greedy FIFO selectors carry this tag: the
+            # kernel drives them natively
             if t >= kern.t:
                 kern.drive_fifo(t)
         else:
@@ -701,29 +684,22 @@ class CoalitionFleet:
             values[mask] = self._engines[mask].value(t)
         return values
 
-    def values_exact(
-        self, t: int, *, select: SelectFn | None = None
-    ) -> dict[int, int]:
+    def values_exact(self, t: int) -> dict[int, int]:
         """Like :meth:`values_at` but always on the engines' unbounded-int
         path, skipping the numpy ledger entirely.  With the engines' O(1)
         value formula this wins for small fleets (few dozen coalitions),
         where per-query array overhead exceeds the loop it replaces."""
+        self.advance_all(t)
         if self._use_kernel:
-            kern = self._kernel_sync(t, select)
-            if kern is not None:
-                values: dict[int, int] = {0: 0}
-                if t < kern.t:
-                    values.update(
-                        zip(self._order, kern.values_retro(t).tolist())
-                    )
-                else:
-                    values.update(zip(self._order, kern.values_exact(t)))
-                return values
-        if select is not None:
-            self.drive_all(select, t)
+            kern = self._kernel_obj
+            assert kern is not None
+            row_values = (
+                kern.values_retro(t).tolist()
+                if t < kern.t
+                else kern.values_exact(t)
+            )
         else:
-            self.advance_all(t)
-        values = {0: 0}
-        for mask in self._order:
-            values[mask] = self._engines[mask].value(t)
+            row_values = [self._engines[m].value(t) for m in self._order]
+        values: dict[int, int] = {0: 0}
+        values.update(zip(self._order, row_values))
         return values

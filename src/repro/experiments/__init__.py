@@ -9,9 +9,11 @@ registered scenario beyond them — through one engine:
   algorithm portfolios and named scenarios;
 * :mod:`repro.experiments.pipeline` — the parallel / cached / resumable
   execution engine (``run_pipeline``);
-* :mod:`repro.experiments.harness`, :mod:`~repro.experiments.tables`,
-  :mod:`~repro.experiments.figures`, :mod:`~repro.experiments.reporting`
-  — the paper-protocol consumers layered on top.
+* :mod:`repro.experiments.harness` — the paper's instance sampler the
+  ``synthetic``/``churn`` families call;
+* :mod:`~repro.experiments.tables`, :mod:`~repro.experiments.figures`,
+  :mod:`~repro.experiments.reporting` — the paper-protocol consumers
+  layered on top.
 """
 
 from .figures import (
@@ -22,16 +24,7 @@ from .figures import (
     figure7_numbers,
     figure10,
 )
-from .harness import (
-    DEFAULT_SCALES,
-    ExperimentConfig,
-    ExperimentResult,
-    InstanceResult,
-    default_algorithms,
-    run_experiment,
-    run_instance,
-    sample_instance,
-)
+from .harness import DEFAULT_SCALES, sample_instance
 from .pipeline import (
     PipelineInstanceResult,
     PipelineResult,
@@ -53,18 +46,15 @@ from .registry import (
     register_scenario,
     scenario_spec,
 )
-from .reporting import format_cell, render_pipeline, render_series, render_table
+from .reporting import format_cell, render_pipeline, render_series
 from .spec import InstanceSpec, ScenarioSpec
 from .tables import TABLE1_PAPER, TABLE2_PAPER, table1, table2
 
 __all__ = [
     "DEFAULT_SCALES",
-    "ExperimentConfig",
-    "ExperimentResult",
     "FAMILIES",
     "FIGURE10_PAPER_SHAPE",
     "Figure2Numbers",
-    "InstanceResult",
     "InstanceSpec",
     "PORTFOLIOS",
     "PORTFOLIO_SPECS",
@@ -76,7 +66,6 @@ __all__ = [
     "StreamingStats",
     "TABLE1_PAPER",
     "TABLE2_PAPER",
-    "default_algorithms",
     "figure10",
     "figure2_numbers",
     "figure2_schedule",
@@ -90,9 +79,6 @@ __all__ = [
     "register_scenario",
     "render_pipeline",
     "render_series",
-    "render_table",
-    "run_experiment",
-    "run_instance",
     "run_instance_spec",
     "run_pipeline",
     "sample_instance",

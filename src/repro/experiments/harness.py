@@ -1,4 +1,4 @@
-"""The Section 7.2 experimental protocol.
+"""The Section 7.2 instance sampler (steps 1-4 of the paper's protocol).
 
 One *instance* of the paper's experiment:
 
@@ -9,8 +9,11 @@ One *instance* of the paper's experiment:
 5. run every algorithm plus the exact REF reference;
 6. score each algorithm with :math:`\\Delta\\psi / p_{tot}` at ``t_end = D``.
 
-Repeated ``n_repeats`` times with fresh seeds; Tables 1-2 report the mean
-and standard deviation per (algorithm, trace).
+This module is steps 1-4 as plain functions of their parameters; the
+``synthetic`` and ``churn`` scenario families
+(:mod:`repro.experiments.registry`) derive the RNG and call them, and
+steps 5-6, repeats, fan-out, caching and aggregation are
+:func:`repro.experiments.pipeline.run_pipeline`.
 
 **Scaling** -- the paper's full-size configuration (e.g. RICC: 8192
 processors, horizon 5*10^5, 100 repetitions) needs hours of CPU.  The
@@ -22,42 +25,22 @@ records both the paper's numbers and ours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
 import numpy as np
 
-from ..algorithms import Scheduler
 from ..core.workload import Workload
-from ..policies import build_scheduler
-from ..sim.runner import evaluate_portfolio
 from ..workloads.traces import make_trace
 from ..workloads.transforms import (
     assign_users_to_orgs,
     build_workload,
     machine_split,
 )
-from .registry import paper_portfolio
 
 __all__ = [
-    "ExperimentConfig",
-    "InstanceResult",
-    "ExperimentResult",
+    "DEFAULT_SCALES",
     "assign_instance",
-    "default_algorithms",
-    "run_experiment",
-    "run_instance",
     "sample_instance",
     "sample_window",
 ]
-
-#: Factory signature: given the horizon, build fresh scheduler objects.
-AlgorithmFactory = Callable[[int, int], list[Scheduler]]
-
-#: The paper's Table 1/2 row set (Section 7.1) — canonical definition now
-#: lives in the portfolio registry as ``"paper"``.
-default_algorithms = paper_portfolio
-
 
 #: Default per-trace shrink factors chosen so a scaled instance keeps
 #: 14-35 machines and a realistic queueing regime (see DESIGN.md §3).
@@ -69,83 +52,25 @@ DEFAULT_SCALES: dict[str, float] = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Knobs of one Tables-1/2-style experiment."""
-
-    traces: tuple[str, ...] = ("LPC-EGEE",)
-    n_orgs: int = 5
-    duration: int = 5_000  #: the paper's D (5*10^4 / 5*10^5 full-size)
-    n_repeats: int = 5  #: the paper uses 100
-    scale: "float | None" = None  #: trace shrink; None = DEFAULT_SCALES
-    machine_dist: str = "zipf"  #: "zipf" or "uniform" (the paper runs both)
-    seed: int = 0
-    pool_factor: int = 4  #: long-trace length = pool_factor * duration
-    algorithms: AlgorithmFactory = field(default=default_algorithms)
-
-    def __post_init__(self) -> None:
-        if self.machine_dist not in ("zipf", "uniform"):
-            raise ValueError("machine_dist must be 'zipf' or 'uniform'")
-        if self.n_orgs < 1 or self.duration < 1 or self.n_repeats < 1:
-            raise ValueError("n_orgs, duration, n_repeats must be >= 1")
-
-    def scale_for(self, trace: str) -> float:
-        """The shrink factor for ``trace`` (explicit, or the tuned default)."""
-        if self.scale is not None:
-            return self.scale
-        return DEFAULT_SCALES.get(trace, 0.05)
-
-
-@dataclass(frozen=True)
-class InstanceResult:
-    """Per-algorithm avg delay on one sampled window."""
-
-    trace: str
-    repeat: int
-    avg_delays: dict[str, float]
-    n_jobs: int
-    n_machines: int
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    """Aggregated experiment outcome: (trace, algorithm) -> mean/std."""
-
-    config: ExperimentConfig
-    instances: tuple[InstanceResult, ...]
-
-    def algorithms(self) -> list[str]:
-        names: list[str] = []
-        for inst in self.instances:
-            for name in inst.avg_delays:
-                if name not in names:
-                    names.append(name)
-        return names
-
-    def mean_std(self, trace: str, algorithm: str) -> tuple[float, float]:
-        vals = [
-            inst.avg_delays[algorithm]
-            for inst in self.instances
-            if inst.trace == trace and algorithm in inst.avg_delays
-        ]
-        if not vals:
-            raise KeyError((trace, algorithm))
-        arr = np.asarray(vals)
-        return float(arr.mean()), float(arr.std())
-
-
 def sample_window(
-    trace: str, config: ExperimentConfig, rng: np.random.Generator
+    trace: str,
+    duration: int,
+    rng: np.random.Generator,
+    *,
+    scale: "float | None" = None,
+    pool_factor: int = 4,
 ):
-    """Steps 1-2 of the protocol: generate the long trace and pick the
-    sub-trace window.  Split out so sweeps (e.g. Figure 10's organization-
-    count sweep) can hold the window fixed while varying the assignment --
-    common-random-numbers variance reduction."""
-    long_horizon = config.duration * config.pool_factor
-    records, spec = make_trace(
-        trace, long_horizon, seed=rng, scale=config.scale_for(trace)
-    )
-    t_start = int(rng.integers(0, max(1, long_horizon - config.duration)))
+    """Steps 1-2 of the protocol: generate the long trace (``pool_factor *
+    duration`` long, shrunk by ``scale`` -- ``None``: the trace's
+    :data:`DEFAULT_SCALES` entry) and pick the sub-trace window.  Split out
+    so sweeps (e.g. Figure 10's organization-count sweep) can hold the
+    window fixed while varying the assignment -- common-random-numbers
+    variance reduction."""
+    if scale is None:
+        scale = DEFAULT_SCALES.get(trace, 0.05)
+    long_horizon = duration * pool_factor
+    records, spec = make_trace(trace, long_horizon, seed=rng, scale=scale)
+    t_start = int(rng.integers(0, max(1, long_horizon - duration)))
     return records, spec, t_start
 
 
@@ -153,93 +78,37 @@ def assign_instance(
     records,
     spec,
     t_start: int,
-    config: ExperimentConfig,
+    duration: int,
+    n_orgs: int,
     rng: np.random.Generator,
+    *,
+    machine_dist: str = "zipf",
+    zipf_exponent: float = 1.0,
 ) -> Workload:
     """Steps 3-4 of the protocol: user->org and machine->org assignment."""
     users = [r.user for r in records]
-    user_map = assign_users_to_orgs(users, config.n_orgs, rng)
+    user_map = assign_users_to_orgs(users, n_orgs, rng)
     machines = machine_split(
-        spec.n_machines, config.n_orgs, config.machine_dist
+        spec.n_machines, n_orgs, machine_dist, zipf_exponent
     )
     full = build_workload(records, machines, user_map)
-    return full.window(t_start, t_start + config.duration)
+    return full.window(t_start, t_start + duration)
 
 
 def sample_instance(
-    trace: str, config: ExperimentConfig, rng: np.random.Generator
+    trace: str,
+    duration: int,
+    n_orgs: int,
+    rng: np.random.Generator,
+    *,
+    scale: "float | None" = None,
+    machine_dist: str = "zipf",
+    pool_factor: int = 4,
 ) -> Workload:
     """Steps 1-4 of the protocol: one concrete fair-scheduling instance."""
-    records, spec, t_start = sample_window(trace, config, rng)
-    return assign_instance(records, spec, t_start, config, rng)
-
-
-def run_instance(
-    workload: Workload,
-    duration: int,
-    algorithms: Sequence[Scheduler],
-    reference: Scheduler | None = None,
-) -> dict[str, float]:
-    """Steps 5-6: every algorithm's Delta-psi / p_tot against REF."""
-    ref = reference or build_scheduler("ref", horizon=duration)
-    return evaluate_portfolio(workload, duration, algorithms, ref)["avg_delay"]
-
-
-def run_experiment(
-    config: ExperimentConfig,
-    *,
-    workers: int = 1,
-    cache_dir: "str | None" = None,
-    resume: bool = True,
-) -> ExperimentResult:
-    """The full protocol over every trace and repeat in ``config``.
-
-    Thin consumer of :mod:`repro.experiments.pipeline`: the config maps to
-    a ``synthetic``-family :class:`~repro.experiments.spec.ScenarioSpec`
-    and runs through the shared engine — which is what provides the
-    ``workers`` fan-out and the ``cache_dir`` resume checkpoint.  Seed
-    derivation is unchanged (``crc32(f"{trace}/{rep}/{seed}")`` per
-    instance), so results are bit-identical with the historical serial
-    loop at any worker count.
-
-    A custom ``config.algorithms`` factory is forwarded as a portfolio
-    override (it must be picklable for ``workers > 1``; caching is
-    disabled for overrides because callables have no content hash).
-    """
-    from .pipeline import run_pipeline
-    from .spec import ScenarioSpec
-
-    spec = ScenarioSpec(
-        family="synthetic",
-        traces=config.traces,
-        n_orgs=config.n_orgs,
-        duration=config.duration,
-        n_repeats=config.n_repeats,
-        scale=config.scale,
-        machine_dist=config.machine_dist,
-        seed=config.seed,
-        pool_factor=config.pool_factor,
-        portfolio="paper",
+    records, spec, t_start = sample_window(
+        trace, duration, rng, scale=scale, pool_factor=pool_factor
     )
-    override = (
-        None if config.algorithms is default_algorithms else config.algorithms
+    return assign_instance(
+        records, spec, t_start, duration, n_orgs, rng, machine_dist=machine_dist
     )
-    outcome = run_pipeline(
-        spec,
-        workers=workers,
-        cache_dir=cache_dir,
-        resume=resume,
-        keep_instances=True,
-        algorithms=override,
-    )
-    instances = tuple(
-        InstanceResult(
-            trace=r.trace,
-            repeat=r.repeat,
-            avg_delays=dict(r.metrics["avg_delay"]),
-            n_jobs=r.n_jobs,
-            n_machines=r.n_machines,
-        )
-        for r in outcome.instances
-    )
-    return ExperimentResult(config=config, instances=instances)

@@ -54,11 +54,11 @@ from ..workloads.federated import FederatedSpec, federated_records
 from ..workloads.swf import load_swf
 from ..workloads.traces import PAPER_TRACES
 from ..workloads.transforms import (
-    assign_users_to_orgs,
     build_swf_instance,
     build_workload,
     machine_split,
 )
+from .harness import assign_instance, sample_instance, sample_window
 from .spec import InstanceSpec, ScenarioSpec, derive_rng
 
 __all__ = [
@@ -240,20 +240,16 @@ def synthetic_instance(
     position, user assignment and finally the algorithm seed, in that
     order.
     """
-    from .harness import ExperimentConfig, sample_instance
-
     rng = derive_rng(f"{inst.trace}/{inst.repeat}/{spec.seed}")
-    config = ExperimentConfig(
-        traces=(inst.trace,),
-        n_orgs=int(inst.param("n_orgs", spec.n_orgs)),
-        duration=spec.duration,
-        n_repeats=spec.n_repeats,
+    workload = sample_instance(
+        inst.trace,
+        spec.duration,
+        int(inst.param("n_orgs", spec.n_orgs)),
+        rng,
         scale=spec.scale,
         machine_dist=spec.machine_dist,
-        seed=spec.seed,
         pool_factor=spec.pool_factor,
     )
-    workload = sample_instance(inst.trace, config, rng)
     return workload, int(rng.integers(0, 2**31 - 1))
 
 
@@ -271,22 +267,16 @@ def churn_instance(
     the Zipf split, so the figure reproduces bit-for-bit through the
     pipeline.
     """
-    from .harness import ExperimentConfig, sample_window
-
     k = int(inst.param("n_orgs", spec.n_orgs))
     z = float(inst.param("zipf_exponent", spec.zipf_exponent))
     window_rng = derive_rng(f"{inst.trace}/window/{inst.repeat}/{spec.seed}")
-    config = ExperimentConfig(
-        traces=(inst.trace,),
-        n_orgs=k,
-        duration=spec.duration,
-        n_repeats=spec.n_repeats,
+    records, gen_spec, t_start = sample_window(
+        inst.trace,
+        spec.duration,
+        window_rng,
         scale=spec.scale,
-        machine_dist=spec.machine_dist,
-        seed=spec.seed,
         pool_factor=spec.pool_factor,
     )
-    records, gen_spec, t_start = sample_window(inst.trace, config, window_rng)
     legacy = spec.machine_dist == "zipf" and z == 1.0
     akey = (
         f"{inst.trace}/{k}/{inst.repeat}/{spec.seed}"
@@ -294,10 +284,16 @@ def churn_instance(
         else f"{inst.trace}/{k}/{spec.machine_dist}{z:g}/{inst.repeat}/{spec.seed}"
     )
     assign_rng = derive_rng(akey)
-    user_map = assign_users_to_orgs([r.user for r in records], k, assign_rng)
-    machines = machine_split(gen_spec.n_machines, k, spec.machine_dist, z)
-    full = build_workload(records, machines, user_map)
-    workload = full.window(t_start, t_start + spec.duration)
+    workload = assign_instance(
+        records,
+        gen_spec,
+        t_start,
+        spec.duration,
+        k,
+        assign_rng,
+        machine_dist=spec.machine_dist,
+        zipf_exponent=z,
+    )
     return workload, int(assign_rng.integers(0, 2**31 - 1))
 
 

@@ -4,12 +4,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .harness import ExperimentResult
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pipeline -> registry)
     from .pipeline import PipelineResult
 
-__all__ = ["render_table", "render_series", "format_cell", "render_pipeline"]
+__all__ = ["render_series", "format_cell", "render_pipeline"]
 
 
 def format_cell(mean: float, std: float) -> str:
@@ -25,27 +23,6 @@ def format_cell(mean: float, std: float) -> str:
         return f"{x:.0f}"
 
     return f"{fmt(mean)} ±{fmt(std)}"
-
-
-def render_table(
-    result: ExperimentResult, title: str = "avg delay (dpsi/p_tot)"
-) -> str:
-    """Render an :class:`ExperimentResult` as a Tables-1/2-style grid:
-    rows = algorithms, column pairs = traces (avg, std)."""
-    traces = list(result.config.traces)
-    algorithms = result.algorithms()
-    width = max([len(a) for a in algorithms] + [12])
-    cwidth = max(max(len(t) for t in traces) + 2, 16)
-    lines = [title]
-    header = " " * width + "".join(t.rjust(cwidth) for t in traces)
-    lines.append(header)
-    for alg in algorithms:
-        cells = []
-        for trace in traces:
-            mean, std = result.mean_std(trace, alg)
-            cells.append(format_cell(mean, std).rjust(cwidth))
-        lines.append(alg.ljust(width) + "".join(cells))
-    return "\n".join(lines)
 
 
 def _group_label(trace: str, variant) -> str:

@@ -15,7 +15,9 @@ durations/repeats to replicate full-size (hours of CPU).
 
 from __future__ import annotations
 
-from .harness import ExperimentConfig, ExperimentResult, run_experiment
+from ..workloads.traces import PAPER_TRACES
+from .pipeline import PipelineResult, run_pipeline
+from .spec import ScenarioSpec
 
 __all__ = ["table1", "table2", "TABLE1_PAPER", "TABLE2_PAPER"]
 
@@ -64,9 +66,20 @@ TABLE2_PAPER: dict[str, dict[str, float]] = {
 }
 
 
+def _table(*, workers, cache_dir, resume, **knobs) -> PipelineResult:
+    """The Tables 1-2 protocol: a ``synthetic``-family scenario over the
+    paper portfolio, run through the shared pipeline."""
+    return run_pipeline(
+        ScenarioSpec(family="synthetic", **knobs),
+        workers=workers,
+        cache_dir=cache_dir,
+        resume=resume,
+    )
+
+
 def table1(
     *,
-    traces: tuple[str, ...] = ("LPC-EGEE", "PIK-IPLEX", "SHARCNET-Whale", "RICC"),
+    traces: tuple[str, ...] = PAPER_TRACES,
     n_orgs: int = 5,
     duration: int = 5_000,
     n_repeats: int = 3,
@@ -75,20 +88,19 @@ def table1(
     workers: int = 1,
     cache_dir: "str | None" = None,
     resume: bool = True,
-) -> ExperimentResult:
+) -> PipelineResult:
     """Regenerate Table 1 (scaled by default; paper-size:
     ``duration=50_000, n_repeats=100, scale=1.0``).  ``workers`` and
     ``cache_dir`` forward to the experiment pipeline (parallel fan-out,
-    resumable checkpoint); results are identical at any worker count."""
-    return run_experiment(
-        ExperimentConfig(
-            traces=traces,
-            n_orgs=n_orgs,
-            duration=duration,
-            n_repeats=n_repeats,
-            scale=scale,
-            seed=seed,
-        ),
+    resumable checkpoint); results are identical at any worker count.
+    Render with :func:`~repro.experiments.reporting.render_pipeline`."""
+    return _table(
+        traces=traces,
+        n_orgs=n_orgs,
+        duration=duration,
+        n_repeats=n_repeats,
+        scale=scale,
+        seed=seed,
         workers=workers,
         cache_dir=cache_dir,
         resume=resume,
@@ -97,7 +109,7 @@ def table1(
 
 def table2(
     *,
-    traces: tuple[str, ...] = ("LPC-EGEE", "PIK-IPLEX", "SHARCNET-Whale", "RICC"),
+    traces: tuple[str, ...] = PAPER_TRACES,
     n_orgs: int = 5,
     duration: int = 50_000,
     n_repeats: int = 2,
@@ -106,18 +118,16 @@ def table2(
     workers: int = 1,
     cache_dir: "str | None" = None,
     resume: bool = True,
-) -> ExperimentResult:
+) -> PipelineResult:
     """Regenerate Table 2: the Table 1 protocol with a 10x longer window
     (paper-size: ``duration=500_000, n_repeats=100, scale=1.0``)."""
-    return run_experiment(
-        ExperimentConfig(
-            traces=traces,
-            n_orgs=n_orgs,
-            duration=duration,
-            n_repeats=n_repeats,
-            scale=scale,
-            seed=seed,
-        ),
+    return _table(
+        traces=traces,
+        n_orgs=n_orgs,
+        duration=duration,
+        n_repeats=n_repeats,
+        scale=scale,
+        seed=seed,
         workers=workers,
         cache_dir=cache_dir,
         resume=resume,

@@ -44,8 +44,8 @@ _INT64_CAP = 1 << 62
 
 
 class _Plan:
-    """Cached per-mask data: members, value-row gather index, coefficient
-    matrix, and the worst-case row magnitude for the overflow guard."""
+    """Per-mask data: members, value-row gather index, coefficient matrix,
+    and the worst-case row magnitude for the overflow guard."""
 
     __slots__ = ("members", "rows", "coef", "row_weight")
 
@@ -75,76 +75,16 @@ class ScaledShapleySolver:
     ----------
     index:
         Mapping from coalition bitmask to its row in the value vectors that
-        will be passed to :meth:`phi_scaled` -- typically the registration
-        order of a :class:`~repro.core.fleet.CoalitionFleet`.  Must cover
+        will be passed to :meth:`phi_scaled_matrix` -- typically the
+        registration order of a :class:`~repro.core.fleet.CoalitionFleet`.
+        Must cover
         every nonempty submask of any mask later queried (the empty
         coalition's value is 0 by definition and needs no row).
     """
 
     def __init__(self, index: Mapping[int, int]):
         self._index = dict(index)
-        self._plans: dict[int, _Plan] = {}
-        self._batch_plans: dict[tuple[int, ...], tuple] = {}
         self._matrix_plans: dict[tuple[int, ...], tuple] = {}
-
-    def phi_scaled(
-        self, mask: int, values: np.ndarray, max_abs_value: int
-    ) -> "dict[int, int] | None":
-        """``{u: |mask|! * phi_u}`` from the value vector, or ``None`` when
-        the int64 guard cannot certify the products (caller falls back to
-        exact big-int arithmetic).
-
-        ``max_abs_value`` must bound ``|values[i]|`` over the rows of
-        ``mask``'s submasks (any global bound works).
-        """
-        plan = self._plans.get(mask)
-        if plan is None:
-            plan = self._plans[mask] = _Plan(mask, self._index)
-        if max_abs_value < 0 or plan.row_weight * max_abs_value >= _INT64_CAP:
-            return None
-        phi = plan.coef @ values[plan.rows]
-        return dict(zip(plan.members, phi.tolist()))
-
-    def phi_scaled_batch(
-        self,
-        masks: "tuple[int, ...]",
-        values: np.ndarray,
-        max_abs_value: int,
-    ) -> "dict[int, dict[int, int]] | None":
-        """``UpdateVals`` for a whole family of equal-size coalitions in one
-        batched matmul (REF evaluates a full size group per event time --
-        paper Fig. 1's ``for s <- 1 to |C|`` loop).
-
-        ``masks`` must share a popcount and should be a stable tuple (the
-        stacked plan is cached per tuple).  Returns ``{mask: {u: phi}}`` or
-        ``None`` when the int64 guard trips for *any* member of the batch.
-        """
-        plan = self._batch_plans.get(masks)
-        if plan is None:
-            sizes = {m.bit_count() for m in masks}
-            if len(sizes) != 1:
-                raise ValueError("batched masks must share a size")
-            singles = []
-            for m in masks:
-                p = self._plans.get(m)
-                if p is None:
-                    p = self._plans[m] = _Plan(m, self._index)
-                singles.append(p)
-            plan = (
-                np.stack([p.coef for p in singles]),  # (n, s, 2^s - 1)
-                np.stack([p.rows for p in singles]),  # (n, 2^s - 1)
-                [p.members for p in singles],
-                max(p.row_weight for p in singles),
-            )
-            self._batch_plans[masks] = plan
-        coef, rows, members, row_weight = plan
-        if max_abs_value < 0 or row_weight * max_abs_value >= _INT64_CAP:
-            return None
-        phi = np.matmul(coef, values[rows][:, :, None])[:, :, 0]
-        return {
-            m: dict(zip(mem, row))
-            for m, mem, row in zip(masks, members, phi.tolist())
-        }
 
     def matrix_plan(
         self, masks: "tuple[int, ...]"
@@ -159,12 +99,7 @@ class ScaledShapleySolver:
             sizes = {m.bit_count() for m in masks}
             if len(sizes) != 1:
                 raise ValueError("batched masks must share a size")
-            singles = []
-            for m in masks:
-                p = self._plans.get(m)
-                if p is None:
-                    p = self._plans[m] = _Plan(m, self._index)
-                singles.append(p)
+            singles = [_Plan(m, self._index) for m in masks]
             cols = np.array(
                 [p.members for p in singles], dtype=np.intp
             )  # (n, s): org column of each phi slot
@@ -183,13 +118,17 @@ class ScaledShapleySolver:
         values: np.ndarray,
         max_abs_value: int,
         n_orgs: int,
-    ) -> "tuple[np.ndarray, int] | None":
-        """Like :meth:`phi_scaled_batch` but returning a dense
-        ``(len(masks), n_orgs)`` int64 matrix (zero for non-members) plus a
-        certified bound on ``|phi|`` -- the layout the batched
-        :class:`~repro.core.kernel.FleetKernel` scheduling rounds consume.
-        Returns ``None`` when the int64 guard cannot certify the products
-        (the caller falls back to exact big-int ``update_vals_scaled``).
+    ) -> "np.ndarray | None":
+        """``UpdateVals`` for a whole family of equal-size coalitions in one
+        batched matmul (REF evaluates a full size group per event time --
+        paper Fig. 1's ``for s <- 1 to |C|`` loop): a dense
+        ``(len(masks), n_orgs)`` int64 matrix of ``|C|! * phi`` (zero for
+        non-members).  ``masks`` must share a popcount and should be a
+        stable tuple (the stacked plan is cached per tuple);
+        ``max_abs_value`` must bound ``|values[i]|`` over the rows of their
+        submasks (any global bound works).  Returns ``None`` when the int64
+        guard cannot certify the products (the caller falls back to exact
+        big-int ``update_vals_scaled``).
         """
         coef, rows, cols, row_weight = self.matrix_plan(masks)
         if max_abs_value < 0 or row_weight * max_abs_value >= _INT64_CAP:
@@ -197,4 +136,4 @@ class ScaledShapleySolver:
         phi = np.matmul(coef, values[rows][:, :, None])[:, :, 0]
         full = np.zeros((len(masks), n_orgs), dtype=np.int64)
         full[np.arange(len(masks))[:, None], cols] = phi
-        return full, row_weight * max_abs_value
+        return full

@@ -1,4 +1,4 @@
-"""Simulation runners, fairness metrics and the per-tick reference simulator."""
+"""Simulation runners and fairness metrics."""
 
 from .metrics import (
     avg_delay,
@@ -8,18 +8,15 @@ from .metrics import (
     utilization_ratio,
 )
 from .runner import AlgorithmOutcome, Comparison, compare_algorithms, run_schedule
-from .tick_reference import TickSimulator, simulate_ticks
 
 __all__ = [
     "AlgorithmOutcome",
     "Comparison",
-    "TickSimulator",
     "avg_delay",
     "compare_algorithms",
     "manhattan",
     "run_schedule",
     "signed_gap",
-    "simulate_ticks",
     "unfairness",
     "utilization_ratio",
 ]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms.greedy import fifo_select
 from repro.core.engine import ClusterEngine
-from repro.sim.tick_reference import TickSimulator
+from .tick_reference import TickSimulator
 from repro.utility.strategyproof import psi_sp
 
 from .conftest import make_workload, random_workload

@@ -12,31 +12,40 @@ from repro.experiments.figures import (
 )
 from repro.experiments.harness import (
     DEFAULT_SCALES,
-    ExperimentConfig,
-    default_algorithms,
-    run_experiment,
-    run_instance,
     sample_instance,
+    sample_window,
 )
-from repro.experiments.reporting import format_cell, render_series, render_table
-from repro.experiments.tables import TABLE1_PAPER, TABLE2_PAPER
+from repro.experiments.registry import paper_portfolio
+from repro.experiments.reporting import format_cell, render_pipeline, render_series
+from repro.experiments.spec import ScenarioSpec
+from repro.experiments.tables import TABLE1_PAPER, TABLE2_PAPER, table1
+from repro.sim.runner import evaluate_portfolio
 
 
 class TestConfig:
+    """The knobs ``ExperimentConfig`` (deleted, ISSUE 16) used to carry are
+    ``ScenarioSpec`` fields and plain sampler parameters."""
+
     def test_validation(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(machine_dist="pareto")
+            ScenarioSpec(family="synthetic", machine_dist="pareto")
         with pytest.raises(ValueError):
-            ExperimentConfig(n_orgs=0)
+            table1(n_orgs=0)
 
     def test_scale_for(self):
-        cfg = ExperimentConfig()
-        assert cfg.scale_for("RICC") == DEFAULT_SCALES["RICC"]
-        assert ExperimentConfig(scale=0.5).scale_for("RICC") == 0.5
-        assert cfg.scale_for("UNKNOWN") == 0.05
+        """``scale=None`` resolves to the trace's tuned default; an explicit
+        scale wins."""
+
+        def machines(trace, scale):
+            rng = np.random.default_rng(0)
+            return sample_window(trace, 100, rng, scale=scale)[1].n_machines
+
+        for trace, default in DEFAULT_SCALES.items():
+            assert machines(trace, None) == machines(trace, default)
+        assert machines("RICC", 0.5) != machines("RICC", None)
 
     def test_default_algorithms_match_paper_rows(self):
-        names = [a.name for a in default_algorithms(100, 0)]
+        names = [a.name for a in paper_portfolio(100, 0)]
         assert names == [
             "RoundRobin",
             "Rand(N=15)",
@@ -51,31 +60,37 @@ class TestConfig:
 
 class TestSampling:
     def test_sample_instance_deterministic(self):
-        cfg = ExperimentConfig(duration=1_000, scale=0.05)
-        a = sample_instance("LPC-EGEE", cfg, np.random.default_rng(7))
-        b = sample_instance("LPC-EGEE", cfg, np.random.default_rng(7))
+        a = sample_instance(
+            "LPC-EGEE", 1_000, 5, np.random.default_rng(7), scale=0.05
+        )
+        b = sample_instance(
+            "LPC-EGEE", 1_000, 5, np.random.default_rng(7), scale=0.05
+        )
         assert a == b
 
     def test_sample_instance_shape(self):
-        cfg = ExperimentConfig(n_orgs=4, duration=1_000, scale=0.1)
-        wl = sample_instance("LPC-EGEE", cfg, np.random.default_rng(0))
+        wl = sample_instance(
+            "LPC-EGEE", 1_000, 4, np.random.default_rng(0), scale=0.1
+        )
         assert wl.n_orgs == 4
         assert all(j.release < 1_000 for j in wl.jobs)
         counts = wl.machine_counts()
         assert counts == tuple(sorted(counts, reverse=True))  # zipf
 
     def test_uniform_machine_dist(self):
-        cfg = ExperimentConfig(
-            n_orgs=4, duration=1_000, scale=0.1, machine_dist="uniform"
+        wl = sample_instance(
+            "LPC-EGEE", 1_000, 4, np.random.default_rng(0), scale=0.1,
+            machine_dist="uniform",
         )
-        wl = sample_instance("LPC-EGEE", cfg, np.random.default_rng(0))
         counts = wl.machine_counts()
         assert max(counts) - min(counts) <= 1
 
 
 class TestRunExperiment:
     def test_tiny_experiment_end_to_end(self):
-        cfg = ExperimentConfig(
+        """``table1`` is the ``synthetic`` family through ``run_pipeline``
+        (``run_experiment`` and its result classes are deleted)."""
+        result = table1(
             traces=("LPC-EGEE",),
             n_orgs=3,
             duration=600,
@@ -83,8 +98,7 @@ class TestRunExperiment:
             scale=0.08,
             seed=1,
         )
-        result = run_experiment(cfg)
-        assert len(result.instances) == 2
+        assert result.computed == 2
         algos = result.algorithms()
         assert "Rand(N=15)" in algos
         for alg in algos:
@@ -93,18 +107,21 @@ class TestRunExperiment:
         with pytest.raises(KeyError):
             result.mean_std("LPC-EGEE", "nope")
 
-    def test_run_instance_custom_algorithms(self):
+    def test_evaluate_portfolio_custom_algorithms(self):
+        """Was ``test_run_instance_custom_algorithms``: ``run_instance`` is
+        deleted, its body was this ``evaluate_portfolio`` call."""
         from repro.algorithms import GreedyFifoScheduler, RefScheduler
 
-        cfg = ExperimentConfig(duration=400, scale=0.08)
-        wl = sample_instance("LPC-EGEE", cfg, np.random.default_rng(2))
-        out = run_instance(wl, 400, [GreedyFifoScheduler(400)])
-        assert set(out) == {"GreedyFIFO"}
-        # REF scored against itself is perfectly fair
-        out2 = run_instance(
-            wl, 400, [RefScheduler(400)], reference=RefScheduler(400)
+        wl = sample_instance(
+            "LPC-EGEE", 400, 5, np.random.default_rng(2), scale=0.08
         )
-        assert out2["REF"] == 0.0
+        out = evaluate_portfolio(wl, 400, [GreedyFifoScheduler(400)])
+        assert set(out["avg_delay"]) == {"GreedyFIFO"}
+        # REF scored against itself is perfectly fair
+        out2 = evaluate_portfolio(
+            wl, 400, [RefScheduler(400)], RefScheduler(400)
+        )
+        assert out2["avg_delay"]["REF"] == 0.0
 
 
 class TestReporting:
@@ -115,12 +132,13 @@ class TestReporting:
         assert format_cell(238.4, 353.0) == "238 ±353"
 
     def test_render_table(self):
-        cfg = ExperimentConfig(
+        """Tables render through ``render_pipeline`` (``render_table`` is
+        deleted with ``ExperimentResult``)."""
+        result = table1(
             traces=("LPC-EGEE",), n_orgs=3, duration=400, n_repeats=1,
             scale=0.08, seed=3,
         )
-        result = run_experiment(cfg)
-        text = render_table(result, title="test table")
+        text = render_pipeline(result, title="test table")
         assert "test table" in text
         assert "LPC-EGEE" in text
         assert "FairShare" in text

@@ -198,25 +198,24 @@ class TestScaledShapleySolver:
             values[m] = v
             arr[index[m]] = v
         solver = ScaledShapleySolver(index)
-        for m in masks:
-            got = solver.phi_scaled(m, arr, 10_000)
-            assert got == update_vals_scaled(m, values), m
         by_size: dict[int, list[int]] = {}
         for m in masks:
             by_size.setdefault(m.bit_count(), []).append(m)
         for group in by_size.values():
-            batch = solver.phi_scaled_batch(tuple(group), arr, 10_000)
-            for m in group:
-                assert batch[m] == update_vals_scaled(m, values), m
+            phi = solver.phi_scaled_matrix(tuple(group), arr, 10_000, k)
+            assert phi.shape == (len(group), k)
+            for m, row in zip(group, phi.tolist()):
+                want = update_vals_scaled(m, values)
+                assert row == [want.get(u, 0) for u in range(k)], m
         with pytest.raises(ValueError):
-            solver.phi_scaled_batch((1, 3), arr, 10)
+            solver.phi_scaled_matrix((1, 3), arr, 10, k)
 
     def test_guard_returns_none_on_possible_overflow(self):
         index = {1: 0, 2: 1, 3: 2}
         solver = ScaledShapleySolver(index)
         arr = np.array([1, 1, 1], dtype=np.int64)
-        assert solver.phi_scaled(3, arr, 1 << 63) is None
-        assert solver.phi_scaled(3, arr, 100) is not None
+        assert solver.phi_scaled_matrix((3,), arr, 1 << 63, 2) is None
+        assert solver.phi_scaled_matrix((3,), arr, 100, 2) is not None
 
 
 class TestEngineFreeSet:

@@ -124,15 +124,11 @@ class TestTraceToFairnessPipeline:
     """Workload generation -> transforms -> scheduling -> metrics."""
 
     def test_full_pipeline_on_synthetic_trace(self):
-        from repro.experiments.harness import (
-            ExperimentConfig,
-            sample_instance,
-        )
+        from repro.experiments.harness import sample_instance
 
-        cfg = ExperimentConfig(
-            traces=("LPC-EGEE",), n_orgs=4, duration=1_500, scale=0.1, seed=5
+        wl = sample_instance(
+            "LPC-EGEE", 1_500, 4, np.random.default_rng(5), scale=0.1
         )
-        wl = sample_instance("LPC-EGEE", cfg, np.random.default_rng(5))
         assert wl.n_orgs == 4
         t = 1_500
         ref = RefScheduler(horizon=t).run(wl)

@@ -515,6 +515,108 @@ class TestOverflowFallback:
         assert len(result.schedule) == 5
 
 
+def stepped_ref(workload, backend, peek_after=None):
+    """REF stepped one decision at a time over a frozen workload; after the
+    ``peek_after``-th decision the caller looks 7 ticks ahead
+    (``RefRun.values_at``), which advances the fleet past decisions it has
+    not scheduled yet -- every later ``step`` is then retrospective until
+    the decision clock catches up."""
+    k = workload.n_orgs
+    grand = (1 << k) - 1
+    fleet = CoalitionFleet(workload, all_masks(k), backend=backend)
+    run = RefRun(workload, tuple(range(k)), grand, None, fleet=fleet)
+    peeked = None
+    n = 0
+    while (t := fleet.next_decision()) is not None:
+        run.step(t)
+        n += 1
+        if n == peek_after:
+            peeked = run.values_at(t + 7)
+    return fleet, run, peeked
+
+
+class TestRefBodiesAgree:
+    """ISSUE 16: ``RefRun`` has two event bodies -- the fused array body
+    and the per-coalition body that takes everything the array body
+    declines.  Both declines that a live run can reach are driven here
+    against ``backend="engines"``."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lookahead_mid_run_matches_engines(self, seed):
+        """Regression (failed 40/40 at the parent): the deleted
+        ``_on_event_kernel_groups`` served retrospective steps with
+        ``psis_matrix(t)`` from the *current* ledger; the per-coalition
+        body reads the start log through the engine views."""
+        wl = random_workload(
+            np.random.default_rng(seed), n_orgs=6, n_jobs=40, max_release=30
+        )
+        kf, _, k_peek = stepped_ref(wl, "kernel", peek_after=5)
+        ef, _, e_peek = stepped_ref(wl, "engines", peek_after=5)
+        assert kf.kernel is not None, kf.materialize_reason
+        assert k_peek is not None and k_peek == e_peek
+        assert kf.engine(63).schedule() == ef.engine(63).schedule()
+        for row, mask in enumerate(kf.masks):
+            assert kf.kernel.row_entries(row) == ef.engine(mask)._log, mask
+
+    @staticmethod
+    def _scaled(workload, factor):
+        return Workload(
+            workload.organizations,
+            [
+                Job(j.release * factor, j.org, j.index, j.size * factor)
+                for j in workload.jobs
+            ],
+        )
+
+    @pytest.mark.parametrize("k, seed", [(6, 0), (8, 1)])
+    def test_guard_band_declines_to_the_per_coalition_body(self, k, seed):
+        """Releases and sizes scaled by 10^6 stay ``kernel_certified`` but
+        trip the fused body's combined int64 guard (it must decline at
+        least once, before any start); scaled by 10^7 the workload is not
+        certified at all and the fleet runs on engines with exact ints.
+        Both equal the ``backend="engines"`` schedule."""
+        # three machines in all: long queues, hence coalition values large
+        # enough to reach the guard band well inside the certified range
+        base = random_workload(
+            np.random.default_rng(seed),
+            n_orgs=k,
+            n_jobs=50,
+            max_release=25,
+            machine_counts=[1, 1, 1] + [0] * (k - 3),
+        )
+        grand = (1 << k) - 1
+
+        certified = self._scaled(base, 10**6)
+        assert kernel_certified(certified, None)
+        declined = []
+        fused = RefRun._on_event_kernel
+
+        def spy(self, fleet, t):
+            starts = fleet.kernel._log_len
+            served = fused(self, fleet, t)
+            if not served:
+                assert fleet.kernel._log_len == starts
+                declined.append(t)
+            return served
+
+        with mock.patch.object(RefRun, "_on_event_kernel", spy):
+            kf, _, _ = stepped_ref(certified, "kernel")
+        assert kf.kernel is not None, kf.materialize_reason
+        assert declined
+        ef, _, _ = stepped_ref(certified, "engines")
+        assert kf.engine(grand).schedule() == ef.engine(grand).schedule()
+
+        uncertified = self._scaled(base, 10**7)
+        assert not kernel_certified(uncertified, None)
+        with mock.patch.object(
+            ref_mod, "update_vals_scaled", wraps=ref_mod.update_vals_scaled
+        ) as exact:
+            auto = RefScheduler().run(uncertified).schedule
+        assert exact.call_count  # the big-int UpdateVals did run
+        ef, _, _ = stepped_ref(uncertified, "engines")
+        assert auto == ef.engine(grand).schedule()
+
+
 class TestReplayEquivalenceWithKernel:
     """ISSUE 5 acceptance: online replay == batch stays bit-identical for
     every step-capable fleet policy with the kernel active on the batch
@@ -748,8 +850,10 @@ class TestStartLogIdentity:
 # ----------------------------------------------------------------------
 @st.composite
 def online_instances(draw):
-    """Machine counts, a canonical job stream with ties and zero gaps, and
-    where to cut it into ingest batches / how far to run between them."""
+    """Machine counts, a canonical job stream with ties and zero gaps,
+    where to cut it into ingest batches / how far to run between them, and
+    after which decision of the final drain to look 7 ticks ahead (0:
+    never)."""
     k = draw(st.integers(2, 4))
     machines = draw(
         st.lists(st.integers(0, 2), min_size=k, max_size=k).filter(any)
@@ -760,33 +864,46 @@ def online_instances(draw):
     sizes = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     cuts = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     runs = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    peek = draw(st.sampled_from([0, 0, 1, 2, 3, 5]))
     triples, t = [], 0
     for gap, u, p in zip(gaps, orgs, sizes):
         t += gap
         triples.append((t, u, p))
-    return machines, triples, cuts, runs
+    return machines, triples, cuts, runs, peek
 
 
-def serve_ref(workload, backend, cuts, runs, check):
+def serve_ref(workload, backend, cuts, runs, check, peek=0):
     """REF stepped online over a fleet that starts jobless: the stream is
     fed in canonical order, cut into ``submit`` / ``submit_many`` batches
     after every job whose ``cuts`` flag is set, and where ``runs`` is set
     too the decisions strictly before the next unseen release are
     processed (never the next release itself: its round must see the
     whole tie group, like the service's).  ``check(fleet, t)`` runs after
-    every such advance."""
+    every such advance.  After the ``peek``-th decision of the final drain
+    the caller looks 7 ticks ahead (only there: a look-ahead moves the
+    fleet clock, and no job may be submitted into its past; one query:
+    per-engine clocks are lazy, so a ladder of look-aheads legitimately
+    leaves engines and kernel rows at different times), which makes the
+    following steps retrospective; the values it read are returned."""
     k = workload.n_orgs
     empty = Workload(workload.organizations, ())
     fleet = CoalitionFleet(empty, all_masks(k), backend=backend)
     run = RefRun(empty, tuple(range(k)), (1 << k) - 1, None, fleet=fleet)
 
-    def advance(limit):
+    peeked = None
+
+    def advance(limit, peek=0):
+        nonlocal peeked
+        n = 0
         while (t := fleet.peek_decision()) is not None and (
             limit is None or t < limit
         ):
             fleet.next_decision()
             run.step(t)
             check(fleet, t)
+            n += 1
+            if n == peek:
+                peeked = fleet.values_at(t + 7)
 
     jobs = sorted(workload.jobs)
     batch = []
@@ -801,14 +918,14 @@ def serve_ref(workload, backend, cuts, runs, check):
         batch = []
         if runs[i] and i + 1 < len(jobs):
             advance(jobs[i + 1].release)
-    advance(None)
-    return fleet, run
+    advance(None, peek)
+    return fleet, run, peeked
 
 
 @settings(max_examples=60, deadline=None)
 @given(instance=online_instances(), vectorize=st.booleans())
 def test_online_kernel_ingest_equals_batch_and_engines(instance, vectorize):
-    machines, triples, cuts, runs = instance
+    machines, triples, cuts, runs, peek = instance
     wl = make_workload(machines, triples)
     k = len(machines)
     grand = (1 << k) - 1
@@ -816,21 +933,31 @@ def test_online_kernel_ingest_equals_batch_and_engines(instance, vectorize):
 
     def checker(name):
         def check(fleet, t):
-            # a past and the current time, mid-stream (a future query would
-            # advance the fleet past decisions it has not scheduled yet)
+            # a past and the current time, mid-stream (a future query
+            # advances the fleet past decisions it has not scheduled yet:
+            # that is serve_ref's ``peek``)
             seen[name].append((t, fleet.values_at(t // 2), fleet.values_at(t)))
         return check
 
-    # both REF bodies: the fused kernel one (fill_rows) and the exact
-    # small-k one (start_row through engine views)
+    # both REF bodies, and both arithmetics of the per-coalition one: the
+    # fused array body on the kernel fleet (fill_rows; retrospective steps
+    # after a peek decline to the per-coalition body) with the solver's
+    # matmul on the engines fleet, or exact small-k dicts on both (over
+    # engine views on the kernel fleet)
     threshold = 0 if vectorize else 99
     with mock.patch.object(ref_mod, "VECTORIZE_MIN_K", threshold):
         batch = RefScheduler().run(wl).schedule
-        kf, krun = serve_ref(wl, "kernel", cuts, runs, checker("kernel"))
-        ef, erun = serve_ref(wl, "engines", cuts, runs, checker("engines"))
+        kf, krun, k_peek = serve_ref(
+            wl, "kernel", cuts, runs, checker("kernel"), peek
+        )
+        ef, erun, e_peek = serve_ref(
+            wl, "engines", cuts, runs, checker("engines"), peek
+        )
     assert kf.kernel is not None, kf.materialize_reason
-    assert kf.engine(grand).schedule() == batch
-    assert ef.engine(grand).schedule() == batch
+    assert k_peek == e_peek
+    assert kf.engine(grand).schedule() == ef.engine(grand).schedule()
+    if not peek:  # a look-ahead delays the starts it skipped past
+        assert kf.engine(grand).schedule() == batch
     assert seen["kernel"] == seen["engines"]
     for row, mask in enumerate(kf.masks):
         assert kf.kernel.row_entries(row) == ef.engine(mask)._log, mask

@@ -88,10 +88,19 @@ class TestBatchedRefBitIdentity:
 
 
 class TestPerInstanceCertification:
-    def test_small_k_not_admitted(self):
-        wl = rand_workload(3, 2, 10, 5)
-        assert not batchable(wl, 100)
-        assert ref_results_batched([(wl, 100)]) == [None]
+    def test_small_k_admitted_and_identical(self):
+        """Every k rides the batch (``batchable`` no longer borrows REF's
+        single-instance ``VECTORIZE_MIN_K``): k=1..4 equal the dict-path
+        per-instance schedule."""
+        items = [
+            (rand_workload(k, 2, 10 + 5 * k, seed), 100)
+            for k in (1, 2, 3, 4)
+            for seed in (5, 6)
+        ]
+        for (wl, horizon), res in zip(items, ref_results_batched(items)):
+            assert batchable(wl, horizon)
+            assert res is not None
+            assert res.schedule == RefScheduler(horizon=horizon).run(wl).schedule
 
     def test_overflow_not_admitted(self):
         huge = huge_workload()

@@ -160,29 +160,26 @@ class TestPipelineExecution:
         hand-rolled experiment loop (same crc32 seed scheme)."""
         import zlib
 
-        from repro.experiments.harness import (
-            ExperimentConfig,
-            default_algorithms,
-            run_instance,
-            sample_instance,
-        )
+        from repro.experiments.harness import sample_instance
+        from repro.experiments.registry import paper_portfolio
+        from repro.sim.runner import evaluate_portfolio
 
         spec = tiny_spec()
-        config = ExperimentConfig(
-            traces=spec.traces, n_orgs=spec.n_orgs, duration=spec.duration,
-            n_repeats=spec.n_repeats, scale=spec.scale, seed=spec.seed,
-        )
         expected = []
         for trace in spec.traces:
             for rep in range(spec.n_repeats):
                 rng = np.random.default_rng(
                     zlib.crc32(f"{trace}/{rep}/{spec.seed}".encode())
                 )
-                wl = sample_instance(trace, config, rng)
-                algs = default_algorithms(
+                wl = sample_instance(
+                    trace, spec.duration, spec.n_orgs, rng, scale=spec.scale
+                )
+                algs = paper_portfolio(
                     spec.duration, int(rng.integers(0, 2**31 - 1))
                 )
-                expected.append(run_instance(wl, spec.duration, algs))
+                expected.append(
+                    evaluate_portfolio(wl, spec.duration, algs)["avg_delay"]
+                )
         result = run_pipeline(spec, keep_instances=True)
         assert [r.metrics["avg_delay"] for r in result.instances] == expected
 
@@ -390,43 +387,32 @@ class TestChurnFamily:
         import zlib
 
         from repro.experiments.figures import figure10
-        from repro.experiments.harness import (
-            ExperimentConfig,
-            assign_instance,
-            default_algorithms,
-            run_instance,
-            sample_window,
-        )
+        from repro.experiments.harness import assign_instance, sample_window
+        from repro.experiments.registry import paper_portfolio
+        from repro.sim.runner import evaluate_portfolio
 
         trace, duration, seed = "LPC-EGEE", 500, 0
         xs, series = figure10(
             (2, 3), trace=trace, duration=duration, n_repeats=1,
             scale=0.08, seed=seed,
         )
-        base = ExperimentConfig(
-            traces=(trace,), duration=duration, n_repeats=1, scale=0.08,
-            seed=seed,
-        )
         window = sample_window(
-            trace, base,
+            trace, duration,
             np.random.default_rng(
                 zlib.crc32(f"{trace}/window/0/{seed}".encode())
             ),
+            scale=0.08,
         )
         for xi, k in enumerate((2, 3)):
-            cfg = ExperimentConfig(
-                traces=(trace,), n_orgs=k, duration=duration, n_repeats=1,
-                scale=0.08, seed=seed,
-            )
             records, gen_spec, t_start = window
             rng = np.random.default_rng(
                 zlib.crc32(f"{trace}/{k}/0/{seed}".encode())
             )
-            wl = assign_instance(records, gen_spec, t_start, cfg, rng)
-            algs = default_algorithms(
+            wl = assign_instance(records, gen_spec, t_start, duration, k, rng)
+            algs = paper_portfolio(
                 duration, int(rng.integers(0, 2**31 - 1))
             )
-            expected = run_instance(wl, duration, algs)
+            expected = evaluate_portfolio(wl, duration, algs)["avg_delay"]
             for alg, val in expected.items():
                 assert series[alg][xi] == val
 

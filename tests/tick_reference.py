@@ -8,8 +8,9 @@ two are equivalent for greedy schedules -- between events nothing can start
 against this deliberately naive transcription: a tick-by-tick simulator that
 walks every integer time step.
 
-Only suitable for tiny instances; used by the test-suite and the engine
-ablation benchmark.
+Only suitable for tiny instances: a test oracle (``tests/test_engine.py``
+and the engine ablation ``benchmarks/bench_engine.py``), not part of the
+shipped package.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable
 
-from ..core.job import Job
-from ..core.schedule import Schedule, ScheduledJob
-from ..core.workload import Workload
-from ..utility.strategyproof import psi_sp
+from repro.core.job import Job
+from repro.core.schedule import Schedule, ScheduledJob
+from repro.core.workload import Workload
+from repro.utility.strategyproof import psi_sp
 
 __all__ = ["TickSimulator", "simulate_ticks"]
 
