@@ -91,8 +91,8 @@ def test_ref_event_cost(benchmark):
 
 def ref_k8_workload():
     """The REF k=8 scaling instance (255 coalition engines per event) --
-    the speedup target of the CoalitionFleet refactor, recorded in
-    BENCH_fleet.json by benchmarks/record_fleet.py."""
+    the speedup target of the CoalitionFleet refactor, and the instance
+    ``bench_smallk.py`` guards both dispatch thresholds on."""
     rng = np.random.default_rng(8)
     return random_workload(
         rng, n_orgs=8, n_jobs=48, max_release=60,

@@ -23,8 +23,9 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from repro.bench import service_workload
 from repro.service import ClusterService
+
+from .conftest import service_workload
 
 MACHINES = (2, 1, 1, 1, 1, 1, 1, 1)
 N_JOBS = 1800
@@ -50,8 +51,8 @@ def tick_seconds(ticks) -> "list[float]":
 
 
 def test_tick_cost_does_not_grow_with_history(benchmark):
-    # the BENCH_service.json stream law (arrival rate and job sizes do not
-    # change along the stream), six times the length of its ref_k8 tier
+    # a stationary stream law (arrival rate and job sizes do not change
+    # along the stream), so history is the only thing that grows
     stream = sorted(service_workload(MACHINES, N_JOBS).jobs)
     ticks = [
         (t, list(group)) for t, group in groupby(stream, key=lambda j: j.release)

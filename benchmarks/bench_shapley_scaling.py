@@ -29,8 +29,7 @@ KS = (2, 3, 4, 5, 6, 7, 8) if FULL else (2, 3, 4, 5, 6)
 def test_ref_recursion_k8(benchmark):
     """Exact Shapley contributions through the full REF recursion at k=8:
     the CoalitionFleet + vectorized-UpdateVals hot path (the Fig. 10 / Cor.
-    3.5 FPT machinery; >= 2x vs the seed implementation, see
-    BENCH_fleet.json)."""
+    3.5 FPT machinery; >= 2x vs the seed implementation)."""
     wl = ref_k8_workload()
 
     def run():

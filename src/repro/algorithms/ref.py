@@ -78,9 +78,9 @@ __all__ = ["RefScheduler", "GeneralRefScheduler", "RefRun", "update_vals_scaled"
 
 #: Coalition size from which REF uses the numpy value/contribution path;
 #: below it the per-event array overhead exceeds the Python loops it
-#: replaces (crossover measured in BENCH_fleet.json's instances; the
-#: dispatch itself is guarded by ``benchmarks/bench_smallk.py`` and the
-#: ``speedup_ref_k4`` field of BENCH_fleet.json).
+#: replaces (PR 16's sweep: array-only is 1.35-1.55x slower at k<=4
+#: batch, dict-only 3.6x slower at k=8 off the kernel; the dispatch
+#: itself is guarded by ``benchmarks/bench_smallk.py``).
 VECTORIZE_MIN_K = 5
 
 #: Largest coalition whose ``UpdateVals`` subset decomposition is cached.

@@ -8,8 +8,8 @@ position-marginal is derandomized); antithetic pairing follows each
 ordering with its reverse, cancelling odd symmetric variance components.
 Both transforms map uniform permutations to uniform permutations, so the
 estimator stays unbiased and Theorem 5.6's Hoeffding budget still
-applies -- the variance reduction is pure profit (``repro bench approx``
-measures the realized ratio).
+applies -- the variance reduction is pure profit
+(``tests/test_approx.py::TestApproxGate`` floors the realized ratio).
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ Usage (after ``pip install -e .``, as ``repro`` or ``python -m repro``)::
     repro run NAME [--workers N --cache-dir DIR ...]   # any scenario
     repro replay NAME [--policy P --snapshot-every N]  # online service proof
     repro serve --orgs 2,1 [--policy P]                # JSONL scheduler daemon
-    repro bench [fleet|pipeline|service|all]           # BENCH_*.json recorders
 
 ``run`` executes any registered scenario (``repro scenarios`` lists them)
 through the experiment pipeline: instances fan out over ``--workers``
@@ -24,12 +23,7 @@ recomputing.  ``replay`` streams one scenario instance through the online
 :class:`~repro.service.ClusterService` as timed events, optionally
 kill/restoring from snapshots along the way, and verifies the result is
 bit-identical to the batch scheduler (exit code 1 if not).  ``serve``
-runs the service as a line-oriented JSONL daemon on stdin/stdout.
-``bench`` records the benchmark trajectory files (``BENCH_fleet.json``,
-``BENCH_pipeline.json``, ``BENCH_service.json``) from one registry-driven
-recorder (:mod:`repro.bench`); ``bench fleet --quick --check-against
-BENCH_fleet.json`` is the CI perf-gate -- it fails when the batched
-kernel's speedup *ratios* regress below the committed record.  Every
+runs the service as a line-oriented JSONL daemon on stdin/stdout.  Every
 command prints the paper-layout output used in EXPERIMENTS.md.
 
 Every ``--policy`` flag accepts a registered policy name or a
@@ -42,6 +36,7 @@ never drift from the registry.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -350,38 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
                     dest="require_quarantines", metavar="N",
                     help="exit 1 unless at least N workers were quarantined "
                          "(CI chaos gate)")
-
-    bench = sub.add_parser(
-        "bench",
-        help="record the BENCH_*.json benchmark trajectories "
-             "(fleet kernel speedups, pipeline fan-out, service throughput)",
-    )
-    bench.add_argument(
-        "bench",
-        choices=("fleet", "pipeline", "service", "gateway", "approx", "all"),
-        help="which trajectory to record (all: every registered bench)",
-    )
-    bench.add_argument("--output", default=None,
-                       help="output JSON path (default: the bench's "
-                            "canonical BENCH_*.json; ignored with 'all')")
-    bench.add_argument("--quick", action="store_true",
-                       help="fleet: fewer timing rounds and no k=10 tier; "
-                            "pipeline: fewer repeats "
-                            "(the perf-gate configuration)")
-    bench.add_argument("--check-against", default=None, metavar="FILE",
-                       dest="check_against",
-                       help="fleet/pipeline/service: exit 1 when a gated "
-                            "same-machine ratio regresses past this "
-                            "committed record by more than --tolerance")
-    bench.add_argument("--tolerance", type=float, default=0.35,
-                       help="relative ratio tolerance for --check-against "
-                            "(default 0.35)")
-    bench.add_argument("--workers", type=int, default=4,
-                       help="pipeline: parallel worker count")
-    bench.add_argument("--repeats", type=int, default=12,
-                       help="pipeline: experiment repeat axis size")
-    bench.add_argument("--jobs", type=int, default=600,
-                       help="service: streamed job count")
     return parser
 
 
@@ -757,7 +720,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         if args.progress
         else None
     )
-    snapshot_dir = None
+    scratch = contextlib.nullcontext()
     if (
         args.snapshot_at is not None
         or args.kill_at is not None
@@ -767,8 +730,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
         # chaos runs get a durable WAL + checkpoint dir so recovery
         # exercises the full restore path, not just in-memory replay
-        snapshot_dir = tempfile.mkdtemp(prefix="repro-gateway-")
-    with Gateway(
+        scratch = tempfile.TemporaryDirectory(prefix="repro-gateway-")
+    with scratch as snapshot_dir, Gateway(
         config, snapshot_dir=snapshot_dir, **_resilience_kwargs(args)
     ) as gw:
         report = run_loadgen(
@@ -833,10 +796,6 @@ def main(argv: "list[str] | None" = None) -> int:
         return _cmd_gateway(args)
     elif args.command == "loadgen":
         return _cmd_loadgen(args)
-    elif args.command == "bench":
-        from .bench import main as bench_main
-
-        return bench_main(args)
     else:  # pragma: no cover - argparse enforces the choices
         return 2
     return 0

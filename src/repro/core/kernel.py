@@ -81,9 +81,10 @@ __all__ = [
 
 #: Fleets with at least this many coalition engines dispatch to the kernel
 #: (below it the per-event numpy overhead exceeds the Python loops saved;
-#: crossover measured by ``repro bench fleet``, see BENCH_fleet.json: a
-#: 31-engine fleet -- REF k=5, RAND k=5/N=75 -- is break-even or slightly
-#: slower, a 63-engine fleet is ~1.6x faster, 255 engines ~4x).
+#: a 31-engine fleet -- REF k=5, RAND k=5/N=75 -- is break-even or slightly
+#: slower, a 63-engine fleet ~1.6x faster, 255 engines ~4x; PR 16 read
+#: ``sweep_table1_k5`` at 19.0-19.9k ev/s here, 16.0-16.6k / 13.8-14.5k at
+#: 16 / 1, and ``benchmarks/bench_smallk.py`` guards the 255-engine side).
 KERNEL_MIN_ENGINES = 48
 
 #: Sentinel finish time for a free (or absent) machine slot.  Far beyond any

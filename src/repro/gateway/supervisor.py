@@ -27,7 +27,8 @@ wall-clock fallback (so an idle daemon still heals).  A worker that fails
 (``budget_reset_ops`` settled responses) is *quarantined* -- refused
 instead of hot-looped -- until the cooldown expires, after which it gets
 a fresh budget.  Every recovery's detect-to-healed wall time is logged;
-:attr:`Supervisor.mttr_seconds` is the mean the benchmark gates.
+:attr:`Supervisor.mttr_seconds` is their mean (``tests/test_supervisor.py``
+bounds it on the chaos plans it runs).
 """
 
 from __future__ import annotations

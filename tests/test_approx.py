@@ -24,6 +24,8 @@ from repro.approx import (
 )
 from repro.approx.adaptive import AdaptiveRun, wave_sizes
 from repro.approx.validate import ORACLE_MAX_ORGS, ExactDecisionOracle
+from repro.core.coalition import iter_subsets
+from repro.core.fleet import CoalitionFleet
 from repro.core.job import Job
 from repro.core.kernel import kernel_certified
 from repro.core.organization import Organization
@@ -40,12 +42,15 @@ from repro.shapley.confidence import (
 )
 from repro.shapley.sampling import (
     ORDERING_SAMPLERS,
+    SampledPrefixes,
     antithetic_orderings,
     hoeffding_samples,
     sample_member_orderings,
     sample_orderings,
     stratified_orderings,
 )
+
+from benchmarks.conftest import service_workload
 
 
 def asym_workload(seed: int, k: int = 6) -> Workload:
@@ -546,48 +551,56 @@ class TestOnlineAdaptive:
 
 
 # ----------------------------------------------------------------------
-# bench gate plumbing
+# quality floors (clock-free) and registry plumbing
 # ----------------------------------------------------------------------
 class TestApproxGate:
-    def test_check_approx_ratios_floors(self, tmp_path):
-        import json
-
-        from repro.bench import check_approx_ratios
-
-        committed = {
-            "variance_ratio_uniform_over_stratified": 2.0,
-            "min_certified_rate": 0.8,
-        }
-        path = tmp_path / "BENCH_approx.json"
-        path.write_text(json.dumps(committed))
-        ok = {
-            "variance_ratio_uniform_over_stratified": 1.9,
-            "min_certified_rate": 0.78,
-        }
-        assert check_approx_ratios(ok, path, tolerance=0.35) == []
-        # quality regression: below the committed floor
-        bad = {
-            "variance_ratio_uniform_over_stratified": 1.1,
-            "min_certified_rate": 0.3,
-        }
-        problems = check_approx_ratios(bad, path, tolerance=0.35)
-        assert len(problems) == 2
-        # stratification below parity fails even inside the tolerance
-        # band
-        path.write_text(
-            json.dumps(
-                {
-                    "variance_ratio_uniform_over_stratified": 1.2,
-                    "min_certified_rate": 0.8,
-                }
-            )
+    def test_adaptive_k50_certified_rate_floor(self):
+        """Five times past the exact ceiling the honest certifier (sound
+        kinds only: singleton / degenerate / separated / exact) still
+        certifies 108 of 150 decisions; no clock enters, so the floor
+        sits just under the reading instead of a tolerance band away."""
+        wl = service_workload((1,) * 50, 150, seed=11)
+        members, mask = members_mask(wl, None)
+        run = AdaptiveRun(
+            wl, members, mask, np.random.default_rng(0), None,
+            n_min=4, n_max=16,
         )
-        parity = {
-            "variance_ratio_uniform_over_stratified": 0.9,
-            "min_certified_rate": 0.8,
-        }
-        problems = check_approx_ratios(parity, path, tolerance=0.35)
-        assert any("pure profit" in p for p in problems)
+        run.drive()
+        s = run.summary()
+        assert s.decisions == 150
+        assert s.certified / s.decisions >= 0.70
+
+    def test_stratification_reduces_realized_variance(self):
+        """Realized estimator variance on one frozen decision: exact
+        full-lattice coalition values at mid-stream ``t``, 24 seeded
+        ``N=8`` draws per sampler, per-org variance averaged.  Position
+        stratification is "pure profit" (``approx/stratified.py``), so
+        uniform over stratified may never reach parity; it reads 1.911."""
+        k, n = 8, 8
+        wl = service_workload((1,) * k, 120, seed=3)
+        fleet = CoalitionFleet(
+            wl, [m for m in iter_subsets((1 << k) - 1) if m],
+            track_events=False,
+        )
+        t = max(j.release for j in wl.jobs) // 2
+        values = dict(fleet.values_at(t, select=fifo_select))
+        values[0] = 0
+        member_arr = np.arange(k, dtype=np.int64)
+
+        def mean_var(draw) -> float:
+            ests = []
+            for r in range(24):
+                sp = SampledPrefixes(
+                    k, draw(member_arr, n, np.random.default_rng(1000 + r))
+                )
+                phi = sp.estimate_scaled({m: values[m] for m in sp.masks})
+                ests.append([phi[u] / sp.n for u in range(k)])
+            return float(np.array(ests, dtype=float).var(axis=0).mean())
+
+        ratio = mean_var(sample_member_orderings) / mean_var(
+            ORDERING_SAMPLERS["stratified"]
+        )
+        assert ratio >= 1.5, ratio
 
     def test_stratified_scheduler_registered_capabilities(self):
         from repro.policies import get_policy

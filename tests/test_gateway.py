@@ -832,9 +832,14 @@ class TestGatewayCli:
         assert "OK (bit-identical per shard)" in out
         assert "64 tenants" in out
 
-    def test_loadgen_kill_restore_subcommand(self, capsys):
+    def test_loadgen_kill_restore_subcommand(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import tempfile
+
         from repro.cli import main
 
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         code = main([
             "loadgen", "--events", "300", "--tenants", "16",
             "--releases", "15", "--policy", "fifo",
@@ -843,6 +848,9 @@ class TestGatewayCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "snapshot cost" in out
+        assert "OK (bit-identical per shard)" in out
+        # the checkpoint + WAL directory loadgen made for itself is gone
+        assert list(tmp_path.iterdir()) == []
 
     def test_gateway_daemon_round_trip(self):
         proc = spawn_cli(

@@ -316,6 +316,11 @@ class TestDurableWal:
 # live fleets: automatic recovery
 # ---------------------------------------------------------------------------
 class TestAutoRecovery:
+    #: Ceiling on mean detect -> respawn -> checkpoint restore -> WAL
+    #: replay time per auto-healed crash; generous against a busy host
+    #: (0.4-0.9 s under ``FAST`` on 2 cores).
+    MTTR_CEILING_S = 5.0
+
     def run_chaos(self, plan, tmp_path, *, policy="fifo", sup=FAST,
                   n_tenants=8, events=500, **cfg):
         config = small_config(policy=policy, n_tenants=n_tenants, **cfg)
@@ -333,7 +338,7 @@ class TestAutoRecovery:
         report = self.run_chaos(plan, tmp_path)
         assert report.verified is True
         assert report.chaos["auto_recoveries"] >= 1
-        assert report.chaos["mttr_seconds"] is not None
+        assert report.chaos["mttr_seconds"] <= self.MTTR_CEILING_S
         assert report.chaos["quarantines"] == 0
 
     def test_crash_heals_for_the_kernel_ref_engine(self, tmp_path):
@@ -406,6 +411,7 @@ class TestAutoRecovery:
         )
         assert report.verified is True
         assert report.chaos["auto_recoveries"] >= 1
+        assert report.chaos["mttr_seconds"] <= self.MTTR_CEILING_S
 
     def test_lost_inflight_is_surfaced_in_status(self, tmp_path):
         plan = FaultPlan.parse("rate=0,script=0.0.crash.10")
