@@ -616,9 +616,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     batch_max = None if args.batch_max == 0 else args.batch_max
     if args.restore is not None:
-        service = ClusterService.restore(
-            load_snapshot(args.restore), batch_max=batch_max
-        )
+        try:
+            service = ClusterService.restore(
+                load_snapshot(args.restore), batch_max=batch_max
+            )
+        except (ValueError, OSError) as exc:
+            print(f"--restore {args.restore}: {exc}", file=sys.stderr)
+            return 2
     else:
         counts = tuple(int(v) for v in args.orgs.split(","))
         service = ClusterService(

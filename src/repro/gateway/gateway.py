@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from ..service.snapshot import load_snapshot
+from ..service.snapshot import check_snapshot, load_snapshot
 from .admission import AdmissionController, AdmissionError
 from .config import GatewayConfig
 from .faults import FaultPlan
@@ -474,10 +474,11 @@ class ShardPool:
         WAL replay) after the *gateway process itself* died.
 
         Per shard: decode the durable WAL (torn tails tolerated), trust
-        the on-disk checkpoint only when a fsynced WAL marker matches its
-        content hash (otherwise replay in full from genesis), and replay
-        the suffix through the normal spawn path.  Returns
-        ``shard -> replayed command count``.
+        the on-disk checkpoint only when this build's ``check_snapshot``
+        accepts it *and* a fsynced WAL marker matches its content hash
+        (otherwise replay in full from genesis: the WAL is append-only
+        and complete), and replay the suffix through the normal spawn
+        path.  Returns ``shard -> replayed command count``.
         """
         if self.snapshot_dir is None:
             raise GatewayError("resume_from_disk needs a snapshot_dir")
@@ -490,9 +491,11 @@ class ShardPool:
             path = shard_snapshot_path(self.snapshot_dir, s)
             if path.exists():
                 try:
-                    ckpt_hash = load_snapshot(path).get("content_hash")
+                    payload = load_snapshot(path)
+                    check_snapshot(payload)
+                    ckpt_hash = payload["content_hash"]
                 except (ValueError, OSError):
-                    ckpt_hash = None  # unreadable: fall back to genesis
+                    pass  # unreadable or refused: fall back to genesis
             matched = ckpt_hash is not None and any(
                 h == ckpt_hash for h, _ in image.markers
             )

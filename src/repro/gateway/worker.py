@@ -45,7 +45,7 @@ from ..service.daemon import (
     timed_lines,
 )
 from ..service.service import ClusterService
-from ..service.snapshot import load_snapshot, save_snapshot
+from ..service.snapshot import load_snapshot, save_snapshot, snapshot_text
 from .faults import FaultInjector
 
 __all__ = ["worker_main", "shard_snapshot_path", "build_shard"]
@@ -90,11 +90,12 @@ def _snapshot_all(
         payload = service.snapshot()
         path = shard_snapshot_path(out_dir, sid)
         if injector is not None and injector.take_torn_checkpoint():
-            # what a crash mid-write leaves with atomic temp+rename:
-            # a torn temp file, the real path untouched
+            # what a crash mid-write leaves with atomic temp+replace:
+            # a prefix of the real file text in the temp file, the real
+            # path untouched
             tmp = path.with_name(path.name + ".tmp")
             tmp.parent.mkdir(parents=True, exist_ok=True)
-            text = json.dumps(payload, sort_keys=True, indent=1)
+            text = snapshot_text(payload)
             tmp.write_text(text[: max(1, len(text) // 2)], encoding="utf-8")
             result[str(sid)] = {"error": "torn checkpoint write (injected)"}
             continue

@@ -65,7 +65,7 @@ from .snapshot import (
     check_snapshot,
     schedule_digest,
 )
-from .state import ClusterCensus, ServiceOp
+from .state import ClusterCensus
 
 __all__ = [
     "ClusterService",
@@ -510,6 +510,11 @@ class _RandPolicy(_FleetPolicy):
 # ----------------------------------------------------------------------
 # the service
 # ----------------------------------------------------------------------
+def _check_batch_max(batch_max: "int | None") -> None:
+    if batch_max is not None and batch_max < 1:
+        raise ValueError("batch_max must be >= 1 (or None: unbounded)")
+
+
 class ClusterService:
     """A long-lived, stateful fair-share scheduling daemon.
 
@@ -537,9 +542,11 @@ class ClusterService:
 
     Ingest API: :meth:`submit`, :meth:`join_org`, :meth:`leave_org`,
     :meth:`add_machines`, :meth:`remove_machines`; time advances through
-    :meth:`advance` / :meth:`drain`.  Every mutation is journaled
-    (:mod:`repro.service.state`), which is what :meth:`snapshot` /
-    :meth:`restore` serialize.
+    :meth:`advance` / :meth:`drain`.  Every one of those calls appends
+    one ``(kind, clock, *ints)`` row to :attr:`journal`
+    (:data:`repro.service.state.OP_FIELDS`); :meth:`snapshot` carries
+    the rows as they are and :meth:`restore` feeds them back through
+    the same methods.
     """
 
     def __init__(
@@ -583,7 +590,7 @@ class ClusterService:
         self.policy_params = spec.as_dict()
         self.census = ClusterCensus.genesis(counts)
         self.clock = 0
-        self.journal: "list[ServiceOp]" = []
+        self.journal: "list[tuple]" = []
         self.n_events = 0
         self.n_jobs = 0
         self._last_decision: "int | None" = None
@@ -594,8 +601,7 @@ class ClusterService:
         #: the ``batch_max``-th buffered job).  Flushing never runs a
         #: scheduling round, so the schedule is bit-identical for every
         #: batch size.
-        if batch_max is not None and batch_max < 1:
-            raise ValueError("batch_max must be >= 1 (or None: unbounded)")
+        _check_batch_max(batch_max)
         self.batch_max = batch_max
         self._pending_jobs: "list[Job]" = []
         #: Observability counters (reported by :meth:`status`, not part of
@@ -682,9 +688,7 @@ class ClusterService:
         Advances are journaled: *when* rounds ran relative to same-time
         submissions is part of the state a snapshot must reproduce.
         """
-        self.journal.append(
-            ServiceOp("advance", self.clock, (("until", until),))
-        )
+        self.journal.append(("advance", self.clock, until))
         self.flush_ingest()
         done = 0
         while True:
@@ -700,7 +704,7 @@ class ClusterService:
     def drain(self) -> int:
         """Process every remaining decision event (up to the horizon);
         returns the service clock afterwards."""
-        self.journal.append(ServiceOp("drain", self.clock))
+        self.journal.append(("drain", self.clock))
         self.flush_ingest()
         while True:
             t = self._policy.pending()
@@ -772,17 +776,7 @@ class ClusterService:
         self.census.last_release[org] = effective
         job = Job(effective, org, expected, int(size), id=jid)
         self.journal.append(
-            ServiceOp(
-                "submit",
-                self.clock,
-                (
-                    ("org", org),
-                    ("size", job.size),
-                    ("release", effective),
-                    ("index", expected),
-                    ("id", jid),
-                ),
-            )
+            ("submit", self.clock, org, job.size, effective, expected, jid)
         )
         self._pending_jobs.append(job)
         self.n_jobs += 1
@@ -831,9 +825,7 @@ class ClusterService:
                 f"{len(self.census.members) + 1}"
             )
         org, _ = self.census.admit(machines)
-        self.journal.append(
-            ServiceOp("join_org", self.clock, (("machines", machines),))
-        )
+        self.journal.append(("join_org", self.clock, machines))
         try:
             self._policy.join(org)
         except Exception:
@@ -855,9 +847,7 @@ class ClusterService:
             raise ValueError("cannot remove the last member organization")
         self.flush_ingest()
         machine_ids = self.census.expel(org)
-        self.journal.append(
-            ServiceOp("leave_org", self.clock, (("org", org),))
-        )
+        self.journal.append(("leave_org", self.clock, org))
         self._policy.leave(org, machine_ids)
 
     def add_machines(self, org: int, count: int) -> "list[int]":
@@ -866,11 +856,7 @@ class ClusterService:
             raise ValueError("count must be >= 1")
         self.flush_ingest()
         machine_ids = self.census.grow(org, count)
-        self.journal.append(
-            ServiceOp(
-                "add_machines", self.clock, (("org", org), ("count", count))
-            )
-        )
+        self.journal.append(("add_machines", self.clock, org, count))
         self._policy.machines_added(org, machine_ids)
         self._force_round()
         return machine_ids
@@ -882,13 +868,7 @@ class ClusterService:
             raise ValueError("count must be >= 1")
         self.flush_ingest()
         machine_ids = self.census.shrink(org, count)
-        self.journal.append(
-            ServiceOp(
-                "remove_machines",
-                self.clock,
-                (("org", org), ("count", count)),
-            )
-        )
+        self.journal.append(("remove_machines", self.clock, org, count))
         self._policy.machines_removed(org, machine_ids)
         return machine_ids
 
@@ -1003,15 +983,19 @@ class ClusterService:
     ) -> "ClusterService":
         """Rebuild a service from a snapshot, bit-identically.
 
-        The journal is replayed through the live ingest path (each op at
+        Nothing is built until ``batch_max`` and the whole payload have
+        been checked (:func:`~repro.service.snapshot.check_snapshot`:
+        format, version, content hash, every journal row).  Then the
+        journal is replayed through the live ingest path (each op at
         its recorded clock) with micro-batched ingest -- consecutive
         journaled submits land as one grouped update at the next journaled
         flush point, which batching guarantees is schedule-identical --
-        then the clock is advanced to the snapshot's.  With ``verify``
+        and the replayed clock must equal the snapshot's.  With ``verify``
         (default) the restored schedule's digest must match the recorded
         one.  ``batch_max`` becomes the restored service's ingest knob
         (replay itself always defers to the journaled flush points).
         """
+        _check_batch_max(batch_max)
         journal = check_snapshot(payload)
         policy = payload["policy"]
         service = cls(
@@ -1038,26 +1022,11 @@ class ClusterService:
                 )
         return service
 
-    def _apply(self, op: ServiceOp) -> None:
-        if op.kind == "submit":
-            self.submit(
-                op.arg("org"),
-                op.arg("size"),
-                release=op.arg("release"),
-                index=op.arg("index"),
-                job_id=op.arg("id"),
-            )
-        elif op.kind == "join_org":
-            self.join_org(op.arg("machines"))
-        elif op.kind == "leave_org":
-            self.leave_org(op.arg("org"))
-        elif op.kind == "add_machines":
-            self.add_machines(op.arg("org"), op.arg("count"))
-        elif op.kind == "remove_machines":
-            self.remove_machines(op.arg("org"), op.arg("count"))
-        elif op.kind == "advance":
-            self.advance(op.arg("until"))
-        elif op.kind == "drain":
-            self.drain()
-        else:  # pragma: no cover - ServiceOp validates kinds
-            raise ValueError(f"unknown op kind {op.kind!r}")
+    def _apply(self, op: "list | tuple") -> None:
+        """Re-apply one journal row through the ingest method its kind
+        names (:func:`check_snapshot` has vetted kind, arity and types)."""
+        if op[0] == "submit":
+            _, _, org, size, release, index, jid = op
+            self.submit(org, size, release, index=index, job_id=jid)
+        else:
+            getattr(self, op[0])(*op[2:])

@@ -10,8 +10,14 @@ it after the fact.
 
 Like :class:`~repro.experiments.spec.ScenarioSpec`, a snapshot is
 content-hashed (canonical JSON, SHA-256, 16 hex chars) so two snapshots
-are interchangeable iff their hashes match, and a corrupted or hand-edited
-file is rejected before any state is rebuilt.
+are interchangeable iff their hashes match, and :func:`check_snapshot`
+rejects a corrupted, hand-edited, older-version or malformed payload
+before any state is rebuilt.
+
+The journal travels as it is kept: one row ``[kind, clock, *ints]`` per
+op (:data:`~repro.service.state.OP_FIELDS`), so the payload is
+JSON-native (``load_snapshot(save_snapshot(p)) == p``) and the file is
+the same canonical compact JSON the hash is taken over.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import json
 import os
 from pathlib import Path
 
-from .state import ServiceOp
+from .state import OP_FIELDS
 
 __all__ = [
     "SNAPSHOT_FORMAT",
@@ -30,6 +36,7 @@ __all__ = [
     "schedule_digest",
     "build_snapshot",
     "check_snapshot",
+    "snapshot_text",
     "save_snapshot",
     "load_snapshot",
 ]
@@ -37,15 +44,21 @@ __all__ = [
 SNAPSHOT_FORMAT = "repro.service.snapshot"
 
 #: Bump on any change to the payload layout; restore refuses unknown
-#: versions instead of silently misreading them.
-SNAPSHOT_VERSION = 1
+#: versions instead of silently misreading them.  Version 1 (one dict per
+#: op) has no reader: no version-1 file outlives the run that wrote it.
+SNAPSHOT_VERSION = 2
+
+
+def _canonical(obj) -> str:
+    """Sorted keys, no whitespace: what is hashed and what goes to disk
+    (no ``indent``, which would take ``json`` off its C encoder)."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def content_hash(payload: dict) -> str:
     """Canonical-JSON SHA-256 of the payload minus its own hash field."""
     body = {k: v for k, v in payload.items() if k != "content_hash"}
-    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return hashlib.sha256(_canonical(body).encode()).hexdigest()[:16]
 
 
 def schedule_digest(entries) -> str:
@@ -66,7 +79,7 @@ def build_snapshot(
     genesis_machines: tuple[int, ...],
     horizon: "int | None",
     clock: int,
-    journal: "list[ServiceOp]",
+    journal: "list[tuple]",
     digest: str,
     n_events: int,
 ) -> dict:
@@ -77,7 +90,7 @@ def build_snapshot(
         "genesis_machines": list(genesis_machines),
         "horizon": horizon,
         "clock": clock,
-        "journal": [op.to_json() for op in journal],
+        "journal": [list(op) for op in journal],
         "schedule_digest": digest,
         "n_events": n_events,
     }
@@ -85,12 +98,19 @@ def build_snapshot(
     return payload
 
 
-def check_snapshot(payload: dict) -> list[ServiceOp]:
-    """Validate format / version / hash; return the decoded journal."""
-    if payload.get("format") != SNAPSHOT_FORMAT:
-        raise ValueError(
-            f"not a service snapshot (format={payload.get('format')!r})"
-        )
+def check_snapshot(payload: dict) -> "list[list]":
+    """Prove a payload restorable before anything is rebuilt from it;
+    returns its journal rows.
+
+    Checked in order: format, version, content hash, then every journal
+    row against :data:`~repro.service.state.OP_FIELDS` -- a known kind,
+    that kind's arity, and ``type(v) is int`` for the clock and every
+    value (so floats, strings and bools are refused).  Every refusal is
+    a ``ValueError`` that says what was wrong.
+    """
+    fmt = payload.get("format") if isinstance(payload, dict) else None
+    if fmt != SNAPSHOT_FORMAT:
+        raise ValueError(f"not a service snapshot (format={fmt!r})")
     if payload.get("version") != SNAPSHOT_VERSION:
         raise ValueError(
             f"unsupported snapshot version {payload.get('version')!r} "
@@ -103,11 +123,32 @@ def check_snapshot(payload: dict) -> list[ServiceOp]:
             f"snapshot content hash mismatch (recorded {expected}, "
             f"recomputed {actual}): refusing to restore corrupted state"
         )
-    return [ServiceOp.from_json(d) for d in payload["journal"]]
+    journal = payload.get("journal")
+    if not isinstance(journal, list):
+        raise ValueError("snapshot journal is not a list of rows")
+    ints = {int}
+    for n, row in enumerate(journal):
+        try:
+            fields = OP_FIELDS[row[0]]
+        except (TypeError, LookupError):  # not a row, empty, or no such kind
+            raise ValueError(
+                f"journal row {n}: unknown op kind in {row!r}"
+            ) from None
+        if len(row) != 2 + len(fields) or set(map(type, row[1:])) != ints:
+            raise ValueError(
+                f"journal row {n}: a {row[0]} row is "
+                f"{['kind', 'clock', *fields]} with int values, got {row!r}"
+            )
+    return journal
+
+
+def snapshot_text(payload: dict) -> str:
+    """The text of a checkpoint file: canonical compact JSON, one line."""
+    return _canonical(payload) + "\n"
 
 
 def save_snapshot(payload: dict, path: "str | Path") -> Path:
-    """Write a checkpoint atomically: temp file, fsync, ``os.rename``.
+    """Write a checkpoint atomically: temp file, fsync, ``os.replace``.
 
     A crash (or injected fault) mid-write can therefore only ever leave a
     torn ``*.tmp`` beside an intact previous checkpoint -- readers never
@@ -118,12 +159,11 @@ def save_snapshot(payload: dict, path: "str | Path") -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    data = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     with open(tmp, "w", encoding="utf-8") as f:
-        f.write(data)
+        f.write(snapshot_text(payload))
         f.flush()
         os.fsync(f.fileno())
-    os.rename(tmp, path)
+    os.replace(tmp, path)
     return path
 
 

@@ -2,14 +2,16 @@
 
 The online service is **event-sourced** (DESIGN.md §6): every externally
 visible mutation -- a job submission, an organization joining or leaving,
-machines added or removed -- is recorded as a :class:`ServiceOp` carrying
-the service clock at which it was applied.  Because every component the
-ops feed (engines, fleets, policies) is deterministic, the ordered journal
-*is* the full scheduler state: replaying it through the very same code
-path reconstructs every engine, ledger, queue and RNG stream bit for bit.
-That is what makes :mod:`repro.service.snapshot` both small (O(#ops)
-JSON) and trustworthy (restore runs the production path, not a parallel
-deserializer that could drift from it).
+machines added or removed, time advancing -- is recorded as one journal
+*row*, a plain tuple ``(kind, clock, *ints)`` laid out by
+:data:`OP_FIELDS`.  Because every component the ops feed (engines,
+fleets, policies) is deterministic, the ordered journal *is* the full
+scheduler state: replaying it through the very same code path
+reconstructs every engine, ledger, queue and RNG stream bit for bit.
+That is what makes :mod:`repro.service.snapshot` both small (the rows go
+to disk as they are, one JSON array each) and trustworthy (restore runs
+the production path, not a parallel deserializer that could drift from
+it).
 
 :class:`ClusterCensus` tracks the live side: which organizations are
 members, which global machine ids each owns, and the monotonic id
@@ -22,59 +24,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["ServiceOp", "ClusterCensus"]
+__all__ = ["OP_FIELDS", "ClusterCensus"]
 
-#: Operation kinds a journal may contain, in the vocabulary of the ingest
-#: API (``ClusterService`` methods of the same names).  Time advancement
-#: is journaled too: *when* decision events were processed relative to
-#: same-time submissions is part of the state (a round at time T that ran
-#: before a time-T submission arrived schedules differently from one that
-#: ran after it).
-OP_KINDS = (
-    "submit",
-    "join_org",
-    "leave_org",
-    "add_machines",
-    "remove_machines",
-    "advance",
-    "drain",
-)
-
-
-@dataclass(frozen=True, slots=True)
-class ServiceOp:
-    """One journaled ingest operation.
-
-    ``time`` is the service clock when the operation was applied (for
-    ``advance``/``drain`` ops: before the move).  Replay re-applies the
-    ops in order through the live ingest path -- including the journaled
-    advances, so the interleaving of event processing and ingestion is
-    reproduced exactly.
-    """
-
-    kind: str
-    time: int
-    args: tuple[tuple[str, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind not in OP_KINDS:
-            raise ValueError(f"unknown op kind {self.kind!r}")
-
-    def arg(self, name: str) -> int:
-        for k, v in self.args:
-            if k == name:
-                return v
-        raise KeyError(name)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "time": self.time, **dict(self.args)}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "ServiceOp":
-        args = tuple(
-            (k, int(v)) for k, v in d.items() if k not in ("kind", "time")
-        )
-        return cls(kind=d["kind"], time=int(d["time"]), args=args)
+#: The journal row grammar.  A row is ``(kind, clock, *values)``: ``kind``
+#: names the ``ClusterService`` ingest method that was called, ``clock``
+#: is the service clock when it was applied (for ``advance``/``drain``:
+#: before the move), and ``values`` are the ints this table names, in
+#: this order -- e.g. ``("submit", 7, 0, 3, 9, 4, 12)`` is org 0's fifth
+#: job (index 4, id 12, size 3), submitted at clock 7 for release 9.
+#: Time advancement is journaled too: *when* decision events were
+#: processed relative to same-time submissions is part of the state (a
+#: round at time T that ran before a time-T submission arrived schedules
+#: differently from one that ran after it), so replay re-applies the
+#: rows in order and reproduces that interleaving exactly.
+OP_FIELDS = {
+    "submit": ("org", "size", "release", "index", "id"),
+    "advance": ("until",),
+    "drain": (),
+    "join_org": ("machines",),
+    "leave_org": ("org",),
+    "add_machines": ("org", "count"),
+    "remove_machines": ("org", "count"),
+}
 
 
 @dataclass

@@ -50,6 +50,22 @@ def random_workload(
     return make_workload(machine_counts, triples)
 
 
+def as_version_1(snap: dict) -> dict:
+    """``snap`` (a version-2 service snapshot) re-laid-out in place as the
+    retired version 1 -- one ``{"kind", "time", name: value...}`` dict per
+    op -- and correctly re-hashed, so only the version gate can refuse it."""
+    from repro.service.snapshot import content_hash
+    from repro.service.state import OP_FIELDS
+
+    snap["version"] = 1
+    snap["journal"] = [
+        {"kind": kind, "time": clock, **dict(zip(OP_FIELDS[kind], values))}
+        for kind, clock, *values in snap["journal"]
+    ]
+    snap["content_hash"] = content_hash(snap)
+    return snap
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

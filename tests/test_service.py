@@ -17,14 +17,18 @@ The load-bearing guarantees (ISSUE 3 acceptance criteria):
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import ClusterEngine
 from repro.core.job import Job
@@ -36,9 +40,9 @@ from repro.service.snapshot import (
     check_snapshot,
     content_hash,
 )
-from repro.service.state import ServiceOp
+from repro.service.state import OP_FIELDS
 
-from .conftest import make_workload, random_workload
+from .conftest import as_version_1, make_workload, random_workload
 from .golden_transcripts import GOLDEN
 
 ALL_POLICIES = sorted(policy_names("step"))
@@ -293,7 +297,8 @@ class TestSnapshotFormat:
 
     def test_content_hash_detects_tampering(self):
         snap = self._service().snapshot()
-        snap["journal"][0]["size"] = 99
+        assert snap["journal"][0] == ["submit", 0, 0, 3, 0, 0, 0]
+        snap["journal"][0][OP_FIELDS["submit"].index("size") + 2] = 99
         with pytest.raises(ValueError, match="hash mismatch"):
             ClusterService.restore(snap)
 
@@ -331,8 +336,211 @@ class TestSnapshotFormat:
         assert load_snapshot(path) == snap
 
     def test_op_kind_validated(self):
-        with pytest.raises(ValueError, match="unknown op kind"):
-            ServiceOp("frobnicate", 0)
+        snap = self._service().snapshot()
+        snap["journal"].append(["frobnicate", 6])
+        with pytest.raises(ValueError, match="row 3: unknown op kind"):
+            ClusterService.restore(_rehashed(snap))
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            ["submit", 6, 0, 3, 6, 1],  # short
+            ["submit", 6, 0, 3, 6, 1, 2, 0],  # long
+            ["submit", 6, 0, 3.0, 6, 1, 2],
+            ["submit", 6, 0, True, 6, 1, 2],
+            ["submit", 6, 0, "3", 6, 1, 2],
+            ["advance", 6.0, 9],  # the clock is checked like the values
+            ["drain"],
+            {"kind": "submit", "time": 6, "org": 0, "size": 3},
+            [],
+        ],
+    )
+    def test_malformed_row_refused_before_anything_is_built(
+        self, row, monkeypatch
+    ):
+        """A payload whose hash is right but whose journal is not in the
+        row grammar is refused by name, before ``restore`` constructs the
+        service it would replay into."""
+        good = self._service().snapshot()
+        bad = copy.deepcopy(good)
+        bad["journal"].append(row)
+        built = []
+        init = ClusterService.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ClusterService, "__init__", spy)
+        with pytest.raises(ValueError, match="journal row 3: "):
+            ClusterService.restore(_rehashed(bad))
+        assert built == []
+        ClusterService.restore(good)
+        assert len(built) == 1  # the spy does see a restore that proceeds
+
+    def test_version_1_payload_refused(self):
+        """No version-1 reader: a dict-per-op payload, correctly hashed, is
+        turned away by the version gate."""
+        with pytest.raises(
+            ValueError,
+            match=r"unsupported snapshot version 1 "
+            r"\(this build reads version 2\)",
+        ):
+            ClusterService.restore(as_version_1(self._service().snapshot()))
+
+    def test_restore_validates_batch_max_before_the_replay(self, monkeypatch):
+        applied = []
+        monkeypatch.setattr(ClusterService, "_apply", applied.append)
+        with pytest.raises(ValueError, match="batch_max"):
+            ClusterService.restore(self._service().snapshot(), batch_max=0)
+        assert applied == []
+
+    def test_checkpoint_is_at_most_40_bytes_per_op(self, tmp_path):
+        """Clock-free size guard on the file format (29 bytes per op
+        measured; the version-1 dict-per-op file took 100)."""
+        from repro.service import save_snapshot
+
+        svc = ClusterService([3, 2, 2, 1, 1], "fifo")
+        for i in range(1000):
+            svc.submit(i % 5, 1 + i % 7, release=i // 2)
+            if i % 10 == 9:
+                svc.advance(i // 2)
+        path = save_snapshot(svc.snapshot(), tmp_path / "svc.json")
+        assert len(svc.journal) == 1100
+        assert path.stat().st_size <= 40 * len(svc.journal)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("version", "unsupported snapshot version 1"),
+            ("hash", "content hash mismatch"),
+            ("row", "journal row 0: "),
+            ("not_json", "Expecting"),
+            ("missing", "No such file"),
+        ],
+    )
+    def test_cli_restore_refusal_is_a_message_and_exit_2(
+        self, damage, message, tmp_path, capsys
+    ):
+        from repro import cli
+        from repro.service import save_snapshot
+
+        snap = self._service().snapshot()
+        if damage == "version":
+            snap = as_version_1(snap)
+        elif damage == "hash":
+            snap["clock"] += 1
+        elif damage == "row":
+            snap["journal"][0].pop()
+            snap = _rehashed(snap)
+        path = tmp_path / "svc.json"
+        if damage == "not_json":
+            path.write_text("{torn")
+        elif damage != "missing":
+            save_snapshot(snap, path)
+        assert cli.main(["serve", "--restore", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert str(path) in captured.err
+        assert captured.out == ""
+
+
+def _rehashed(snap: dict) -> dict:
+    """``snap`` with its hash brought up to date after an edit, so the
+    edit reaches the checks behind the hash."""
+    snap["content_hash"] = content_hash(snap)
+    return snap
+
+
+# ----------------------------------------------------------------------
+# generated op streams: checkpoint at any cut == never checkpointing
+# ----------------------------------------------------------------------
+#: Abstract ops; :func:`_drive` resolves them against the live service
+#: (member picks, releases relative to the clock), so every drawn stream
+#: is valid and two services in equal states get equal concrete ops.
+_SUBMIT = st.tuples(
+    # release offset < 0 is clamped up to the clock; 0 after an advance
+    # to the clock is a same-time submission after that round ran; equal
+    # offsets in a row are ties
+    st.just("submit"),
+    st.integers(0, 7),
+    st.integers(1, 4),
+    st.sampled_from([None, -2, 0, 0, 1, 3]),
+)
+_ADVANCE = st.tuples(st.just("advance"), st.sampled_from([0, 0, 1, 2, 5]))
+_ABSTRACT_OPS = st.one_of(
+    # traffic twice: membership ops should punctuate a stream, not be it
+    _SUBMIT,
+    _SUBMIT,
+    _ADVANCE,
+    _ADVANCE,
+    st.tuples(st.just("drain")),
+    st.tuples(st.just("join_org"), st.integers(0, 2)),
+    st.tuples(st.just("leave_org"), st.integers(0, 7)),
+    st.tuples(st.just("add_machines"), st.integers(0, 7), st.integers(1, 2)),
+    st.tuples(st.just("remove_machines"), st.integers(0, 7), st.integers(1, 2)),
+)
+
+
+def _drive(svc: ClusterService, ops) -> ClusterService:
+    for kind, *args in ops:
+        members = svc.census.members
+        org = members[args[0] % len(members)] if args else None
+        if kind == "submit":
+            _, size, offset = args
+            floor = svc.census.last_release[org]  # FIFO: never before it
+            if offset is None and floor <= svc.clock:
+                svc.submit(org, size)
+            else:
+                svc.submit(org, size, max(svc.clock + (offset or 0), floor))
+        elif kind == "advance":
+            svc.advance(svc.clock + args[0])
+        elif kind == "drain":
+            svc.drain()
+        elif kind == "join_org":
+            if svc.census.n_orgs < 5:  # keeps REF at <= 31 coalitions
+                svc.join_org(args[0])
+        elif kind == "leave_org":
+            if len(members) > 1:
+                svc.leave_org(org)
+        elif kind == "add_machines":
+            svc.add_machines(org, args[1])
+        else:
+            count = min(args[1], len(svc.census.machines[org]))
+            if count:
+                svc.remove_machines(org, count)
+    return svc
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    policy=st.sampled_from(["fifo", "directcontr", "ref"]),
+    machines=st.lists(st.integers(0, 2), min_size=1, max_size=3),
+    ops=st.lists(_ABSTRACT_OPS, max_size=40),
+    data=st.data(),
+)
+def test_checkpoint_at_any_cut_is_invisible(policy, machines, ops, data):
+    """The seed of ROADMAP's stateful ``ClusterService`` machine: through
+    the real file format, a restore at any point of any op stream is the
+    service it was taken from, and stays so under further traffic."""
+    from repro.service import load_snapshot, save_snapshot
+
+    cut = data.draw(st.integers(0, len(ops)), label="cut")
+    live = _drive(ClusterService(machines, policy, seed=1), ops[:cut])
+    snap = live.snapshot()
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded = load_snapshot(save_snapshot(snap, Path(tmp) / "svc.json"))
+    assert loaded == snap
+    restored = ClusterService.restore(loaded)
+    assert restored.journal == live.journal
+    assert restored.clock == live.clock
+    assert restored.n_events == live.n_events
+    assert restored.schedule() == live.schedule()
+    assert restored.snapshot() == snap
+    _drive(live, ops[cut:]).drain()
+    _drive(restored, ops[cut:]).drain()
+    assert restored.schedule() == live.schedule()
+    assert restored.journal == live.journal
 
 
 # ----------------------------------------------------------------------
@@ -458,6 +666,33 @@ class TestDynamicMembership:
         assert len(svc.census.members) == REF_MAX_ORGS
         restored = ClusterService.restore(svc.snapshot())
         assert restored.census.members == svc.census.members
+
+    @pytest.mark.parametrize("policy", ["fifo", "ref"])
+    def test_refused_join_rolls_the_admission_back(self, policy, monkeypatch):
+        """A policy that refuses a joiner after the census admitted it
+        leaves no trace: same census, same journal, same snapshot, and
+        the next real join is issued the id the refused one held."""
+        svc = ClusterService([2, 1], policy, seed=0)
+        svc.submit(0, 3)
+        svc.advance(2)
+        census, journal, snap = (
+            copy.deepcopy(svc.census), list(svc.journal), svc.snapshot()
+        )
+
+        def refuse(org):
+            raise RuntimeError(f"no room for org {org}")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(svc._policy, "join", refuse)
+            with pytest.raises(RuntimeError, match="no room for org 2"):
+                svc.join_org(machines=2)
+        assert svc.census == census
+        assert svc.journal == journal
+        assert svc.snapshot() == snap
+        restored = ClusterService.restore(snap)
+        assert restored.census == census
+        assert svc.join_org(machines=2) == restored.join_org(machines=2) == 2
+        assert svc.census.machines[2] == restored.census.machines[2] == [3, 4]
 
     def test_cannot_remove_last_member(self):
         svc = ClusterService([1], "fifo")

@@ -38,6 +38,8 @@ from repro.gateway.supervisor import (
     SupervisorPolicy,
 )
 
+from .conftest import as_version_1
+
 
 def small_config(**kwargs):
     defaults = dict(n_workers=2, n_shards=4, policy="fifo", seed=0)
@@ -620,6 +622,45 @@ class TestGatewayResume:
         pool = ShardPool(config, snapshot_dir=tmp_path)
         try:
             pool.resume_from_disk()
+            assert pool.shard_digests() == report.shard_digests
+        finally:
+            pool.close()
+
+    @pytest.mark.parametrize(
+        "damage", [None, "corrupt_body", "version_1"]
+    )
+    def test_resume_replays_the_full_wal_past_a_refused_checkpoint(
+        self, tmp_path, damage
+    ):
+        # a fsynced marker names the on-disk checkpoint's recorded hash,
+        # but the marker proves the write, not that this build can read
+        # the file: a checkpoint check_snapshot refuses (body edited
+        # under its hash; the version-1 layout) must not be handed to a
+        # worker -- the WAL is complete from genesis
+        from repro.gateway.worker import shard_snapshot_path
+        from repro.service.snapshot import load_snapshot
+
+        config = small_config(n_tenants=8)
+        spec = LoadSpec(n_events=300, n_releases=15, seed=5)
+        report = self.run_stream(config, tmp_path, spec, snapshot_at=8)
+        shard = config.shard_ids()[0]
+        ckpt = shard_snapshot_path(tmp_path, shard)
+        payload = load_snapshot(ckpt)  # the shutdown checkpoint
+        if damage == "corrupt_body":
+            payload["journal"][0][-1] += 1
+        elif damage == "version_1":
+            as_version_1(payload)
+        ckpt.write_text(json.dumps(payload))
+        # it covers every command, and a marker at the tail says so
+        n_commands = len(load_wal(wal_path(tmp_path, shard)).commands)
+        wal = ShardWal.attach(tmp_path, shard, next_seq=n_commands)
+        wal.mark_checkpoint(payload["content_hash"])
+        wal.close()
+        pool = ShardPool(config, snapshot_dir=tmp_path)
+        try:
+            replayed = pool.resume_from_disk()
+            # the control: an intact checkpoint under that marker is used
+            assert replayed[shard] == (n_commands if damage else 0)
             assert pool.shard_digests() == report.shard_digests
         finally:
             pool.close()

@@ -3,9 +3,10 @@
 Runs the test suite in-process under a call trace (``sys.settrace``, call
 events only) and compares the functions it entered with the ``def``s of
 ``src/repro``.  Report-only for the package as a whole, but a function
-defined in one of the ``GATED`` files (the REF event bodies and the
-Shapley solver) that no test calls fails the run: every REF path is a
-tested path.
+defined in one of the ``GATED`` files (the REF event bodies, the
+Shapley solver, the service journal and its snapshot format) that no
+test calls fails the run: every REF path and every checkpoint helper is
+a tested one.
 
     PYTHONPATH=src python tools/untraced.py [pytest args...]
 """
@@ -20,7 +21,13 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
-GATED = ("algorithms/ref.py", "algorithms/multiref.py", "shapley/vectorized.py")
+GATED = (
+    "algorithms/ref.py",
+    "algorithms/multiref.py",
+    "shapley/vectorized.py",
+    "service/state.py",
+    "service/snapshot.py",
+)
 
 
 def defined(path: Path) -> dict[int, str]:
