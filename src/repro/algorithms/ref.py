@@ -225,8 +225,14 @@ class RefRun:
         self.solver = (
             _solver_for(tuple(self.fleet.masks)) if self._vectorize else None
         )
-        self.last_phi_scaled: dict[int, int] = {}
         self.last_event: int = 0
+        self._kernel_plan_cache: "tuple | None" = None
+        #: what the fused array body did with each event that reached it:
+        #: scheduled (every start forced / by Shapley keys) or declined
+        #: (retrospective ``t``, uncertifiable query, int64 guard)
+        self.ref_events = dict.fromkeys(
+            ("forced", "contested", "retro", "unsafe", "guard"), 0
+        )
 
     def drive(self) -> int:
         """Run the shared decision loop to exhaustion / the horizon and
@@ -299,8 +305,6 @@ class RefRun:
                         values_dict = {0: 0}
                         values_dict.update(zip(fleet.masks, vals.tolist()))
                     phi_scaled = update_vals_scaled(m, values_dict)
-                if m == self.grand_mask:
-                    self.last_phi_scaled = phi_scaled
                 fact = factorial(popcount(m))
                 psis = fleet.engine(m).psis(t)
                 keys = {
@@ -311,38 +315,58 @@ class RefRun:
 
     def _kernel_plan(self, kern):
         """The fused per-event plan over *all* size groups (cached per
-        kernel object): :func:`fused_plan` over the kernel's rows, plus the
-        grand coalition's row."""
-        cached = getattr(self, "_kernel_plan_cache", None)
+        kernel object): :func:`fused_plan` over the kernel's rows, plus
+        each row's index into the group plans."""
+        cached = self._kernel_plan_cache
         if cached is not None and cached[0] is kern:
             return cached[1]
-        plan = (
-            *fused_plan(self.solver, self._groups, kern._row, kern.n),
-            kern._row.get(self.grand_mask),
+        plans, facts, max_rw, max_fact = fused_plan(
+            self.solver, self._groups, kern._row, kern.n
         )
+        group_of = np.zeros(kern.n, dtype=np.intp)
+        for g, (_, _, krows, _) in enumerate(plans):
+            group_of[krows] = g
+        plan = (plans, facts, max_rw, max_fact, group_of)
         self._kernel_plan_cache = (kern, plan)
         return plan
 
     def _on_event_kernel(self, fleet: CoalitionFleet, t: int) -> bool:
         """Fig. 1's per-event body fused over the structure-of-arrays
-        kernel: one lockstep advance, one psi-ledger evaluation (coalition
-        values are its row sums), one dense ``UpdateVals`` matmul per size
-        group scattered into a single ``(rows, orgs)`` phi matrix, one
-        global int64 guard, and one batched scheduling pass -- bit-identical
-        decisions to the per-coalition body.  Returns ``False``, *before
-        any start*, for an event it cannot serve (a retrospective ``t``, or
-        int64 arithmetic it cannot certify); the caller then runs the
-        per-coalition body, which carries the exact big-int fallback."""
+        kernel: one lockstep advance and one batched scheduling pass, with
+        Shapley only where there is a choice.  A capable row with a single
+        waiting organization has a forced start (``argmax`` over one
+        candidate ignores the key, and a row's waiting set only shrinks
+        within an event), so an event whose capable rows are all forced
+        schedules with no key work.  Otherwise: one psi-ledger evaluation
+        (coalition values are its row sums), one global int64 guard, one
+        dense ``UpdateVals`` matmul per size group *holding a contested
+        row* scattered into a single ``(rows, orgs)`` phi matrix --
+        bit-identical decisions to the per-coalition body.  Returns
+        ``False``, *before any start*, for an event it cannot serve (a
+        retrospective ``t``, or int64 arithmetic it cannot certify); the
+        caller then runs the per-coalition body, which carries the exact
+        big-int fallback.  ``ref_events`` counts each outcome."""
         kern = fleet.kernel
+        seen = self.ref_events
         if t < kern.t:  # retrospective step: values come from the start log
+            seen["retro"] += 1
             return False
         kern.advance(t)
         if not kern._query_safe(t):
+            seen["unsafe"] += 1
             return False
-        capable = kern.capable_rows()
-        if not capable.any():
+        # waiting organizations per row, zero where no machine is free
+        n_wait = np.count_nonzero(kern.started < kern.released, axis=1)
+        n_wait[kern.free_count <= 0] = 0
+        rows = np.flatnonzero(n_wait)
+        if not rows.size:
             return True
-        plan_groups, facts, max_rw, max_fact, grand_row = self._kernel_plan(
+        contested = n_wait > 1
+        if not contested.any():
+            seen["forced"] += 1
+            fleet.fill_rows(rows, None, t)
+            return True
+        plan_groups, facts, max_rw, max_fact, group_of = self._kernel_plan(
             kern
         )
         psis = kern.psis_matrix(t)
@@ -350,25 +374,23 @@ class RefRun:
         # the cellwise //2 loses nothing and row sums are exactly the
         # coalition values of values_i64
         vals = psis.sum(axis=1)
-        max_abs = int(np.abs(vals).max()) if len(vals) else 0
-        psis_absmax = int(np.abs(psis).max()) if psis.size else 0
+        max_abs = int(np.abs(vals).max())
+        psis_absmax = int(np.abs(psis).max())
         # one conservative guard for every group's |phi| + |C|!·|psi|
         if (
             max_rw * max_abs >= 1 << 62
             or max_rw * max_abs + max_fact * psis_absmax >= 1 << 63
         ):
+            seen["guard"] += 1
             return False
+        seen["contested"] += 1
+        # a skipped group's rows keep phi = 0: all forced, keys never compared
         phi_full = np.zeros((kern.n, self.workload.n_orgs), dtype=np.int64)
-        for coef, vrows, krows, cols in plan_groups:
+        for g in np.unique(group_of[contested]).tolist():
+            coef, vrows, krows, cols = plan_groups[g]
             phi = np.matmul(coef, vals[vrows][:, :, None])[:, :, 0]
             phi_full[krows[:, None], cols] = phi
-        if grand_row is not None and capable[grand_row]:
-            row = phi_full[grand_row]
-            self.last_phi_scaled = {
-                u: int(row[u]) for u in iter_members(self.grand_mask)
-            }
         keys = phi_full - facts * psis
-        rows = np.flatnonzero(capable)
         fleet.fill_rows(rows, keys[rows], t)
         return True
 

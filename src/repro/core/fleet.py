@@ -534,11 +534,14 @@ class CoalitionFleet:
             self.events.push(entry.end)
         return entry
 
-    def fill_rows(self, rows: np.ndarray, keys: np.ndarray, t: int) -> None:
+    def fill_rows(
+        self, rows: np.ndarray, keys: "np.ndarray | None", t: int
+    ) -> None:
         """Kernel fast path for :func:`repro.algorithms.base.fill_capacity`
         over many coalitions at once: batched greedy rounds starting the
         ``argmax(keys)`` organization's FIFO-head job on every still-capable
-        row (ties: lowest org id).  Kernel backend only."""
+        row (ties: lowest org id; ``keys=None`` when no row has a choice).
+        Kernel backend only."""
         kern = self.kernel
         if kern is None:
             raise RuntimeError("fill_rows requires the kernel backend")

@@ -287,21 +287,25 @@ class FleetKernel:
         indices that completed something (or ``None`` when none did)."""
         if self._next_fin > t:
             return None
-        fin = self.finish
-        e, m = np.nonzero(fin <= t)
-        if not e.size:
+        # flat slot / cell indices on reshape(-1) views (the arrays are
+        # C-contiguous and owned here); two machines of a row can finish
+        # the same org's jobs at one t, so cells repeat: np.add.at
+        fin = self.finish.reshape(-1)
+        slot = np.flatnonzero(fin <= t)
+        if not slot.size:
             return None
-        starts = self.run_start[e, m]
-        sizes = fin[e, m] - starts
+        e = slot // self.n_mach
+        starts = self.run_start.reshape(-1)[slot]
+        sizes = fin[slot] - starts
         tri = sizes * starts + sizes * (sizes - 1) // 2
-        orgs = self.run_org[e, m]
-        np.add.at(self.done_units, (e, orgs), sizes)
-        np.add.at(self.done_wstart, (e, orgs), tri)
-        np.add.at(self.rcount, (e, orgs), -1)
-        np.add.at(self.rsum, (e, orgs), -starts)
-        np.add.at(self.rsq, (e, orgs), -(starts * starts))
-        fin[e, m] = _FAR
-        self.free[e, m] = True
+        cell = e * self.k + self.run_org.reshape(-1)[slot]
+        np.add.at(self.done_units.reshape(-1), cell, sizes)
+        np.add.at(self.done_wstart.reshape(-1), cell, tri)
+        np.add.at(self.rcount.reshape(-1), cell, -1)
+        np.add.at(self.rsum.reshape(-1), cell, -starts)
+        np.add.at(self.rsq.reshape(-1), cell, -(starts * starts))
+        fin[slot] = _FAR
+        self.free.reshape(-1)[slot] = True
         np.add.at(self.free_count, e, 1)
         np.add.at(self.version, e, 1)
         self._next_fin = int(fin.min()) if fin.size else _FAR
@@ -377,45 +381,70 @@ class FleetKernel:
             sel = hr.argmin(axis=1)  # first min == lowest org id tie-break
             self._start_batch(rows, sel, t)
 
-    def fill_rows(self, rows: np.ndarray, keys: np.ndarray, t: int) -> None:
+    def fill_rows(
+        self, rows: np.ndarray, keys: "np.ndarray | None", t: int
+    ) -> None:
         """Batched ``fill_capacity``: repeatedly start the FIFO-head job of
         the waiting organization maximizing ``keys[row, org]`` (ties: lowest
         org id) on every row while it has a free machine and waiting work.
 
         ``keys`` is aligned with ``rows`` (shape ``(len(rows), n_orgs)``) and
-        must be exact in int64 (the caller guards the subtraction).
+        must be exact in int64 (the caller guards the subtraction); ``None``
+        when no row has two organizations waiting, so every start is forced
+        (a masked argmax over one candidate returns it for any key).
+
+        A row makes exactly ``min(free machines, waiting jobs)`` starts, so
+        the rounds run off a waiting-count matrix and that per-row budget
+        and end with the last start.
         """
         self._used = True
-        keys = np.asarray(keys, dtype=np.int64)
-        while rows.size:
-            wait = self.started[rows] < self.released
-            cap = (self.free_count[rows] > 0) & wait.any(axis=1)
-            if not cap.all():
-                rows = rows[cap]
-                keys = keys[cap]
-                wait = wait[cap]
+        if keys is not None:
+            keys = np.asarray(keys, dtype=np.int64)
+        wcount = self.released - self.started[rows]  # non-member cells << 0
+        wait = wcount > 0
+        left = np.minimum(
+            self.free_count[rows], wcount.sum(axis=1, where=wait)
+        )
+        while True:
+            live = left > 0
+            if not live.all():
+                rows, left = rows[live], left[live]
+                wcount, wait = wcount[live], wait[live]
+                if keys is not None:
+                    keys = keys[live]
             if not rows.size:
                 return
-            masked = np.where(wait, keys, _I64_MIN)
-            sel = masked.argmax(axis=1)  # first max == lowest org id tie-break
+            if keys is None:
+                sel = wait.argmax(axis=1)
+            else:  # first max == lowest org id tie-break
+                sel = np.where(wait, keys, _I64_MIN).argmax(axis=1)
             self._start_batch(rows, sel, t)
+            left -= 1
+            if not left.any():
+                return  # that was every row's last start
+            wcount[np.arange(len(rows)), sel] -= 1
+            wait = wcount > 0
 
     def _start_batch(self, rows: np.ndarray, sel: np.ndarray, t: int) -> None:
         """Start org ``sel[i]``'s FIFO-head job on row ``rows[i]``'s lowest
-        free machine, for all ``i`` at once."""
-        jidx = self.started[rows, sel]
-        flat = self.org_start[sel] + jidx
-        fins = t + self.size_flat[flat]
+        free machine, for all ``i`` at once (``rows`` are distinct, so the
+        flat cell ``rows*k + org`` and slot ``rows*n_mach + mach`` indices
+        never repeat and plain in-place updates are exact)."""
+        cell = rows * self.k + sel
+        started = self.started.reshape(-1)
+        jidx = started[cell]
+        fins = t + self.size_flat[self.org_start[sel] + jidx]
         mach = self.free[rows].argmax(axis=1)  # first True == lowest free id
-        self.finish[rows, mach] = fins
-        self.run_org[rows, mach] = sel
-        self.run_start[rows, mach] = t
-        self.free[rows, mach] = False
+        slot = rows * self.n_mach + mach
+        self.finish.reshape(-1)[slot] = fins
+        self.run_org.reshape(-1)[slot] = sel
+        self.run_start.reshape(-1)[slot] = t
+        self.free.reshape(-1)[slot] = False
         self.free_count[rows] -= 1
-        self.started[rows, sel] += 1
-        self.rcount[rows, sel] += 1
-        self.rsum[rows, sel] += t
-        self.rsq[rows, sel] += t * t
+        started[cell] = jidx + 1
+        self.rcount.reshape(-1)[cell] += 1
+        self.rsum.reshape(-1)[cell] += t
+        self.rsq.reshape(-1)[cell] += t * t
         self.version[rows] += 1
         nf = int(fins.min())
         if nf < self._next_fin:
@@ -605,15 +634,6 @@ class FleetKernel:
     # ------------------------------------------------------------------
     # batched queries
     # ------------------------------------------------------------------
-    def capable_rows(self) -> np.ndarray:
-        """Boolean row mask: a free machine *and* a waiting job."""
-        waiting = (self.started < self.released).any(axis=1)
-        return (self.free_count > 0) & waiting
-
-    def waiting_matrix(self) -> np.ndarray:
-        """Per-(row, org) released-but-unstarted job counts."""
-        return np.where(self.member, self.released - self.started, 0)
-
     def _query_safe(self, t: int) -> bool:
         """Certify one int64 evaluation at ``t`` -- CoalitionFleet's
         ``_vector_safe`` from the construction-time component bounds (every

@@ -354,6 +354,14 @@ class _RefPolicy(_FleetPolicy):
     def _round(self, t: int) -> None:
         self.run.step(t)
 
+    def backend_status(self) -> dict:
+        """The fleet record plus what the fused REF body did with the
+        decision events that reached it (``RefRun.ref_events``)."""
+        return {
+            **super().backend_status(),
+            "ref_events": dict(self.run.ref_events),
+        }
+
     def join(self, org: int) -> None:
         self._check_size(len(self.service.census.members))
         old_grand = self.grand_mask
@@ -383,6 +391,7 @@ class _RefPolicy(_FleetPolicy):
         self._rebuild()
 
     def _rebuild(self) -> None:
+        seen = self.run.ref_events
         self.run = RefRun(
             self.service.zero_workload(),
             self.service.census.members,
@@ -390,6 +399,7 @@ class _RefPolicy(_FleetPolicy):
             self.service.horizon,
             fleet=self.fleet,
         )
+        self.run.ref_events = seen  # counts span membership epochs
 
 
 class _RandPolicy(_FleetPolicy):

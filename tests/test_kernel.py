@@ -221,6 +221,10 @@ class TestEngineViews:
         for m in masks:
             view, eng = kf.engine(m), ef.engine(m)
             assert isinstance(view, KernelEngineView)
+            assert repr(view) == f"KernelEngineView(mask={m:#b})"
+            assert view.workload is eng.workload
+            assert view.horizon == eng.horizon
+            assert view.version == eng.version
             assert view.t == eng.t
             assert view.members == eng.members
             assert view.free_count == eng.free_count
@@ -237,6 +241,9 @@ class TestEngineViews:
             assert view.next_event_time() == eng.next_event_time()
             for t in (4, 9, 30):
                 assert view.psis(t) == eng.psis(t), (m, t)
+                assert [view.psi(u, t) for u in eng.members] == [
+                    eng.psi(u, t) for u in eng.members
+                ]
                 assert view.value(t) == eng.value(t)
                 assert view.psis_by_machine_owner(t) == (
                     eng.psis_by_machine_owner(t)
@@ -248,6 +255,11 @@ class TestEngineViews:
                 )
             for u in eng.members:
                 assert view.waiting_count(u) == eng.waiting_count(u)
+                if eng.waiting_count(u):
+                    assert view.head_release(u) == eng.head_release(u)
+                else:
+                    with pytest.raises(IndexError):
+                        view.head_release(u)
                 assert view.running_count(u) == eng.running_count(u)
                 assert view.consumed_cpu(u) == eng.consumed_cpu(u)
             assert view.schedule() == eng.schedule()
@@ -320,6 +332,47 @@ class TestMaterialization:
         assert isinstance(clone, ClusterEngine)
         assert fleet.kernel is None
         assert clone.t == fleet.engine(0b11).t
+
+    @pytest.mark.parametrize(
+        "mask, mutate",
+        [
+            (0b11, lambda e: e.submit(Job(5, 0, 99, 2))),
+            (0b11, lambda e: e.add_machine(7, 0)),
+            (0b11, lambda e: e.retire_machine(0)),
+            (0b01, lambda e: e.add_member(1)),
+            (0b11, lambda e: e.remove_member(1)),
+            (0b11, lambda e: e.drive(fifo_select, until=6)),
+        ],
+        ids=[
+            "submit", "add_machine", "retire_machine", "add_member",
+            "remove_member", "drive",
+        ],
+    )
+    def test_each_view_mutator_escapes_once(self, mask, mutate, rng):
+        """ISSUE 22: every escape mutator of a live view materializes the
+        fleet (once, named) and lands on the real engine, so the fleet
+        carries on exactly like one that never used the kernel."""
+        wl = random_workload(rng, n_orgs=2, n_jobs=10, max_release=8,
+                             machine_counts=[2, 1])
+        kf = CoalitionFleet(wl, all_masks(2), backend="kernel")
+        ef = CoalitionFleet(wl, all_masks(2), backend="engines")
+        for fleet in (kf, ef):
+            fleet.values_at(3, select=fifo_select)
+        view = kf.engine(mask)
+        assert isinstance(view, KernelEngineView)
+        mutate(view)
+        mutate(ef.engine(mask))
+        assert kf.kernel is None
+        assert (kf.n_materializations, kf.materialize_reason) == (
+            1, "view_mutation"
+        )
+        assert view._real() is kf.engine(mask)
+        assert kf.values_at(40, select=fifo_select) == ef.values_at(
+            40, select=fifo_select
+        )
+        for m in all_masks(2):
+            assert kf.engine(m).schedule() == ef.engine(m).schedule(), m
+        assert kf.n_materializations == 1
 
     def test_unknown_drive_policy_materializes(self, rng):
         wl = random_workload(rng, n_orgs=2, n_jobs=8, max_release=5)
@@ -515,7 +568,7 @@ class TestOverflowFallback:
         assert len(result.schedule) == 5
 
 
-def stepped_ref(workload, backend, peek_after=None):
+def stepped_ref(workload, backend, peek_after=None, horizon=None):
     """REF stepped one decision at a time over a frozen workload; after the
     ``peek_after``-th decision the caller looks 7 ticks ahead
     (``RefRun.values_at``), which advances the fleet past decisions it has
@@ -523,8 +576,10 @@ def stepped_ref(workload, backend, peek_after=None):
     the decision clock catches up."""
     k = workload.n_orgs
     grand = (1 << k) - 1
-    fleet = CoalitionFleet(workload, all_masks(k), backend=backend)
-    run = RefRun(workload, tuple(range(k)), grand, None, fleet=fleet)
+    fleet = CoalitionFleet(
+        workload, all_masks(k), horizon=horizon, backend=backend
+    )
+    run = RefRun(workload, tuple(range(k)), grand, horizon, fleet=fleet)
     peeked = None
     n = 0
     while (t := fleet.next_decision()) is not None:
@@ -539,7 +594,58 @@ class TestRefBodiesAgree:
     """ISSUE 16: ``RefRun`` has two event bodies -- the fused array body
     and the per-coalition body that takes everything the array body
     declines.  Both declines that a live run can reach are driven here
-    against ``backend="engines"``."""
+    against ``backend="engines"``.  ISSUE 22: the array body computes
+    Shapley keys only at events where some capable row has a choice;
+    ``RefRun.ref_events`` says which way each event went."""
+
+    @staticmethod
+    def _assert_same_logs(kf, ef):
+        assert kf.kernel is not None, kf.materialize_reason
+        for row, mask in enumerate(kf.masks):
+            assert kf.kernel.row_entries(row) == ef.engine(mask)._log, mask
+
+    def test_underloaded_run_never_computes_a_key(self):
+        """One release at a time and a free machine in every coalition
+        that sees it: every start is forced."""
+        wl = make_workload([1] * 5, [(3 * i, i % 5, 2) for i in range(15)])
+        kf, krun, _ = stepped_ref(wl, "kernel")
+        ef, erun, _ = stepped_ref(wl, "engines")
+        self._assert_same_logs(kf, ef)
+        assert krun.ref_events == {
+            "forced": 15, "contested": 0, "retro": 0, "unsafe": 0, "guard": 0
+        }
+        assert not any(erun.ref_events.values())  # engines: other body
+        with mock.patch.object(
+            FleetKernel, "psis_matrix", side_effect=AssertionError
+        ):
+            stepped_ref(wl, "kernel")
+
+    def test_step_past_the_certified_range_is_counted_and_exact(self):
+        """No event of a live run lies past the certified ``T``; a caller
+        stepping there by hand is declined before the psi query."""
+        wl = make_workload([1] * 5, [(0, u, 1) for u in range(5)])
+        kf, krun, _ = stepped_ref(wl, "kernel")
+        ef, erun, _ = stepped_ref(wl, "engines")
+        far = 4_000_000_000  # t^2 overflows int64, t itself does not
+        krun.step(far)
+        erun.step(far)
+        assert krun.ref_events["unsafe"] == 1
+        assert kf.values_at(far) == ef.values_at(far)
+
+    def test_overloaded_run_is_contested_at_every_event(self):
+        """Equal jobs, all released at 0, two machines and a horizon that
+        cuts the run while every organization still queues: the grand
+        coalition chooses among several at every event before it."""
+        wl = make_workload(
+            [1, 1, 0, 0, 0], [(0, u, 2) for u in range(5) for _ in range(4)]
+        )
+        kf, krun, _ = stepped_ref(wl, "kernel", horizon=8)
+        ef, _, _ = stepped_ref(wl, "engines", horizon=8)
+        self._assert_same_logs(kf, ef)
+        assert len(kf.engine(31).schedule()) == 8
+        assert krun.ref_events == {
+            "forced": 0, "contested": 4, "retro": 0, "unsafe": 0, "guard": 0
+        }
 
     @pytest.mark.parametrize("seed", range(5))
     def test_lookahead_mid_run_matches_engines(self, seed):
@@ -550,13 +656,12 @@ class TestRefBodiesAgree:
         wl = random_workload(
             np.random.default_rng(seed), n_orgs=6, n_jobs=40, max_release=30
         )
-        kf, _, k_peek = stepped_ref(wl, "kernel", peek_after=5)
+        kf, krun, k_peek = stepped_ref(wl, "kernel", peek_after=5)
         ef, _, e_peek = stepped_ref(wl, "engines", peek_after=5)
-        assert kf.kernel is not None, kf.materialize_reason
+        assert krun.ref_events["retro"] > 0
         assert k_peek is not None and k_peek == e_peek
         assert kf.engine(63).schedule() == ef.engine(63).schedule()
-        for row, mask in enumerate(kf.masks):
-            assert kf.kernel.row_entries(row) == ef.engine(mask)._log, mask
+        self._assert_same_logs(kf, ef)
 
     @staticmethod
     def _scaled(workload, factor):
@@ -591,18 +696,31 @@ class TestRefBodiesAgree:
         declined = []
         fused = RefRun._on_event_kernel
 
+        forced_at = []
+
         def spy(self, fleet, t):
             starts = fleet.kernel._log_len
+            forced = self.ref_events["forced"]
             served = fused(self, fleet, t)
             if not served:
                 assert fleet.kernel._log_len == starts
                 declined.append(t)
+            elif self.ref_events["forced"] > forced:
+                forced_at.append(t)
             return served
 
         with mock.patch.object(RefRun, "_on_event_kernel", spy):
-            kf, _, _ = stepped_ref(certified, "kernel")
+            kf, krun, _ = stepped_ref(certified, "kernel")
         assert kf.kernel is not None, kf.materialize_reason
         assert declined
+        # every decline is the guard's, and only contested events reach
+        # it: the guard bound grows with t, so each forced event served
+        # after the first decline is one the guard would have refused
+        seen = krun.ref_events
+        assert (seen["guard"], seen["retro"], seen["unsafe"]) == (
+            len(declined), 0, 0
+        )
+        assert forced_at and max(forced_at) > min(declined)
         ef, _, _ = stepped_ref(certified, "engines")
         assert kf.engine(grand).schedule() == ef.engine(grand).schedule()
 
@@ -714,6 +832,69 @@ class TestKernelInternals:
         kern.drive_fifo(10)
         assert kern.t == 10
         assert kern.next_event_time() is None
+
+
+    @pytest.mark.parametrize("keys", [[1, 5, 3], [5, 1, 1], [0, 0, 0]])
+    def test_fill_rows_multi_start_matches_fill_capacity(self, keys):
+        """ISSUE 22: ``fill_rows`` ends with a row's last start, counted
+        as ``min(free machines, waiting jobs)``.  Rows with two and three
+        free machines, queues from one organization and from several,
+        more jobs than machines and fewer -- against ``fill_capacity``
+        over real engines."""
+        wl = make_workload(
+            [2, 1, 0], [(0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 1, 2), (0, 2, 1)]
+        )
+        masks = all_masks(3)
+        kf = CoalitionFleet(wl, masks, backend="kernel")
+        ef = CoalitionFleet(wl, masks, backend="engines")
+        kf.advance_all(0)
+        ef.advance_all(0)
+        rows = np.arange(len(masks))
+        kf.fill_rows(rows, np.tile(np.array(keys), (len(rows), 1)), 0)
+        for mask in masks:
+            fill_capacity(ef, mask, dict(enumerate(keys)))
+        kern = kf.kernel
+        # {0}: 2 of org 0's 3; {1}: its one job; {2}: no machine;
+        # {0,1}: 3 machines, 4 jobs; {1,2}: 1 machine, 2 jobs
+        n_started = {m: len(ef.engine(m)._log) for m in masks}
+        assert n_started == {
+            0b001: 2, 0b010: 1, 0b100: 0, 0b011: 3, 0b101: 2, 0b110: 1,
+            0b111: 3,
+        }
+        for row, mask in enumerate(masks):
+            assert kern.row_entries(row) == ef.engine(mask)._log, mask
+            view, eng = kf.engine(mask), ef.engine(mask)
+            assert view.ledger() == eng.ledger(), mask
+            assert view.free_machines() == eng.free_machines(), mask
+        kf.fill_rows(rows, None, 0)  # nothing left to pair anywhere
+        assert kern._log_len == sum(n_started.values())
+        assert_rows_match(kf, ef, 0)
+
+    def test_same_cell_completing_twice_at_one_time(self):
+        """Two machines of one row finish jobs of the same organization at
+        the same ``t``: the completion pass addresses the ledger by one
+        flat ``row*k + org`` index, and that index repeats."""
+        wl = make_workload(
+            [2, 0], [(0, 0, 3), (0, 0, 3), (0, 1, 3), (1, 0, 2), (1, 1, 2)]
+        )
+        masks = all_masks(2)
+        kf = CoalitionFleet(wl, masks, backend="kernel")
+        ef = CoalitionFleet(wl, masks, backend="engines")
+        for t in (2, 3, 4, 9):
+            assert kf.values_at(t, select=fifo_select) == ef.values_at(
+                t, select=fifo_select
+            ), t
+            for mask in masks:
+                view, eng = kf.engine(mask), ef.engine(mask)
+                assert view.ledger() == eng.ledger(), (mask, t)
+                assert view.psis(t + 2) == eng.psis(t + 2), (mask, t)
+                assert view.running_counts() == eng.running_counts()
+                assert view.free_machines() == eng.free_machines()
+                assert view.version == eng.version
+            if t == 3:  # both of row {0}'s machines just completed org 0
+                kern = kf.kernel
+                assert kern.done_units[kern._row[0b01], 0] == 6
+        assert_rows_match(kf, ef, 3)
 
 
 def log_bytes(kern: FleetKernel) -> dict:
@@ -965,3 +1146,41 @@ def test_online_kernel_ingest_equals_batch_and_engines(instance, vectorize):
     assert last == erun.last_event
     for t in (last // 2, last, last + 7):
         assert kf.values_at(t) == ef.values_at(t), t
+
+
+@settings(max_examples=40, deadline=None)
+@given(instance=online_instances(), junk_seed=st.integers(0, 2**32 - 1))
+def test_keys_of_single_waiter_rows_never_matter(instance, junk_seed):
+    """ISSUE 22's forced rule: a row with one organization waiting starts
+    that organization's jobs whatever its key row says, in this round and
+    in every later round of the event -- so the fused body may hand
+    ``fill_rows`` no keys at all when no capable row has two waiting.
+    Replacing those rows' keys (and every ``None``) with noise leaves the
+    start log byte-identical."""
+    machines, triples, cuts, runs, _ = instance
+    wl = make_workload(machines, triples)
+    fill_rows = FleetKernel.fill_rows
+    junk = np.random.default_rng(junk_seed)
+
+    def scrambled(self, rows, keys, t):
+        n_wait = np.count_nonzero(self.started[rows] < self.released, axis=1)
+        noise = junk.integers(-(1 << 62), 1 << 62, size=(len(rows), self.k))
+        if keys is None:
+            assert (n_wait == 1).all()
+            keys = noise
+        else:
+            keys = np.where((n_wait == 1)[:, None], noise, keys)
+        return fill_rows(self, rows, keys, t)
+
+    def serve():
+        fleet, run, _ = serve_ref(wl, "kernel", cuts, runs, lambda f, t: None)
+        assert fleet.kernel is not None, fleet.materialize_reason
+        return log_bytes(fleet.kernel), run.ref_events
+
+    with mock.patch.object(ref_mod, "VECTORIZE_MIN_K", 0):
+        plain, events = serve()
+        with mock.patch.object(FleetKernel, "fill_rows", scrambled):
+            noisy, noisy_events = serve()
+    assert noisy == plain
+    assert noisy_events == events
+    assert events["forced"] + events["contested"] > 0

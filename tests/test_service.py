@@ -816,6 +816,10 @@ class TestDaemon:
         assert backend["backend"] == "kernel"
         assert backend["materializations"] == 0
         assert backend["start_log_entries"] >= status["jobs_started"] > 0
+        # ISSUE 22: what the fused REF body did with its decision events
+        seen = backend["ref_events"]
+        assert set(seen) == {"forced", "contested", "retro", "unsafe", "guard"}
+        assert seen["forced"] + seen["contested"] > 0
         json.dumps(status)
         svc.leave_org(5)
         backend = svc.status()["policy_backend"]
@@ -823,8 +827,11 @@ class TestDaemon:
             "engines", 1
         )
         assert svc._policy.fleet.materialize_reason == "remove_mask"
+        assert backend["ref_events"] == seen  # counts outlive the epoch
         rand = ClusterService([1, 1, 1], "rand", seed=0)
-        assert set(rand.status()["policy_backend"]) == set(backend)
+        assert set(rand.status()["policy_backend"]) == set(backend) - {
+            "ref_events"
+        }
         assert ClusterService([1], "fifo").status()["policy_backend"] is None
 
     def test_malformed_json_is_in_band_error(self):

@@ -4,9 +4,9 @@ Runs the test suite in-process under a call trace (``sys.settrace``, call
 events only) and compares the functions it entered with the ``def``s of
 ``src/repro``.  Report-only for the package as a whole, but a function
 defined in one of the ``GATED`` files (the REF event bodies, the
-Shapley solver, the service journal and its snapshot format) that no
-test calls fails the run: every REF path and every checkpoint helper is
-a tested one.
+Shapley solver, the coalition kernel and its engine views, the service
+journal and its snapshot format) that no test calls fails the run: every
+REF path, every kernel pass and every checkpoint helper is a tested one.
 
     PYTHONPATH=src python tools/untraced.py [pytest args...]
 """
@@ -25,6 +25,7 @@ GATED = (
     "algorithms/ref.py",
     "algorithms/multiref.py",
     "shapley/vectorized.py",
+    "core/kernel.py",
     "service/state.py",
     "service/snapshot.py",
 )
