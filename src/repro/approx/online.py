@@ -126,14 +126,6 @@ class _AdaptivePolicy(_FleetPolicy):
         self.run.note_job(job)
         self._jobs.append(job)
 
-    def submit_many(self, jobs: "list[Job]") -> None:
-        self.fleet.submit_many(jobs)
-        for oracle in self._oracles:
-            oracle.submit_many(jobs)
-        for job in jobs:
-            self.run.note_job(job)
-        self._jobs.extend(jobs)
-
     def _fleets(self) -> "tuple[CoalitionFleet, ...]":
         return (self.fleet, *self._oracles)
 

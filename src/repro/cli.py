@@ -243,18 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--snapshot-to", default=None, dest="snapshot_to",
                      metavar="FILE",
                      help="write a final snapshot when the loop ends")
-    srv.add_argument("--batch-max", type=int, default=1, dest="batch_max",
-                     metavar="N",
-                     help="micro-batch ingest: buffer up to N submitted jobs "
-                          "before feeding the policy as one grouped kernel "
-                          "update (default 1 = feed each submit immediately; "
-                          "0 = unbounded, flush on time advance/observation). "
-                          "Never changes the schedule, only throughput")
-    srv.add_argument("--batch-linger-ms", type=float, default=None,
-                     dest="batch_linger_ms", metavar="MS",
-                     help="force-flush the ingest buffer once its oldest job "
-                          "is older than MS milliseconds (checked after each "
-                          "command; default: no time bound)")
 
     gwp = sub.add_parser(
         "gateway",
@@ -283,11 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     gwp.add_argument("--credits", type=int, default=None,
                      help="per-tenant work budget in size units "
                           "(default: unlimited)")
-    gwp.add_argument("--batch-max", type=int, default=None, dest="batch_max",
-                     help="per-shard micro-batch ingest bound (see serve)")
-    gwp.add_argument("--batch-linger-ms", type=float, default=None,
-                     dest="batch_linger_ms",
-                     help="per-shard ingest linger bound (see serve)")
     gwp.add_argument("--snapshot-dir", default=None, dest="snapshot_dir",
                      metavar="DIR",
                      help="fleet checkpoint directory (enables the snapshot "
@@ -611,15 +594,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     from .service.snapshot import load_snapshot
 
-    if args.batch_max < 0:
-        print("--batch-max must be >= 0", file=sys.stderr)
-        return 2
-    batch_max = None if args.batch_max == 0 else args.batch_max
     if args.restore is not None:
         try:
-            service = ClusterService.restore(
-                load_snapshot(args.restore), batch_max=batch_max
-            )
+            service = ClusterService.restore(load_snapshot(args.restore))
         except (ValueError, OSError) as exc:
             print(f"--restore {args.restore}: {exc}", file=sys.stderr)
             return 2
@@ -630,7 +607,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.policy,
             seed=args.seed,
             horizon=args.horizon,
-            batch_max=batch_max,
         )
     status = service.status()
     print(
@@ -643,11 +619,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     install_shutdown_handlers()
     try:
         serve_loop(
-            service,
-            sys.stdin,
-            sys.stdout,
-            snapshot_to=args.snapshot_to,
-            batch_linger_ms=args.batch_linger_ms,
+            service, sys.stdin, sys.stdout, snapshot_to=args.snapshot_to
         )
     except ShutdownRequested as sd:
         # supervisor kill: serve_loop's finally already wrote the
@@ -670,8 +642,6 @@ def _gateway_config(args: argparse.Namespace) -> "object":
         policy=args.policy,
         seed=args.seed,
         horizon=args.horizon,
-        batch_max=getattr(args, "batch_max", None),
-        batch_linger_ms=getattr(args, "batch_linger_ms", None),
     )
 
 

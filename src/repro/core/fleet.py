@@ -394,39 +394,6 @@ class CoalitionFleet:
         if self._track_events:
             self.events.push(job.release)
 
-    def submit_many(self, jobs: "Iterable") -> None:
-        """Feed a whole ingest batch (online micro-batching): under the
-        kernel backend the batch is absorbed with *one* certification check
-        and one set of array splices (:meth:`FleetKernel.submit_many`);
-        per-engine mode falls back to per-job feeding.  Equivalent to
-        calling :meth:`submit` per job, including the materialize-on-
-        :class:`KernelUnsafe` escape hatch (the batch check happens before
-        any mutation, so the engines see the full, consistent stream)."""
-        jobs = list(jobs)
-        if not jobs:
-            return
-        for job in jobs:
-            if not self._covered & (1 << job.org):
-                raise ValueError(
-                    f"no registered coalition covers org {job.org}"
-                )
-        if self._use_kernel:
-            try:
-                kern = self.kernel
-                assert kern is not None
-                kern.submit_many(jobs)
-            except KernelUnsafe:
-                self._materialize("unsafe_submit")
-        if not self._use_kernel:
-            for job in jobs:
-                bit = 1 << job.org
-                for mask in self._order:
-                    if mask & bit:
-                        self._engines[mask].submit(job)
-        if self._track_events:
-            for job in jobs:
-                self.events.push(job.release)
-
     def _grow(self) -> None:
         cap = 2 * len(self._seen)
         for name in ("_units", "_wstart", "_rcount", "_rsum", "_rsq", "_seen"):

@@ -560,77 +560,6 @@ class FleetKernel:
         )
         self._refresh_head_rel()
 
-    def submit_many(self, jobs: "list[Job]") -> None:
-        """Inject a whole ingest batch into the shared stream with *one*
-        certification check and one set of array splices (amortizing the
-        per-op :meth:`submit` cost).  Raises :class:`KernelUnsafe` before
-        any mutation when absorbing the batch could break the int64
-        certification -- the batch is all-or-nothing, so the fleet's
-        materialize-and-retry escape hatch sees a consistent stream.
-
-        Equivalent to submitting the jobs one by one in any order: each
-        insertion position is computed against the *original* stream and
-        ``np.insert`` places simultaneous insertions exactly where
-        sequential ones would land (values at duplicate positions keep
-        their given order, which org-major sorting makes the stream
-        order).
-        """
-        if len(jobs) == 1:
-            self.submit(jobs[0])
-            return
-        total = self._total_units
-        rel = self._max_release
-        for job in jobs:
-            if job.release < self.t:
-                raise ValueError(
-                    f"cannot submit into the past (release {job.release} < "
-                    f"engine time {self.t})"
-                )
-            total += job.size
-            if job.release > rel:
-                rel = job.release
-        if _overflow_bound(total, rel, self.n_mach) >= _QUERY_CAP:
-            raise KernelUnsafe("batch pushes the int64 certification bound")
-        self._used = True
-        # org-major order: two jobs of *different* orgs can share a flat
-        # position only at an org-window boundary, where the lower org's
-        # job must land first; within an org the canonical (release,
-        # index) order is the stream order
-        ordered = sorted(jobs, key=lambda j: (j.org, j))
-        pos = np.empty(len(ordered), dtype=np.int64)
-        for i, job in enumerate(ordered):
-            u = job.org
-            lo = int(self.org_start[u] + self.released[u])
-            hi = int(self.org_start[u + 1])
-            pos[i] = bisect_right(self.jobs_flat, job, lo, hi)
-        # splice the Job list by merging in position order (stable: equal
-        # positions keep the canonical job order, matching np.insert)
-        order = np.argsort(pos, kind="stable")
-        new_jobs: "list[Job]" = []
-        prev = 0
-        for oi in order:
-            p = int(pos[oi])
-            new_jobs.extend(self.jobs_flat[prev:p])
-            new_jobs.append(ordered[int(oi)])
-            prev = p
-        new_jobs.extend(self.jobs_flat[prev:])
-        self.jobs_flat = new_jobs
-        self.rel_flat = np.insert(
-            self.rel_flat, pos, [j.release for j in ordered]
-        )
-        self.size_flat = np.insert(
-            self.size_flat, pos, [j.size for j in ordered]
-        )
-        counts = np.zeros(self.k, dtype=np.int64)
-        np.add.at(counts, [j.org for j in ordered], 1)
-        self.org_start[1:] += np.cumsum(counts)
-        self._total_units = total
-        self._max_release = rel
-        self._org_clip = np.maximum(
-            self.org_start[1:] - self.org_start[:-1] - 1, 0
-        )
-        self._refresh_head_rel()
-
     # ------------------------------------------------------------------
     # batched queries
     # ------------------------------------------------------------------

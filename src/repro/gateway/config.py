@@ -68,7 +68,7 @@ class GatewayConfig:
         Topology: shards are spread round-robin over workers
         (process-per-core; shards with no routed tenants are not
         instantiated).
-    policy / seed / horizon / batch_max / batch_linger_ms:
+    policy / seed / horizon:
         Per-shard :class:`~repro.service.ClusterService` knobs.  The
         policy string accepts the registry's parameterized form (e.g.
         ``"rand:n_orderings=30"``); each shard runs seed
@@ -81,8 +81,6 @@ class GatewayConfig:
     policy: str = "fifo"
     seed: int = 0
     horizon: "int | None" = None
-    batch_max: "int | None" = None
-    batch_linger_ms: "float | None" = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tenants", tuple(self.tenants))
@@ -194,8 +192,6 @@ class GatewayConfig:
             "policy": self.policy,
             "seed": self.seed,
             "horizon": self.horizon,
-            "batch_max": self.batch_max,
-            "batch_linger_ms": self.batch_linger_ms,
         }
 
     def content_hash(self) -> str:

@@ -294,10 +294,6 @@ class _WorkerHandle:
         ready, _, _ = select.select([fd], [], [], 0)
         return bool(ready)
 
-    def drain(self) -> None:
-        while self.pending:
-            self.settle_one(timeout=None)
-
     # -- lifecycle -------------------------------------------------------
     def kill(self) -> int:
         """SIGKILL the process; returns the number of lost responses."""
@@ -422,7 +418,6 @@ class ShardPool:
                     "policy": cfg.policy,
                     "seed": cfg.shard_seed(s),
                     "horizon": cfg.horizon,
-                    "batch_max": cfg.batch_max,
                 }
                 for s in cfg.worker_shards(worker)
             },
@@ -430,7 +425,6 @@ class ShardPool:
             "snapshot_dir": (
                 None if self.snapshot_dir is None else str(self.snapshot_dir)
             ),
-            "linger_ms": cfg.batch_linger_ms,
             "fault": fault,
         }
 
@@ -1513,7 +1507,7 @@ def gateway_serve_loop(
     try:
         # before blocking for input, send what the handled commands
         # enqueued: a lone piped submit must not wait for the idle tick
-        for line in timed_lines(lines, lambda: 0.25, gateway.pool.flush):
+        for line in timed_lines(lines, 0.25, gateway.pool.flush):
             if line is None:
                 # idle: run the supervisor pass (deadline checks, pings,
                 # due respawns) so healing doesn't wait for traffic

@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import time
 from pathlib import Path
 from typing import IO
 
@@ -58,17 +57,13 @@ def shard_snapshot_path(snapshot_dir: "str | Path", shard: int) -> Path:
 
 def build_shard(spec: dict, restore_from: "str | None") -> ClusterService:
     """One shard service from its manifest entry (or its checkpoint)."""
-    batch_max = spec.get("batch_max")
     if restore_from is not None:
-        return ClusterService.restore(
-            load_snapshot(restore_from), batch_max=batch_max
-        )
+        return ClusterService.restore(load_snapshot(restore_from))
     return ClusterService(
         spec["machine_counts"],
         spec.get("policy", "fifo"),
         seed=int(spec.get("seed", 0)),
         horizon=spec.get("horizon"),
-        batch_max=batch_max,
     )
 
 
@@ -124,8 +119,6 @@ def serve_shards(
         if restore_from is not None:
             restored.append(sid)
     snapshot_dir = manifest.get("snapshot_dir")
-    linger_ms = manifest.get("linger_ms")
-    linger_s = None if linger_ms is None else float(linger_ms) / 1000.0
     injector = FaultInjector.from_manifest(manifest.get("fault"))
     if injector is not None:
         injector.bind_output(out)
@@ -143,35 +136,11 @@ def serve_shards(
     )
     out.flush()
 
-    def any_pending() -> bool:
-        return any(s.pending_ingest for s in shards.values())
-
-    buffered_since: "float | None" = None
-
-    def check_linger() -> None:
-        nonlocal buffered_since
-        if linger_s is None:
-            return
-        if not any_pending():
-            buffered_since = None
-        elif buffered_since is None:
-            buffered_since = time.monotonic()
-        elif time.monotonic() - buffered_since >= linger_s:
-            for s in shards.values():
-                s.flush_ingest()
-            buffered_since = None
-
     # replies are buffered and leave in one write when the loop is about
     # to wait for more commands (flush before you block), at exit, and
     # before an injected hard exit (the injector holds ``out``)
-    source = timed_lines(
-        lines, lambda: linger_s if any_pending() else None, out.flush
-    )
     try:
-        for line in source:
-            if line is None:
-                check_linger()
-                continue
+        for line in timed_lines(lines, None, out.flush):
             line = line.strip()
             if not line:
                 continue
@@ -238,7 +207,6 @@ def serve_shards(
                 response = {"ok": False, "error": str(exc)}
             if req_id is not None:
                 response["id"] = req_id
-            check_linger()
             if not suppress:
                 out.write(json.dumps(response) + "\n")
                 if injector is not None:

@@ -31,7 +31,6 @@ import json
 import os
 import selectors
 import signal
-import time
 from typing import IO, Callable, Iterable
 
 from .service import ClusterService
@@ -65,8 +64,8 @@ def install_shutdown_handlers(
     """Route ``signums`` to :class:`ShutdownRequested` in the main thread.
 
     A handled signal interrupts the blocking stdin read (or selector
-    wait), so a lingering daemon reacts immediately instead of at the
-    next command.
+    wait), so an idle daemon reacts immediately instead of at the next
+    command.
     """
 
     def _raise(signum, frame):  # pragma: no cover - trivial closure
@@ -78,18 +77,17 @@ def install_shutdown_handlers(
 
 def timed_lines(
     stream,
-    timeout: "Callable[[], float | None]",
+    timeout: "float | None",
     before_wait: "Callable[[], None]" = lambda: None,
 ) -> "Iterable[str | None]":
     """Yield lines from ``stream``, yielding ``None`` on read timeouts.
 
-    ``timeout()`` is consulted before each wait: ``None`` blocks until
-    input arrives, a number bounds the wait in seconds (yielding ``None``
-    when it elapses without a complete line, so the caller can run idle
-    work such as a linger flush).  ``before_wait()`` runs every time the
-    reader is about to wait for input it does not already hold: the place
-    to flush output the peer may be waiting on before sending more
-    (*flush before you block*).  Sources without a real file descriptor
+    ``timeout`` bounds each wait: ``None`` blocks until input arrives, a
+    number of seconds yields ``None`` when it elapses without a complete
+    line, so the caller can run idle work.  ``before_wait()`` runs every
+    time the reader is about to wait for input it does not already hold:
+    the place to flush output the peer may be waiting on before sending
+    more (*flush before you block*).  Sources without a real file descriptor
     (lists, ``StringIO``, generators) fall back to plain iteration --
     per-line timing is moot there, but fetching the next line may still
     block (a generator fed by the peer), so ``before_wait`` runs before
@@ -112,11 +110,7 @@ def timed_lines(
     try:
         while True:
             before_wait()
-            wait = timeout()
-            if wait is not None and wait <= 0:
-                # never busy-spin a zero linger
-                wait = 0.001
-            if not sel.select(wait):
+            if not sel.select(timeout):
                 yield None
                 continue
             chunk = os.read(fd, 1 << 16)
@@ -199,47 +193,15 @@ def serve_loop(
     out: IO[str],
     *,
     snapshot_to: "str | None" = None,
-    batch_linger_ms: "float | None" = None,
 ) -> ClusterService:
     """Serve JSONL commands until ``stop`` / EOF; returns the service.
 
     ``snapshot_to`` writes a final snapshot when the loop ends (whether by
     ``stop``, end of input, or a client going away), so a supervised
     daemon always leaves a restorable checkpoint behind.
-
-    ``batch_linger_ms`` bounds how long a submitted job may sit in the
-    service's micro-batch ingest buffer (see ``ClusterService.batch_max``):
-    the buffer is force-flushed once the oldest buffered job is older than
-    the linger -- checked after each command *and* whenever the input has
-    been idle for the linger (the blocking read is bounded with a selector
-    timeout, so a buffered job on an idle stdin never sits unflushed past
-    the linger).  Flush timing never changes the schedule -- the knobs
-    only trade per-op latency for grouped-update throughput.
     """
-    linger_s = None if batch_linger_ms is None else batch_linger_ms / 1000.0
-    buffered_since: "float | None" = None
-
-    def check_linger() -> None:
-        nonlocal buffered_since
-        if not service.pending_ingest:
-            buffered_since = None
-        elif buffered_since is None:
-            buffered_since = time.monotonic()
-        elif time.monotonic() - buffered_since >= linger_s:
-            service.flush_ingest()
-            buffered_since = None
-
-    if linger_s is None:
-        source: "Iterable[str | None]" = lines
-    else:
-        source = timed_lines(
-            lines, lambda: linger_s if service.pending_ingest else None
-        )
     try:
-        for line in source:
-            if line is None:  # idle read timeout: only linger work to do
-                check_linger()
-                continue
+        for line in lines:
             line = line.strip()
             if not line:
                 continue
@@ -252,8 +214,6 @@ def serve_loop(
                 response, keep = _handle(service, cmd)
             except (ValueError, KeyError, TypeError) as exc:
                 response, keep = {"ok": False, "error": str(exc)}, True
-            if linger_s is not None:
-                check_linger()
             out.write(json.dumps(response) + "\n")
             out.flush()
             if not keep:

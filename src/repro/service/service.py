@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..algorithms.base import PolicyScheduler, SchedulerResult
+from ..algorithms.base import PolicyScheduler
 from ..algorithms.rand import RandRun
 from ..algorithms.ref import RefRun
 from ..core.coalition import iter_members, popcount, subsets_by_size
@@ -105,17 +105,6 @@ class OnlinePolicy(ABC):
     @abstractmethod
     def submit(self, job: Job) -> None:
         """Feed one job to every engine covering its organization."""
-
-    def submit_many(self, jobs: "list[Job]") -> None:
-        """Feed a whole ingest batch (the service's micro-batched flush).
-
-        The default loops :meth:`submit`; fleet-backed policies override
-        it to absorb the batch in one grouped kernel update with a single
-        certification check.  Must be equivalent to per-job feeding --
-        the service relies on that for the online==batch contract.
-        """
-        for job in jobs:
-            self.submit(job)
 
     @abstractmethod
     def grand_engine(self) -> ClusterEngine:
@@ -241,9 +230,6 @@ class _FleetPolicy(OnlinePolicy):
 
     def submit(self, job: Job) -> None:
         self.fleet.submit(job)
-
-    def submit_many(self, jobs: "list[Job]") -> None:
-        self.fleet.submit_many(jobs)
 
     def grand_engine(self) -> ClusterEngine:
         return self.fleet.engine(self.grand_mask)
@@ -465,10 +451,6 @@ class _RandPolicy(_FleetPolicy):
         self.fleet.submit(job)
         self.run.oracle.submit(job)
 
-    def submit_many(self, jobs: "list[Job]") -> None:
-        self.fleet.submit_many(jobs)
-        self.run.oracle.submit_many(jobs)
-
     def _fleets(self) -> "tuple[CoalitionFleet, ...]":
         return (self.fleet, self.run.oracle)
 
@@ -520,11 +502,6 @@ class _RandPolicy(_FleetPolicy):
 # ----------------------------------------------------------------------
 # the service
 # ----------------------------------------------------------------------
-def _check_batch_max(batch_max: "int | None") -> None:
-    if batch_max is not None and batch_max < 1:
-        raise ValueError("batch_max must be >= 1 (or None: unbounded)")
-
-
 class ClusterService:
     """A long-lived, stateful fair-share scheduling daemon.
 
@@ -567,7 +544,6 @@ class ClusterService:
         seed: int = 0,
         horizon: "int | None" = None,
         policy_params: "dict | None" = None,
-        batch_max: "int | None" = None,
     ) -> None:
         counts = tuple(int(c) for c in machine_counts)
         if not counts:
@@ -604,21 +580,6 @@ class ClusterService:
         self.n_events = 0
         self.n_jobs = 0
         self._last_decision: "int | None" = None
-        #: Micro-batched ingest (DESIGN.md §9): accepted-but-unfed jobs.
-        #: Census validation and journaling happen eagerly at submit;
-        #: feeding the policy's engines is deferred until a flush point
-        #: (any time advance, membership/machine mutation, observation, or
-        #: the ``batch_max``-th buffered job).  Flushing never runs a
-        #: scheduling round, so the schedule is bit-identical for every
-        #: batch size.
-        _check_batch_max(batch_max)
-        self.batch_max = batch_max
-        self._pending_jobs: "list[Job]" = []
-        #: Observability counters (reported by :meth:`status`, not part of
-        #: the snapshot): how often the ingest buffer flushed and how many
-        #: jobs those flushes fed to the policy's engines.
-        self.n_flushes = 0
-        self.n_jobs_flushed = 0
         self._policy: OnlinePolicy = entry.online_factory(self, resolved)
 
     @property
@@ -665,30 +626,6 @@ class ClusterService:
         return eng
 
     # ------------------------------------------------------------------
-    # micro-batched ingest
-    # ------------------------------------------------------------------
-    @property
-    def pending_ingest(self) -> int:
-        """Accepted (journaled) jobs not yet fed to the policy's engines."""
-        return len(self._pending_jobs)
-
-    def flush_ingest(self) -> int:
-        """Feed every buffered job to the policy as one grouped update
-        (one kernel certification + splice under the kernel backend);
-        returns the number of jobs flushed.  Runs automatically before any
-        event processing, membership/machine mutation, or observation --
-        calling it explicitly only controls *when* the batch lands, never
-        what gets scheduled.
-        """
-        if not self._pending_jobs:
-            return 0
-        jobs, self._pending_jobs = self._pending_jobs, []
-        self._policy.submit_many(jobs)
-        self.n_flushes += 1
-        self.n_jobs_flushed += len(jobs)
-        return len(jobs)
-
-    # ------------------------------------------------------------------
     # time
     # ------------------------------------------------------------------
     def advance(self, until: int) -> int:
@@ -699,7 +636,6 @@ class ClusterService:
         submissions is part of the state a snapshot must reproduce.
         """
         self.journal.append(("advance", self.clock, until))
-        self.flush_ingest()
         done = 0
         while True:
             t = self._policy.pending()
@@ -715,7 +651,6 @@ class ClusterService:
         """Process every remaining decision event (up to the horizon);
         returns the service clock afterwards."""
         self.journal.append(("drain", self.clock))
-        self.flush_ingest()
         while True:
             t = self._policy.pending()
             if t is None:
@@ -740,7 +675,6 @@ class ClusterService:
     def _force_round(self) -> None:
         """Re-open the scheduling round at the current clock (capacity or
         work appeared after that round was processed)."""
-        self.flush_ingest()
         self._policy.force_round(self.clock)
         self.n_events += 1
 
@@ -788,18 +722,12 @@ class ClusterService:
         self.journal.append(
             ("submit", self.clock, org, job.size, effective, expected, jid)
         )
-        self._pending_jobs.append(job)
+        self._policy.submit(job)
         self.n_jobs += 1
         if self._last_decision is not None and effective <= self._last_decision:
             # the round at this time already ran; re-open it so a free
             # machine cannot idle past a job that just arrived
-            # (_force_round flushes the buffer first)
             self._force_round()
-        elif (
-            self.batch_max is not None
-            and len(self._pending_jobs) >= self.batch_max
-        ):
-            self.flush_ingest()
         return job
 
     def submit_job(self, job: Job) -> Job:
@@ -826,7 +754,6 @@ class ClusterService:
         if machines < 0:
             raise ValueError("machines must be >= 0")
         self._require_dynamic("admit an organization")
-        self.flush_ingest()
         cap = self.max_orgs
         if cap is not None and len(self.census.members) + 1 > cap:
             raise CapabilityError(
@@ -855,7 +782,6 @@ class ClusterService:
         self.census.require_member(org)
         if len(self.census.members) == 1:
             raise ValueError("cannot remove the last member organization")
-        self.flush_ingest()
         machine_ids = self.census.expel(org)
         self.journal.append(("leave_org", self.clock, org))
         self._policy.leave(org, machine_ids)
@@ -864,7 +790,6 @@ class ClusterService:
         """Grow an organization's endowment; returns the new global ids."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        self.flush_ingest()
         machine_ids = self.census.grow(org, count)
         self.journal.append(("add_machines", self.clock, org, count))
         self._policy.machines_added(org, machine_ids)
@@ -876,7 +801,6 @@ class ClusterService:
         machines drain); returns the retired global ids."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        self.flush_ingest()
         machine_ids = self.census.shrink(org, count)
         self.journal.append(("remove_machines", self.clock, org, count))
         self._policy.machines_removed(org, machine_ids)
@@ -887,49 +811,29 @@ class ClusterService:
     # ------------------------------------------------------------------
     @property
     def policy(self) -> OnlinePolicy:
-        """The live policy adapter (buffered ingest is flushed first, so
-        engine state observed through it reflects every accepted op)."""
-        self.flush_ingest()
+        """The live policy adapter."""
         return self._policy
 
     def schedule(self) -> Schedule:
         """The physical cluster's schedule so far."""
-        self.flush_ingest()
         return self._policy.grand_engine().schedule()
 
     def psis(self, t: "int | None" = None) -> "list[int]":
         """Per-organization psi_sp on the physical cluster."""
-        self.flush_ingest()
         return self._policy.grand_engine().psis(t)
-
-    def result(self, workload: "Workload | None" = None) -> SchedulerResult:
-        """The run-so-far as a batch-compatible :class:`SchedulerResult`
-        (``workload`` defaults to the jobless genesis description)."""
-        self.flush_ingest()
-        engine = self._policy.grand_engine()
-        return SchedulerResult(
-            algorithm=self._policy.name,
-            workload=workload if workload is not None else self.genesis_workload(),
-            members=engine.members,
-            schedule=engine.schedule(),
-            horizon=self.horizon,
-            meta={"online": True, "n_events": self.n_events},
-        )
 
     def status(self) -> dict:
         """A JSON-friendly health/throughput summary.
 
-        ``ingest.buffered`` reports the micro-batch buffer depth *as the
-        status call found it* (observation flushes the buffer, so the live
-        value afterwards is always 0); ``per_org`` carries the ingest and
-        queue counters the gateway's aggregate status rolls up;
+        ``ingest`` counts the jobs fed to the policy, one feed per job
+        (both keys equal ``jobs_submitted``; ``perf/`` reads them);
+        ``per_org`` carries the ingest and queue counters the gateway's
+        aggregate status rolls up;
         ``policy_backend`` says whether a fleet-backed policy (REF, RAND,
         the approximation ladder) still runs on the batched kernel or fell
         back to per-coalition engines, which is several times slower
         (``None`` for single-engine policies).
         """
-        buffered = self.pending_ingest
-        self.flush_ingest()
         engine = self._policy.grand_engine()
         running = engine.running_counts()
         return {
@@ -948,9 +852,8 @@ class ClusterService:
             "running": sum(running),
             "free_machines": engine.free_count,
             "ingest": {
-                "buffered": buffered,
-                "flushes": self.n_flushes,
-                "jobs_flushed": self.n_jobs_flushed,
+                "flushes": self.n_jobs,
+                "jobs_flushed": self.n_jobs,
             },
             "policy_backend": self._policy.backend_status(),
             "per_org": {
@@ -989,23 +892,17 @@ class ClusterService:
         payload: dict,
         *,
         verify: bool = True,
-        batch_max: "int | None" = None,
     ) -> "ClusterService":
         """Rebuild a service from a snapshot, bit-identically.
 
-        Nothing is built until ``batch_max`` and the whole payload have
-        been checked (:func:`~repro.service.snapshot.check_snapshot`:
-        format, version, content hash, every journal row).  Then the
-        journal is replayed through the live ingest path (each op at
-        its recorded clock) with micro-batched ingest -- consecutive
-        journaled submits land as one grouped update at the next journaled
-        flush point, which batching guarantees is schedule-identical --
-        and the replayed clock must equal the snapshot's.  With ``verify``
+        Nothing is built until the whole payload has been checked
+        (:func:`~repro.service.snapshot.check_snapshot`: format, version,
+        content hash, every journal row).  Then the journal is replayed
+        through the live ingest path (each op at its recorded clock) and
+        the replayed clock must equal the snapshot's.  With ``verify``
         (default) the restored schedule's digest must match the recorded
-        one.  ``batch_max`` becomes the restored service's ingest knob
-        (replay itself always defers to the journaled flush points).
+        one.
         """
-        _check_batch_max(batch_max)
         journal = check_snapshot(payload)
         policy = payload["policy"]
         service = cls(
@@ -1017,7 +914,6 @@ class ClusterService:
         )
         for op in journal:
             service._apply(op)
-        service.batch_max = batch_max
         if service.clock != payload["clock"]:
             raise ValueError(
                 f"restore verification failed: replayed clock "

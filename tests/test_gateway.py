@@ -27,6 +27,7 @@ from repro.gateway import (
     Gateway,
     GatewayConfig,
     LoadSpec,
+    ShardUnavailable,
     TenantSpec,
     TokenBucket,
     WorkerDied,
@@ -210,7 +211,6 @@ MANIFEST = {
     },
     "restore": {},
     "snapshot_dir": None,
-    "linger_ms": None,
 }
 
 
@@ -360,6 +360,38 @@ class TestGatewayFleet:
                 "code": "unknown_tenant",
             }
             gw.drain()
+
+    def test_raced_shard_refusal_costs_the_tenant_nothing(self, monkeypatch):
+        # the shard passes the health check, admission charges, and the
+        # send then finds it unavailable with nowhere to park: the charge
+        # is refunded and the refusal is typed and counted
+        config = small_config(n_tenants=4, rate=1.0, burst=2.0, credits=10)
+        shard = config.routes["t0"][0]
+        with Gateway(config) as gw:
+            assert gw.submit("t0", 1)["ok"]
+            before = gw.admission.status()["t0"]
+            submitted, rejected = gw.n_submitted, gw.n_rejected
+
+            def raced(*args, **kwargs):
+                raise ShardUnavailable(shard, "down", "worker went down")
+
+            monkeypatch.setattr(gw.pool, "shard_cmd", raced)
+            resp = gw.submit("t0", 3)
+            monkeypatch.undo()
+            after = gw.admission.status()["t0"]
+            assert (gw.n_submitted, gw.n_rejected) == (submitted, rejected + 1)
+            gw.drain()
+            assert gw.status()["jobs_submitted"] == 1  # no shard saw it
+        assert resp == {
+            "ok": False,
+            "tenant": "t0",
+            "shard": shard,
+            "error": "worker went down",
+            "code": "shard_unavailable",
+        }
+        assert after.pop("rejected") == before.pop("rejected") + 1
+        assert after.pop("rejected_by_code") == {"shard_unavailable": 1}
+        assert after == before  # tokens, credits, accepted, accepted_work
 
     def test_status_aggregates_fleet_and_tenants(self):
         config = small_config(n_tenants=8, n_shards=4, credits=50)
@@ -523,14 +555,47 @@ class TestFrames:
             True, True,
         ]
 
+    def test_serve_loop_add_credits_and_heartbeat(self):
+        config = small_config(n_tenants=4, credits=2)
+        cmds = [
+            {"id": 1, "op": "submit", "tenant": "t0", "size": 3},
+            {"id": 2, "op": "add_credits", "tenant": "t0", "amount": 5},
+            {"id": 3, "op": "submit", "tenant": "t0", "size": 3},
+            {"id": 4, "op": "add_credits", "tenant": "t0", "amount": -1},
+            {"id": 5, "op": "add_credits", "tenant": "nobody", "amount": 1},
+            {"id": 6, "op": "stop"},
+        ]
+        out, stats = io.StringIO(), io.StringIO()
+        with Gateway(config) as gw:
+            gateway_serve_loop(
+                gw, [json.dumps(c) for c in cmds], out,
+                stats_every_s=0, stats_out=stats,
+            )
+            head = (
+                f"[gateway] clock=0 workers={gw.pool.n_live_workers} "
+                f"shards={len(config.shard_ids())} "
+            )
+        resps = [json.loads(l) for l in out.getvalue().splitlines()]
+        assert [r["id"] for r in resps] == [1, 2, 3, 4, 5, 6]
+        assert resps[0]["code"] == "insufficient_credits"
+        assert resps[1] == {
+            "ok": True, "tenant": "t0", "credits_remaining": 7.0, "id": 2,
+        }
+        assert resps[2]["ok"]
+        assert (resps[3]["ok"], resps[3]["code"]) == (False, "bad_request")
+        assert (resps[4]["ok"], resps[4]["code"]) == (False, "unknown_tenant")
+        # stats_every_s=0: one heartbeat line per handled command
+        beats = stats.getvalue().splitlines()
+        assert len(beats) == len(cmds)
+        assert all(b.startswith(head) for b in beats)
+        assert " submitted=1 rejected=1 " in beats[-1]
+
     def test_timed_lines_calls_before_wait_once_per_wait_not_per_line(self):
         r, w = os.pipe()
         events = []
         with os.fdopen(r, "rb") as stream:
             os.write(w, b"a\nb\n")
-            source = timed_lines(
-                stream, lambda: None, lambda: events.append("wait")
-            )
+            source = timed_lines(stream, None, lambda: events.append("wait"))
             assert [next(source), next(source)] == ["a", "b"]
             os.write(w, b"c\n")
             os.close(w)
@@ -745,7 +810,6 @@ class TestGracefulShutdown:
             },
             "restore": {},
             "snapshot_dir": str(tmp_path),
-            "linger_ms": None,
         }
         proc = spawn_worker()
         try:
@@ -769,50 +833,6 @@ class TestGracefulShutdown:
             assert payload["format"] == "repro.service.snapshot"
         # shard 0 recorded the submit it had accepted before the signal
         assert load_snapshot(shard_snapshot_path(tmp_path, 0))["journal"]
-
-
-# ---------------------------------------------------------------------------
-# serve_loop linger starvation (satellite a)
-# ---------------------------------------------------------------------------
-class TestLingerStarvation:
-    def test_idle_stdin_still_flushes_after_linger(self):
-        # regression: with --batch-max 0 (unbounded buffer) and a linger,
-        # a buffered job on an *idle* stdin used to sit unflushed forever
-        # because the linger was only checked after each command.  The
-        # bounded blocking read must flush it without further input.
-        proc = spawn_cli(
-            [
-                "serve", "--orgs", "1,1", "--policy", "fifo",
-                "--batch-max", "0", "--batch-linger-ms", "50",
-            ],
-            bufsize=1,
-        )
-        try:
-            proc.stdin.write(
-                '{"id": 1, "op": "submit", "org": 0, "size": 1}\n'
-            )
-            proc.stdin.flush()
-            assert json.loads(proc.stdout.readline())["ok"]
-            # stay idle well past the linger; send nothing
-            time.sleep(0.6)
-            proc.stdin.write('{"id": 2, "op": "status"}\n')
-            proc.stdin.flush()
-            status = json.loads(proc.stdout.readline())
-            proc.stdin.close()
-            proc.wait(timeout=30)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-            proc.stdout.close()
-            proc.stderr.close()
-        # the flush happened during the idle window, before the status
-        # command arrived: nothing was buffered when status ran
-        assert status["ingest"] == {
-            "buffered": 0,
-            "flushes": 1,
-            "jobs_flushed": 1,
-        }
 
 
 # ---------------------------------------------------------------------------

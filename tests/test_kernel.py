@@ -138,28 +138,29 @@ class TestKernelValueOracle:
                 t, select=fifo_select
             )
 
-    def test_submit_many_matches_sequential_submits(self):
-        """One grouped splice == N sequential splices -- including
+    def test_per_job_submits_match_engines(self):
+        """N sequential splices == the per-engine streams -- including
         same-release jobs from different orgs, whose flat positions meet
-        at an org-window boundary (lower org must land first)."""
+        at an org-window boundary (lower org's window stays first)."""
         early = [(0, 0, 2), (1, 1, 3), (2, 2, 1)]
         late = [(6, 2, 2), (6, 0, 1), (6, 1, 4), (9, 0, 2), (9, 2, 5)]
         wl_early = make_workload([1, 2, 1], early)
         wl_full = make_workload([1, 2, 1], early + late)
         late_jobs = [j for j in sorted(wl_full.jobs) if j.release >= 6]
         masks = all_masks(3)
-        one = CoalitionFleet(wl_early, masks, backend="kernel")
-        many = CoalitionFleet(wl_early, masks, backend="kernel")
-        one.values_at(4, select=fifo_select)
-        many.values_at(4, select=fifo_select)
+        kern = CoalitionFleet(wl_early, masks, backend="kernel")
+        engines = CoalitionFleet(wl_early, masks, backend="engines")
+        frozen = FleetKernel(wl_full, masks)
+        kern.values_at(4, select=fifo_select)
+        engines.values_at(4, select=fifo_select)
         for j in late_jobs:
-            one.submit(j)
-        many.submit_many(late_jobs)
-        assert one.kernel is not None and many.kernel is not None
-        assert many.kernel.rel_flat.tolist() == one.kernel.rel_flat.tolist()
-        assert many.kernel.size_flat.tolist() == one.kernel.size_flat.tolist()
+            kern.submit(j)
+            engines.submit(j)
+        assert kern.kernel is not None
+        assert kern.kernel.rel_flat.tolist() == frozen.rel_flat.tolist()
+        assert kern.kernel.size_flat.tolist() == frozen.size_flat.tolist()
         for t in (6, 9, 15, 40):
-            assert many.values_at(t, select=fifo_select) == one.values_at(
+            assert kern.values_at(t, select=fifo_select) == engines.values_at(
                 t, select=fifo_select
             ), t
 
@@ -957,16 +958,14 @@ class TestStartLogIdentity:
         return kf, ef, jobs[len(self.EARLY):]
 
     @staticmethod
-    def _ingest(kf, ef, batch):
-        """Feed one batch to both fleets; the kernel's log must come out
+    def _ingest(kf, ef, jobs):
+        """Feed ``jobs`` to both fleets; the kernel's log must come out
         byte-identical (ingest never writes it)."""
         before = log_bytes(kf.kernel)
         assert set(before) == {"_log_row", "_log_start", "_log_mach", "_log_job"}
         for fleet in (kf, ef):
-            if len(batch) == 1:
-                fleet.submit(batch[0])
-            else:
-                fleet.submit_many(batch)
+            for job in jobs:
+                fleet.submit(job)
         assert log_bytes(kf.kernel) == before
 
     @staticmethod
@@ -1032,7 +1031,7 @@ class TestStartLogIdentity:
 @st.composite
 def online_instances(draw):
     """Machine counts, a canonical job stream with ties and zero gaps,
-    where to cut it into ingest batches / how far to run between them, and
+    after which jobs to run the decisions ahead of the next release, and
     after which decision of the final drain to look 7 ticks ahead (0:
     never)."""
     k = draw(st.integers(2, 4))
@@ -1043,22 +1042,20 @@ def online_instances(draw):
     gaps = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 5]), min_size=n, max_size=n))
     orgs = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
     sizes = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
-    cuts = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     runs = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     peek = draw(st.sampled_from([0, 0, 1, 2, 3, 5]))
     triples, t = [], 0
     for gap, u, p in zip(gaps, orgs, sizes):
         t += gap
         triples.append((t, u, p))
-    return machines, triples, cuts, runs, peek
+    return machines, triples, runs, peek
 
 
-def serve_ref(workload, backend, cuts, runs, check, peek=0):
+def serve_ref(workload, backend, runs, check, peek=0):
     """REF stepped online over a fleet that starts jobless: the stream is
-    fed in canonical order, cut into ``submit`` / ``submit_many`` batches
-    after every job whose ``cuts`` flag is set, and where ``runs`` is set
-    too the decisions strictly before the next unseen release are
-    processed (never the next release itself: its round must see the
+    fed per job in canonical order, and after every job whose ``runs``
+    flag is set the decisions strictly before the next unseen release
+    are processed (never the next release itself: its round must see the
     whole tie group, like the service's).  ``check(fleet, t)`` runs after
     every such advance.  After the ``peek``-th decision of the final drain
     the caller looks 7 ticks ahead (only there: a look-ahead moves the
@@ -1087,16 +1084,8 @@ def serve_ref(workload, backend, cuts, runs, check, peek=0):
                 peeked = fleet.values_at(t + 7)
 
     jobs = sorted(workload.jobs)
-    batch = []
     for i, job in enumerate(jobs):
-        batch.append(job)
-        if not cuts[i] and i + 1 < len(jobs):
-            continue
-        if len(batch) == 1:
-            fleet.submit(batch[0])
-        else:
-            fleet.submit_many(batch)
-        batch = []
+        fleet.submit(job)
         if runs[i] and i + 1 < len(jobs):
             advance(jobs[i + 1].release)
     advance(None, peek)
@@ -1106,7 +1095,7 @@ def serve_ref(workload, backend, cuts, runs, check, peek=0):
 @settings(max_examples=60, deadline=None)
 @given(instance=online_instances(), vectorize=st.booleans())
 def test_online_kernel_ingest_equals_batch_and_engines(instance, vectorize):
-    machines, triples, cuts, runs, peek = instance
+    machines, triples, runs, peek = instance
     wl = make_workload(machines, triples)
     k = len(machines)
     grand = (1 << k) - 1
@@ -1129,10 +1118,10 @@ def test_online_kernel_ingest_equals_batch_and_engines(instance, vectorize):
     with mock.patch.object(ref_mod, "VECTORIZE_MIN_K", threshold):
         batch = RefScheduler().run(wl).schedule
         kf, krun, k_peek = serve_ref(
-            wl, "kernel", cuts, runs, checker("kernel"), peek
+            wl, "kernel", runs, checker("kernel"), peek
         )
         ef, erun, e_peek = serve_ref(
-            wl, "engines", cuts, runs, checker("engines"), peek
+            wl, "engines", runs, checker("engines"), peek
         )
     assert kf.kernel is not None, kf.materialize_reason
     assert k_peek == e_peek
@@ -1157,7 +1146,7 @@ def test_keys_of_single_waiter_rows_never_matter(instance, junk_seed):
     ``fill_rows`` no keys at all when no capable row has two waiting.
     Replacing those rows' keys (and every ``None``) with noise leaves the
     start log byte-identical."""
-    machines, triples, cuts, runs, _ = instance
+    machines, triples, runs, _ = instance
     wl = make_workload(machines, triples)
     fill_rows = FleetKernel.fill_rows
     junk = np.random.default_rng(junk_seed)
@@ -1173,7 +1162,7 @@ def test_keys_of_single_waiter_rows_never_matter(instance, junk_seed):
         return fill_rows(self, rows, keys, t)
 
     def serve():
-        fleet, run, _ = serve_ref(wl, "kernel", cuts, runs, lambda f, t: None)
+        fleet, run, _ = serve_ref(wl, "kernel", runs, lambda f, t: None)
         assert fleet.kernel is not None, fleet.materialize_reason
         return log_bytes(fleet.kernel), run.ref_events
 

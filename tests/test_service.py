@@ -103,72 +103,44 @@ class TestReplayEqualsBatch:
 
 
 # ----------------------------------------------------------------------
-# micro-batched ingest (ISSUE 6)
+# caller-side grouping of submits
 # ----------------------------------------------------------------------
 class TestMicroBatchedIngest:
-    """DESIGN.md §9: flushing the ingest buffer never runs a scheduling
-    round -- rounds happen only at journaled advance/drain/observation
-    points -- so every ``batch_max`` yields bit-identical schedules,
-    events, journals, and snapshot hashes."""
+    """DESIGN.md §9.2: ``submit`` feeds the policy at once and never runs
+    a round for a job whose release is still ahead, so how many jobs a
+    caller announces between two advances is invisible in the output.
+    (The service's own ingest buffer and its ``batch_max`` knob went in
+    PR 23; batching is the caller's now, as the gateway's frames do it.)"""
 
-    def _stream(self, policy: str, batch_max: "int | None"):
-        from itertools import groupby
-
+    def _stream(self, policy: str, group: "int | None"):
+        """Announce the stream ``group`` jobs at a time (``None``: all up
+        front), advancing to just before each group's first release --
+        never onto it: a round that ran before a same-time job arrived
+        is a different, journaled, history."""
         rng = np.random.default_rng(11)
         wl = random_workload(
             rng, n_orgs=3, n_jobs=18, max_release=12,
             machine_counts=[2, 1, 1],
         )
-        svc = ClusterService(
-            wl.machine_counts(), policy, seed=0, batch_max=batch_max
-        )
-        for release, group in groupby(
-            sorted(wl.jobs), key=lambda j: j.release
-        ):
-            for job in group:
+        jobs = sorted(wl.jobs)
+        svc = ClusterService(wl.machine_counts(), policy, seed=0)
+        step = len(jobs) if group is None else group
+        for i in range(0, len(jobs), step):
+            if jobs[i].release:
+                svc.advance(jobs[i].release - 1)
+            for job in jobs[i : i + step]:
                 svc.submit_job(job)
-            svc.advance(release)
         svc.drain()
         return svc
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
-    @pytest.mark.parametrize("batch_max", [3, None])
-    def test_batch_size_invisible_in_output(self, policy, batch_max):
-        base = self._stream(policy, 1)  # feed-each-submit (pre-batching)
-        other = self._stream(policy, batch_max)
+    @pytest.mark.parametrize("group", [3, None])
+    def test_batch_size_invisible_in_output(self, policy, group):
+        base = self._stream(policy, 1)
+        other = self._stream(policy, group)
         assert other.schedule() == base.schedule()
         assert other.n_events == base.n_events
-        assert other.journal == base.journal
-        assert (
-            other.snapshot()["content_hash"] == base.snapshot()["content_hash"]
-        )
-
-    def test_flush_never_runs_a_round(self):
-        svc = ClusterService((2, 1), "directcontr", seed=0, batch_max=None)
-        svc.submit(0, 2, release=0)
-        svc.submit(1, 1, release=0)
-        assert svc.pending_ingest == 2  # buffered, already journaled
-        assert svc.n_events == 0
-        assert svc.flush_ingest() == 2
-        assert svc.pending_ingest == 0
-        assert svc.n_events == 0  # feeding engines is not a round
-        svc.advance(0)
-        assert svc.n_events > 0
-
-    def test_batch_max_one_feeds_immediately(self):
-        svc = ClusterService((2, 1), "directcontr", seed=0, batch_max=1)
-        svc.submit(0, 2)
-        assert svc.pending_ingest == 0
-
-    def test_batch_max_validated(self):
-        with pytest.raises(ValueError, match="batch_max"):
-            ClusterService((1,), "fifo", batch_max=0)
-
-    def test_restore_carries_batch_knob(self):
-        svc = self._stream("directcontr", None)
-        restored = ClusterService.restore(svc.snapshot(), batch_max=4)
-        assert restored.batch_max == 4
-        assert restored.schedule() == svc.schedule()
+        assert len(other.schedule()) == 18
 
 
 class TestGoldenReplay:
@@ -387,13 +359,6 @@ class TestSnapshotFormat:
             r"\(this build reads version 2\)",
         ):
             ClusterService.restore(as_version_1(self._service().snapshot()))
-
-    def test_restore_validates_batch_max_before_the_replay(self, monkeypatch):
-        applied = []
-        monkeypatch.setattr(ClusterService, "_apply", applied.append)
-        with pytest.raises(ValueError, match="batch_max"):
-            ClusterService.restore(self._service().snapshot(), batch_max=0)
-        assert applied == []
 
     def test_checkpoint_is_at_most_40_bytes_per_op(self, tmp_path):
         """Clock-free size guard on the file format (29 bytes per op
@@ -816,6 +781,8 @@ class TestDaemon:
         assert backend["backend"] == "kernel"
         assert backend["materializations"] == 0
         assert backend["start_log_entries"] >= status["jobs_started"] > 0
+        # one feed per job: the two keys perf/ reads, nothing buffered
+        assert status["ingest"] == {"flushes": 6, "jobs_flushed": 6}
         # ISSUE 22: what the fused REF body did with its decision events
         seen = backend["ref_events"]
         assert set(seen) == {"forced", "contested", "retro", "unsafe", "guard"}
@@ -842,53 +809,19 @@ class TestDaemon:
         # every bad line answered in-band; the daemon kept serving
         assert [r["ok"] for r in responses] == [False] * 4 + [True]
 
-    def test_batch_linger_flushes_between_commands(self):
-        """``--batch-linger-ms`` bounds buffered-job latency: with an
-        unbounded ``batch_max`` and linger 0 the buffer drains as soon as
-        the next command is handled, never changing the schedule."""
-        svc = ClusterService((2, 1), "directcontr", seed=0, batch_max=None)
-        seen = []
-
-        def lines():
-            yield json.dumps({"op": "submit", "org": 0, "size": 2})
-            seen.append(svc.pending_ingest)
-            yield json.dumps({"op": "submit", "org": 1, "size": 1})
-            seen.append(svc.pending_ingest)
-            yield json.dumps({"op": "stop"})
-
-        serve_loop(svc, lines(), io.StringIO(), batch_linger_ms=0.0)
-        # first submit only arms the linger clock; the second trips it
-        assert seen == [1, 0]
-
-        unlingered = ClusterService(
-            (2, 1), "directcontr", seed=0, batch_max=None
-        )
-        serve_loop(
-            unlingered,
-            io.StringIO(
-                json.dumps({"op": "submit", "org": 0, "size": 2}) + "\n"
-                + json.dumps({"op": "submit", "org": 1, "size": 1}) + "\n"
-                + json.dumps({"op": "stop"}) + "\n"
-            ),
-            io.StringIO(),
-        )
-        assert unlingered.pending_ingest == 2  # no linger: still buffered
-        svc.drain()
-        unlingered.drain()
-        assert svc.schedule() == unlingered.schedule()
-
-    def test_cli_batch_flags(self, monkeypatch, capsys):
+    def test_cli_batch_flags(self, capsys):
+        """PR 23 deleted the ingest buffer and its four flags: argparse
+        turns them away (exit 2) instead of accepting a no-op."""
         from repro import cli
 
-        assert cli.main(["serve", "--batch-max", "-1"]) == 2
-        monkeypatch.setattr(
-            sys, "stdin", io.StringIO('{"op": "stop"}\n')
-        )
-        rc = cli.main(
-            ["serve", "--batch-max", "0", "--batch-linger-ms", "5"]
-        )
-        assert rc == 0
-        assert '"stopped": true' in capsys.readouterr().out
+        for argv, flag in (
+            (["serve", "--batch-max", "1"], "--batch-max"),
+            (["gateway", "--batch-linger-ms", "5"], "--batch-linger-ms"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_batch_counterpart_params_flow_through_registry(self):
         scheduler = build_scheduler("rand:n_orderings=30", seed=3, horizon=100)

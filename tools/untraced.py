@@ -5,8 +5,10 @@ events only) and compares the functions it entered with the ``def``s of
 ``src/repro``.  Report-only for the package as a whole, but a function
 defined in one of the ``GATED`` files (the REF event bodies, the
 Shapley solver, the coalition kernel and its engine views, the service
-journal and its snapshot format) that no test calls fails the run: every
-REF path, every kernel pass and every checkpoint helper is a tested one.
+with its policy adapters, its journal and its snapshot format) that no
+test calls fails the run: every REF path, every kernel pass, every ingest
+method and every checkpoint helper is a tested one.  ``@abstractmethod``
+bodies are declarations, not paths, and are skipped.
 
     PYTHONPATH=src python tools/untraced.py [pytest args...]
 """
@@ -26,17 +28,27 @@ GATED = (
     "algorithms/multiref.py",
     "shapley/vectorized.py",
     "core/kernel.py",
+    "service/service.py",
     "service/state.py",
     "service/snapshot.py",
 )
 
 
+def is_abstract(node: ast.FunctionDef) -> bool:
+    return any(
+        getattr(d, "id", getattr(d, "attr", None)) == "abstractmethod"
+        for d in node.decorator_list
+    )
+
+
 def defined(path: Path) -> dict[int, str]:
-    """``{first line (decorators included): name}`` of every def in ``path``
-    -- the line a code object reports as ``co_firstlineno``."""
+    """``{first line (decorators included): name}`` of every concrete def
+    in ``path`` -- the line a code object reports as ``co_firstlineno``."""
     out = {}
     for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef)
+        ) and not is_abstract(node):
             first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
             out[first] = node.name
     return out
