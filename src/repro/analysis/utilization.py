@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..core.engine import ClusterEngine
@@ -62,6 +61,10 @@ def preemptive_max_units(workload: Workload, t: int) -> int:
     length (a sequential job uses at most one machine per slot);
     ``interval -> sink`` with capacity ``m * length``.
     """
+    # imported here: nothing else in the package uses networkx, and
+    # loading it costs every process that imports this module
+    import networkx as nx
+
     m = workload.n_machines
     if m == 0 or t <= 0:
         return 0

@@ -42,160 +42,96 @@ Layers (see DESIGN.md §7 for the policy registry / capability model):
 * **self-healing** — :class:`SupervisorPolicy`, :class:`FaultPlan`,
   :class:`ShardUnavailable` (DESIGN.md §13: supervision, deterministic
   fault injection, graceful degradation).
+
+Every name resolves on first access (PEP 562, the helper of
+:mod:`repro`), so ``from repro import api`` imports no layer until a
+name of it is used.
 """
 
-from __future__ import annotations
+from . import _lazy_exports
 
-from .algorithms.base import PolicyScheduler, Scheduler, SchedulerResult
-from .approx import (
-    AdaptiveScheduler,
-    CertificateSummary,
-    DecisionCertificate,
-    HierScheduler,
-    StratifiedScheduler,
-    agreement_report,
+__getattr__, __dir__, __all__ = _lazy_exports(
+    globals(),
+    {
+        ".algorithms.base": ("PolicyScheduler", "Scheduler", "SchedulerResult"),
+        ".approx": (
+            "AdaptiveScheduler",
+            "CertificateSummary",
+            "DecisionCertificate",
+            "HierScheduler",
+            "StratifiedScheduler",
+            "agreement_report",
+        ),
+        ".core": (
+            "ClusterEngine",
+            "CoalitionFleet",
+            "FleetKernel",
+            "Job",
+            "Organization",
+            "Schedule",
+            "ScheduledJob",
+            "Workload",
+            "kernel_certified",
+        ),
+        ".experiments.pipeline": ("PipelineResult", "run_pipeline"),
+        ".experiments.registry": (
+            "PORTFOLIO_SPECS",
+            "Scenario",
+            "list_scenarios",
+            "register_family",
+            "register_portfolio",
+            "register_portfolio_specs",
+            "register_scenario",
+            "scenario_spec",
+        ),
+        ".experiments.spec": ("InstanceSpec", "ScenarioSpec"),
+        ".gateway": (
+            "AdmissionController",
+            "AdmissionError",
+            "FaultPlan",
+            "Gateway",
+            "GatewayConfig",
+            "LoadReport",
+            "LoadSpec",
+            "ShardUnavailable",
+            "SupervisorPolicy",
+            "TenantSpec",
+            "run_loadgen",
+        ),
+        ".policies": (
+            "ENTRY_POINT_GROUP",
+            "POLICY_REGISTRY",
+            "CapabilityError",
+            "ParamSpec",
+            "PolicyCapabilities",
+            "PolicyEntry",
+            "PolicyParamError",
+            "PolicySpec",
+            "UnknownPolicyError",
+            "build_online_policy",
+            "build_scheduler",
+            "discover_policies",
+            "get_policy",
+            "list_policies",
+            "policy_names",
+            "register_policy",
+            "resolve_policy",
+        ),
+        ".service": (
+            "ClusterService",
+            "OnlinePolicy",
+            "ReplayDriver",
+            "ReplayReport",
+            "load_snapshot",
+            "replay_scenario",
+            "save_snapshot",
+        ),
+        ".sim.runner": (
+            "METRICS",
+            "as_scheduler",
+            "compare_algorithms",
+            "evaluate_portfolio",
+            "run_schedule",
+        ),
+    },
 )
-from .core import (
-    ClusterEngine,
-    CoalitionFleet,
-    FleetKernel,
-    Job,
-    Organization,
-    Schedule,
-    ScheduledJob,
-    Workload,
-    kernel_certified,
-)
-from .experiments.pipeline import PipelineResult, run_pipeline
-from .gateway import (
-    AdmissionController,
-    AdmissionError,
-    FaultPlan,
-    Gateway,
-    GatewayConfig,
-    LoadReport,
-    LoadSpec,
-    ShardUnavailable,
-    SupervisorPolicy,
-    TenantSpec,
-    run_loadgen,
-)
-from .experiments.registry import (
-    PORTFOLIO_SPECS,
-    Scenario,
-    list_scenarios,
-    register_family,
-    register_portfolio,
-    register_portfolio_specs,
-    register_scenario,
-    scenario_spec,
-)
-from .experiments.spec import InstanceSpec, ScenarioSpec
-from .policies import (
-    ENTRY_POINT_GROUP,
-    POLICY_REGISTRY,
-    CapabilityError,
-    ParamSpec,
-    PolicyCapabilities,
-    PolicyEntry,
-    PolicyParamError,
-    PolicySpec,
-    UnknownPolicyError,
-    build_online_policy,
-    build_scheduler,
-    discover_policies,
-    get_policy,
-    list_policies,
-    policy_names,
-    register_policy,
-    resolve_policy,
-)
-from .service import (
-    ClusterService,
-    OnlinePolicy,
-    ReplayDriver,
-    ReplayReport,
-    load_snapshot,
-    replay_scenario,
-    save_snapshot,
-)
-from .sim.runner import (
-    METRICS,
-    as_scheduler,
-    compare_algorithms,
-    evaluate_portfolio,
-    run_schedule,
-)
-
-__all__ = [
-    "AdaptiveScheduler",
-    "AdmissionController",
-    "AdmissionError",
-    "CapabilityError",
-    "CertificateSummary",
-    "ClusterEngine",
-    "ClusterService",
-    "CoalitionFleet",
-    "DecisionCertificate",
-    "ENTRY_POINT_GROUP",
-    "FaultPlan",
-    "FleetKernel",
-    "Gateway",
-    "GatewayConfig",
-    "HierScheduler",
-    "InstanceSpec",
-    "Job",
-    "LoadReport",
-    "LoadSpec",
-    "METRICS",
-    "OnlinePolicy",
-    "Organization",
-    "POLICY_REGISTRY",
-    "PORTFOLIO_SPECS",
-    "ParamSpec",
-    "PipelineResult",
-    "PolicyCapabilities",
-    "PolicyEntry",
-    "PolicyParamError",
-    "PolicyScheduler",
-    "PolicySpec",
-    "ReplayDriver",
-    "ReplayReport",
-    "Scenario",
-    "ScenarioSpec",
-    "Schedule",
-    "ScheduledJob",
-    "Scheduler",
-    "SchedulerResult",
-    "ShardUnavailable",
-    "StratifiedScheduler",
-    "SupervisorPolicy",
-    "TenantSpec",
-    "UnknownPolicyError",
-    "Workload",
-    "agreement_report",
-    "as_scheduler",
-    "build_online_policy",
-    "build_scheduler",
-    "compare_algorithms",
-    "discover_policies",
-    "evaluate_portfolio",
-    "get_policy",
-    "kernel_certified",
-    "list_policies",
-    "list_scenarios",
-    "load_snapshot",
-    "policy_names",
-    "register_family",
-    "register_policy",
-    "register_portfolio",
-    "register_portfolio_specs",
-    "register_scenario",
-    "replay_scenario",
-    "resolve_policy",
-    "run_loadgen",
-    "run_pipeline",
-    "run_schedule",
-    "save_snapshot",
-    "scenario_spec",
-]

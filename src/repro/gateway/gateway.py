@@ -128,6 +128,10 @@ class _WorkerHandle:
     """One spawned worker: binary pipes, frame coalescing, rx line
     splitting.
 
+    Construction launches the process and writes its manifest without
+    waiting; :meth:`await_hello` then reads the worker's first line, so a
+    pool can launch every worker before it waits on any.
+
     A *frame* is every command enqueued since the last :meth:`flush`,
     written to the worker's stdin in one syscall.  Commands only leave
     when someone is about to block on their answers (:meth:`settle_one`)
@@ -166,14 +170,18 @@ class _WorkerHandle:
         self.dead = False
         self._rx = bytearray()
         self._rx_lines: "deque[str]" = deque()
-        self._tx: "list[bytes]" = []
+        self._tx: "list[bytes]" = [
+            json.dumps(manifest).encode("utf-8") + b"\n"
+        ]
         self._unsent: "list[_Pending]" = []
-        self.hello = self._handshake(manifest)
+        try:
+            self.flush()
+        except WorkerDied:
+            self.kill()
+            raise
 
-    # -- low-level I/O --------------------------------------------------
-    def _handshake(self, manifest: dict) -> dict:
-        self._tx.append(json.dumps(manifest).encode("utf-8") + b"\n")
-        self.flush()
+    def await_hello(self) -> dict:
+        """Block until the worker reports its shards built (or fails)."""
         resp = self._read_response(timeout=self.HANDSHAKE_TIMEOUT_S)
         if resp is None or not resp.get("ok"):
             raise WorkerDied(
@@ -181,6 +189,7 @@ class _WorkerHandle:
             )
         return resp
 
+    # -- low-level I/O --------------------------------------------------
     def send(self, pending: _Pending, payload: dict) -> None:
         """Enqueue one request into the current frame (no I/O)."""
         self.pending.append(pending)
@@ -428,8 +437,11 @@ class ShardPool:
             "fault": fault,
         }
 
-    def _spawn(self, worker: int, incarnation: int) -> None:
-        """(Re)create one worker process, restoring checkpointed shards."""
+    def _launch(
+        self, worker: int, incarnation: int, env: "dict[str, str]"
+    ) -> _WorkerHandle:
+        """Start one worker process, restoring checkpointed shards; does
+        not wait for it."""
         restore = {}
         if self.snapshot_dir is not None:
             for s in self.config.worker_shards(worker):
@@ -440,13 +452,47 @@ class ShardPool:
         handle = _WorkerHandle(
             worker,
             self._manifest(worker, restore, incarnation),
-            self._worker_env(),
+            env,
             self.transport.setdefault(
                 worker, {"tx_writes": 0, "tx_commands": 0, "rx_reads": 0}
             ),
         )
         handle.on_settle = lambda w=worker: self.supervisor.on_settled(w)
-        self.workers[worker] = handle
+        return handle
+
+    def _spawn_all(self, workers: "list[int]", incarnation: int = 0) -> None:
+        """(Re)create worker processes: launch every one, then collect
+        every hello, so their imports and shard builds overlap on the
+        cores instead of running one after another.  If any launch or
+        hello fails, every process launched here is killed and reaped
+        before the error propagates; ``self.workers`` only ever holds
+        workers that said hello."""
+        env = self._worker_env()
+        launched: "list[_WorkerHandle]" = []
+        try:
+            for w in workers:
+                launched.append(self._launch(w, incarnation, env))
+            for handle in launched:
+                handle.await_hello()
+        except BaseException:
+            for handle in launched:
+                handle.kill()
+            raise
+        for handle in launched:
+            self.workers[handle.worker_id] = handle
+
+    def _register_workers(self) -> "list[int]":
+        """Register every worker that owns a shard with the supervisor
+        and return them; a slot with no shard (fewer populated shards
+        than workers) gets no process."""
+        workers = [
+            w
+            for w in range(self.config.n_workers)
+            if self.config.worker_shards(w)
+        ]
+        for w in workers:
+            self.supervisor.register(w)
+        return workers
 
     def start(self) -> "ShardPool":
         if self.snapshot_dir is not None:
@@ -456,11 +502,7 @@ class ShardPool:
                 self.dwal[s] = ShardWal.create(
                     self.snapshot_dir, s, truncate=True
                 )
-        for w in range(self.config.n_workers):
-            if not self.config.worker_shards(w):
-                continue  # fewer populated shards than workers
-            self.supervisor.register(w)
-            self._spawn(w, 0)
+        self._spawn_all(self._register_workers())
         return self
 
     def resume_from_disk(self) -> "dict[int, int]":
@@ -507,11 +549,9 @@ class ShardPool:
             self.dwal[s] = ShardWal.attach(
                 self.snapshot_dir, s, next_seq=len(image.commands)
             )
-        for w in range(self.config.n_workers):
-            if not self.config.worker_shards(w):
-                continue
-            self.supervisor.register(w)
-            self._spawn(w, 0)
+        workers = self._register_workers()
+        self._spawn_all(workers)
+        for w in workers:
             self._replay(w)
         return replayed
 
@@ -619,8 +659,10 @@ class ShardPool:
         fault injected into the replay itself) the supervisor schedules
         the next attempt; True only when the worker healed."""
         incarnation = self.supervisor.on_respawn_attempt(worker)
+        started = time.monotonic()
         try:
-            self._spawn(worker, incarnation)
+            self._spawn_all([worker], incarnation)
+            spawned = time.monotonic()
             self._replay(worker)
         except (GatewayError, OSError) as exc:
             handle = self.workers.get(worker)
@@ -632,7 +674,11 @@ class ShardPool:
             )
             self._maybe_tear_wal(worker, incarnation)
             return False
-        self.supervisor.on_healed(worker)
+        self.supervisor.on_healed(
+            worker,
+            spawn_s=spawned - started,
+            replay_s=time.monotonic() - spawned,
+        )
         for s in self.config.worker_shards(worker):
             self.parked[s] = 0
         return True
@@ -1087,7 +1133,7 @@ class ShardPool:
             if worker in self.supervisor.meta
             else 0
         )
-        self._spawn(worker, incarnation)
+        self._spawn_all([worker], incarnation)
         replayed = self._replay(worker)
         if worker in self.supervisor.meta:
             self.supervisor.on_healed(worker, manual=True)

@@ -77,7 +77,8 @@ class LoadReport:
     verified: "bool | None" = None
     shard_digests: "dict[int, str]" = field(default_factory=dict)
     #: Self-healing stats (present when the gateway ran with a fault
-    #: plan): faults armed, auto recoveries, quarantines, MTTR, parking.
+    #: plan): faults armed, auto recoveries, quarantines, MTTR and its
+    #: spawn/replay split, parking.
     chaos: "dict | None" = None
 
     @property
@@ -118,7 +119,12 @@ class LoadReport:
                 f"chaos plan        {c.get('plan')}",
                 f"faults armed      {c.get('faults_armed')}",
                 f"auto recoveries   {c.get('auto_recoveries')}"
-                + (f" (mttr {mttr:.3f}s)" if mttr is not None else ""),
+                + (
+                    f" (mttr {mttr:.3f}s: spawn {c['spawn_s']:.3f}s"
+                    f" + replay {c['replay_s']:.3f}s + backoff/retries)"
+                    if mttr is not None
+                    else ""
+                ),
                 f"quarantines       {c.get('quarantines')}",
                 f"parked submits    {c.get('parked_total')} "
                 f"(lost in-flight {c.get('lost_responses')}, "
@@ -250,6 +256,8 @@ def run_loadgen(
             "auto_recoveries": len(sup.recoveries),
             "quarantines": sup.n_quarantines,
             "mttr_seconds": sup.mttr_seconds,
+            "spawn_s": sup.mean("spawn_s"),
+            "replay_s": sup.mean("replay_s"),
             "parked_total": pool.parked_total,
             "lost_responses": pool.lost_responses,
             "wal_tears": pool.wal_tears,

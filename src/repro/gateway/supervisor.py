@@ -26,13 +26,16 @@ wall-clock fallback (so an idle daemon still heals).  A worker that fails
 ``max_restarts`` times without proving itself healthy in between
 (``budget_reset_ops`` settled responses) is *quarantined* -- refused
 instead of hot-looped -- until the cooldown expires, after which it gets
-a fresh budget.  Every recovery's detect-to-healed wall time is logged;
+a fresh budget.  Every recovery's detect-to-healed wall time is logged
+with the two parts the pool timed -- cold start (``spawn_s``: launch to
+hello) and WAL replay (``replay_s``); the rest is backoff.
 :attr:`Supervisor.mttr_seconds` is their mean (``tests/test_supervisor.py``
 bounds it on the chaos plans it runs).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -149,7 +152,8 @@ class Supervisor:
     def __init__(self, policy: "SupervisorPolicy | None" = None) -> None:
         self.policy = policy or SupervisorPolicy()
         self.meta: "dict[int, WorkerMeta]" = {}
-        #: (worker, incarnation, reason, mttr_seconds) per auto-recovery.
+        #: (worker, incarnation, reason, mttr_seconds, spawn_s, replay_s)
+        #: per auto-recovery.
         self.recoveries: "list[dict]" = []
 
     # -- registration ----------------------------------------------------
@@ -199,7 +203,17 @@ class Supervisor:
             meta.next_attempt_v = vclock + virt
         return meta.state
 
-    def on_healed(self, worker: int, *, manual: bool = False) -> None:
+    def on_healed(
+        self,
+        worker: int,
+        *,
+        manual: bool = False,
+        spawn_s: float = 0.0,
+        replay_s: float = 0.0,
+    ) -> None:
+        """Record a heal.  ``spawn_s`` (launch to hello) and ``replay_s``
+        (WAL replay) are the pool's timings of the attempt that healed;
+        the rest of ``mttr_seconds`` is backoff and failed attempts."""
         meta = self.meta[worker]
         now = time.monotonic()
         if meta.detected_at is not None and not manual:
@@ -209,6 +223,9 @@ class Supervisor:
                     "incarnation": meta.incarnation,
                     "reason": meta.last_failure,
                     "mttr_seconds": round(now - meta.detected_at, 4),
+                    # rounded down: the parts never sum past the total
+                    "spawn_s": math.floor(spawn_s * 1e4) / 1e4,
+                    "replay_s": math.floor(replay_s * 1e4) / 1e4,
                 }
             )
         meta.state = UP
@@ -256,12 +273,17 @@ class Supervisor:
         )
 
     # -- reporting -------------------------------------------------------
-    @property
-    def mttr_seconds(self) -> "float | None":
+    def mean(self, key: str) -> "float | None":
+        """Mean of one recovery field (``mttr_seconds``, ``spawn_s``,
+        ``replay_s``) over every auto-recovery; None before the first."""
         if not self.recoveries:
             return None
-        vals = [r["mttr_seconds"] for r in self.recoveries]
+        vals = [r[key] for r in self.recoveries]
         return round(sum(vals) / len(vals), 4)
+
+    @property
+    def mttr_seconds(self) -> "float | None":
+        return self.mean("mttr_seconds")
 
     @property
     def n_quarantines(self) -> int:
@@ -275,4 +297,6 @@ class Supervisor:
             "auto_recoveries": len(self.recoveries),
             "quarantines": self.n_quarantines,
             "mttr_seconds": self.mttr_seconds,
+            "spawn_s": self.mean("spawn_s"),
+            "replay_s": self.mean("replay_s"),
         }

@@ -7,11 +7,17 @@ module docstring; the README's advertised entry points work.
 
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
+from repro import api
 
 
 def _walk_modules():
@@ -109,3 +115,56 @@ class TestSubpackages:
         for mod in _walk_modules():
             for name in getattr(mod, "__all__", ()):
                 assert hasattr(mod, name), f"{mod.__name__}.{name}"
+
+
+def _modules_after(statement: str) -> "set[str]":
+    """``sys.modules`` of a fresh interpreter after ``statement``."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = f"{statement}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return set(json.loads(out.stdout))
+
+
+def _loaded(modules: "set[str]", package: str) -> bool:
+    return any(m == package or m.startswith(package + ".") for m in modules)
+
+
+class TestLazyImports:
+    """A process imports only what it runs (counts, no clock)."""
+
+    @pytest.mark.parametrize("statement", ["import repro", "from repro import api"])
+    def test_top_level_loads_only_the_facade(self, statement):
+        ours = {m for m in _modules_after(statement) if _loaded({m}, "repro")}
+        assert ours == {"repro", "repro.api"}
+
+    def test_gateway_worker_skips_unused_layers(self):
+        modules = _modules_after("import repro.gateway.worker")
+        assert "repro.gateway.worker" in modules
+        for package in ("networkx", "repro.experiments", "repro.approx", "repro.sim"):
+            assert not _loaded(modules, package), package
+
+    def test_names_resolve_to_their_definitions(self):
+        from repro.algorithms.ref import RefScheduler
+        from repro.service.service import ClusterService
+
+        assert repro.RefScheduler is RefScheduler
+        assert api.ClusterService is ClusterService
+
+    @pytest.mark.parametrize("module", [repro, api], ids=["repro", "api"])
+    def test_star_import_and_dir_cover_all(self, module):
+        assert set(module.__all__) <= set(dir(module))
+        namespace: dict = {}
+        exec(f"from {module.__name__} import *", namespace)
+        assert set(module.__all__) <= namespace.keys()
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            repro.nope  # noqa: B018
+        assert not hasattr(api, "nope")

@@ -10,6 +10,7 @@ quarantine, and gateway-process resume.
 from __future__ import annotations
 
 import json
+import subprocess
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.gateway import (
     wal_path,
 )
 from repro.gateway.faults import FaultInjector, tear_file_tail
+from repro.gateway.gateway import _WorkerHandle
 from repro.gateway.routing import worker_of
 from repro.gateway.supervisor import (
     ADMIN_DOWN,
@@ -150,6 +152,7 @@ class TestSupervisorStateMachine:
         assert rec["worker"] == 0 and rec["reason"] == "crash"
         assert rec["mttr_seconds"] >= 0.0
         assert sup.mttr_seconds == rec["mttr_seconds"]
+        assert rec["spawn_s"] == 0.0 and rec["replay_s"] == 0.0
         # a manual restore_worker is not an auto-recovery
         sup.on_failure(0, "crash", vclock=5)
         sup.on_respawn_attempt(0)
@@ -163,6 +166,18 @@ class TestSupervisorStateMachine:
         assert st["workers"]["0"]["state"] == DOWN
         assert st["workers"]["0"]["last_failure"] == "crash"
         assert st["auto_recoveries"] == 0 and st["mttr_seconds"] is None
+        assert st["spawn_s"] is None and st["replay_s"] is None
+
+    def test_heal_split_means(self):
+        sup = self.make()
+        for spawn_s, replay_s in ((0.3, 0.1), (0.5, 0.2)):
+            sup.on_failure(0, "crash", vclock=0)
+            sup.on_respawn_attempt(0)
+            sup.on_healed(0, spawn_s=spawn_s, replay_s=replay_s)
+        assert sup.mean("spawn_s") == 0.4
+        assert sup.mean("replay_s") == 0.15
+        st = sup.status()
+        assert (st["spawn_s"], st["replay_s"]) == (0.4, 0.15)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +350,14 @@ class TestAutoRecovery:
         assert manual == 0, "self-healing must not need restore_worker"
         return report
 
+    @staticmethod
+    def assert_heal_split(chaos):
+        # each heal names its cold start and its replay, which fit
+        # inside its detect-to-healed time
+        assert chaos["spawn_s"] > 0 and chaos["replay_s"] >= 0
+        for rec in chaos["recoveries"]:
+            assert rec["spawn_s"] + rec["replay_s"] <= rec["mttr_seconds"]
+
     def test_scripted_crash_heals_bit_identically(self, tmp_path):
         plan = FaultPlan.parse("rate=0,script=0.0.crash.25")
         report = self.run_chaos(plan, tmp_path)
@@ -342,6 +365,7 @@ class TestAutoRecovery:
         assert report.chaos["auto_recoveries"] >= 1
         assert report.chaos["mttr_seconds"] <= self.MTTR_CEILING_S
         assert report.chaos["quarantines"] == 0
+        self.assert_heal_split(report.chaos)
 
     def test_crash_heals_for_the_kernel_ref_engine(self, tmp_path):
         plan = FaultPlan.parse("rate=0,script=1.0.crash.20")
@@ -414,6 +438,7 @@ class TestAutoRecovery:
         assert report.verified is True
         assert report.chaos["auto_recoveries"] >= 1
         assert report.chaos["mttr_seconds"] <= self.MTTR_CEILING_S
+        self.assert_heal_split(report.chaos)
 
     def test_lost_inflight_is_surfaced_in_status(self, tmp_path):
         plan = FaultPlan.parse("rate=0,script=0.0.crash.10")
@@ -424,6 +449,7 @@ class TestAutoRecovery:
             run_loadgen(gw, LoadSpec(n_events=300, n_releases=15, seed=4))
             st = gw.status()
             assert st["supervisor"]["auto_recoveries"] >= 1
+            assert st["supervisor"]["spawn_s"] > 0
             lost = st["supervisor"]["lost_inflight"]
             assert lost and all(
                 row["count"] >= 1 and "op" in row["recent"][0]
@@ -604,6 +630,79 @@ class TestDegradation:
 
 
 # ---------------------------------------------------------------------------
+# cold start: launch every worker, then wait; a failed start strands none
+# ---------------------------------------------------------------------------
+class TestColdStart:
+    @pytest.fixture
+    def popens(self, monkeypatch):
+        """Every worker process the pool creates, in launch order."""
+        created = []
+
+        class Recording(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", Recording)
+        return created
+
+    @staticmethod
+    def refuse_worker(monkeypatch, worker):
+        """Give ``worker`` a shard policy ``build_shard`` refuses."""
+        manifest = ShardPool._manifest
+
+        def refused(self, w, restore, incarnation=0):
+            out = manifest(self, w, restore, incarnation)
+            if w == worker:
+                for spec in out["shards"].values():
+                    spec["policy"] = "no_such_policy"
+            return out
+
+        monkeypatch.setattr(ShardPool, "_manifest", refused)
+
+    def test_every_worker_is_launched_before_any_hello(
+        self, monkeypatch, popens
+    ):
+        hellos = []
+        await_hello = _WorkerHandle.await_hello
+
+        def recorded(handle):
+            hellos.append(len(popens))
+            return await_hello(handle)
+
+        monkeypatch.setattr(_WorkerHandle, "await_hello", recorded)
+        with Gateway(small_config(n_workers=4, n_shards=4)) as gw:
+            assert sorted(gw.pool.workers) == [0, 1, 2, 3]
+        assert hellos == [4, 4, 4, 4]
+
+    def test_failed_start_reaps_every_worker(self, monkeypatch, popens):
+        self.refuse_worker(monkeypatch, 1)
+        gw = Gateway(small_config())
+        with pytest.raises(WorkerDied, match="worker 1 failed to start"):
+            gw.start()
+        assert len(popens) == 2
+        assert all(p.returncode is not None for p in popens)
+        assert gw.pool.workers == {}
+
+    def test_failed_resume_reaps_every_worker(
+        self, tmp_path, monkeypatch, popens
+    ):
+        config = small_config()
+        with Gateway(config, snapshot_dir=tmp_path) as gw:
+            run_loadgen(gw, LoadSpec(n_events=100, n_releases=5, seed=5))
+        self.refuse_worker(monkeypatch, 1)
+        del popens[:]
+        pool = ShardPool(config, snapshot_dir=tmp_path)
+        try:
+            with pytest.raises(WorkerDied, match="worker 1 failed to start"):
+                pool.resume_from_disk()
+        finally:
+            pool.close()
+        assert len(popens) == 2
+        assert all(p.returncode is not None for p in popens)
+
+
+# ---------------------------------------------------------------------------
 # the gateway process itself dies: resume from durable state
 # ---------------------------------------------------------------------------
 class TestGatewayResume:
@@ -751,3 +850,4 @@ class TestChaosSurface:
             sup = st["supervisor"]
             assert sup["workers"]["0"]["state"] == UP
             assert sup["auto_recoveries"] == 0
+            assert sup["spawn_s"] is None and sup["replay_s"] is None
