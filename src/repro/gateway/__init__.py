@@ -11,9 +11,12 @@ ClusterService` shards across process-per-core workers:
   :class:`GatewayConfig` / :class:`TenantSpec` roster.
 * :mod:`~repro.gateway.admission` -- per-tenant token-bucket rate limits
   and credit budgets at the ingest door, with typed in-band errors.
-* :mod:`~repro.gateway.worker` -- the shard host process (the single
-  daemon's JSONL loop multiplexed over its shards, command handling
-  verbatim).
+* :mod:`~repro.gateway.wire` -- the pipe grammar: a shard op is a
+  journal row minus what the shard assigns, encoded once for the WAL and
+  the frame, checked by the worker before it applies it.
+* :mod:`~repro.gateway.worker` -- the shard host process: applies each
+  row to its shard through the ingest method its kind names, the
+  dispatch journal restore uses.
 * :mod:`~repro.gateway.gateway` -- :class:`ShardPool` (pipes, pipelining,
   WAL, checkpoint, kill/restore) and the tenant-facing :class:`Gateway`.
 * :mod:`~repro.gateway.loadgen` -- the deterministic event storm and the

@@ -313,10 +313,11 @@ class FaultInjector:
         os._exit(CRASH_EXIT_STATUS)
 
 
-def tear_file_tail(path, garbage: bytes = b'{"op": "subm') -> None:
+def tear_file_tail(path, garbage: bytes = b'[7,"submit",0,') -> None:
     """Append a torn (newline-less) partial record to ``path`` -- the
-    byte pattern a mid-append crash leaves behind.  Used by the pool's
-    ``tear_wal`` companion fault and by regression tests."""
+    byte pattern a mid-append crash leaves behind (by default a prefix
+    of a WAL command record).  Used by the pool's ``tear_wal``
+    companion fault and by regression tests."""
     with open(path, "ab") as f:
         f.write(garbage)
         f.flush()

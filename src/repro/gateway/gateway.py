@@ -3,13 +3,17 @@
 Two layers (ISSUE 8 tentpole):
 
 * :class:`ShardPool` -- the transport: spawns ``python -m
-  repro.gateway.worker`` processes (process-per-core), routes shard-tagged
-  JSONL commands over binary pipes with bounded pipelining (responses are
-  matched positionally per worker -- workers answer strictly in order),
-  keeps a per-shard write-ahead log of every forwarded mutation since the
-  last acknowledged checkpoint, and implements snapshot-under-load, kill
-  and bit-identical restore (checkpoint + WAL replay through the very same
-  command path).
+  repro.gateway.worker`` processes (process-per-core), sends each shard op
+  as one row of the pipe grammar (:mod:`repro.gateway.wire`: the journal
+  row minus what the shard assigns, ``["submit", org, size, release]``,
+  ``["advance", until]``, ...) over binary pipes with bounded pipelining
+  (responses are matched positionally per worker -- workers answer
+  strictly in order), keeps a per-shard write-ahead log of every forwarded
+  mutation since the last acknowledged checkpoint, and implements
+  snapshot-under-load, kill and bit-identical restore (checkpoint + WAL
+  replay through the very same command path).  A row is encoded once:
+  the same bytes end its durable WAL record ``[seq, *row]`` and its frame
+  line ``[id, shard, *row]``.
 * :class:`Gateway` -- the tenant-facing policy layer on top: deterministic
   ``tenant -> shard -> org`` routing from the content-hashed
   :class:`~repro.gateway.config.GatewayConfig`, admission control and
@@ -56,9 +60,11 @@ from pathlib import Path
 from typing import Callable
 
 from ..service.snapshot import check_snapshot, load_snapshot
+from ..service.state import OP_FIELDS
 from .admission import AdmissionController, AdmissionError
 from .config import GatewayConfig
 from .faults import FaultPlan
+from .routing import worker_of
 from .supervisor import (
     ADMIN_DOWN,
     DOWN,
@@ -69,6 +75,7 @@ from .supervisor import (
     SupervisorPolicy,
 )
 from .wal import ShardWal, load_wal, wal_path
+from .wire import body, encode
 from .worker import shard_snapshot_path
 
 __all__ = [
@@ -83,21 +90,6 @@ __all__ = [
 #: Ingest round-trip samples kept for :meth:`Gateway.latency_percentiles`
 #: (a sliding window: the newest this many).
 LATENCY_WINDOW = 10_000
-
-#: Ops the WAL must capture: everything that mutates shard state.  Pure
-#: observations (status, inline snapshot) replay to nothing and are not
-#: logged.
-MUTATING_OPS = frozenset(
-    {
-        "submit",
-        "advance",
-        "drain",
-        "join",
-        "leave",
-        "add_machines",
-        "remove_machines",
-    }
-)
 
 
 class GatewayError(RuntimeError):
@@ -115,13 +107,23 @@ class _Pending:
     ``sent_at`` is stamped when the request's bytes leave in a frame, not
     when it is enqueued: the response deadline measures the worker, and a
     command still waiting in the tx buffer is not the worker's fault.
+    The callback gets the decoded reply: an int array led by the request
+    id for an ingest op or a ping, a dict for everything else.
     """
 
     req_id: int
     shard: "int | None"
     op: str
     sent_at: "float | None" = None
-    callback: "Callable[[dict], None] | None" = None
+    callback: "Callable[[list | dict], None] | None" = None
+    #: set when the ingest round trip is timed (``track_latency``)
+    enqueued: "float | None" = None
+    reply: "list | dict | None" = None
+
+
+def _refused(resp: "list | dict") -> bool:
+    """Whether a worker reply is a refusal (``{"ok": false, ...}``)."""
+    return type(resp) is dict and not resp.get("ok")
 
 
 class _WorkerHandle:
@@ -146,12 +148,15 @@ class _WorkerHandle:
         manifest: dict,
         env: "dict[str, str]",
         counters: "dict[str, int]",
+        latencies_s: "deque[float]",
     ) -> None:
         self.worker_id = worker_id
         self.on_settle: "Callable[[], None] | None" = None
         #: ``tx_writes`` / ``tx_commands`` / ``rx_reads``; owned by the
         #: pool so the totals survive a respawn
         self.counters = counters
+        #: the pool's ingest round-trip samples (``_Pending.enqueued``)
+        self.latencies_s = latencies_s
         # -c instead of -m: the latter warns when repro.gateway is already
         # imported as a package before runpy executes the submodule
         self.proc = subprocess.Popen(
@@ -168,7 +173,7 @@ class _WorkerHandle:
         )
         self.pending: "deque[_Pending]" = deque()
         self.dead = False
-        self._rx = bytearray()
+        self._rx = ""
         self._rx_lines: "deque[str]" = deque()
         self._tx: "list[bytes]" = [
             json.dumps(manifest).encode("utf-8") + b"\n"
@@ -190,11 +195,12 @@ class _WorkerHandle:
         return resp
 
     # -- low-level I/O --------------------------------------------------
-    def send(self, pending: _Pending, payload: dict) -> None:
-        """Enqueue one request into the current frame (no I/O)."""
+    def send(self, pending: _Pending, line: bytes) -> None:
+        """Enqueue one encoded request line into the current frame (no
+        I/O)."""
         self.pending.append(pending)
         self._unsent.append(pending)
-        self._tx.append(json.dumps(payload).encode("utf-8") + b"\n")
+        self._tx.append(line)
 
     @property
     def has_unsent(self) -> bool:
@@ -233,18 +239,13 @@ class _WorkerHandle:
             self.dead = True
             return False
         self.counters["rx_reads"] += 1
-        self._rx.extend(chunk)
-        while True:
-            nl = self._rx.find(b"\n")
-            if nl < 0:
-                break
-            self._rx_lines.append(
-                self._rx[:nl].decode("utf-8", errors="replace")
-            )
-            del self._rx[: nl + 1]
+        # replies are ASCII JSON, so no character straddles two chunks
+        lines = (self._rx + chunk.decode("ascii", "replace")).split("\n")
+        self._rx = lines.pop()  # the partial line after the last newline
+        self._rx_lines.extend(lines)
         return True
 
-    def _read_response(self, timeout: "float | None") -> "dict | None":
+    def _read_response(self, timeout: "float | None") -> "list | dict | None":
         deadline = None if timeout is None else time.monotonic() + timeout
         while not self._rx_lines:
             if self.dead:
@@ -261,7 +262,9 @@ class _WorkerHandle:
         return json.loads(self._rx_lines.popleft())
 
     # -- response accounting --------------------------------------------
-    def settle_one(self, timeout: "float | None" = None) -> "dict | None":
+    def settle_one(
+        self, timeout: "float | None" = None
+    ) -> "list | dict | None":
         """Match the oldest pending request with the next response."""
         if not self.pending:
             return None
@@ -275,12 +278,15 @@ class _WorkerHandle:
                 )
             return None
         p = self.pending.popleft()
-        got = resp.get("id")
+        got = resp[0] if type(resp) is list else resp.get("id")
         if got is not None and got != p.req_id:
             raise GatewayError(
                 f"worker {self.worker_id}: response id {got} does not "
                 f"match pending request {p.req_id} (protocol desync)"
             )
+        p.reply = resp
+        if p.enqueued is not None:
+            self.latencies_s.append(time.perf_counter() - p.enqueued)
         if p.callback is not None:
             p.callback(resp)
         if self.on_settle is not None:
@@ -310,7 +316,7 @@ class _WorkerHandle:
         self.pending.clear()
         self._tx.clear()
         self._unsent.clear()
-        self._rx.clear()
+        self._rx = ""
         self._rx_lines.clear()
         self.dead = True
         if self.proc.poll() is None:
@@ -366,7 +372,8 @@ class ShardPool:
         )
         self.max_inflight = max_inflight
         self.workers: "dict[int, _WorkerHandle]" = {}
-        self.wal: "dict[int, list[dict]]" = {
+        #: shard -> the rows logged since its last checkpoint
+        self.wal: "dict[int, list[list]]" = {
             s: [] for s in config.shard_ids()
         }
         self.checkpointed: "set[int]" = set()
@@ -456,6 +463,7 @@ class ShardPool:
             self.transport.setdefault(
                 worker, {"tx_writes": 0, "tx_commands": 0, "rx_reads": 0}
             ),
+            self.latencies_s,
         )
         handle.on_settle = lambda w=worker: self.supervisor.on_settled(w)
         return handle
@@ -542,7 +550,7 @@ class ShardPool:
                     "path": str(path),
                     "content_hash": ckpt_hash,
                 }
-            self.wal[s] = [dict(c) for c in image.commands[floor:]]
+            self.wal[s] = image.commands[floor:]
             replayed[s] = len(self.wal[s])
             if image.torn:
                 self.wal_torn_repairs += 1
@@ -559,10 +567,8 @@ class ShardPool:
     def n_live_workers(self) -> int:
         return sum(1 for h in self.workers.values() if not h.dead)
 
-    def _handle_for_shard(self, shard: int) -> _WorkerHandle:
-        from .routing import worker_of
-
-        w = worker_of(shard, self.config.n_workers)
+    def _handle_for(self, w: int, shard: int) -> _WorkerHandle:
+        """Worker ``w``'s live handle, which owns ``shard``."""
         try:
             handle = self.workers[w]
         except KeyError:
@@ -619,11 +625,11 @@ class ShardPool:
         handle = self.workers[worker]
         replayed = {}
         for s in self.config.worker_shards(worker):
-            for cmd in self.wal[s]:
+            for row in self.wal[s]:
                 self._next_id += 1
                 handle.send(
-                    _Pending(self._next_id, s, cmd.get("op", "?")),
-                    {"id": self._next_id, "shard": s, **cmd},
+                    _Pending(self._next_id, s, row[0]),
+                    b"[%d,%d," % (self._next_id, s) + body(row) + b"\n",
                 )
                 if len(handle.pending) >= self.max_inflight:
                     self._settle_down_to(
@@ -747,7 +753,7 @@ class ShardPool:
         self._next_id += 1
         self.workers[worker].send(
             _Pending(self._next_id, None, "ping"),
-            {"id": self._next_id, "op": "ping"},
+            b'[%d,"ping"]\n' % self._next_id,
         )
         self.pings_sent += 1
         # don't re-ping while this probe is outstanding
@@ -778,8 +784,6 @@ class ShardPool:
         """Block (bounded) until the worker owning ``shard`` is up,
         driving due respawns; used by drain-style barriers that must not
         proceed over a hole in the fleet."""
-        from .routing import worker_of
-
         w = worker_of(shard, self.config.n_workers)
         deadline = time.monotonic() + timeout_s
         while True:
@@ -821,8 +825,6 @@ class ShardPool:
             time.sleep(0.005)
 
     def shard_state(self, shard: int) -> str:
-        from .routing import worker_of
-
         return self.supervisor.state(
             worker_of(shard, self.config.n_workers)
         )
@@ -847,28 +849,29 @@ class ShardPool:
             )
         return None
 
-    def _log_cmd(self, shard: int, cmd: dict) -> None:
-        """Write-ahead: in-memory WAL always, durable WAL when enabled --
-        both *before* the command is forwarded (or parked)."""
-        self.wal[shard].append(dict(cmd))
+    def _log_cmd(self, shard: int, row: list, data: bytes) -> None:
+        """Write-ahead: in-memory WAL always (the row itself), durable WAL
+        when enabled (its encoded ``data``) -- both *before* the command
+        is forwarded (or parked)."""
+        self.wal[shard].append(row)
         dw = self.dwal.get(shard)
         if dw is not None:
-            dw.append(cmd)
+            dw.append(data)
 
     def _park(
         self,
         shard: int,
         worker: int,
-        cmd: dict,
+        row: list,
         state: str,
-        callback: "Callable[[dict], None] | None",
+        callback: "Callable[[list | dict], None] | None",
         log: bool,
     ) -> dict:
         """Graceful degradation for a down shard: mutating commands park
         (WAL-only; replayed in order on heal), observations and
         over-budget submits are refused with a typed error."""
-        op = cmd.get("op", "?")
-        if op not in MUTATING_OPS:
+        op = row[0]
+        if op not in OP_FIELDS:
             raise ShardUnavailable(
                 shard,
                 state,
@@ -881,7 +884,7 @@ class ShardPool:
             self.parked[shard] = self.parked.get(shard, 0) + 1
             self.parked_total += 1
         if log:
-            self._log_cmd(shard, cmd)
+            self._log_cmd(shard, row, body(row))
         resp = {"ok": True, "shard": shard, "op": op, "parked": True}
         if callback is not None:
             callback(resp)
@@ -891,56 +894,56 @@ class ShardPool:
     def shard_cmd(
         self,
         shard: int,
-        cmd: dict,
+        row: list,
         *,
         wait: bool = False,
         track_latency: bool = False,
-        callback: "Callable[[dict], None] | None" = None,
+        callback: "Callable[[list | dict], None] | None" = None,
         log: bool = True,
-    ) -> "dict | None":
-        """Send one shard-tagged command; pipeline unless ``wait``.
+    ) -> "list | dict | None":
+        """Send one shard op, a row of the pipe grammar
+        (:mod:`repro.gateway.wire`); pipeline unless ``wait``.
 
-        Pipelined, the command is WAL-logged and joins its worker's
-        current frame -- no I/O on the pipe; ``wait`` flushes and blocks
-        for the answer, and a window that reaches ``max_inflight``
-        flushes and settles down to half before returning.
+        The caller ticks the supervisor first (:meth:`submit_refusal`
+        and :meth:`call` do, :meth:`Gateway.advance` once per
+        broadcast).  Pipelined, an ingest row is encoded once, WAL-logged
+        and joins its worker's current frame -- no I/O on the pipe;
+        ``wait`` flushes and blocks for the answer, and a window that
+        reaches ``max_inflight`` flushes and settles down to half before
+        returning.
 
         A command to a shard whose worker is auto-down parks or is
         refused (:meth:`_park`); a worker failure detected mid-send
         parks the command too (it is already in the WAL) instead of
         surfacing a transport error to the tenant.
         """
-        from .routing import worker_of
-
-        self.tick()
         w = worker_of(shard, self.config.n_workers)
-        op = cmd.get("op", "?")
-        mutating = op in MUTATING_OPS
+        op = row[0]
+        mutating = op in OP_FIELDS
         state = self.supervisor.state(w)
         if state in (DOWN, QUARANTINED):
             # returned for non-wait callers too: a parked ack is useful
             # ("parked": true) where the normal pipeline path has nothing
-            return self._park(shard, w, cmd, state, callback, log)
-        handle = self._handle_for_shard(shard)  # admin_down raises here
+            return self._park(shard, w, row, state, callback, log)
+        handle = self._handle_for(w, shard)  # admin_down raises here
         self._next_id += 1
-        payload = {"id": self._next_id, "shard": shard, **cmd}
+        data = body(row)
         if log and mutating:
-            self._log_cmd(shard, cmd)
-        cb = self._wrap_latency(callback) if track_latency else callback
-        captured: "list[dict]" = []
-        if wait:
-            inner = cb
-
-            def cb(resp: dict, _inner=inner) -> None:
-                captured.append(resp)
-                if _inner is not None:
-                    _inner(resp)
-
-        handle.send(_Pending(self._next_id, shard, op, callback=cb), payload)
+            self._log_cmd(shard, row, data)
+        pending = _Pending(
+            self._next_id,
+            shard,
+            op,
+            callback=callback,
+            enqueued=time.perf_counter() if track_latency else None,
+        )
+        handle.send(
+            pending, b"[%d,%d," % (self._next_id, shard) + data + b"\n"
+        )
         if wait:
             drained = self._drain_handle(w)
-            if captured:
-                return captured[0]
+            if pending.reply is not None:
+                return pending.reply
             if drained:
                 raise GatewayError("response stream ended unexpectedly")
             # the worker failed before our response arrived
@@ -964,20 +967,9 @@ class ShardPool:
                     ) from exc
         return None
 
-    def _wrap_latency(
-        self, callback: "Callable[[dict], None] | None"
-    ) -> "Callable[[dict], None]":
-        sent = time.perf_counter()
-
-        def cb(resp: dict) -> None:
-            self.latencies_s.append(time.perf_counter() - sent)
-            if callback is not None:
-                callback(resp)
-
-        return cb
-
-    def worker_cmd(self, worker: int, cmd: dict) -> dict:
-        """A synchronous worker-level op (status / snapshot / shutdown).
+    def worker_cmd(self, worker: int, row: list) -> "list | dict":
+        """A synchronous worker op, a row without a shard (``["ping"]``,
+        ``["worker_status"]``, ``["snapshot_shards"]``, ``["shutdown"]``).
 
         Bounded by the heartbeat deadline; raises :class:`WorkerDied` on
         death or stall (callers on the supervised path catch and report
@@ -989,8 +981,8 @@ class ShardPool:
         self._settle_down_to(handle, 0, "before a worker op")
         self._next_id += 1
         handle.send(
-            _Pending(self._next_id, None, cmd.get("op", "?")),
-            {"id": self._next_id, **cmd},
+            _Pending(self._next_id, None, row[0]),
+            (encode([self._next_id, *row]) + "\n").encode(),
         )
         resp = handle.settle_one(timeout=hb)
         if resp is None:
@@ -999,8 +991,10 @@ class ShardPool:
             )
         return resp
 
-    def call(self, shard: int, cmd: dict, **kwargs) -> dict:
-        resp = self.shard_cmd(shard, cmd, wait=True, **kwargs)
+    def call(self, shard: int, row: list, **kwargs) -> "list | dict":
+        """Tick, then send one shard op and wait for its reply."""
+        self.tick()
+        resp = self.shard_cmd(shard, row, wait=True, **kwargs)
         assert resp is not None
         return resp
 
@@ -1028,7 +1022,7 @@ class ShardPool:
             if handle.dead or self.supervisor.state(w) != UP:
                 continue
             try:
-                resp = self.worker_cmd(w, {"op": "worker_status"})
+                resp = self.worker_cmd(w, ["worker_status"])
             except (WorkerDied, GatewayError) as exc:
                 self._worker_failed(w, str(exc))
                 continue
@@ -1046,8 +1040,8 @@ class ShardPool:
         self.barrier()
         out = {}
         for s in self.config.shard_ids():
-            resp = self.call(s, {"op": "snapshot"}, log=False)
-            if not resp.get("ok"):
+            resp = self.call(s, ["snapshot"], log=False)
+            if _refused(resp):
                 raise GatewayError(f"shard {s} snapshot failed: {resp}")
             out[s] = resp["snapshot"]["schedule_digest"]
         return out
@@ -1078,14 +1072,11 @@ class ShardPool:
             if state != UP:
                 continue  # parked shards checkpoint after they heal
             try:
-                resp = self.worker_cmd(
-                    w,
-                    {"op": "snapshot_shards", "dir": str(self.snapshot_dir)},
-                )
+                resp = self.worker_cmd(w, ["snapshot_shards"])
             except (WorkerDied, GatewayError) as exc:
                 self._worker_failed(w, str(exc))
                 continue
-            if not resp.get("ok"):
+            if _refused(resp):
                 raise GatewayError(f"worker {w} snapshot failed: {resp}")
             for sid, info in resp["snapshots"].items():
                 out[int(sid)] = info
@@ -1178,7 +1169,7 @@ class ShardPool:
             if handle.dead:
                 continue
             try:
-                self.worker_cmd(w, {"op": "shutdown"})
+                self.worker_cmd(w, ["shutdown"])
             except (GatewayError, OSError):
                 pass
             handle.close()
@@ -1256,6 +1247,12 @@ class Gateway:
         errors surface in :attr:`forward_errors` and the next barrier.
         ``wait=True`` returns the shard's full response.
 
+        ``size`` and ``release`` must be ints (``release`` may be None:
+        the shard's clock); anything else, ``bool`` included, is refused
+        with ``bad_request`` before admission charges anything -- a shard
+        would otherwise run a truncated job the tenant paid face value
+        for.
+
         Degradation contract: shard health is checked **before**
         admission charges, so a ``shard_unavailable`` refusal (worker
         quarantined, or down with a full park buffer) never costs the
@@ -1263,11 +1260,10 @@ class Gateway:
         submit to a down-but-parkable shard is charged (it *will* apply
         on heal) and acknowledged with ``"parked": true``.
         """
-        now = self.clock if release is None else max(release, self.clock)
         if tenant not in self.config.routes:
             try:
                 # routes admission's unknown_tenant accounting + error
-                self.admission.admit_submit(tenant, size, now)
+                self.admission.admit_submit(tenant, size)
             except AdmissionError as exc:
                 self.n_rejected += 1
                 return {
@@ -1276,6 +1272,23 @@ class Gateway:
                     "error": str(exc),
                     "code": exc.code,
                 }
+        if type(size) is not int or (
+            release is not None and type(release) is not int
+        ):
+            self.n_rejected += 1
+            exc = self.admission.refuse(
+                tenant,
+                "bad_request",
+                f"size and release must be ints (release may be None), "
+                f"got size={size!r} release={release!r}",
+            )
+            return {
+                "ok": False,
+                "tenant": tenant,
+                "error": str(exc),
+                "code": exc.code,
+            }
+        now = self.clock if release is None else max(release, self.clock)
         shard, org = self.config.routes[tenant]
         refusal = self.pool.submit_refusal(shard)
         if refusal is not None:
@@ -1298,20 +1311,21 @@ class Gateway:
                 "error": str(exc),
                 "code": exc.code,
             }
-        cmd: dict = {"op": "submit", "org": org, "size": int(size)}
-        if release is not None:
-            cmd["release"] = int(release)
         self.n_submitted += 1
 
-        def check(resp: dict) -> None:
-            if not resp.get("ok"):
+        def check(resp: "list | dict") -> None:
+            if _refused(resp):
                 self.forward_errors.append(
                     {"tenant": tenant, "shard": shard, **resp}
                 )
 
         try:
             resp = self.pool.shard_cmd(
-                shard, cmd, wait=wait, track_latency=True, callback=check
+                shard,
+                ["submit", org, size, release],
+                wait=wait,
+                track_latency=True,
+                callback=check,
             )
         except ShardUnavailable as exc:
             # raced: the shard went unavailable between the health check
@@ -1327,6 +1341,17 @@ class Gateway:
                 "shard": shard,
                 "error": str(exc),
                 "code": "shard_unavailable",
+            }
+        if wait and type(resp) is list:
+            _, job_id, index, at = resp
+            return {
+                "tenant": tenant,
+                "ok": True,
+                "job_id": job_id,
+                "org": org,
+                "index": index,
+                "release": at,
+                "shard": shard,
             }
         if wait:
             return {"tenant": tenant, **resp}
@@ -1362,8 +1387,10 @@ class Gateway:
         self.clock = max(self.clock, t)
         self.pool.vclock = self.clock
         self.admission.observe_clock(self.clock)
+        self.pool.tick()
+        row = ["advance", t]
         for s in self.config.shard_ids():
-            self.pool.shard_cmd(s, {"op": "advance", "t": t})
+            self.pool.shard_cmd(s, row)
         if wait:
             self.pool.barrier()
         return {"ok": True, "clock": self.clock}
@@ -1379,14 +1406,14 @@ class Gateway:
         self.pool.vclock = self.clock
         clocks = []
         for s in self.config.shard_ids():
-            resp: "dict | None" = None
+            resp: "list | dict | None" = None
             for _ in range(10):
                 try:
-                    resp = self.pool.call(s, {"op": "drain"})
+                    resp = self.pool.call(s, ["drain"])
                 except ShardUnavailable:
                     self.pool.heal_shard(s)
                     continue
-                if resp.get("parked"):
+                if type(resp) is dict and resp.get("parked"):
                     # parked: the WAL holds the drain; heal applies it,
                     # then one more (idempotent) drain reads the clock
                     self.pool.heal_shard(s)
@@ -1394,9 +1421,9 @@ class Gateway:
                 break
             else:
                 raise GatewayError(f"shard {s} would not drain (gave up)")
-            if not resp.get("ok"):
+            if type(resp) is dict:  # refused shard-side
                 return resp
-            clocks.append(resp["clock"])
+            clocks.append(resp[1])
         self.clock = max([self.clock, *clocks])
         self.pool.vclock = self.clock
         self.admission.observe_clock(self.clock)

@@ -9,19 +9,29 @@ process itself* recoverable: :meth:`~repro.gateway.gateway.ShardPool.
 resume_from_disk` rebuilds the whole fleet from checkpoints plus WAL
 replay after the front door dies, exactly as a worker respawn does.
 
-Record grammar (one canonical-JSON object per line):
+Record grammar, version :data:`WAL_VERSION` (one compact JSON value per
+line):
 
-* command records ``{"seq": n, "cmd": {...}}`` -- ``seq`` is a dense
-  per-shard counter starting at 0.
+* a header ``{"format": "repro.gateway.wal", "version": 2}``, written
+  with the first record of a new file;
+* command records ``[seq, *row]`` -- the wire row of
+  :mod:`repro.gateway.wire` (``[12,"submit",0,3,null]``), whose encoded
+  bytes after ``seq`` are the very bytes the pool puts in the frame;
+  ``seq`` is a dense per-shard counter starting at 0;
 * checkpoint markers ``{"mark": <content_hash>, "seq": n}`` -- appended
   (and fsynced) only *after* a checkpoint of this shard was durably
   renamed into place and acknowledged; ``seq`` is the next command seq,
   i.e. everything below it is inside that checkpoint.
 
-Torn-tail tolerance: a crash mid-append (or an injected
-``tear_wal`` fault) leaves a partial final line.  :func:`load_wal` drops
-unparseable lines but then *requires the parsed command seqs to be dense
-from 0* -- so a torn or garbage line is recovered silently (the record it
+Version 1 wrote one ``{"seq": n, "cmd": {...}}`` object per command.
+:func:`load_wal` refuses such a record, and any other version's header,
+by name: read as junk it would be dropped and the shard would resume
+from an empty history.  There is no version-1 reader.
+
+Torn-tail tolerance: a crash mid-append (or an injected ``tear_wal``
+fault) leaves a partial final line.  :func:`load_wal` drops unparseable
+lines but then *requires the parsed command seqs to be dense from 0* --
+so a torn or garbage line is recovered silently (the record it
 interrupted was never acknowledged, by write-ahead ordering), while a
 genuinely missing middle record (real corruption) is a hard error, never
 a silent loss.  Replay picks the **latest marker whose hash matches the
@@ -38,7 +48,20 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-__all__ = ["ShardWal", "WalImage", "load_wal", "wal_path"]
+from .wire import encode, ingest_values
+
+__all__ = ["WAL_FORMAT", "WAL_VERSION", "ShardWal", "WalImage", "load_wal",
+           "wal_path"]
+
+WAL_FORMAT = "repro.gateway.wal"
+
+#: Bump on any change to the record layout; :func:`load_wal` refuses
+#: other versions instead of misreading them.
+WAL_VERSION = 2
+
+_HEADER = (
+    encode({"format": WAL_FORMAT, "version": WAL_VERSION}) + "\n"
+).encode()
 
 
 def wal_path(snapshot_dir: "str | Path", shard: int) -> Path:
@@ -50,7 +73,7 @@ def wal_path(snapshot_dir: "str | Path", shard: int) -> Path:
 class WalImage:
     """The decoded contents of one shard's durable WAL."""
 
-    commands: "list[dict]"
+    commands: "list[list]"  # wire rows, in seq order
     markers: "list[tuple[str, int]]"  # (checkpoint content_hash, seq floor)
     torn: bool = False
     dropped_lines: int = 0
@@ -67,9 +90,12 @@ class WalImage:
 
 
 def load_wal(path: "str | Path") -> WalImage:
-    """Decode a durable WAL, tolerating a torn tail (see module doc)."""
+    """Decode a durable WAL, tolerating a torn tail (see module doc).
+
+    Every command record is checked against the wire grammar; a record
+    of another version is a ``ValueError`` naming its line."""
     path = Path(path)
-    commands: "list[tuple[int, dict]]" = []
+    commands: "list[tuple[int, list]]" = []
     markers: "list[tuple[str, int]]" = []
     dropped = 0
     torn = False
@@ -82,21 +108,36 @@ def load_wal(path: "str | Path") -> WalImage:
         if not line.strip():
             continue
         try:
-            row = json.loads(line.decode("utf-8"))
-            if not isinstance(row, dict):
-                raise ValueError("not an object")
-        except (ValueError, UnicodeDecodeError):
+            rec = json.loads(line)
+        except ValueError:  # UnicodeDecodeError included
             dropped += 1
             # a partial record at the very end of the file is the
             # signature of a mid-append crash
             if i == len(lines) - 1:
                 torn = True
             continue
-        if "mark" in row:
-            markers.append((str(row["mark"]), int(row["seq"])))
-        elif "cmd" in row:
-            commands.append((int(row["seq"]), dict(row["cmd"])))
-        else:
+        where = f"{path} line {i + 1}"
+        if type(rec) is list:
+            if not rec or type(rec[0]) is not int:
+                raise ValueError(f"{where}: not a [seq, *row] record: {rec!r}")
+            try:
+                ingest_values(rec, 1)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            commands.append((rec[0], rec[1:]))
+        elif type(rec) is not dict:
+            dropped += 1
+        elif "cmd" in rec or rec.get("version", WAL_VERSION) != WAL_VERSION:
+            version = rec.get("version", 1)
+            raise ValueError(
+                f"{where}: a version-{version} WAL record {rec!r}; this "
+                f"build reads WAL version {WAL_VERSION} only, and will not "
+                f"drop the record as junk and resume the shard from an "
+                f"empty history"
+            )
+        elif "mark" in rec:
+            markers.append((str(rec["mark"]), int(rec["seq"])))
+        elif rec.get("format") != WAL_FORMAT:
             dropped += 1
     commands.sort(key=lambda r: r[0])
     for expect, (seq, _) in enumerate(commands):
@@ -107,7 +148,7 @@ def load_wal(path: "str | Path") -> WalImage:
                 f"silently truncated history"
             )
     return WalImage(
-        commands=[cmd for _, cmd in commands],
+        commands=[row for _, row in commands],
         markers=markers,
         torn=torn,
         dropped_lines=dropped,
@@ -166,8 +207,7 @@ class ShardWal:
             pass
         return cls(path=path, next_seq=next_seq, _repair_newline=repair)
 
-    def _write_record(self, row: dict, fsync: bool) -> None:
-        data = json.dumps(row, separators=(",", ":")).encode("utf-8") + b"\n"
+    def _write(self, data: bytes, fsync: bool) -> None:
         if self._repair_newline:
             # the previous append was torn (injected or crashed):
             # terminate the partial record so it parses as exactly one
@@ -180,17 +220,20 @@ class ShardWal:
                 self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
             )
             self.opens += 1
+            if os.fstat(fd).st_size == 0:
+                data = _HEADER + data
         while data:  # one write(2) unless the kernel takes it in parts
             data = data[os.write(fd, data):]
         if fsync:
             os.fsync(fd)
             self.fsyncs += 1
 
-    def append(self, cmd: dict) -> int:
-        """Log one mutating command; returns its seq."""
+    def append(self, body: bytes) -> int:
+        """Log one mutating command, given as its row's
+        :func:`~repro.gateway.wire.body`; returns its seq."""
         seq = self.next_seq
         self.next_seq += 1
-        self._write_record({"seq": seq, "cmd": cmd}, fsync=False)
+        self._write(b"[%d," % seq + body + b"\n", fsync=False)
         self.appends += 1
         return seq
 
@@ -199,9 +242,8 @@ class ShardWal:
         command below :attr:`next_seq`.  The fsync here is the WAL's
         durability point: everything before the marker is on disk before
         the marker claims the checkpoint happened."""
-        self._write_record(
-            {"mark": content_hash, "seq": self.next_seq}, fsync=True
-        )
+        line = encode({"mark": content_hash, "seq": self.next_seq}) + "\n"
+        self._write(line.encode(), fsync=True)
 
     def tear_tail(self) -> None:
         """Injected fault: leave a partial, newline-less record at the

@@ -1,24 +1,30 @@
 """Gateway worker: one process owning N ClusterService shards.
 
-A worker is deliberately dumb: it is the existing ``repro serve`` JSONL
-loop multiplexed over the shards it owns.  The first stdin line is a JSON
-manifest (which shards to build or restore, policy knobs, the crash
-snapshot directory); every following line is a shard-tagged command::
+A worker is deliberately dumb: it applies rows to the shards it owns.
+The first stdin line is a JSON manifest (which shards to build or
+restore, policy knobs, the crash snapshot directory); every following
+line is one request row of the pipe grammar (:mod:`repro.gateway.wire`)::
 
-    {"id": 17, "shard": 3, "op": "submit", "org": 0, "size": 2}
+    [17, 3, "submit", 0, 2, null]     # id, shard, then the ingest row
+    [18, 3, "advance", 40]
+    [19, 3, "status"]                 # observations: status, snapshot
+    [20, "worker_status"]             # worker ops: ping, worker_status,
+                                      # snapshot_shards, shutdown
 
-dispatched through :func:`repro.service.daemon._handle` **verbatim** --
-per-shard semantics, journaling and snapshot/restore are exactly the
-single-daemon ones, which is what makes each shard's online == batch
-bit-identity carry over unchanged.  Responses echo ``id`` and ``shard``
-so the gateway can pipeline requests and match answers positionally.
-
-Worker-level ops (no ``shard`` field)::
-
-    {"id": 0, "op": "ping"}                            # liveness probe
-    {"id": 1, "op": "worker_status"}                   # all shard statuses
-    {"id": 2, "op": "snapshot_shards", "dir": "D"}     # checkpoint all
-    {"id": 3, "op": "shutdown"}                        # snapshot + exit
+Each row is checked (known kind, arity, ``type(v) is int``, a null
+``release``) and its values are handed positionally to the
+``ClusterService`` ingest method its kind names -- the dispatch journal
+restore uses (``ClusterService._apply``) -- so per-shard semantics,
+journaling and snapshot/restore are exactly the single service's, which
+is what makes each shard's online == batch bit-identity carry over
+unchanged.  Replies come back in
+request order, so the gateway can pipeline requests and match answers
+positionally: an ingest op is answered by an int array led by the
+request id (``[17, job_id, index, release]``, ``[18, clock, events]``,
+``[id, clock]`` for a drain, ``[id, org]`` for a join, ``[id]`` for a
+leave or a ping, ``[id, *machine_ids]`` for a machine change); status
+and snapshot replies, and every refusal, are JSON objects carrying
+``id`` (``{"id": 17, "ok": false, "error": ...}``).
 
 On SIGTERM/SIGINT the worker snapshots every shard to the manifest's
 ``snapshot_dir`` (when set) before exiting, so a supervisor kill is as
@@ -39,13 +45,13 @@ from typing import IO
 
 from ..service.daemon import (
     ShutdownRequested,
-    _handle,
     install_shutdown_handlers,
     timed_lines,
 )
 from ..service.service import ClusterService
 from ..service.snapshot import load_snapshot, save_snapshot, snapshot_text
 from .faults import FaultInjector
+from .wire import SHARD_OBSERVATIONS, WORKER_OPS, encode, ingest_values
 
 __all__ = ["worker_main", "shard_snapshot_path", "build_shard"]
 
@@ -141,38 +147,51 @@ def serve_shards(
     # before an injected hard exit (the injector holds ``out``)
     try:
         for line in timed_lines(lines, None, out.flush):
-            line = line.strip()
-            if not line:
+            if not line or line.isspace():
                 continue
             keep = True
             suppress = False
             req_id = None
+            reply: "list | None" = None
             try:
-                cmd = json.loads(line)
-                if not isinstance(cmd, dict):
+                row = json.loads(line)
+                if type(row) is not list or len(row) < 2 or (
+                    type(row[0]) is not int
+                ):
                     raise ValueError(
-                        f"expected a JSON object, got {type(cmd).__name__}"
+                        f"not a request row [id, shard, kind, ...] or "
+                        f"[id, kind]: {line.strip()!r}"
                     )
-                req_id = cmd.get("id")
-                op = cmd.get("op")
-                if "shard" in cmd:
-                    sid = int(cmd["shard"])
-                    if sid not in shards:
-                        raise ValueError(f"worker does not own shard {sid}")
-                    # only shard commands count toward injected faults:
+                req_id, target = row[0], row[1]
+                if type(target) is int:
+                    svc = shards.get(target)
+                    if svc is None:
+                        raise ValueError(
+                            f"worker does not own shard {target}: {row!r}"
+                        )
+                    observe = len(row) == 3 and row[2] in SHARD_OBSERVATIONS
+                    values = None if observe else ingest_values(row, 2)
+                    # only shard ops count toward injected faults:
                     # pings/worker ops stay reliable so liveness detection
                     # is never itself the thing injected against
                     if injector is not None:
                         injector.before_apply()
-                    # per-shard semantics are the single daemon's, verbatim;
-                    # a shard-level "stop" is not a worker exit
-                    response, _ = _handle(shards[sid], cmd)
-                    response["shard"] = sid
+                    kind = row[2]
+                    if values is not None:
+                        # restore's dispatch: the method the kind names
+                        result = getattr(svc, kind)(*values)
+                        reply = _ingest_reply(req_id, svc, kind, result)
+                    elif kind == "status":
+                        response = {"ok": True, **svc.status()}
+                    else:
+                        response = {"ok": True, "snapshot": svc.snapshot()}
                     if injector is not None:
                         suppress = injector.suppress_response()
-                elif op == "ping":
-                    response = {"ok": True, "pong": True}
-                elif op == "worker_status":
+                elif len(row) != 2 or target not in WORKER_OPS:
+                    raise ValueError(f"unknown worker op in {row!r}")
+                elif target == "ping":
+                    reply = [req_id]
+                elif target == "worker_status":
                     response = {
                         "ok": True,
                         "shards": {
@@ -180,35 +199,33 @@ def serve_shards(
                             for sid, s in sorted(shards.items())
                         },
                     }
-                elif op == "snapshot_shards":
-                    target = cmd.get("dir", snapshot_dir)
-                    if target is None:
+                elif target == "snapshot_shards":
+                    if snapshot_dir is None:
                         raise ValueError(
-                            "snapshot_shards needs a 'dir' (no snapshot_dir "
-                            "in the manifest)"
+                            "snapshot_shards needs a snapshot_dir in the "
+                            "manifest"
                         )
                     response = {
                         "ok": True,
-                        "snapshots": _snapshot_all(shards, target, injector),
+                        "snapshots": _snapshot_all(
+                            shards, snapshot_dir, injector
+                        ),
                     }
-                elif op == "shutdown":
+                else:  # shutdown
                     response = {"ok": True, "stopped": True}
                     if snapshot_dir is not None:
                         response["snapshots"] = _snapshot_all(
                             shards, snapshot_dir, injector
                         )
                     keep = False
-                else:
-                    raise ValueError(
-                        f"unknown worker op {op!r} (shard ops need a "
-                        f"'shard' field)"
-                    )
             except (ValueError, KeyError, TypeError) as exc:
                 response = {"ok": False, "error": str(exc)}
-            if req_id is not None:
-                response["id"] = req_id
             if not suppress:
-                out.write(json.dumps(response) + "\n")
+                if reply is None:
+                    response["id"] = req_id
+                    out.write(json.dumps(response) + "\n")
+                else:
+                    out.write(encode(reply) + "\n")
                 if injector is not None:
                     injector.after_reply()
             if not keep:
@@ -220,6 +237,19 @@ def serve_shards(
     finally:
         out.flush()
     return shards
+
+
+def _ingest_reply(req_id: int, svc: ClusterService, kind: str, result):
+    """The int array answering an ingest op, led by its request id."""
+    if kind == "submit":
+        return [req_id, result.id, result.index, result.release]
+    if kind == "advance":
+        return [req_id, svc.clock, result]
+    if kind == "leave_org":
+        return [req_id]
+    if kind in ("drain", "join_org"):
+        return [req_id, result]
+    return [req_id, *result]  # add/remove_machines: the machine ids
 
 
 def _read_line_unbuffered(stream) -> str:

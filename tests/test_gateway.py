@@ -20,6 +20,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gateway import (
     AdmissionController,
@@ -219,9 +221,10 @@ class TestWorkerLoop:
         hello, resps, _ = run_worker(
             MANIFEST,
             [
-                {"id": 1, "shard": 0, "op": "submit", "org": 0, "size": 2},
-                {"id": 2, "shard": 2, "op": "submit", "org": 0, "size": 1},
-                {"id": 3, "shard": 0, "op": "drain"},
+                [1, 0, "submit", 0, 2, None],
+                [2, 2, "submit", 0, 1, 4],
+                [3, 0, "drain"],
+                [4, 2, "advance", 9],
             ],
         )
         assert hello == {
@@ -230,40 +233,43 @@ class TestWorkerLoop:
             "shards": [0, 2],
             "restored": [],
         }
-        assert [r["shard"] for r in resps] == [0, 2, 0]
-        assert all(r["ok"] for r in resps)
-        assert [r["id"] for r in resps] == [1, 2, 3]
+        # int arrays led by the request id: [id, job id, index, release],
+        # [id, clock] for a drain, [id, clock, events] for an advance
+        assert resps == [[1, 0, 0, 0], [2, 0, 0, 4], [3, 2], [4, 9, 2]]
 
     def test_errors_are_in_band(self):
         _, resps, _ = run_worker(
             MANIFEST,
             [
-                {"id": 1, "shard": 7, "op": "submit", "org": 0, "size": 1},
-                {"id": 2, "op": "nonsense"},
-                {"id": 3, "shard": 0, "op": "submit", "org": 99, "size": 1},
-                {"id": 4, "shard": 0, "op": "status"},
+                [1, 7, "submit", 0, 1, None],
+                [2, "nonsense"],
+                [3, 0, "submit", 99, 1, None],
+                [4, 0, "status"],
             ],
         )
         assert [r["ok"] for r in resps] == [False, False, False, True]
+        assert [r["id"] for r in resps] == [1, 2, 3, 4]
         assert "shard 7" in resps[0]["error"]
 
     def test_shard_stop_does_not_kill_the_worker(self):
+        # "stop" is no shard op on the pipe: refused in-band, worker serves on
         _, resps, _ = run_worker(
             MANIFEST,
             [
-                {"id": 1, "shard": 0, "op": "stop"},
-                {"id": 2, "shard": 2, "op": "status"},
+                [1, 0, "stop"],
+                [2, 2, "status"],
             ],
         )
         assert len(resps) == 2 and resps[1]["ok"]
+        assert not resps[0]["ok"] and "'stop'" in resps[0]["error"]
 
     def test_worker_status_and_snapshot_shards(self, tmp_path):
         _, resps, _ = run_worker(
             {**MANIFEST, "snapshot_dir": str(tmp_path)},
             [
-                {"id": 1, "shard": 0, "op": "submit", "org": 0, "size": 3},
-                {"id": 2, "op": "worker_status"},
-                {"id": 3, "op": "snapshot_shards"},
+                [1, 0, "submit", 0, 3, None],
+                [2, "worker_status"],
+                [3, "snapshot_shards"],
             ],
         )
         assert set(resps[1]["shards"]) == {"0", "2"}
@@ -275,18 +281,18 @@ class TestWorkerLoop:
 
     def test_restore_resumes_bit_identically(self, tmp_path):
         cmds = [
-            {"id": 1, "shard": 0, "op": "submit", "org": 0, "size": 3},
-            {"id": 2, "shard": 0, "op": "submit", "org": 1, "size": 1},
-            {"id": 3, "shard": 0, "op": "advance", "t": 1},
+            [1, 0, "submit", 0, 3, None],
+            [2, 0, "submit", 1, 1, None],
+            [3, 0, "advance", 1],
         ]
         _, resps, _ = run_worker(
             {**MANIFEST, "snapshot_dir": str(tmp_path)},
-            cmds + [{"id": 4, "op": "snapshot_shards"}],
+            cmds + [[4, "snapshot_shards"]],
         )
         tail = [
-            {"id": 5, "shard": 0, "op": "submit", "org": 0, "size": 2},
-            {"id": 6, "shard": 0, "op": "drain"},
-            {"id": 7, "shard": 0, "op": "snapshot"},
+            [5, 0, "submit", 0, 2, None],
+            [6, 0, "drain"],
+            [7, 0, "snapshot"],
         ]
         # straight-through run
         _, straight, _ = run_worker(MANIFEST, cmds + tail)
@@ -304,6 +310,104 @@ class TestWorkerLoop:
         assert (
             straight[-1]["snapshot"]["schedule_digest"]
             == restored[-1]["snapshot"]["schedule_digest"]
+        )
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [1, 0, "launch", 0],  # unknown kind
+            [1, 0, "join", 1],  # the serve daemon's word, not the journal's
+            [1, 0, "submit", 0, 2],  # wrong arity
+            [1, 0, "submit", 0, 3.0, None],
+            [1, 0, "submit", 0, "3", None],
+            [1, 0, "submit", 0, True, None],
+            [1, 0, "submit", 0, None, None],  # only release may be null
+            [1, 0, "advance", None],
+            [1, 0, "leave_org", 0.0],
+            [1, 0, ["submit"], 0, 1, None],
+            [1, 0, ["status"]],
+        ],
+    )
+    def test_malformed_rows_are_refused_in_band(self, row):
+        _, resps, shards = run_worker(MANIFEST, [row, [2, 0, "status"]])
+        refusal, status = resps
+        assert set(refusal) == {"id", "ok", "error"}
+        assert (refusal["id"], refusal["ok"]) == (1, False)
+        assert repr(row) in refusal["error"]  # the message names the row
+        assert status["ok"] and status["jobs_submitted"] == 0
+        assert shards[0].journal == []  # nothing reached the shard
+
+
+#: Raw wire rows for one shard, some refused by the service (unknown org,
+#: a release before the org's last one, the last member leaving, ...).
+_WIRE_ROWS = st.one_of(
+    st.tuples(
+        st.just("submit"),
+        st.integers(0, 3),
+        st.integers(1, 4),
+        st.one_of(st.none(), st.integers(0, 12)),
+    ),
+    st.tuples(st.just("advance"), st.integers(0, 12)),
+    st.tuples(st.just("drain")),
+    st.tuples(st.just("join_org"), st.integers(0, 2)),
+    st.tuples(st.just("leave_org"), st.integers(0, 3)),
+    st.tuples(
+        st.sampled_from(["add_machines", "remove_machines"]),
+        st.integers(0, 3),
+        st.integers(1, 2),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    policy=st.sampled_from(["fifo", "directcontr"]),
+    machines=st.lists(
+        st.lists(st.integers(0, 2), min_size=1, max_size=3),
+        min_size=2,
+        max_size=2,
+    ),
+    ops=st.lists(
+        st.tuples(st.integers(0, 1), _WIRE_ROWS), max_size=40
+    ),
+)
+def test_worker_rows_equal_direct_ingest(policy, machines, ops):
+    """``serve_shards`` fed generated rows (ties, null releases,
+    membership churn, refusals) leaves every shard exactly where a
+    ``ClusterService`` fed the same ops by direct calls stands."""
+    from repro.service import ClusterService
+    from repro.service.snapshot import schedule_digest
+
+    manifest = {
+        "worker": 0,
+        "shards": {
+            str(s): {"machine_counts": m, "policy": policy, "seed": s}
+            for s, m in enumerate(machines)
+        },
+    }
+    lines = [
+        json.dumps([i, shard, *row]) for i, (shard, row) in enumerate(ops)
+    ]
+    out = io.StringIO()
+    shards = serve_shards(manifest, lines, out)
+    replies = [json.loads(l) for l in out.getvalue().splitlines()[1:]]
+    direct = [
+        ClusterService(m, policy, seed=s) for s, m in enumerate(machines)
+    ]
+    assert len(replies) == len(ops)
+    for i, ((shard, (kind, *values)), reply) in enumerate(zip(ops, replies)):
+        try:
+            result = getattr(direct[shard], kind)(*values)
+        except ValueError:
+            assert reply == {"id": i, "ok": False, "error": reply["error"]}
+            continue
+        assert reply[0] == i
+        if kind == "submit":
+            assert reply[1:] == [result.id, result.index, result.release]
+    for s, svc in enumerate(direct):
+        assert shards[s].journal == svc.journal
+        assert schedule_digest(shards[s].schedule()) == schedule_digest(
+            svc.schedule()
         )
 
 
@@ -360,6 +464,36 @@ class TestGatewayFleet:
                 "code": "unknown_tenant",
             }
             gw.drain()
+
+    def test_non_int_size_or_release_is_refused_uncharged(self):
+        # a float size used to be charged at face value (2.9 credits) and
+        # run truncated (a size-2 job); now it never reaches admission
+        config = GatewayConfig.uniform(
+            2, n_workers=1, n_shards=1, policy="fifo", credits=10
+        )
+        shard = config.routes["t0"][0]
+        with Gateway(config) as gw:
+            for size, release in ((2.9, 0), ("3", 0), (True, 0), (2, 0.5)):
+                resp = gw.submit("t0", size, release, wait=True)
+                assert (resp["ok"], resp["code"]) == (False, "bad_request")
+                assert repr(size) in resp["error"]
+            row = gw.admission.status()["t0"]
+            assert (row["accepted"], row["accepted_work"]) == (0, 0)
+            assert row["credits_remaining"] == 10
+            assert row["rejected_by_code"] == {"bad_request": 4}
+            assert gw.n_rejected == 4 and gw.n_submitted == 0
+            assert gw.pool.wal[shard] == []  # the shard received nothing
+            snap = gw.pool.call(shard, ["snapshot"], log=False)["snapshot"]
+            assert snap["journal"] == []
+            # an int submit still goes through, charged by its size
+            resp = gw.submit("t0", 2, None, wait=True)
+            assert resp == {
+                "tenant": "t0", "ok": True, "job_id": 0, "org": 0,
+                "index": 0, "release": 0, "shard": shard,
+            }
+            assert gw.admission.status()["t0"]["credits_remaining"] == 8
+            snap = gw.pool.call(shard, ["snapshot"], log=False)["snapshot"]
+            assert snap["journal"] == [["submit", 0, 0, 2, 0, 0, 0]]
 
     def test_raced_shard_refusal_costs_the_tenant_nothing(self, monkeypatch):
         # the shard passes the health check, admission charges, and the
@@ -522,9 +656,9 @@ class TestFrames:
                 shard, org = config.routes[tenant]
                 assert gw.submit(tenant, 1 + i, 0)["queued"]
                 assert worker_of(shard, config.n_workers) in unsent(gw)
-                assert load_wal(wal_path(tmp_path, shard)).commands[-1] == {
-                    "op": "submit", "org": org, "size": 1 + i, "release": 0,
-                }
+                assert load_wal(wal_path(tmp_path, shard)).commands[-1] == [
+                    "submit", org, 1 + i, 0,
+                ]
             wals = gw.pool.dwal.values()
             assert sum(w.fsyncs for w in wals) == 0
             gw.snapshot_all()  # one fsynced marker per shard, as before
@@ -619,11 +753,14 @@ def spawn_worker():
     )
 
 
+def reply_id(resp):
+    """The request id of a worker reply: an int array's head, or a dict's
+    ``id`` (``None`` for the hello line)."""
+    return resp[0] if isinstance(resp, list) else resp.get("id")
+
+
 class TestWorkerFlushPoints:
-    CMDS = [
-        {"id": i, "shard": 0, "op": "submit", "org": 0, "size": 1}
-        for i in range(1, 41)
-    ]
+    CMDS = [[i, 0, "submit", 0, 1, None] for i in range(1, 41)]
 
     def converse(self, manifest, cmds):
         proc = spawn_worker()
@@ -635,8 +772,10 @@ class TestWorkerFlushPoints:
         # no shutdown op: the buffered replies must leave at EOF
         code, replies = self.converse(MANIFEST, self.CMDS)
         assert code == 0
-        assert [r.get("id") for r in replies] == [None, *range(1, 41)]
-        assert all(r["ok"] for r in replies)
+        assert [reply_id(r) for r in replies] == [None, *range(1, 41)]
+        assert replies[0]["ok"]
+        assert all(r == [i, i - 1, i - 1, 0] for i, r in enumerate(replies)
+                   if i)
 
     def test_crash_late_delivers_its_reply_before_exit(self):
         fault = {"worker": 0, "incarnation": 0, "kind": "crash_late",
@@ -644,7 +783,7 @@ class TestWorkerFlushPoints:
         code, replies = self.converse({**MANIFEST, "fault": fault}, self.CMDS)
         assert code == 137  # the injected hard exit
         # the 7th reply was written, then the worker died: all 7 arrive
-        assert [r.get("id") for r in replies] == [None, *range(1, 8)]
+        assert [reply_id(r) for r in replies] == [None, *range(1, 8)]
 
 
 class TestCrashRecovery:
@@ -693,9 +832,9 @@ class TestCrashRecovery:
             victim = wof(shard0, config.n_workers)
             gw.kill_worker(victim)
             with pytest.raises(WorkerDied):
-                gw.pool.call(shard0, {"op": "status"})
+                gw.pool.call(shard0, ["status"])
             gw.restore_worker(victim)
-            resp = gw.pool.call(shard0, {"op": "status"}, log=False)
+            resp = gw.pool.call(shard0, ["status"], log=False)
             assert resp["ok"] and resp["jobs_submitted"] == 1
 
     def test_snapshot_under_load_does_not_change_the_schedule(self, tmp_path):
@@ -816,11 +955,9 @@ class TestGracefulShutdown:
             proc.stdin.write((json.dumps(manifest) + "\n").encode())
             proc.stdin.flush()
             assert json.loads(wait_for_line(proc.stdout))["ok"]
-            proc.stdin.write(
-                b'{"id": 1, "shard": 0, "op": "submit", "org": 0, "size": 2}\n'
-            )
+            proc.stdin.write(b'[1, 0, "submit", 0, 2, null]\n')
             proc.stdin.flush()
-            assert json.loads(wait_for_line(proc.stdout))["ok"]
+            assert json.loads(wait_for_line(proc.stdout)) == [1, 0, 0, 0]
             proc.send_signal(signal.SIGTERM)
             proc.wait(timeout=30)
         finally:

@@ -31,6 +31,7 @@ from repro.gateway import (
 from repro.gateway.faults import FaultInjector, tear_file_tail
 from repro.gateway.gateway import _WorkerHandle
 from repro.gateway.routing import worker_of
+from repro.gateway.wire import body
 from repro.gateway.supervisor import (
     ADMIN_DOWN,
     DOWN,
@@ -253,13 +254,21 @@ class TestFaultPlan:
 class TestDurableWal:
     def test_append_mark_load_round_trip(self, tmp_path):
         wal = ShardWal.create(tmp_path, 3)
-        wal.append({"op": "submit", "org": 0, "size": 2})
-        wal.append({"op": "advance", "t": 1})
+        wal.append(body(["submit", 0, 2, None]))
+        wal.append(body(["advance", 1]))
         wal.mark_checkpoint("abc123")
-        wal.append({"op": "submit", "org": 1, "size": 1})
+        wal.append(body(["submit", 1, 1, 4]))
         image = load_wal(wal_path(tmp_path, 3))
-        assert [c["op"] for c in image.commands] == [
-            "submit", "advance", "submit"
+        assert image.commands == [
+            ["submit", 0, 2, None], ["advance", 1], ["submit", 1, 1, 4]
+        ]
+        # a version header, then [seq, *row] records and the marker
+        assert wal.path.read_text().splitlines() == [
+            '{"format":"repro.gateway.wal","version":2}',
+            '[0,"submit",0,2,null]',
+            '[1,"advance",1]',
+            '{"mark":"abc123","seq":2}',
+            '[2,"submit",1,1,4]',
         ]
         assert image.markers == [("abc123", 2)]
         assert not image.torn and image.dropped_lines == 0
@@ -271,47 +280,76 @@ class TestDurableWal:
         self, tmp_path
     ):
         wal = ShardWal.create(tmp_path, 0)
-        wal.append({"op": "submit", "org": 0, "size": 1})
+        wal.append(body(["submit", 0, 1, None]))
         wal.tear_tail()
+        # the default tear is a prefix of the record format on disk
+        assert wal.path.read_bytes().endswith(b'\n[7,"submit",0,')
         image = load_wal(wal.path)
         assert image.torn and image.dropped_lines == 1
         assert len(image.commands) == 1  # the torn record never acked
         # the next append must terminate the partial line first, or it
         # would corrupt itself
-        wal.append({"op": "advance", "t": 2})
+        wal.append(body(["advance", 2]))
         image = load_wal(wal.path)
-        assert [c["op"] for c in image.commands] == ["submit", "advance"]
+        assert image.commands == [["submit", 0, 1, None], ["advance", 2]]
         # all through the one handle the first append opened
         assert (wal.opens, wal.appends) == (1, 2)
         wal.close()
-        wal.append({"op": "drain"})  # a closed WAL reopens, still appending
+        wal.append(body(["drain"]))  # a closed WAL reopens, still appending
         assert len(load_wal(wal.path).commands) == 3 and wal.opens == 2
 
     def test_attach_schedules_newline_repair(self, tmp_path):
         wal = ShardWal.create(tmp_path, 0)
-        wal.append({"op": "submit", "org": 0, "size": 1})
+        wal.append(body(["submit", 0, 1, None]))
         tear_file_tail(wal.path)
         resumed = ShardWal.attach(
             tmp_path, 0, next_seq=len(load_wal(wal.path).commands)
         )
-        resumed.append({"op": "advance", "t": 1})
+        resumed.append(body(["advance", 1]))
         image = load_wal(wal.path)
-        assert [c["op"] for c in image.commands] == ["submit", "advance"]
-        assert [c.get("t") for c in image.commands] == [None, 1]
+        assert image.commands == [["submit", 0, 1, None], ["advance", 1]]
+        assert image.dropped_lines == 1 and not image.torn
 
     def test_seq_gap_is_a_hard_error(self, tmp_path):
         path = wal_path(tmp_path, 0)
         rows = [
-            {"seq": 0, "cmd": {"op": "submit"}},
-            {"seq": 2, "cmd": {"op": "advance"}},  # seq 1 missing
+            [0, "submit", 0, 1, None],
+            [2, "advance", 1],  # seq 1 missing
         ]
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
         with pytest.raises(ValueError, match="seq gap"):
             load_wal(path)
 
+    @pytest.mark.parametrize(
+        "line, version",
+        [
+            ('{"seq": 0, "cmd": {"op": "submit", "org": 0, "size": 1}}', 1),
+            ('{"format": "repro.gateway.wal", "version": 3}', 3),
+        ],
+    )
+    def test_other_wal_versions_are_refused_by_name(
+        self, tmp_path, line, version
+    ):
+        # read as junk, a version-1 record would be dropped and the
+        # shard would resume from an empty history
+        wal = ShardWal.create(tmp_path, 0)
+        wal.append(body(["advance", 1]))
+        wal.close()
+        with open(wal.path, "a") as f:
+            f.write(line + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_wal(wal.path)
+        assert f"line 3: a version-{version} WAL record" in str(exc.value)
+
+    def test_a_malformed_record_is_refused_by_line(self, tmp_path):
+        path = wal_path(tmp_path, 0)
+        path.write_text('[0,"advance",1]\n[1,"submit",0,2.5,null]\n')
+        with pytest.raises(ValueError, match="line 2: a submit row is"):
+            load_wal(path)
+
     def test_fresh_fleet_truncates_stale_history(self, tmp_path):
         wal = ShardWal.create(tmp_path, 0)
-        wal.append({"op": "submit", "org": 0, "size": 1})
+        wal.append(body(["submit", 0, 1, None]))
         fresh = ShardWal.create(tmp_path, 0, truncate=True)
         assert load_wal(fresh.path).commands == []
 
@@ -557,8 +595,8 @@ class TestDegradation:
             for _ in range(n_sib):
                 assert gw.submit(sibling, 1)["ok"]
             sib_shard, _ = config.routes[sibling]
-            gw.pool.call(sib_shard, {"op": "drain"})
-            resp = gw.pool.call(sib_shard, {"op": "snapshot"}, log=False)
+            gw.pool.call(sib_shard, ["drain"])
+            resp = gw.pool.call(sib_shard, ["snapshot"], log=False)
             digest = resp["snapshot"]["schedule_digest"]
         expected = verify_against_batch(
             config, [(0, sibling, 1)] * n_sib
@@ -596,10 +634,10 @@ class TestDegradation:
         ) as gw:
             shard, worker = self.crash_and_detect(gw, config, tenant)
             with pytest.raises(ShardUnavailable):
-                gw.pool.call(shard, {"op": "status"}, log=False)
+                gw.pool.call(shard, ["status"], log=False)
             gw.pool.supervisor.meta[worker].next_attempt_wall = 0.0
             gw.pool.heal_shard(shard)
-            assert gw.pool.call(shard, {"op": "status"}, log=False)["ok"]
+            assert gw.pool.call(shard, ["status"], log=False)["ok"]
 
     def test_park_limit_overflow_is_refused(self, tmp_path):
         sup = SupervisorPolicy(
@@ -764,6 +802,28 @@ class TestGatewayResume:
         finally:
             pool.close()
 
+    def test_resume_refuses_a_version_1_wal(self, tmp_path):
+        # a WAL this build cannot read is a hard stop, never a fleet
+        # resumed from an empty history
+        config = small_config(n_tenants=8)
+        spec = LoadSpec(n_events=200, n_releases=10, seed=5)
+        self.run_stream(config, tmp_path, spec)
+        shard = config.shard_ids()[-1]
+        path = wal_path(tmp_path, shard)
+        rows = load_wal(path).commands
+        assert rows  # the shard has a history to lose
+        path.write_text("".join(
+            json.dumps({"seq": n, "cmd": {"op": row[0]}}) + "\n"
+            for n, row in enumerate(rows)
+        ))
+        pool = ShardPool(config, snapshot_dir=tmp_path)
+        try:
+            with pytest.raises(ValueError, match="version-1 WAL record"):
+                pool.resume_from_disk()
+            assert pool.workers == {}
+        finally:
+            pool.close()
+
     def test_resume_tolerates_a_torn_wal_tail(self, tmp_path):
         config = small_config(n_tenants=8)
         spec = LoadSpec(n_events=400, n_releases=20, seed=5)
@@ -814,10 +874,10 @@ class TestGatewayResume:
             gw.pool.tick()
             assert gw.pool.supervisor.state(worker) == ADMIN_DOWN
             with pytest.raises(WorkerDied):
-                gw.pool.call(shard, {"op": "status"})
+                gw.pool.call(shard, ["status"])
             gw.restore_worker(worker)
             assert gw.pool.supervisor.state(worker) == UP
-            resp = gw.pool.call(shard, {"op": "status"}, log=False)
+            resp = gw.pool.call(shard, ["status"], log=False)
             assert resp["ok"] and resp["jobs_submitted"] == 1
 
 

@@ -5,9 +5,10 @@ events only) and compares the functions it entered with the ``def``s of
 ``src/repro``.  Report-only for the package as a whole, but a function
 defined in one of the ``GATED`` files (the REF event bodies, the
 Shapley solver, the coalition kernel and its engine views, the service
-with its policy adapters, its journal and its snapshot format) that no
-test calls fails the run: every REF path, every kernel pass, every ingest
-method and every checkpoint helper is a tested one.  ``@abstractmethod``
+with its policy adapters, its journal and its snapshot format, the
+gateway's pipe grammar and its write-ahead log) that no test calls fails
+the run: every REF path, every kernel pass, every ingest method, every
+checkpoint helper and every WAL path is a tested one.  ``@abstractmethod``
 bodies are declarations, not paths, and are skipped.
 
     PYTHONPATH=src python tools/untraced.py [pytest args...]
@@ -31,6 +32,8 @@ GATED = (
     "service/service.py",
     "service/state.py",
     "service/snapshot.py",
+    "gateway/wal.py",
+    "gateway/wire.py",
 )
 
 
