@@ -197,6 +197,21 @@ class PolicyScheduler(Scheduler):
         -- only re-derive quantities such as target shares.
         """
 
+    def state(self) -> "dict[str, list[int]]":
+        """Decision state the engine does not hold, as named int rows (a
+        checkpoint image's ``scheduler`` rows; DESIGN.md §6.2).  Empty for
+        a policy whose every decision is a function of the engine and of
+        what :meth:`on_cluster_change` derives from it."""
+        return {}
+
+    def load_state(self, state: "dict[str, list[int]]") -> None:
+        """Adopt :meth:`state`'s rows after :meth:`on_run_start`; a row
+        this policy does not keep is a ``ValueError``."""
+        if state:
+            raise ValueError(
+                f"image scheduler rows {sorted(state)}: {self.name} keeps none"
+            )
+
     @abstractmethod
     def select(self, engine: ClusterEngine) -> int:
         """Choose the organization whose FIFO-head job starts now."""

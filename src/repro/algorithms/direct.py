@@ -45,6 +45,9 @@ from .base import PolicyScheduler, SchedulerResult
 
 __all__ = ["DirectContributionScheduler"]
 
+#: the Fig. 9 counters, one int per organization id
+_COUNTERS = ("fin_ut", "fin_con", "phi", "psi")
+
 
 class DirectContributionScheduler(PolicyScheduler):
     """Algorithm DIRECTCONTR (Fig. 9).
@@ -102,6 +105,39 @@ class DirectContributionScheduler(PolicyScheduler):
         if grow > 0:
             for counters in (self._fin_ut, self._fin_con, self._phi, self._psi):
                 counters.extend([0] * grow)
+
+    def state(self) -> "dict[str, list[int]]":
+        """The PCG64 stream position as ints, and the Fig. 9 counters."""
+        bits = self._rng.bit_generator.state
+        return {
+            "rng": [
+                bits["state"]["state"],
+                bits["state"]["inc"],
+                bits["has_uint32"],
+                bits["uinteger"],
+            ],
+            "clock": [self._tprev, self._completed_seen],
+            **{name: list(getattr(self, "_" + name)) for name in _COUNTERS},
+        }
+
+    def load_state(self, state: "dict[str, list[int]]") -> None:
+        k = len(state.get("phi", ()))
+        shape = {"rng": 4, "clock": 2, **dict.fromkeys(_COUNTERS, k)}
+        if {key: len(row) for key, row in state.items()} != shape:
+            raise ValueError(
+                f"image scheduler rows {sorted(state)}: {self.name} keeps "
+                f"rng[4], clock[2] and {', '.join(_COUNTERS)} of one length"
+            )
+        s, inc, has_uint32, uinteger = state["rng"]
+        self._rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": s, "inc": inc},
+            "has_uint32": has_uint32,
+            "uinteger": uinteger,
+        }
+        self._tprev, self._completed_seen = state["clock"]
+        for name in _COUNTERS:
+            setattr(self, "_" + name, list(state[name]))
 
     # the select() hook is unused: scheduling is machine-driven
     def select(self, engine: ClusterEngine) -> int:  # pragma: no cover

@@ -34,6 +34,17 @@ class RoundRobinScheduler(PolicyScheduler):
     def on_run_start(self, engine: ClusterEngine) -> None:
         self._last_served = -1
 
+    def state(self) -> "dict[str, list[int]]":
+        return {"cursor": [self._last_served]}
+
+    def load_state(self, state: "dict[str, list[int]]") -> None:
+        if set(state) != {"cursor"} or len(state["cursor"]) != 1:
+            raise ValueError(
+                f"image scheduler rows {state!r}: {self.name} keeps one "
+                f"cursor row [org]"
+            )
+        (self._last_served,) = state["cursor"]
+
     def select(self, engine: ClusterEngine) -> int:
         members = engine.members
         ordered = [u for u in members if u > self._last_served] + [

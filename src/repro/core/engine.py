@@ -571,6 +571,184 @@ class ClusterEngine:
         clone._completed = list(self._completed)
         return clone
 
+    def image(self) -> dict:
+        """This engine's state as int rows, for a checkpoint (DESIGN.md
+        §6.2): the start log as one row of ``start, machine, job_id``
+        triples in start order, the clock, each organization's
+        waiting-queue length, and the running, draining and retired
+        machine ids.  Given the jobs and machines the service's journal
+        issued, :meth:`from_image` rebuilds everything :meth:`fork` copies
+        from these rows."""
+        return {
+            "starts": [
+                v for e in self._log for v in (e.start, e.machine, e.job.id)
+            ],
+            "clock": [self.t],
+            "waiting": [
+                len(self._pending.get(u, ())) for u in range(self.n_orgs)
+            ],
+            "running": sorted(self._running),
+            "retiring": sorted(self._retiring),
+            "retired": sorted(self._retired),
+        }
+
+    @classmethod
+    def from_image(
+        cls,
+        image: dict,
+        *,
+        workload: Workload,
+        members: Sequence[int],
+        machine_owner: "dict[int, int]",
+        jobs: "dict[int, Job]",
+        horizon: int | None = None,
+    ) -> "ClusterEngine":
+        """The engine :meth:`image` was taken from, rebuilt in one pass
+        over its starts, without processing a single event.
+
+        ``jobs`` maps every submitted job id to its record (in submission
+        order), ``machine_owner`` every machine id ever issued to its
+        owner, ``members`` is the live coalition and ``workload`` the
+        genesis one; the image's ``waiting`` row has one entry per
+        organization id any job or member names.  The rows are checked
+        against them as they load: each start names a submitted job, is
+        no earlier than its release, takes its organization's next job in
+        index order, is on an issued machine, is in log order and not
+        after the clock, and does not overlap the job before it on that
+        machine; the running machines are exactly those whose last job
+        ends after the clock; draining machines are running and retired
+        ones are not; each member's waiting jobs are released by the
+        clock and the rest are not.  A disagreement is a ``ValueError``
+        that names the row (and the start).
+        """
+        (t,) = image["clock"]
+        waiting = image["waiting"]
+        k = len(waiting)
+        done_units = [0] * k
+        done_wstart = [0] * k
+        units_mach = [0] * k
+        wstart_mach = [0] * k
+        started = [0] * k
+        last_end: dict[int, int] = {}
+        log: list[ScheduledJob] = []
+        completed: list[tuple[int, int, ScheduledJob]] = []
+        running: dict[int, RunningJob] = {}
+        run_sum = run_sq = 0
+        prev = 0
+        triples = iter(image["starts"])
+        for n, (s, m, jid) in enumerate(zip(triples, triples, triples)):
+            job = jobs.get(jid)
+            fault = None
+            if job is None:
+                fault = f"job id {jid} was never submitted"
+            elif s < job.release:
+                fault = f"starts before its release {job.release}"
+            elif job.index != started[job.org]:
+                fault = (
+                    f"org {job.org} starts its job {job.index} out of "
+                    f"index order"
+                )
+            elif m not in machine_owner:
+                fault = f"machine {m} was never issued"
+            elif not prev <= s <= t:
+                fault = f"start {s} is out of log order or after clock {t}"
+            elif s < last_end.get(m, 0):
+                fault = f"overlaps the job before it on machine {m}"
+            if fault is not None:
+                raise ValueError(f"image start {n} {[s, m, jid]}: {fault}")
+            u = job.org
+            p = job.size
+            end = s + p
+            prev = s
+            last_end[m] = end
+            started[u] += 1
+            entry = ScheduledJob(s, m, job)
+            log.append(entry)
+            if end > t:
+                running[m] = RunningJob(job, s, m)
+                run_sum += s
+                run_sq += s * s
+            else:
+                tri = p * s + p * (p - 1) // 2
+                done_units[u] += p
+                done_wstart[u] += tri
+                owner = machine_owner[m]
+                units_mach[owner] += p
+                wstart_mach[owner] += tri
+                completed.append((end, m, entry))
+        if sorted(running) != image["running"]:
+            raise ValueError(
+                f"image running row {image['running']}: the starts still "
+                f"running at clock {t} are on machines {sorted(running)}"
+            )
+        retiring = set(image["retiring"])
+        retired = set(image["retired"])
+        if not retiring <= running.keys():
+            raise ValueError(
+                f"image retiring row {image['retiring']}: a draining "
+                f"machine must be running a job"
+            )
+        if retired & running.keys() or not retired <= machine_owner.keys():
+            raise ValueError(
+                f"image retired row {image['retired']}: retired machines "
+                f"must be issued and idle"
+            )
+        members = tuple(sorted(members))
+        queues: dict[int, list[Job]] = {u: [] for u in members}
+        for job in jobs.values():
+            queue = queues.get(job.org)
+            if queue is not None and job.index >= started[job.org]:
+                queue.append(job)
+        pending: dict[int, deque[Job]] = {}
+        stream: list[Job] = []
+        for u, w in enumerate(waiting):
+            queue = queues.get(u, [])
+            if not 0 <= w <= len(queue) or (
+                w and queue[w - 1].release > t
+            ) or (w < len(queue) and queue[w].release < t):
+                raise ValueError(
+                    f"image waiting row {waiting}: org {u} has "
+                    f"{len(queue)} unstarted jobs, released by clock {t} "
+                    f"in index order, and cannot have {w} of them waiting"
+                )
+            if u in queues:
+                pending[u] = deque(queue[:w])
+                stream.extend(queue[w:])
+        completed.sort()  # by (end, machine), which no two jobs share
+
+        eng = object.__new__(cls)
+        eng.workload = workload
+        eng.n_orgs = k
+        eng.members = members
+        eng.horizon = horizon
+        eng.machine_owner = dict(machine_owner)
+        eng.n_machines = len(machine_owner) - len(retired)
+        eng._free = sorted(
+            m for m in machine_owner if m not in running and m not in retired
+        )
+        eng._free_set = set(eng._free)
+        eng._stream = sorted(stream)
+        eng._stream_pos = 0
+        eng._pending = pending
+        eng._n_waiting = sum(waiting)
+        eng.t = t
+        eng._busy = sorted((r.finish, m) for m, r in running.items())
+        eng._running = running
+        eng._retiring = retiring
+        eng._retired = retired
+        eng._done_units = done_units
+        eng._done_wstart = done_wstart
+        eng._done_units_mach = units_mach
+        eng._done_wstart_mach = wstart_mach
+        eng._tot_units = sum(done_units)
+        eng._tot_wstart = sum(done_wstart)
+        eng._run_start_sum = run_sum
+        eng._run_start_sq = run_sq
+        eng.version = len(log) + len(completed)
+        eng._log = log
+        eng._completed = [c[2] for c in completed]
+        return eng
+
     def remove_member(self, org: int) -> None:
         """Expel an organization: unstarted work is withdrawn.
 
@@ -632,6 +810,12 @@ class ClusterEngine:
         DIRECTCONTR's faithful accounting consumes this list incrementally.
         """
         return self._completed
+
+    @property
+    def start_log(self) -> list[ScheduledJob]:
+        """Started jobs in start order (treat as read-only): the schedule
+        without :meth:`schedule`'s sort."""
+        return self._log
 
     def schedule(self) -> Schedule:
         """The schedule built so far (started jobs, including running ones)."""

@@ -1092,6 +1092,14 @@ class KernelEngineView:
             key=lambda e: (e.end, e.machine),
         )
 
+    @property
+    def start_log(self) -> "list[ScheduledJob]":
+        real = self._real()
+        if real is not None:
+            return real.start_log
+        kern, row = self._kr()
+        return kern.row_entries(row)
+
     def schedule(self) -> Schedule:
         real = self._real()
         if real is not None:

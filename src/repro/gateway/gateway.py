@@ -23,10 +23,10 @@ Two layers (ISSUE 8 tentpole):
 
 Recovery contract: after ``kill_worker(w)`` (SIGKILL, no warning), the
 sequence *respawn from the last checkpoint* + *replay the per-shard WAL*
-reconstructs every shard bit-identically -- checkpoints restore through
-the event-sourced journal (verified digests), and the WAL replays the
-exact forwarded commands in their original per-shard order through the
-same deterministic ingest path.  Commands the dead worker had already
+reconstructs every shard bit-identically -- checkpoints restore from
+their engine image or their journal (verified digests), and the WAL
+replays the exact forwarded commands in their original per-shard order
+through the same deterministic ingest path.  Commands the dead worker had already
 applied after the checkpoint are *not* double-applied: the respawned
 worker starts from the checkpoint state, which predates them.
 

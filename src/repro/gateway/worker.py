@@ -13,8 +13,8 @@ line is one request row of the pipe grammar (:mod:`repro.gateway.wire`)::
 
 Each row is checked (known kind, arity, ``type(v) is int``, a null
 ``release``) and its values are handed positionally to the
-``ClusterService`` ingest method its kind names -- the dispatch journal
-restore uses (``ClusterService._apply``) -- so per-shard semantics,
+``ClusterService`` ingest method its kind names -- the dispatch a
+journal replay uses (``ClusterService._apply``) -- so per-shard semantics,
 journaling and snapshot/restore are exactly the single service's, which
 is what makes each shard's online == batch bit-identity carry over
 unchanged.  Replies come back in

@@ -65,7 +65,7 @@ from .snapshot import (
     check_snapshot,
     schedule_digest,
 )
-from .state import ClusterCensus
+from .state import ClusterCensus, JournalFold, fold_journal
 
 __all__ = [
     "ClusterService",
@@ -114,6 +114,18 @@ class OnlinePolicy(ABC):
         """What simulates the policy's coalitions (``status()``'s
         ``policy_backend``); ``None`` for single-engine policies."""
         return None
+
+    def image(self) -> "dict | None":
+        """The policy's state as the snapshot's int-row image, or ``None``:
+        a fleet policy restores by replaying its journal (DESIGN.md §6.2)."""
+        return None
+
+    def load_image(self, engine: ClusterEngine, image: dict) -> None:
+        """Adopt a restored physical engine and the rest of :meth:`image`."""
+        raise ValueError(
+            f"policy {self.name!r} restores from its journal; its snapshot "
+            f"cannot carry an image"
+        )
 
     @abstractmethod
     def join(self, org: int) -> None:
@@ -200,6 +212,22 @@ class _SingleEnginePolicy(OnlinePolicy):
             self.engine.retire_machine(mid)
         self._note_drain()
         self.scheduler.on_cluster_change(self.engine)
+
+    def image(self) -> dict:
+        return {
+            **self.engine.image(),
+            "drain": [int(self._draining), self._pool_target],
+            "scheduler": self.scheduler.state(),
+        }
+
+    def load_image(self, engine: ClusterEngine, image: dict) -> None:
+        """Pool-derived scheduler state (fair-share targets) is re-derived
+        from the loaded engine, exactly as every pool change re-derives it."""
+        self.engine = engine
+        draining, self._pool_target = image["drain"]
+        self._draining = bool(draining)
+        self.scheduler.load_state(image["scheduler"])
+        self.scheduler.on_cluster_change(engine)
 
 
 class _FleetPolicy(OnlinePolicy):
@@ -598,12 +626,7 @@ class ClusterService:
     def genesis_workload(self) -> Workload:
         """The jobless workload describing the genesis cluster -- batch
         engines built from it share machine ids with the service."""
-        return Workload(
-            tuple(
-                Organization(i, m) for i, m in enumerate(self.genesis_machines)
-            ),
-            (),
-        )
+        return _genesis_workload(self.genesis_machines)
 
     def zero_workload(self) -> Workload:
         """A jobless, machineless workload spanning every org id ever
@@ -844,7 +867,7 @@ class ClusterService:
                 str(org): len(ids) for org, ids in self.census.machines.items()
             },
             "jobs_submitted": self.n_jobs,
-            "jobs_started": len(engine.schedule()),
+            "jobs_started": len(engine.start_log),
             "events_processed": self.n_events,
             "waiting": sum(
                 engine.waiting_count(u) for u in engine.members
@@ -870,8 +893,13 @@ class ClusterService:
     # snapshot / restore
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Serialize the full scheduler state (event-sourced: genesis +
-        journal + clock, content-hashed; see :mod:`repro.service.snapshot`)."""
+        """Serialize the full scheduler state (genesis + journal + clock,
+        plus a single-engine policy's image; content-hashed; see
+        :mod:`repro.service.snapshot`)."""
+        image = self._policy.image()
+        if image is not None:
+            last = self._last_decision
+            image["last_decision"] = [] if last is None else [last]
         return build_snapshot(
             policy={
                 "name": self.policy_name,
@@ -882,9 +910,13 @@ class ClusterService:
             horizon=self.horizon,
             clock=self.clock,
             journal=self.journal,
-            digest=schedule_digest(self.schedule()),
+            digest=self._digest(),
             n_events=self.n_events,
+            image=image,
         )
+
+    def _digest(self) -> str:
+        return schedule_digest(self._policy.grand_engine().start_log)
 
     @classmethod
     def restore(
@@ -897,13 +929,19 @@ class ClusterService:
 
         Nothing is built until the whole payload has been checked
         (:func:`~repro.service.snapshot.check_snapshot`: format, version,
-        content hash, every journal row).  Then the journal is replayed
-        through the live ingest path (each op at its recorded clock) and
-        the replayed clock must equal the snapshot's.  With ``verify``
-        (default) the restored schedule's digest must match the recorded
-        one.
+        content hash, every journal row, every image row).  With an image
+        (single-engine policies), the census and jobs are folded from the
+        journal (:func:`~repro.service.state.fold_journal`) and the engine
+        is loaded from the image against them
+        (:meth:`~repro.core.engine.ClusterEngine.from_image`), each
+        checking its rows, before the service is built; no decision is
+        re-made.  Without one, the journal is replayed through the live
+        ingest path (each op at its recorded clock) and the replayed clock
+        must equal the snapshot's.  With ``verify`` (default) the restored
+        schedule's digest must match the recorded one.
         """
         journal = check_snapshot(payload)
+        loaded = _from_image(payload, journal)
         policy = payload["policy"]
         service = cls(
             payload["genesis_machines"],
@@ -912,21 +950,38 @@ class ClusterService:
             horizon=payload["horizon"],
             policy_params=policy.get("params") or {},
         )
-        for op in journal:
-            service._apply(op)
-        if service.clock != payload["clock"]:
-            raise ValueError(
-                f"restore verification failed: replayed clock "
-                f"{service.clock} != recorded {payload['clock']}"
-            )
+        if loaded is not None:
+            service._load(payload, *loaded)
+        else:
+            for op in journal:
+                service._apply(op)
+            if service.clock != payload["clock"]:
+                raise ValueError(
+                    f"restore verification failed: replayed clock "
+                    f"{service.clock} != recorded {payload['clock']}"
+                )
         if verify:
-            digest = schedule_digest(service.schedule())
+            digest = service._digest()
             if digest != payload["schedule_digest"]:
                 raise ValueError(
-                    f"restore verification failed: replayed schedule digest "
+                    f"restore verification failed: restored schedule digest "
                     f"{digest} != recorded {payload['schedule_digest']}"
                 )
         return service
+
+    def _load(
+        self, payload: dict, fold: JournalFold, engine: ClusterEngine
+    ) -> None:
+        """Adopt a checked image: the journal's census and rows, the
+        payload's counters, the loaded engine."""
+        image = payload["image"]
+        self.census = fold.census
+        self.journal = list(map(tuple, payload["journal"]))
+        self.clock = payload["clock"]
+        self.n_events = payload["n_events"]
+        self.n_jobs = len(fold.jobs)
+        self._last_decision = (image["last_decision"] or [None])[0]
+        self._policy.load_image(engine, image)
 
     def _apply(self, op: "list | tuple") -> None:
         """Re-apply one journal row through the ingest method its kind
@@ -936,3 +991,52 @@ class ClusterService:
             self.submit(org, size, release, index=index, job_id=jid)
         else:
             getattr(self, op[0])(*op[2:])
+
+
+def _genesis_workload(machine_counts) -> Workload:
+    return Workload(
+        tuple(Organization(i, m) for i, m in enumerate(machine_counts)), ()
+    )
+
+
+def _from_image(
+    payload: dict, journal: list
+) -> "tuple[JournalFold, ClusterEngine] | None":
+    """The census and jobs a checked payload's journal folds to, and the
+    physical engine its image describes, checked against them (before any
+    service is built).  ``None`` when there is no image, or when its
+    start rows cannot name jobs by id because the journal reused an
+    explicit job id: then the journal is replayed instead."""
+    image = payload["image"]
+    if image is None:
+        return None
+    fold = fold_journal(payload["genesis_machines"], journal, payload["clock"])
+    if fold.duplicate_ids:
+        return None
+    census = fold.census
+    if len(image["waiting"]) != census.n_orgs:
+        raise ValueError(
+            f"image waiting row {image['waiting']}: the journal issued "
+            f"{census.n_orgs} organization ids"
+        )
+    (t,) = image["clock"]
+    if t > payload["clock"]:
+        raise ValueError(
+            f"image clock row [{t}]: the engine is ahead of the service "
+            f"clock {payload['clock']}"
+        )
+    live = {mid for ids in census.machines.values() for mid in ids}
+    gone = set(image["retiring"]) | set(image["retired"])
+    if gone != fold.owners.keys() - live:
+        raise ValueError(
+            f"image retiring/retired rows {sorted(gone)}: the journal "
+            f"removed machines {sorted(fold.owners.keys() - live)}"
+        )
+    return fold, ClusterEngine.from_image(
+        image,
+        workload=_genesis_workload(payload["genesis_machines"]),
+        members=census.members,
+        machine_owner=fold.owners,
+        jobs=fold.jobs,
+        horizon=payload["horizon"],
+    )

@@ -2,11 +2,13 @@
 
 A snapshot captures the service's *sufficient statistic* -- genesis
 configuration, policy identity, the ordered ingest journal and the clock
--- rather than a dump of every engine's internals (DESIGN.md §6 explains
-the trade).  Restore replays the journal through the production code
-path, so a restored daemon is bit-identical to the killed one by
-construction; the recorded ``schedule_digest`` lets :func:`verify` prove
-it after the fact.
+-- plus, for the single-engine policies, an *image* of the physical
+engine and the scheduler as int rows (DESIGN.md §6.2).  Restore rebuilds
+the census and the jobs from the journal and loads the engine from the
+image without re-deciding anything; a fleet policy's payload carries
+``"image": null`` and restore replays its journal through the production
+ingest path.  Either way the recorded ``schedule_digest`` proves the
+restored schedule is the one snapshotted.
 
 Like :class:`~repro.experiments.spec.ScenarioSpec`, a snapshot is
 content-hashed (canonical JSON, SHA-256, 16 hex chars) so two snapshots
@@ -15,9 +17,10 @@ rejects a corrupted, hand-edited, older-version or malformed payload
 before any state is rebuilt.
 
 The journal travels as it is kept: one row ``[kind, clock, *ints]`` per
-op (:data:`~repro.service.state.OP_FIELDS`), so the payload is
-JSON-native (``load_snapshot(save_snapshot(p)) == p``) and the file is
-the same canonical compact JSON the hash is taken over.
+op (:data:`~repro.service.state.OP_FIELDS`), and the image is named int
+rows (:data:`IMAGE_ROWS`), so the payload is JSON-native
+(``load_snapshot(save_snapshot(p)) == p``) and the file is the same
+canonical compact JSON the hash is taken over.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 from .state import OP_FIELDS
@@ -32,6 +37,7 @@ from .state import OP_FIELDS
 __all__ = [
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
+    "IMAGE_ROWS",
     "content_hash",
     "schedule_digest",
     "build_snapshot",
@@ -44,9 +50,27 @@ __all__ = [
 SNAPSHOT_FORMAT = "repro.service.snapshot"
 
 #: Bump on any change to the payload layout; restore refuses unknown
-#: versions instead of silently misreading them.  Version 1 (one dict per
-#: op) has no reader: no version-1 file outlives the run that wrote it.
-SNAPSHOT_VERSION = 2
+#: versions instead of silently misreading them.  Versions 1 (one dict per
+#: op) and 2 (the journal alone) have no reader: no checkpoint outlives
+#: the run that wrote it.
+SNAPSHOT_VERSION = 3
+
+#: The image grammar: each key names one int row of the given length
+#: (``None``: any length); ``scheduler`` is a dict of named rows instead
+#: (what :meth:`~repro.algorithms.base.PolicyScheduler.state` returns).
+#: ``starts`` is flat because one list per start would cost an object on
+#: every encode, decode and collection of the payload (DESIGN.md §6.2).
+IMAGE_ROWS = {
+    "starts": None,  # start, machine, job_id per start, in start order
+    "clock": 1,  # the engine's clock (the last event it processed)
+    "waiting": None,  # per org id: released jobs waiting in its queue
+    "running": None,  # machine ids running a job
+    "retiring": None,  # machine ids draining: retire when their job ends
+    "retired": None,  # machine ids out of the pool
+    "drain": 2,  # the adapter's drain flag and pool target
+    "last_decision": None,  # [] before the first decision, else [t]
+    "scheduler": None,
+}
 
 
 def _canonical(obj) -> str:
@@ -64,6 +88,9 @@ def content_hash(payload: dict) -> str:
 def schedule_digest(entries) -> str:
     """Digest of a schedule's start log: the output-side fingerprint used
     to verify that a restored service reproduced the original bit for bit.
+
+    ``entries`` may be in any order (a :class:`~repro.core.schedule.
+    Schedule`, or an engine's ``start_log``): the rows are sorted here.
     """
     rows = sorted(
         (e.start, e.machine, e.job.org, e.job.index, e.job.size, e.job.id)
@@ -82,6 +109,7 @@ def build_snapshot(
     journal: "list[tuple]",
     digest: str,
     n_events: int,
+    image: "dict | None",
 ) -> dict:
     payload = {
         "format": SNAPSHOT_FORMAT,
@@ -93,6 +121,7 @@ def build_snapshot(
         "journal": [list(op) for op in journal],
         "schedule_digest": digest,
         "n_events": n_events,
+        "image": image,
     }
     payload["content_hash"] = content_hash(payload)
     return payload
@@ -105,8 +134,11 @@ def check_snapshot(payload: dict) -> "list[list]":
     Checked in order: format, version, content hash, then every journal
     row against :data:`~repro.service.state.OP_FIELDS` -- a known kind,
     that kind's arity, and ``type(v) is int`` for the clock and every
-    value (so floats, strings and bools are refused).  Every refusal is
-    a ``ValueError`` that says what was wrong.
+    value (so floats, strings and bools are refused) -- then the image,
+    ``null`` or every row of :data:`IMAGE_ROWS` with its arity and int
+    values.  Every refusal is a ``ValueError`` that says what was wrong.
+    Whether the image agrees with the journal is checked as it loads
+    (:meth:`~repro.core.engine.ClusterEngine.from_image`).
     """
     fmt = payload.get("format") if isinstance(payload, dict) else None
     if fmt != SNAPSHOT_FORMAT:
@@ -126,6 +158,36 @@ def check_snapshot(payload: dict) -> "list[list]":
     journal = payload.get("journal")
     if not isinstance(journal, list):
         raise ValueError("snapshot journal is not a list of rows")
+    if not _in_grammar(journal):
+        _name_bad_row(journal)
+    if "image" not in payload:
+        raise ValueError("snapshot has no image field (null or int rows)")
+    _check_image(payload["image"])
+    return journal
+
+
+#: ``kind -> len(row)`` of every journal row kind
+_ARITY = {kind: 2 + len(fields) for kind, fields in OP_FIELDS.items()}
+_TAIL = itemgetter(slice(1, None))
+
+
+def _in_grammar(journal: list) -> bool:
+    """Every row in :data:`~repro.service.state.OP_FIELDS`'s grammar, in a
+    few C-level passes over all rows at once (no Python loop per row)."""
+    try:
+        return (
+            set(map(type, journal)) <= {list}
+            and list(map(_ARITY.get, map(itemgetter(0), journal)))
+            == list(map(len, journal))
+            and set(map(type, chain.from_iterable(map(_TAIL, journal))))
+            <= {int}
+        )
+    except (TypeError, IndexError):  # an unhashable kind, an empty row
+        return False
+
+
+def _name_bad_row(journal: list) -> None:
+    """Raise for the first row :func:`_in_grammar` refuses."""
     ints = {int}
     for n, row in enumerate(journal):
         try:
@@ -139,7 +201,48 @@ def check_snapshot(payload: dict) -> "list[list]":
                 f"journal row {n}: a {row[0]} row is "
                 f"{['kind', 'clock', *fields]} with int values, got {row!r}"
             )
-    return journal
+
+
+def _int_row(row, arity: "int | None") -> bool:
+    """A list of ints (``type(v) is int``: no bools), of length ``arity``
+    unless ``None``."""
+    return (
+        type(row) is list
+        and (arity is None or len(row) == arity)
+        and set(map(type, row)) <= {int}
+    )
+
+
+def _check_image(image) -> None:
+    if image is None:
+        return
+    if not isinstance(image, dict) or set(image) != set(IMAGE_ROWS):
+        raise ValueError(
+            f"snapshot image is null or the rows {sorted(IMAGE_ROWS)}, "
+            f"got {image!r:.200}"
+        )
+    scheduler = image["scheduler"]
+    if not isinstance(scheduler, dict):
+        raise ValueError(
+            f"image scheduler row: a dict of named int rows, got {scheduler!r}"
+        )
+    rows = [
+        (key, image[key], arity)
+        for key, arity in IMAGE_ROWS.items()
+        if key != "scheduler"
+    ]
+    rows += [(f"scheduler {key}", row, None) for key, row in scheduler.items()]
+    for key, row, arity in rows:
+        if not _int_row(row, arity):
+            raise ValueError(
+                f"image {key} row: {arity or 'any number of'} int values, "
+                f"got {row!r:.200}"
+            )
+    if len(image["starts"]) % 3:
+        raise ValueError(
+            f"image starts row: start, machine, job_id per start, got "
+            f"{len(image['starts'])} values"
+        )
 
 
 def snapshot_text(payload: dict) -> str:
@@ -148,13 +251,16 @@ def snapshot_text(payload: dict) -> str:
 
 
 def save_snapshot(payload: dict, path: "str | Path") -> Path:
-    """Write a checkpoint atomically: temp file, fsync, ``os.replace``.
+    """Write a checkpoint atomically and durably: temp file, fsync,
+    ``os.replace``, fsync of the directory.
 
     A crash (or injected fault) mid-write can therefore only ever leave a
     torn ``*.tmp`` beside an intact previous checkpoint -- readers never
     observe a half-written file, which is what lets gateway recovery fall
     back to the previous checkpoint plus a longer WAL replay instead of
-    dying on corrupt JSON.
+    dying on corrupt JSON.  The directory fsync makes the rename itself
+    survive a power loss, so a WAL marker written after this returns
+    never names a checkpoint the disk forgot.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -164,6 +270,11 @@ def save_snapshot(payload: dict, path: "str | Path") -> Path:
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
     return path
 
 

@@ -8,10 +8,11 @@ machines added or removed, time advancing -- is recorded as one journal
 fleets, policies) is deterministic, the ordered journal *is* the full
 scheduler state: replaying it through the very same code path
 reconstructs every engine, ledger, queue and RNG stream bit for bit.
-That is what makes :mod:`repro.service.snapshot` both small (the rows go
-to disk as they are, one JSON array each) and trustworthy (restore runs
-the production path, not a parallel deserializer that could drift from
-it).
+That is what makes :mod:`repro.service.snapshot` small (the rows go to
+disk as they are, one JSON array each) and trustworthy: a fleet policy
+restores by running the production path, and a single-engine policy
+loads an image of its engine against the census and jobs
+:func:`fold_journal` rebuilds from the same rows.
 
 :class:`ClusterCensus` tracks the live side: which organizations are
 members, which global machine ids each owns, and the monotonic id
@@ -23,8 +24,11 @@ coalition bitmasks and historical ledgers unambiguous.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-__all__ = ["OP_FIELDS", "ClusterCensus"]
+from ..core.job import Job
+
+__all__ = ["OP_FIELDS", "ClusterCensus", "JournalFold", "fold_journal"]
 
 #: The journal row grammar.  A row is ``(kind, clock, *values)``: ``kind``
 #: names the ``ClusterService`` ingest method that was called, ``clock``
@@ -160,3 +164,88 @@ class ClusterCensus:
         ]
         pairs.sort()
         return pairs
+
+
+class JournalFold(NamedTuple):
+    """What a journal implies without deciding anything
+    (:func:`fold_journal`)."""
+
+    census: ClusterCensus
+    #: every submitted job by id, in submission order
+    jobs: "dict[int, Job]"
+    #: every machine id ever issued -> its owner, in issue order
+    owners: "dict[int, int]"
+    #: the submit rows that named an already-submitted job id (their
+    #: starts cannot be told apart by id)
+    duplicate_ids: int
+
+
+def fold_journal(
+    genesis_machines: "tuple[int, ...]", rows, clock: int
+) -> JournalFold:
+    """The census, the jobs and the machine owners ``rows`` leave behind,
+    checked as they are folded: each op is legal where it stands (a member
+    org, the next FIFO index, a release no earlier than the clock or the
+    org's last one), each row is stamped with the clock the rows before it
+    left, and the journal ends at ``clock``.  A ``drain`` moves the clock
+    to its last decision, which only the next row (or ``clock``) records.
+    Raises ``ValueError`` naming the row.
+    """
+    census = ClusterCensus.genesis(genesis_machines)
+    machines = census.machines
+    next_index = census.next_index
+    last_release = census.last_release
+    owners = {mid: org for org, ids in machines.items() for mid in ids}
+    jobs: dict[int, Job] = {}
+    next_id = duplicates = now = 0
+    drained = False
+    for n, row in enumerate(rows):
+        kind, at = row[0], row[1]
+        try:
+            if at != now and not (drained and at > now):
+                raise ValueError(f"applied at clock {at}, the clock was {now}")
+            now = at
+            drained = False
+            if kind == "submit":
+                _, _, org, size, release, index, jid = row
+                if org not in machines:
+                    raise ValueError(f"org {org} is not an active member")
+                if (
+                    size < 1
+                    or release < at
+                    or release < last_release[org]
+                    or index != next_index[org]
+                ):
+                    raise ValueError(
+                        f"org {org}'s next job has size >= 1, release >= "
+                        f"{max(at, last_release[org])} and FIFO index "
+                        f"{next_index[org]}"
+                    )
+                next_index[org] = index + 1
+                last_release[org] = release
+                if jid >= next_id:
+                    next_id = jid + 1
+                if jid in jobs:
+                    duplicates += 1
+                jobs[jid] = Job(release, org, index, size, id=jid)
+            elif kind == "advance":
+                now = max(now, row[2])
+            elif kind == "drain":
+                drained = True
+            elif kind == "join_org":
+                org, ids = census.admit(row[2])
+                owners.update(dict.fromkeys(ids, org))
+            elif kind == "leave_org":
+                census.expel(row[2])
+            elif kind == "add_machines":
+                owners.update(dict.fromkeys(census.grow(*row[2:]), row[2]))
+            else:
+                census.shrink(*row[2:])
+        except ValueError as err:
+            raise ValueError(f"journal row {n} {list(row)}: {err}") from None
+    if clock != now and not (drained and clock > now):
+        raise ValueError(
+            f"the journal leaves the clock at {now}, the payload says {clock}"
+        )
+    census.next_job_id = next_id
+    return JournalFold(census, jobs, owners, duplicates)

@@ -50,13 +50,27 @@ def random_workload(
     return make_workload(machine_counts, triples)
 
 
+def as_version_2(snap: dict) -> dict:
+    """``snap`` (a version-3 service snapshot) re-laid-out in place as the
+    retired version 2 -- the journal rows without an image -- and
+    correctly re-hashed, so only the version gate can refuse it."""
+    from repro.service.snapshot import content_hash
+
+    snap.pop("image")
+    snap["version"] = 2
+    snap["content_hash"] = content_hash(snap)
+    return snap
+
+
 def as_version_1(snap: dict) -> dict:
-    """``snap`` (a version-2 service snapshot) re-laid-out in place as the
-    retired version 1 -- one ``{"kind", "time", name: value...}`` dict per
-    op -- and correctly re-hashed, so only the version gate can refuse it."""
+    """``snap`` (a version-3 service snapshot) re-laid-out in place as the
+    retired version 1 -- no image, one ``{"kind", "time", name: value...}``
+    dict per op -- and correctly re-hashed, so only the version gate can
+    refuse it."""
     from repro.service.snapshot import content_hash
     from repro.service.state import OP_FIELDS
 
+    snap.pop("image")
     snap["version"] = 1
     snap["journal"] = [
         {"kind": kind, "time": clock, **dict(zip(OP_FIELDS[kind], values))}

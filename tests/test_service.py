@@ -42,7 +42,12 @@ from repro.service.snapshot import (
 )
 from repro.service.state import OP_FIELDS
 
-from .conftest import as_version_1, make_workload, random_workload
+from .conftest import (
+    as_version_1,
+    as_version_2,
+    make_workload,
+    random_workload,
+)
 from .golden_transcripts import GOLDEN
 
 ALL_POLICIES = sorted(policy_names("step"))
@@ -336,14 +341,7 @@ class TestSnapshotFormat:
         good = self._service().snapshot()
         bad = copy.deepcopy(good)
         bad["journal"].append(row)
-        built = []
-        init = ClusterService.__init__
-
-        def spy(self, *args, **kwargs):
-            built.append(args)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(ClusterService, "__init__", spy)
+        built = _spy_on_init(monkeypatch)
         with pytest.raises(ValueError, match="journal row 3: "):
             ClusterService.restore(_rehashed(bad))
         assert built == []
@@ -356,9 +354,24 @@ class TestSnapshotFormat:
         with pytest.raises(
             ValueError,
             match=r"unsupported snapshot version 1 "
-            r"\(this build reads version 2\)",
+            r"\(this build reads version 3\)",
         ):
             ClusterService.restore(as_version_1(self._service().snapshot()))
+
+    @pytest.mark.parametrize("policy", ["fifo", "ref"])
+    def test_version_2_payload_refused(self, policy, monkeypatch):
+        """No version-2 reader either: the journal alone, correctly hashed,
+        is refused by name before a service is built, whether or not the
+        policy would have written an image."""
+        snap = as_version_2(self._service(policy).snapshot())
+        built = _spy_on_init(monkeypatch)
+        with pytest.raises(
+            ValueError,
+            match=r"unsupported snapshot version 2 "
+            r"\(this build reads version 3\)",
+        ):
+            ClusterService.restore(snap)
+        assert built == []
 
     def test_checkpoint_is_at_most_40_bytes_per_op(self, tmp_path):
         """Clock-free size guard on the file format (29 bytes per op
@@ -408,6 +421,20 @@ class TestSnapshotFormat:
         assert message in captured.err
         assert str(path) in captured.err
         assert captured.out == ""
+
+
+def _spy_on_init(monkeypatch) -> list:
+    """Record every ``ClusterService`` construction from here on: a
+    refusal that comes after one has built what it refused."""
+    built = []
+    init = ClusterService.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ClusterService, "__init__", spy)
+    return built
 
 
 def _rehashed(snap: dict) -> dict:
@@ -506,6 +533,349 @@ def test_checkpoint_at_any_cut_is_invisible(policy, machines, ops, data):
     _drive(restored, ops[cut:]).drain()
     assert restored.schedule() == live.schedule()
     assert restored.journal == live.journal
+
+
+# ----------------------------------------------------------------------
+# checkpoint images: loading the engine == re-deciding the journal
+# ----------------------------------------------------------------------
+#: Every policy whose snapshot carries an image (one physical engine).
+SINGLE_ENGINE = [
+    "currfairshare",
+    "directcontr",
+    "directcontr:mode=faithful",
+    "fairshare",
+    "fifo",
+    "roundrobin",
+    "utfairshare",
+]
+
+
+def _journal_only(snap: dict) -> dict:
+    """``snap`` without its image, re-hashed: restoring it re-decides the
+    journal, which is the oracle an image restore must equal."""
+    return _rehashed({**snap, "image": None})
+
+
+def _engine_view(eng: ClusterEngine) -> tuple:
+    """What an engine shows its policies and the service, at its clock."""
+    return (
+        eng.t,
+        eng.members,
+        eng.n_machines,
+        eng.machine_owner,
+        eng.version,
+        eng.ledger(),
+        eng.psis(),
+        eng.psis_by_machine_owner(),
+        eng.free_machines(),
+        eng.machine_counts(),
+        eng.running_counts(),
+        [eng.waiting_count(u) for u in eng.members],
+        eng.next_event_time(),
+        eng.start_log,
+        eng.completed_log,
+    )
+
+
+def _scheduler_view(svc: ClusterService) -> dict:
+    """Everything the policy's scheduler holds, its RNG as stream position."""
+    view = dict(vars(svc.policy.scheduler))
+    if "_rng" in view:
+        view["_rng"] = view["_rng"].bit_generator.state
+    return view
+
+
+def _assert_same_service(a: ClusterService, b: ClusterService) -> None:
+    assert a.schedule() == b.schedule()
+    assert a.census == b.census
+    assert (a.clock, a.n_events, a.n_jobs) == (b.clock, b.n_events, b.n_jobs)
+    assert a.journal == b.journal
+    assert a.snapshot() == b.snapshot()
+    assert _engine_view(a.policy.engine) == _engine_view(b.policy.engine)
+    assert a.policy.scheduler.state() == b.policy.scheduler.state()
+    assert _scheduler_view(a) == _scheduler_view(b)
+    assert (a.policy._draining, a.policy._pool_target) == (
+        b.policy._draining,
+        b.policy._pool_target,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    policy=st.sampled_from(SINGLE_ENGINE),
+    machines=st.lists(st.integers(0, 2), min_size=1, max_size=3),
+    ops=st.lists(_ABSTRACT_OPS, max_size=40),
+    data=st.data(),
+)
+def test_image_restore_is_journal_restore(policy, machines, ops, data):
+    """At any cut of any stream of joins, leaves, machine adds and drains,
+    loading a single-engine policy's image gives the service re-deciding
+    its journal gives, and the two stay equal under further traffic."""
+    cut = data.draw(st.integers(0, len(ops)), label="cut")
+    live = _drive(ClusterService(machines, policy, seed=1), ops[:cut])
+    snap = live.snapshot()
+    assert snap["image"] is not None
+    imaged = ClusterService.restore(snap)
+    replayed = ClusterService.restore(_journal_only(snap))
+    _assert_same_service(imaged, replayed)
+    assert imaged.snapshot() == snap
+    _drive(imaged, ops[cut:]).drain()
+    _drive(replayed, ops[cut:]).drain()
+    _assert_same_service(imaged, replayed)
+
+
+class TestImage:
+    """Checkpoint images (DESIGN.md §6.2): what a single-engine policy
+    writes, what restore refuses, and the fallbacks."""
+
+    def _service(self, policy="directcontr") -> ClusterService:
+        """Mid-stream with history in every image row: completed and
+        running jobs, waiting and unreleased ones, a drained machine, a
+        draining one, a leaver."""
+        svc = ClusterService([2, 1], policy, seed=3)
+        for org, size in [(0, 4), (1, 2), (0, 1), (1, 3), (0, 2), (1, 1)]:
+            svc.submit(org, size)
+        svc.advance(1)
+        joiner = svc.join_org(machines=1)
+        svc.submit(joiner, 5, release=2)
+        svc.advance(3)
+        svc.remove_machines(0, 1)  # free: retires at once
+        svc.submit(0, 3, release=3)
+        svc.submit(1, 2, release=9)
+        svc.leave_org(1)
+        svc.advance(4)
+        svc.remove_machines(joiner, 1)  # busy: drains
+        svc.submit(0, 1)  # no free machine: waits
+        return svc
+
+    def test_image_names_every_part_of_the_state(self):
+        svc = self._service()
+        image = svc.snapshot()["image"]
+        assert len(image["starts"]) == 3 * len(svc.schedule()) >= 18
+        assert image["clock"] == [svc.policy.engine.t]
+        assert image["retiring"] and image["retired"]
+        assert image["running"] and any(image["waiting"])
+        assert image["last_decision"] == [4]
+        assert set(image["scheduler"]) == {
+            "rng", "clock", "fin_ut", "fin_con", "phi", "psi"
+        }
+
+    @pytest.mark.parametrize("policy", SINGLE_ENGINE)
+    def test_draining_cut_restores_and_continues(self, policy):
+        live = self._service(policy)
+        snap = live.snapshot()
+        assert snap["image"]["retiring"]
+        imaged = ClusterService.restore(snap)
+        replayed = ClusterService.restore(_journal_only(snap))
+        _assert_same_service(imaged, replayed)
+        for svc in (live, imaged):
+            svc.add_machines(0, 1)
+            svc.submit(0, 2)
+            svc.drain()
+        _assert_same_service(imaged, live)
+
+    @pytest.mark.parametrize(
+        "policy", ["ref", "rand", "ref_stratified", "ref_adaptive"]
+    )
+    def test_fleet_policies_write_no_image(self, policy):
+        svc = ClusterService([1, 1], policy, seed=0)
+        svc.submit(0, 2)
+        svc.submit(1, 1)
+        svc.drain()
+        snap = svc.snapshot()
+        assert snap["image"] is None
+        assert ClusterService.restore(snap).snapshot() == snap
+
+    def test_fleet_policy_refuses_a_grafted_image(self):
+        snap = ClusterService([1, 1], "ref").snapshot()
+        snap["image"] = ClusterService([1, 1], "fifo").snapshot()["image"]
+        with pytest.raises(ValueError, match="restores from its journal"):
+            ClusterService.restore(_rehashed(snap))
+
+    def test_restore_neither_decides_nor_advances(self, monkeypatch):
+        snap = self._service().snapshot()
+
+        def refuse(*args):
+            raise AssertionError("an image restore re-ran the policy")
+
+        monkeypatch.setattr(ClusterEngine, "advance_to", refuse)
+        monkeypatch.setattr(
+            type(ClusterService([1], "directcontr").policy.scheduler),
+            "schedule_event",
+            refuse,
+        )
+        assert ClusterService.restore(snap).snapshot() == snap
+
+    def test_duplicate_job_ids_restore_through_the_journal(self, monkeypatch):
+        """Start rows name jobs by id; a journal that reused an explicit id
+        cannot be resolved, so its image is set aside for a replay."""
+        svc = ClusterService([1, 1], "fifo")
+        svc.submit(0, 2, job_id=7)
+        svc.submit(1, 2, job_id=7)
+        svc.advance(1)
+        snap = svc.snapshot()
+        loads = []
+        monkeypatch.setattr(
+            ClusterEngine, "from_image", lambda *a, **k: loads.append(a)
+        )
+        restored = ClusterService.restore(snap)
+        assert loads == []
+        assert restored.snapshot() == snap
+
+    def _refused(self, snap, match, monkeypatch):
+        built = _spy_on_init(monkeypatch)
+        with pytest.raises(ValueError, match=match):
+            ClusterService.restore(_rehashed(snap))
+        assert built == []
+
+    def _starts(self, snap) -> "list[tuple[int, tuple]]":
+        """``(n, submit row)`` per start, in start order: start ``n`` is
+        ``starts[3 * n: 3 * n + 3]``."""
+        submits = {r[6]: r for r in snap["journal"] if r[0] == "submit"}
+        starts = snap["image"]["starts"]
+        return [(n, submits[starts[3 * n + 2]])
+                for n in range(len(starts) // 3)]
+
+    def test_refuses_an_unknown_job_id(self, monkeypatch):
+        snap = self._service().snapshot()
+        snap["image"]["starts"][3 * 2 + 2] = 999
+        self._refused(
+            snap, r"image start 2 .*999 was never submitted", monkeypatch
+        )
+
+    def test_refuses_a_start_before_its_release(self, monkeypatch):
+        snap = self._service().snapshot()
+        n, job = next((n, job) for n, job in self._starts(snap) if job[4] > 0)
+        snap["image"]["starts"][3 * n] = job[4] - 1
+        self._refused(
+            snap, rf"image start {n} .*before its release", monkeypatch
+        )
+
+    def test_refuses_starts_out_of_index_order(self, monkeypatch):
+        snap = self._service().snapshot()
+        starts = snap["image"]["starts"]
+        a, b = [n for n, job in self._starts(snap) if job[2] == 0][:2]
+        starts[3 * a + 2], starts[3 * b + 2] = (
+            starts[3 * b + 2], starts[3 * a + 2]
+        )
+        self._refused(
+            snap, rf"image start {a} .*out of index order", monkeypatch
+        )
+
+    def test_refuses_two_running_jobs_on_one_machine(self, monkeypatch):
+        snap = self._service().snapshot()
+        starts = snap["image"]["starts"]
+        t = snap["image"]["clock"][0]
+        running = [n for n, job in self._starts(snap)
+                   if starts[3 * n] + job[3] > t]
+        assert len(running) >= 2
+        a, b = running[:2]
+        starts[3 * b + 1] = starts[3 * a + 1]
+        self._refused(snap, rf"image start {b} .*overlaps", monkeypatch)
+
+    def test_refuses_a_running_set_the_clock_disagrees_with(
+        self, monkeypatch
+    ):
+        snap = self._service().snapshot()
+        snap["image"]["running"].pop()
+        self._refused(snap, r"image running row .* at clock", monkeypatch)
+
+    @pytest.mark.parametrize(
+        "key, row",
+        [
+            ("starts", [0.0, 0, 0]),
+            ("starts", [[0, 0, 0]]),
+            ("starts", [0, 0]),
+            ("waiting", [0, "1", 0]),
+            ("clock", [4, 4]),
+            ("drain", [False, 2]),
+            ("last_decision", [4.0]),
+        ],
+    )
+    def test_refuses_a_row_that_is_not_ints(self, key, row, monkeypatch):
+        snap = self._service().snapshot()
+        snap["image"][key] = row
+        self._refused(snap, rf"image {key} row", monkeypatch)
+
+    def test_refuses_a_scheduler_row_that_is_not_ints(self, monkeypatch):
+        snap = self._service().snapshot()
+        snap["image"]["scheduler"]["phi"] = [0.5, 0, 0]
+        self._refused(snap, r"image scheduler phi row", monkeypatch)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda snap: snap.update(clock=snap["clock"] + 1),
+             "the journal leaves the clock at 4, the payload says 5"),
+            (lambda snap: snap["image"].update(clock=[snap["clock"] + 1]),
+             "image clock row .* ahead of the service clock"),
+            (lambda snap: snap["image"]["waiting"].append(0),
+             "image waiting row .* issued 3 organization ids"),
+            (lambda snap: snap["image"]["waiting"].__setitem__(0, 9),
+             "image waiting row .* org 0 has 1 unstarted"),
+            (lambda snap: snap["image"]["retired"].pop(),
+             "image retiring/retired rows"),
+            (lambda snap: snap["image"]["retiring"].append(0),
+             "image retiring/retired rows"),
+        ],
+    )
+    def test_refuses_an_image_the_journal_disagrees_with(
+        self, edit, match, monkeypatch
+    ):
+        snap = self._service().snapshot()
+        edit(snap)
+        self._refused(snap, match, monkeypatch)
+
+    def test_refuses_a_journal_the_census_cannot_fold(self, monkeypatch):
+        snap = self._service().snapshot()
+        row = next(r for r in snap["journal"] if r[0] == "submit" and r[5])
+        row[5] += 1  # skips a FIFO index
+        self._refused(snap, r"journal row \d+ .*FIFO index", monkeypatch)
+
+    @pytest.mark.parametrize(
+        "policy, state, match",
+        [
+            ("fifo", {"cursor": [0]}, "GreedyFIFO keeps none"),
+            ("roundrobin", {"cursor": [0, 1]}, "one cursor row"),
+            ("directcontr", {"rng": [1, 2, 3, 4]}, "rng\\[4\\], clock\\[2\\]"),
+        ],
+    )
+    def test_load_state_refuses_rows_it_does_not_keep(
+        self, policy, state, match
+    ):
+        scheduler = ClusterService([1], policy).policy.scheduler
+        with pytest.raises(ValueError, match=match):
+            scheduler.load_state(state)
+
+
+def test_save_snapshot_fsyncs_the_directory_after_the_rename(
+    tmp_path, monkeypatch
+):
+    """The rename is durable: after ``os.replace`` the parent directory is
+    fsynced, so a WAL marker written next never names a lost checkpoint."""
+    import os
+    import stat
+
+    from repro.service import save_snapshot
+
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def spy_fsync(fd):
+        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        events.append(("fsync", kind))
+        fsync(fd)
+
+    def spy_replace(src, dst):
+        events.append(("replace", Path(dst).name))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    monkeypatch.setattr(os, "replace", spy_replace)
+    save_snapshot(ClusterService([1], "fifo").snapshot(), tmp_path / "a.json")
+    assert events == [
+        ("fsync", "file"), ("replace", "a.json"), ("fsync", "dir")
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -4,12 +4,13 @@ Runs the test suite in-process under a call trace (``sys.settrace``, call
 events only) and compares the functions it entered with the ``def``s of
 ``src/repro``.  Report-only for the package as a whole, but a function
 defined in one of the ``GATED`` files (the REF event bodies, the
-Shapley solver, the coalition kernel and its engine views, the service
-with its policy adapters, its journal and its snapshot format, the
-gateway's pipe grammar and its write-ahead log) that no test calls fails
-the run: every REF path, every kernel pass, every ingest method, every
-checkpoint helper and every WAL path is a tested one.  ``@abstractmethod``
-bodies are declarations, not paths, and are skipped.
+Shapley solver, the event engine, the coalition kernel and its engine
+views, the service with its policy adapters, its journal and its
+snapshot format, the gateway's pipe grammar and its write-ahead log)
+that no test calls fails the run: every REF path, every kernel pass,
+every engine method, every ingest method, every checkpoint helper and
+every WAL path is a tested one.  ``@abstractmethod`` bodies are
+declarations, not paths, and are skipped.
 
     PYTHONPATH=src python tools/untraced.py [pytest args...]
 """
@@ -28,6 +29,7 @@ GATED = (
     "algorithms/ref.py",
     "algorithms/multiref.py",
     "shapley/vectorized.py",
+    "core/engine.py",
     "core/kernel.py",
     "service/service.py",
     "service/state.py",
