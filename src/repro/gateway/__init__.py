@@ -17,8 +17,14 @@ ClusterService` shards across process-per-core workers:
 * :mod:`~repro.gateway.worker` -- the shard host process: applies each
   row to its shard through the ingest method its kind names, the
   dispatch journal restore uses.
-* :mod:`~repro.gateway.gateway` -- :class:`ShardPool` (pipes, pipelining,
-  WAL, checkpoint, kill/restore) and the tenant-facing :class:`Gateway`.
+* :mod:`~repro.gateway.transport` -- one worker's pipes: frames,
+  the in-flight window, response deadlines, :class:`GatewayError` and
+  :class:`WorkerDied`.
+* :mod:`~repro.gateway.pool` -- :class:`ShardPool`: spawn, dispatch,
+  WAL, park, checkpoint, and the one failure sink and recovery attempt
+  behind kill/restore and self-healing.
+* :mod:`~repro.gateway.gateway` -- the tenant-facing :class:`Gateway`
+  and the ``repro gateway`` serve loop.
 * :mod:`~repro.gateway.loadgen` -- the deterministic event storm and the
   per-shard fleet == batch digest verification.
 * :mod:`~repro.gateway.supervisor` -- the per-worker liveness state
@@ -32,14 +38,7 @@ ClusterService` shards across process-per-core workers:
 from .admission import AdmissionController, AdmissionError, TokenBucket
 from .config import GatewayConfig, TenantSpec
 from .faults import FaultInjector, FaultPlan
-from .gateway import (
-    Gateway,
-    GatewayError,
-    ShardPool,
-    ShardUnavailable,
-    WorkerDied,
-    gateway_serve_loop,
-)
+from .gateway import Gateway, gateway_serve_loop
 from .loadgen import (
     LoadReport,
     LoadSpec,
@@ -47,8 +46,10 @@ from .loadgen import (
     run_loadgen,
     verify_against_batch,
 )
+from .pool import ShardPool
 from .routing import shard_of, stable_hash, worker_of
-from .supervisor import Supervisor, SupervisorPolicy
+from .supervisor import ShardUnavailable, Supervisor, SupervisorPolicy
+from .transport import GatewayError, WorkerDied
 from .wal import ShardWal, load_wal, wal_path
 
 __all__ = [

@@ -33,7 +33,8 @@ from ..core.workload import Workload
 from ..policies import build_scheduler
 from ..service.snapshot import schedule_digest
 from .config import GatewayConfig
-from .gateway import Gateway, GatewayError
+from .gateway import Gateway
+from .transport import GatewayError
 
 __all__ = ["LoadSpec", "LoadReport", "generate_stream", "run_loadgen",
            "verify_against_batch"]

@@ -4,7 +4,7 @@ The gateway runs single-threaded, so the "supervisor loop" is woven into
 the command path rather than a thread: every pool-level wait carries a
 response deadline (a stalled worker *marks itself suspect* instead of
 blocking the fleet), pipe errors and protocol desyncs are detected at the
-next I/O, idle workers are pinged, and :meth:`~repro.gateway.gateway.
+next I/O, idle workers are pinged, and :meth:`~repro.gateway.pool.
 ShardPool.tick` -- called from every gateway operation, the serve loop's
 idle path, and the load generator's release loop -- is where scheduled
 respawns actually fire.
@@ -143,7 +143,7 @@ class WorkerMeta:
 class Supervisor:
     """Tracks worker health and decides respawn / quarantine / refusal.
 
-    Owns no I/O: the :class:`~repro.gateway.gateway.ShardPool` reports
+    Owns no I/O: the :class:`~repro.gateway.pool.ShardPool` reports
     failures and settlements in, and asks which workers are due for a
     respawn.  That split keeps the policy unit-testable without spawning
     a single process.
@@ -242,17 +242,10 @@ class Supervisor:
         return meta.incarnation
 
     # -- scheduling ------------------------------------------------------
-    def due_for_respawn(
-        self, worker: int, vclock: int, *, force: bool = False
-    ) -> bool:
+    def due_for_respawn(self, worker: int, vclock: int) -> bool:
         meta = self.meta[worker]
-        if meta.state == ADMIN_DOWN:
-            return False  # operator kill: only restore_worker revives it
         if meta.state not in (DOWN, QUARANTINED):
-            return False
-        if force:
-            meta.failures = 0
-            return True
+            return False  # up, or an operator kill: restore_worker only
         due = (
             time.monotonic() >= meta.next_attempt_wall
             or vclock >= meta.next_attempt_v

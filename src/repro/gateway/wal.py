@@ -1,11 +1,11 @@
 """Durable per-shard write-ahead log with torn-tail tolerance.
 
-The :class:`~repro.gateway.gateway.ShardPool` keeps an in-memory WAL (the
+The :class:`~repro.gateway.pool.ShardPool` keeps an in-memory WAL (the
 fast path worker respawns replay from); when a ``snapshot_dir`` is set it
 *also* appends every mutating command to an on-disk, append-only JSONL
 file per shard -- ``wal-<shard>.jsonl`` -- **before** forwarding it to the
 worker (write-ahead ordering).  That file is what makes the *gateway
-process itself* recoverable: :meth:`~repro.gateway.gateway.ShardPool.
+process itself* recoverable: :meth:`~repro.gateway.pool.ShardPool.
 resume_from_disk` rebuilds the whole fleet from checkpoints plus WAL
 replay after the front door dies, exactly as a worker respawn does.
 
@@ -48,6 +48,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..service.snapshot import check_snapshot, load_snapshot
 from .wire import encode, ingest_values
 
 __all__ = ["WAL_FORMAT", "WAL_VERSION", "ShardWal", "WalImage", "load_wal",
@@ -87,6 +88,19 @@ class WalImage:
                 if mark_hash == checkpoint_hash:
                     return seq
         return 0
+
+    def trusted_checkpoint(self, path: "str | Path") -> "str | None":
+        """The content hash of the checkpoint at ``path`` when a resume
+        may start from it -- this build's ``check_snapshot`` accepts the
+        file *and* a fsynced marker names its hash -- else None: replay
+        from genesis, which the append-only WAL always allows."""
+        try:
+            payload = load_snapshot(path)
+            check_snapshot(payload)
+        except (ValueError, OSError):
+            return None  # absent, unreadable or refused
+        ckpt = payload["content_hash"]
+        return ckpt if any(h == ckpt for h, _ in self.markers) else None
 
 
 def load_wal(path: "str | Path") -> WalImage:

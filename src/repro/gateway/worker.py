@@ -31,7 +31,7 @@ On SIGTERM/SIGINT the worker snapshots every shard to the manifest's
 recoverable as a clean shutdown.  A ``fault`` manifest entry arms the
 deterministic chaos layer (:mod:`repro.gateway.faults`) for this
 incarnation; absent, injection costs nothing.  Entry point: ``python -m
-repro.gateway.worker`` (spawned by :class:`~repro.gateway.gateway.
+repro.gateway.worker`` (spawned by :class:`~repro.gateway.pool.
 ShardPool`; not a user-facing CLI).
 """
 

@@ -42,8 +42,9 @@ from repro.gateway import (
     wal_path,
     worker_of,
 )
-from repro.gateway.gateway import LATENCY_WINDOW, gateway_serve_loop
+from repro.gateway.gateway import gateway_serve_loop
 from repro.gateway.supervisor import SupervisorPolicy
+from repro.gateway.transport import LATENCY_WINDOW
 from repro.gateway.worker import serve_shards, shard_snapshot_path
 from repro.service.daemon import timed_lines
 from repro.service.snapshot import load_snapshot
@@ -494,6 +495,39 @@ class TestGatewayFleet:
             assert gw.admission.status()["t0"]["credits_remaining"] == 8
             snap = gw.pool.call(shard, ["snapshot"], log=False)["snapshot"]
             assert snap["journal"] == [["submit", 0, 0, 2, 0, 0, 0]]
+
+    def test_serve_loop_passes_size_and_release_through(self):
+        # the JSONL loop used to int() them before submit: 2.9 ran a
+        # size-2 job, true a size-1 job, "3" a size-3 job, and release
+        # 1.7 released at 1 -- all charged; now submit refuses each
+        config = GatewayConfig.uniform(
+            2, n_workers=1, n_shards=1, policy="fifo", credits=10
+        )
+        shard = config.routes["t0"][0]
+        cmds = [
+            {"id": 1, "op": "submit", "tenant": "t0", "size": 2.9},
+            {"id": 2, "op": "submit", "tenant": "t0", "size": True},
+            {"id": 3, "op": "submit", "tenant": "t0", "size": "3"},
+            {"id": 4, "op": "submit", "tenant": "t0", "size": 2,
+             "release": 1.7},
+            {"id": 5, "op": "stop"},
+        ]
+        out = io.StringIO()
+        with Gateway(config) as gw:
+            gateway_serve_loop(gw, [json.dumps(c) for c in cmds], out)
+            row = gw.admission.status()["t0"]
+            assert gw.pool.wal[shard] == []  # nothing was forwarded
+            snap = gw.pool.call(shard, ["snapshot"], log=False)["snapshot"]
+            assert snap["journal"] == []
+        resps = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert [(r["id"], r["ok"], r.get("code")) for r in resps] == [
+            (1, False, "bad_request"), (2, False, "bad_request"),
+            (3, False, "bad_request"), (4, False, "bad_request"),
+            (5, True, None),
+        ]
+        assert (row["accepted"], row["accepted_work"]) == (0, 0)
+        assert row["credits_remaining"] == 10
+        assert row["rejected_by_code"] == {"bad_request": 4}
 
     def test_raced_shard_refusal_costs_the_tenant_nothing(self, monkeypatch):
         # the shard passes the health check, admission charges, and the

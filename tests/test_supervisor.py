@@ -29,7 +29,7 @@ from repro.gateway import (
     wal_path,
 )
 from repro.gateway.faults import FaultInjector, tear_file_tail
-from repro.gateway.gateway import _WorkerHandle
+from repro.gateway.transport import _WorkerHandle
 from repro.gateway.routing import worker_of
 from repro.gateway.wire import body
 from repro.gateway.supervisor import (
@@ -141,7 +141,6 @@ class TestSupervisorStateMachine:
         sup = self.make()
         assert sup.on_failure(0, "kill", vclock=0, admin=True) == ADMIN_DOWN
         assert not sup.due_for_respawn(0, vclock=10**9)
-        assert not sup.due_for_respawn(0, vclock=10**9, force=True)
 
     def test_recoveries_record_mttr_for_auto_heals_only(self):
         sup = self.make()
@@ -478,6 +477,26 @@ class TestAutoRecovery:
         assert report.chaos["mttr_seconds"] <= self.MTTR_CEILING_S
         self.assert_heal_split(report.chaos)
 
+    def test_lost_inflight_keeps_a_count_and_the_newest_three(self):
+        # every failure used to append every lost request forever; the
+        # pool now keeps a running count and the newest three per worker
+        config = small_config(n_tenants=8)
+        shard = config.worker_shards(0)[0]
+        with Gateway(config) as gw:
+            for kill in range(1, 4):
+                for _ in range(5):  # pipelined: unanswered at the kill
+                    gw.pool.shard_cmd(shard, ["submit", 0, 1, None])
+                assert gw.kill_worker(0) == 5
+                row = gw.pool.lost_inflight[0]
+                assert row["count"] == 5 * kill
+                assert len(row["recent"]) == 3
+                gw.restore_worker(0)
+            lost = gw.status()["supervisor"]["lost_inflight"]
+            assert lost == {"0": {
+                "count": 15, "recent": list(gw.pool.lost_inflight[0]["recent"]),
+            }}
+            assert [r["op"] for r in lost["0"]["recent"]] == ["submit"] * 3
+
     def test_lost_inflight_is_surfaced_in_status(self, tmp_path):
         plan = FaultPlan.parse("rate=0,script=0.0.crash.10")
         config = small_config(n_tenants=8)
@@ -692,6 +711,8 @@ class TestColdStart:
         def refused(self, w, restore, incarnation=0):
             out = manifest(self, w, restore, incarnation)
             if w == worker:
+                # built, not restored: a checkpoint would not read it
+                out["restore"] = {}
                 for spec in out["shards"].values():
                     spec["policy"] = "no_such_policy"
             return out
@@ -859,6 +880,38 @@ class TestGatewayResume:
             assert pool.shard_digests() == report.shard_digests
         finally:
             pool.close()
+
+    def test_clean_close_acks_the_shutdown_checkpoints(self, tmp_path):
+        # every worker checkpoints its shards as it shuts down; close()
+        # acks them the way snapshot_all does (WAL marker included), so a
+        # resume starts from them instead of replaying from genesis
+        config = small_config(n_tenants=8, n_shards=2)
+        clock = 0
+
+        def feed(pool, n):
+            nonlocal clock
+            for i in range(n):
+                clock += i % 10 == 9
+                for s in config.shard_ids():
+                    row = (["advance", clock] if i % 10 == 9
+                           else ["submit", 0, 1 + i % 3, None])
+                    pool.shard_cmd(s, row)
+
+        pool = ShardPool(config, snapshot_dir=tmp_path).start()
+        try:
+            feed(pool, 100)
+            pool.snapshot_all()
+            feed(pool, 50)
+            digests = pool.shard_digests()
+        finally:
+            pool.close()
+        resumed = ShardPool(config, snapshot_dir=tmp_path)
+        try:
+            assert resumed.resume_from_disk() == {0: 0, 1: 0}
+            assert resumed.checkpointed == {0, 1}
+            assert resumed.shard_digests() == digests
+        finally:
+            resumed.close()
 
     def test_admin_kill_still_raises_and_requires_manual_restore(
         self, tmp_path

@@ -6,10 +6,11 @@ events only) and compares the functions it entered with the ``def``s of
 defined in one of the ``GATED`` files (the REF event bodies, the
 Shapley solver, the event engine, the coalition kernel and its engine
 views, the service with its policy adapters, its journal and its
-snapshot format, the gateway's pipe grammar and its write-ahead log)
-that no test calls fails the run: every REF path, every kernel pass,
-every engine method, every ingest method, every checkpoint helper and
-every WAL path is a tested one.  ``@abstractmethod`` bodies are
+snapshot format, the gateway's pipe grammar, write-ahead log, worker
+pipes, shard pool and front door) that no test calls fails the run:
+every REF path, every kernel pass, every engine method, every ingest
+method, every checkpoint helper, every WAL path and every recovery
+path is a tested one.  ``@abstractmethod`` bodies are
 declarations, not paths, and are skipped.
 
     PYTHONPATH=src python tools/untraced.py [pytest args...]
@@ -36,6 +37,9 @@ GATED = (
     "service/snapshot.py",
     "gateway/wal.py",
     "gateway/wire.py",
+    "gateway/transport.py",
+    "gateway/pool.py",
+    "gateway/gateway.py",
 )
 
 
