@@ -14,7 +14,7 @@ Usage (after ``pip install -e .``, as ``repro`` or ``python -m repro``)::
     repro policies          # list the policy registry (capability table)
     repro run NAME [--workers N --cache-dir DIR ...]   # any scenario
     repro replay NAME [--policy P --snapshot-every N]  # online service proof
-    repro serve --orgs 2,1 [--policy P]                # JSONL scheduler daemon
+    repro serve --orgs 2,1 [--policy P]                # one-shard row daemon
 
 ``run`` executes any registered scenario (``repro scenarios`` lists them)
 through the experiment pipeline: instances fan out over ``--workers``
@@ -23,8 +23,11 @@ recomputing.  ``replay`` streams one scenario instance through the online
 :class:`~repro.service.ClusterService` as timed events, optionally
 kill/restoring from snapshots along the way, and verifies the result is
 bit-identical to the batch scheduler (exit code 1 if not).  ``serve``
-runs the service as a line-oriented JSONL daemon on stdin/stdout.  Every
-command prints the paper-layout output used in EXPERIMENTS.md.
+runs one service as a gateway worker's shard 0 on stdin/stdout: one
+request row per line (``[1, 0, "submit", org, size, null]``, ``[2, 0,
+"advance", t]``, ``[3, 0, "status"]``, ``[4, "shutdown"]``; the grammar
+of :mod:`repro.gateway.wire`).  Every command prints the paper-layout
+output used in EXPERIMENTS.md.
 
 Every ``--policy`` flag accepts a registered policy name or a
 parameterized ``name:key=value[,key=value...]`` string (e.g.
@@ -42,6 +45,16 @@ import sys
 import numpy as np
 
 __all__ = ["main", "build_parser"]
+
+
+def _int_list(text: str) -> "tuple[int, ...]":
+    """argparse ``type=`` for a comma-separated int list such as ``2,1``."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
@@ -141,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     gap.add_argument("--seed", type=int, default=0)
 
     gadget = sub.add_parser("gadget", help="Theorem 5.1 SUBSETSUM gadget")
-    gadget.add_argument("values", help="comma-separated positive ints, e.g. 1,2")
+    gadget.add_argument("values", type=_int_list,
+                        help="comma-separated positive ints, e.g. 1,2")
     gadget.add_argument("x", type=int, help="target sum")
 
     demo = sub.add_parser("demo", help="consortium comparison on a trace window")
@@ -158,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_pipeline_flags(t)
 
     f10 = sub.add_parser("figure10", help="unfairness vs #organizations")
-    f10.add_argument("--orgs", default="2,3,4,5")
+    f10.add_argument("--orgs", type=_int_list, default="2,3,4,5")
     f10.add_argument("--duration", type=int, default=3000)
     f10.add_argument("--repeats", type=int, default=2)
     _add_pipeline_flags(f10)
@@ -183,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--orgs", type=int, default=None, dest="n_orgs",
                      help="fixed organization count (clears any org-count "
                           "sweep axis the scenario declares)")
-    run.add_argument("--org-counts", default=None, dest="org_counts",
+    run.add_argument("--org-counts", type=_int_list, default=None,
+                     dest="org_counts",
                      help="comma-separated org-count sweep axis, e.g. 2,4,8")
     run.add_argument("--duration", type=int, default=None)
     run.add_argument("--repeats", type=int, default=None, dest="n_repeats")
@@ -229,9 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="SWF file path (swf-family scenarios)")
 
     srv = sub.add_parser(
-        "serve", help="run the online scheduler as a JSONL stdin/stdout daemon"
+        "serve", help="run the online scheduler as a one-shard worker: "
+                      "request rows on stdin, replies on stdout"
     )
-    srv.add_argument("--orgs", default="2,1",
+    srv.add_argument("--orgs", type=_int_list, default="2,1",
                      help="genesis machine counts per organization, e.g. 3,2,2")
     srv.add_argument("--policy", default="directcontr",
                      help=_policy_flag_help("service policy"))
@@ -384,7 +400,7 @@ def _cmd_gap(
     print("  -> tends to 1: no (1/2 - eps)-approximation can separate them")
 
 
-def _cmd_gadget(values_csv: str, x: int) -> None:
+def _cmd_gadget(values: "list[int]", x: int) -> None:
     from .algorithms.ref import RefScheduler
     from .analysis.hardness import (
         ORG_A,
@@ -394,7 +410,6 @@ def _cmd_gadget(values_csv: str, x: int) -> None:
         gadget_workload,
     )
 
-    values = [int(v) for v in values_csv.split(",")]
     a = ORG_A(values)
 
     def decoded(target: int) -> int:
@@ -445,9 +460,8 @@ def _cmd_figure10(args: argparse.Namespace) -> None:
     from .experiments.reporting import render_series
     from .viz import sparkline
 
-    org_counts = tuple(int(v) for v in args.orgs.split(","))
     xs, series = figure10(
-        org_counts,
+        args.orgs,
         duration=args.duration,
         n_repeats=args.repeats,
         workers=args.workers,
@@ -523,7 +537,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
         tuple(args.metrics.split(",")) if args.metrics is not None else None
     )
     org_counts = (
-        tuple(int(v) for v in args.org_counts.split(","))
+        args.org_counts
         if args.org_counts is not None
         # --orgs means "exactly N": clear a scenario's sweep axis, which
         # would otherwise override n_orgs per variant
@@ -586,45 +600,45 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .service import ClusterService
+    from .gateway.worker import build_shard, serve_rows
     from .service.daemon import (
         ShutdownRequested,
         install_shutdown_handlers,
-        serve_loop,
+        timed_lines,
     )
-    from .service.snapshot import load_snapshot
+    from .service.snapshot import save_snapshot
 
-    if args.restore is not None:
-        try:
-            service = ClusterService.restore(load_snapshot(args.restore))
-        except (ValueError, OSError) as exc:
-            print(f"--restore {args.restore}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        counts = tuple(int(v) for v in args.orgs.split(","))
-        service = ClusterService(
-            counts,
-            args.policy,
-            seed=args.seed,
-            horizon=args.horizon,
-        )
+    spec = dict(machine_counts=args.orgs, policy=args.policy,
+                seed=args.seed, horizon=args.horizon)
+    try:
+        service = build_shard(spec, args.restore)
+    except (ValueError, OSError) as exc:
+        if args.restore is None:
+            raise
+        print(f"--restore {args.restore}: {exc}", file=sys.stderr)
+        return 2
     status = service.status()
     print(
         f"serving policy={status['policy']} members={status['members']} "
-        f"clock={status['clock']} (one JSON command per line; "
-        '{"op": "stop"} or EOF ends)',
+        f"clock={status['clock']} as shard 0 (one request row per line, "
+        'e.g. [1, 0, "status"]; [id, "shutdown"] or EOF ends)',
         file=sys.stderr,
         flush=True,
     )
     install_shutdown_handlers()
     try:
-        serve_loop(
-            service, sys.stdin, sys.stdout, snapshot_to=args.snapshot_to
+        serve_rows(
+            {0: service},
+            timed_lines(sys.stdin, None, sys.stdout.flush),
+            sys.stdout,
         )
     except ShutdownRequested as sd:
-        # supervisor kill: serve_loop's finally already wrote the
-        # --snapshot-to checkpoint, so this exit is fully recoverable
         print(f"graceful shutdown ({sd})", file=sys.stderr, flush=True)
+    finally:
+        # EOF, shutdown row or supervisor kill: leave a restorable
+        # checkpoint behind
+        if args.snapshot_to is not None:
+            save_snapshot(service.snapshot(), args.snapshot_to)
     return 0
 
 
@@ -749,7 +763,7 @@ def main(argv: "list[str] | None" = None) -> int:
     elif args.command == "gap":
         _cmd_gap(args.max_orgs, args.policy, args.job_size, args.seed)
     elif args.command == "gadget":
-        _cmd_gadget(args.values, args.x)
+        _cmd_gadget(list(args.values), args.x)
     elif args.command == "demo":
         _cmd_demo(args.trace, args.duration, args.orgs, args.seed)
     elif args.command in ("table1", "table2"):

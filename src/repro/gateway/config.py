@@ -153,18 +153,6 @@ class GatewayConfig:
             s for s in self.shard_map if worker_of(s, self.n_workers) == worker
         )
 
-    def tenant_route(self, tenant: str) -> "tuple[int, int]":
-        try:
-            return self.routes[tenant]
-        except KeyError:
-            raise KeyError(f"unknown tenant {tenant!r}") from None
-
-    def tenant_spec(self, tenant: str) -> TenantSpec:
-        for t in self.tenants:
-            if t.name == tenant:
-                return t
-        raise KeyError(f"unknown tenant {tenant!r}")
-
     def shard_machine_counts(self, shard: int) -> "tuple[int, ...]":
         """The shard service's genesis endowment (declaration order)."""
         return tuple(t.machines for t in self.shard_map[shard])

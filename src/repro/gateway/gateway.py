@@ -378,8 +378,8 @@ def gateway_serve_loop(
 ) -> None:
     """The ``repro gateway`` daemon loop: tenant-facing JSONL commands.
 
-    The protocol mirrors ``repro serve`` but addresses **tenants**, not
-    org ids -- routing, admission and sharding are the gateway's job::
+    One JSON object per line, addressing **tenants**, not shards or org
+    ids -- routing, admission and sharding are the gateway's job::
 
         {"id": 1, "op": "submit", "tenant": "t3", "size": 2}
         {"id": 2, "op": "advance", "t": 5}

@@ -33,12 +33,15 @@ deterministic chaos layer (:mod:`repro.gateway.faults`) for this
 incarnation; absent, injection costs nothing.  Entry point: ``python -m
 repro.gateway.worker`` (spawned by :class:`~repro.gateway.pool.
 ShardPool`; not a user-facing CLI).
+
+``repro serve`` is this row loop (:func:`serve_rows`) over one shard,
+numbered 0, that the CLI builds itself: no manifest and no hello line,
+the same rows and the same replies.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
 from typing import IO
@@ -53,7 +56,7 @@ from ..service.snapshot import load_snapshot, save_snapshot, snapshot_text
 from .faults import FaultInjector
 from .wire import SHARD_OBSERVATIONS, WORKER_OPS, encode, ingest_values
 
-__all__ = ["worker_main", "shard_snapshot_path", "build_shard"]
+__all__ = ["worker_main", "serve_rows", "shard_snapshot_path", "build_shard"]
 
 
 def shard_snapshot_path(snapshot_dir: "str | Path", shard: int) -> Path:
@@ -112,7 +115,7 @@ def _snapshot_all(
 def serve_shards(
     manifest: dict, lines, out: IO[str]
 ) -> "dict[int, ClusterService]":
-    """The worker loop: build/restore shards, serve until shutdown/EOF."""
+    """A worker's life: build/restore its shards, say hello, serve rows."""
     restore = manifest.get("restore") or {}
     shards: "dict[int, ClusterService]" = {}
     restored = []
@@ -124,7 +127,6 @@ def serve_shards(
         shards[sid] = build_shard(spec, restore_from)
         if restore_from is not None:
             restored.append(sid)
-    snapshot_dir = manifest.get("snapshot_dir")
     injector = FaultInjector.from_manifest(manifest.get("fault"))
     if injector is not None:
         injector.bind_output(out)
@@ -141,12 +143,29 @@ def serve_shards(
         + "\n"
     )
     out.flush()
+    return serve_rows(
+        shards, lines, out, manifest.get("snapshot_dir"), injector
+    )
 
-    # replies are buffered and leave in one write when the loop is about
-    # to wait for more commands (flush before you block), at exit, and
-    # before an injected hard exit (the injector holds ``out``)
+
+def serve_rows(
+    shards: "dict[int, ClusterService]",
+    lines,
+    out: IO[str],
+    snapshot_dir: "str | None" = None,
+    injector: "FaultInjector | None" = None,
+) -> "dict[int, ClusterService]":
+    """The row loop over built shards: serve ``lines`` until shutdown/EOF.
+
+    ``lines`` is read as given: a caller reading a pipe passes
+    ``timed_lines(stream, None, out.flush)``, so replies are buffered and
+    leave in one write when the loop is about to wait for more rows
+    (flush before you block), at exit, and before an injected hard exit
+    (the injector holds ``out``).  A :class:`ShutdownRequested` signal
+    checkpoints every shard to ``snapshot_dir`` (when set) and propagates.
+    """
     try:
-        for line in timed_lines(lines, None, out.flush):
+        for line in lines:
             if not line or line.isspace():
                 continue
             keep = True
@@ -202,8 +221,7 @@ def serve_shards(
                 elif target == "snapshot_shards":
                     if snapshot_dir is None:
                         raise ValueError(
-                            "snapshot_shards needs a snapshot_dir in the "
-                            "manifest"
+                            "snapshot_shards needs a snapshot_dir"
                         )
                     response = {
                         "ok": True,
@@ -234,6 +252,7 @@ def serve_shards(
         # supervisor kill: leave restorable checkpoints behind
         if snapshot_dir is not None:
             _snapshot_all(shards, snapshot_dir)
+        raise
     finally:
         out.flush()
     return shards
@@ -252,26 +271,11 @@ def _ingest_reply(req_id: int, svc: ClusterService, kind: str, result):
     return [req_id, *result]  # add/remove_machines: the machine ids
 
 
-def _read_line_unbuffered(stream) -> str:
-    """One line via raw single-byte reads: never consumes bytes past the
-    newline, so the following :func:`timed_lines` reader (which reads the
-    raw fd itself) sees every subsequent command."""
-    try:
-        fd = stream.fileno()
-    except (AttributeError, ValueError, OSError):
-        return stream.readline()
-    buf = bytearray()
-    while True:
-        b = os.read(fd, 1)
-        if not b or b == b"\n":
-            return buf.decode("utf-8", errors="replace")
-        buf.extend(b)
-
-
 def worker_main(argv: "list[str] | None" = None) -> int:
     """``python -m repro.gateway.worker``: manifest on stdin line 1."""
     install_shutdown_handlers()
-    manifest_line = _read_line_unbuffered(sys.stdin)
+    lines = timed_lines(sys.stdin, None, sys.stdout.flush)
+    manifest_line = next(lines, "")
     if not manifest_line.strip():
         print("worker: no manifest on stdin", file=sys.stderr)
         return 2
@@ -281,9 +285,9 @@ def worker_main(argv: "list[str] | None" = None) -> int:
         print(f"worker: bad manifest: {exc}", file=sys.stderr)
         return 2
     try:
-        serve_shards(manifest, sys.stdin, sys.stdout)
+        serve_shards(manifest, lines, sys.stdout)
     except ShutdownRequested:
-        pass  # serve_shards already checkpointed
+        pass  # the row loop already checkpointed
     return 0
 
 

@@ -14,7 +14,10 @@ and providers join, leave and resize.
   with verified bit-identical restore;
 * :mod:`repro.service.replay` -- :class:`ReplayDriver`, streaming any
   workload source through the service and asserting replay == batch;
-* :mod:`repro.service.daemon` -- the ``repro serve`` JSONL command loop.
+* :mod:`repro.service.daemon` -- the pipe plumbing (line reader, graceful
+  shutdown) of ``repro serve`` and the gateway; ``repro serve`` itself is
+  a gateway worker's row loop over one shard
+  (:func:`repro.gateway.worker.serve_rows`).
 """
 
 from .replay import ReplayDriver, ReplayReport, replay_scenario

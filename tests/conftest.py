@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,13 @@ def fig7() -> Workload:
         [2, 2],
         [(0, 0, 3)] * 4 + [(0, 1, 6)] * 2,
     )
+
+
+@pytest.fixture
+def keep_signal_handlers():
+    """Put back the SIGTERM/SIGINT handlers that an in-process ``repro
+    serve`` or worker installs (``install_shutdown_handlers``)."""
+    saved = {s: signal.getsignal(s) for s in (signal.SIGTERM, signal.SIGINT)}
+    yield
+    for signum, handler in saved.items():
+        signal.signal(signum, handler)

@@ -45,8 +45,16 @@ from repro.gateway import (
 from repro.gateway.gateway import gateway_serve_loop
 from repro.gateway.supervisor import SupervisorPolicy
 from repro.gateway.transport import LATENCY_WINDOW
-from repro.gateway.worker import serve_shards, shard_snapshot_path
-from repro.service.daemon import timed_lines
+from repro.gateway.worker import (
+    serve_shards,
+    shard_snapshot_path,
+    worker_main,
+)
+from repro.service.daemon import (
+    ShutdownRequested,
+    install_shutdown_handlers,
+    timed_lines,
+)
 from repro.service.snapshot import load_snapshot
 
 REPO_ROOT = Path(__file__).parent.parent
@@ -317,7 +325,7 @@ class TestWorkerLoop:
         "row",
         [
             [1, 0, "launch", 0],  # unknown kind
-            [1, 0, "join", 1],  # the serve daemon's word, not the journal's
+            [1, 0, "join", 1],  # the retired dict word, not the journal's
             [1, 0, "submit", 0, 2],  # wrong arity
             [1, 0, "submit", 0, 3.0, None],
             [1, 0, "submit", 0, "3", None],
@@ -337,6 +345,52 @@ class TestWorkerLoop:
         assert repr(row) in refusal["error"]  # the message names the row
         assert status["ok"] and status["jobs_submitted"] == 0
         assert shards[0].journal == []  # nothing reached the shard
+
+    def test_worker_main_reads_manifest_and_rows_from_one_reader(
+        self, monkeypatch, capsys, keep_signal_handlers
+    ):
+        stdin = [json.dumps(MANIFEST), '[1, 0, "submit", 0, 2, null]',
+                 '[2, "shutdown"]', '[3, "ping"]']
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(stdin)))
+        assert worker_main() == 0
+        hello, *replies = capsys.readouterr().out.splitlines()
+        assert json.loads(hello)["shards"] == [0, 2]
+        # nothing after the shutdown row is read
+        assert replies == [
+            "[1,0,0,0]", '{"ok": true, "stopped": true, "id": 2}'
+        ]
+
+    @pytest.mark.parametrize(
+        "stdin, message",
+        [("", "no manifest on stdin"), ("{torn\n", "bad manifest")],
+    )
+    def test_worker_main_refuses_a_missing_or_bad_manifest(
+        self, stdin, message, monkeypatch, capsys, keep_signal_handlers
+    ):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        assert worker_main() == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+    def test_signal_checkpoints_every_shard_and_propagates(
+        self, tmp_path, keep_signal_handlers
+    ):
+        install_shutdown_handlers()
+
+        def lines():
+            yield '[1, 0, "submit", 0, 2, null]'
+            os.kill(os.getpid(), signal.SIGTERM)
+            yield '[2, 0, "status"]'  # not reached
+
+        out = io.StringIO()
+        with pytest.raises(ShutdownRequested, match="signal 15"):
+            serve_shards(
+                {**MANIFEST, "snapshot_dir": str(tmp_path)}, lines(), out
+            )
+        assert out.getvalue().splitlines()[1:] == ["[1,0,0,0]"]
+        for sid in (0, 2):
+            assert load_snapshot(shard_snapshot_path(tmp_path, sid))
+        assert load_snapshot(shard_snapshot_path(tmp_path, 0))["journal"]
 
 
 #: Raw wire rows for one shard, some refused by the service (unknown org,
@@ -956,12 +1010,9 @@ class TestGracefulShutdown:
             bufsize=1,
         )
         try:
-            proc.stdin.write(
-                '{"id": 1, "op": "submit", "org": 0, "size": 2}\n'
-            )
+            proc.stdin.write('[1, 0, "submit", 0, 2, null]\n')
             proc.stdin.flush()
-            line = proc.stdout.readline()
-            assert json.loads(line)["ok"]
+            assert json.loads(proc.stdout.readline()) == [1, 0, 0, 0]
             proc.send_signal(signal.SIGTERM)
             out, err = proc.communicate(timeout=30)
         finally:
@@ -973,6 +1024,11 @@ class TestGracefulShutdown:
         assert "signal 15" in err
         payload = load_snapshot(snap)
         assert payload["journal"], "snapshot should hold the submitted job"
+        # ... and ``repro serve --restore`` resumes from it bit-identically
+        proc = spawn_cli(["serve", "--restore", str(snap)])
+        out, err = proc.communicate('[1, 0, "snapshot"]\n', timeout=30)
+        assert proc.returncode == 0, err
+        assert json.loads(out)["snapshot"] == payload
 
     def test_worker_sigterm_checkpoints_all_shards(self, tmp_path):
         manifest = {
@@ -1009,6 +1065,44 @@ class TestGracefulShutdown:
 # ---------------------------------------------------------------------------
 # CLI surface
 # ---------------------------------------------------------------------------
+class TestServeIsAWorker:
+    #: One script for ``repro serve`` and a worker: every refusal is
+    #: in-band and the daemon serves on.
+    SCRIPT = [
+        '[1, 0, "submit", 0, 2, null]',  # null release: the shard clock
+        '[2, 0, "join_org", 1]',
+        '[3, 0, "submit", 2, 2.9, null]',  # refused, not truncated to 2
+        '[4, 0, "submit", 2, true, null]',  # refused, not read as 1
+        '[5, 0, "submit", 2, "3", null]',
+        '{"op": "join"}',  # the retired dict vocabulary
+        '[6, 0, "submit", 2, 3, 4]',
+        '[7, 0, "advance", 5]',
+        '[8, 0, "status"]',
+        '[9, 0, "snapshot"]',
+        '[10, "shutdown"]',
+    ]
+
+    def test_serve_replies_are_a_workers_byte_for_byte(self):
+        proc = spawn_cli(["serve", "--orgs", "2,1", "--policy", "ref"])
+        served, err = proc.communicate(
+            "\n".join(self.SCRIPT) + "\n", timeout=60
+        )
+        assert proc.returncode == 0, err
+        out = io.StringIO()
+        manifest = {
+            "worker": 0,
+            "shards": {"0": {"machine_counts": [2, 1], "policy": "ref"}},
+        }
+        serve_shards(manifest, self.SCRIPT, out)
+        worker = out.getvalue().splitlines()[1:]  # after the hello line
+        assert served.splitlines() == worker
+        assert len(worker) == len(self.SCRIPT)
+        replies = [json.loads(line) for line in worker]
+        assert [r["ok"] for r in replies[2:6]] == [False] * 4
+        assert replies[6] == [6, 1, 0, 4]
+        assert replies[-1] == {"ok": True, "stopped": True, "id": 10}
+
+
 class TestGatewayCli:
     def test_loadgen_subcommand(self, capsys):
         from repro.cli import main

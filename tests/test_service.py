@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 from repro.core.engine import ClusterEngine
 from repro.core.job import Job
 from repro.service import ClusterService, ReplayDriver, replay_scenario
-from repro.service.daemon import serve_loop
+from repro.gateway.worker import serve_rows
 from repro.policies import build_scheduler, policy_names
 from repro.service.snapshot import (
     SNAPSHOT_VERSION,
@@ -1104,39 +1104,67 @@ class TestIngestValidation:
 # ----------------------------------------------------------------------
 # daemon loop
 # ----------------------------------------------------------------------
-class TestDaemon:
-    def test_serve_loop_round_trip(self, tmp_path):
-        svc = ClusterService([2, 1], "directcontr", seed=0)
-        snap_path = tmp_path / "final.json"
-        cmds = [
-            {"op": "submit", "org": 0, "size": 3},
-            {"op": "submit", "org": 1, "size": 2},
-            {"op": "advance", "t": 4},
-            {"op": "join", "machines": 1},
-            {"op": "submit", "org": 2, "size": 2},
-            {"op": "status"},
-            {"op": "nonsense"},
-            {"op": "drain"},
-            {"op": "stop"},
-        ]
-        out = io.StringIO()
-        serve_loop(
-            svc,
-            io.StringIO("\n".join(json.dumps(c) for c in cmds)),
-            out,
-            snapshot_to=str(snap_path),
-        )
-        responses = [json.loads(line) for line in out.getvalue().splitlines()]
-        assert [r["ok"] for r in responses] == [
-            True, True, True, True, True, True, False, True, True,
-        ]
-        status = responses[5]
-        assert status["members"] == [0, 1, 2]
-        # the exit snapshot restores to the same state
-        from repro.service import load_snapshot
+def _serve(monkeypatch, capsys, argv, rows):
+    """``repro serve ARGV`` in-process with ``rows`` on stdin: its exit
+    code and its replies."""
+    from repro import cli
 
-        restored = ClusterService.restore(load_snapshot(snap_path))
-        assert restored.schedule() == svc.schedule()
+    stdin = "".join(json.dumps(row) + "\n" for row in rows)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code = cli.main(["serve", *argv])
+    return code, [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+
+
+class TestDaemon:
+    def test_serve_loop_round_trip(
+        self, tmp_path, monkeypatch, capsys, keep_signal_handlers
+    ):
+        from repro.service import load_snapshot
+        from repro.service.snapshot import schedule_digest
+
+        rows = [
+            [1, 0, "submit", 0, 3, None],
+            [2, 0, "submit", 1, 2, None],
+            [3, 0, "advance", 4],
+            [4, 0, "join_org", 1],
+            [5, 0, "submit", 2, 2, None],
+            [6, 0, "status"],
+            [7, 0, "nonsense"],
+            [8, 0, "drain"],
+        ]
+        svc = ClusterService([2, 1], "directcontr", seed=0)
+        svc.submit(0, 3)
+        svc.submit(1, 2)
+        svc.advance(4)
+        svc.submit(svc.join_org(1), 2)
+        svc.drain()
+        # the exit snapshot is written on EOF and on a shutdown row alike
+        for ending in ([], [[9, "shutdown"]]):
+            snap_path = tmp_path / f"final-{len(ending)}.json"
+            code, responses = _serve(
+                monkeypatch, capsys,
+                ["--orgs", "2,1", "--policy", "directcontr",
+                 "--snapshot-to", str(snap_path)],
+                rows + ending,
+            )
+            assert code == 0
+            assert [
+                isinstance(r, list) or r["ok"] for r in responses
+            ] == [True] * 6 + [False] + [True] * (1 + len(ending))
+            status = responses[5]
+            assert status["members"] == [0, 1, 2]
+            # the exit snapshot restores to the same state, in-process
+            # and through ``repro serve --restore``
+            restored = ClusterService.restore(load_snapshot(snap_path))
+            assert restored.schedule() == svc.schedule()
+            code, (snap,) = _serve(
+                monkeypatch, capsys, ["--restore", str(snap_path)],
+                [[1, 0, "snapshot"]],
+            )
+            assert code == 0
+            assert snap["snapshot"]["schedule_digest"] == schedule_digest(
+                svc.schedule()
+            )
 
     def test_status_names_the_policy_backend(self):
         """A fleet-backed policy reports whether it still runs on the
@@ -1174,10 +1202,12 @@ class TestDaemon:
     def test_malformed_json_is_in_band_error(self):
         svc = ClusterService([1], "fifo")
         out = io.StringIO()
-        serve_loop(svc, io.StringIO('{not json}\n5\n"x"\n[1]\n{"op":"status"}\n'), out)
+        lines = '{not json}\n5\n"x"\n[1]\n{"op":"status"}\n[2,0,"status"]\n'
+        serve_rows({0: svc}, io.StringIO(lines), out)
         responses = [json.loads(line) for line in out.getvalue().splitlines()]
-        # every bad line answered in-band; the daemon kept serving
-        assert [r["ok"] for r in responses] == [False] * 4 + [True]
+        # every bad line (the retired dict vocabulary included) answered
+        # in-band; the daemon kept serving
+        assert [r["ok"] for r in responses] == [False] * 5 + [True]
 
     def test_cli_batch_flags(self, capsys):
         """PR 23 deleted the ingest buffer and its four flags: argparse

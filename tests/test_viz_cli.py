@@ -102,3 +102,24 @@ class TestCli:
                      "--repeats", "1"]) == 0
         out = capsys.readouterr().out
         assert "organizations" in out
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["serve", "--orgs", "2,x"], "--orgs"),
+            (["figure10", "--orgs", "2,3.5"], "--orgs"),
+            (["run", "table1", "--org-counts", "2,,4"], "--org-counts"),
+            (["gadget", "1,a", "2"], "values"),
+        ],
+    )
+    def test_int_list_flags_refuse_bad_input_as_usage_errors(
+        self, argv, flag, capsys
+    ):
+        """One argparse ``type=`` parses every comma-separated int flag:
+        bad input is a usage error (exit 2) naming the flag, not a
+        ``ValueError`` traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected comma-separated integers" in err

@@ -6,8 +6,9 @@ events only) and compares the functions it entered with the ``def``s of
 defined in one of the ``GATED`` files (the REF event bodies, the
 Shapley solver, the event engine, the coalition kernel and its engine
 views, the service with its policy adapters, its journal and its
-snapshot format, the gateway's pipe grammar, write-ahead log, worker
-pipes, shard pool and front door) that no test calls fails the run:
+snapshot format, the pipe plumbing and row loop that ``repro serve``
+and a gateway worker share, the gateway's pipe grammar, write-ahead log,
+worker pipes, shard pool and front door) that no test calls fails the run:
 every REF path, every kernel pass, every engine method, every ingest
 method, every checkpoint helper, every WAL path and every recovery
 path is a tested one.  ``@abstractmethod`` bodies are
@@ -35,6 +36,8 @@ GATED = (
     "service/service.py",
     "service/state.py",
     "service/snapshot.py",
+    "service/daemon.py",
+    "gateway/worker.py",
     "gateway/wal.py",
     "gateway/wire.py",
     "gateway/transport.py",
