@@ -163,7 +163,7 @@ class Scheduler(ABC):
         """Schedule the coalition ``members`` (default: all organizations)
         of ``workload`` and return the resulting schedule and metadata."""
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
@@ -218,8 +218,7 @@ class PolicyScheduler(Scheduler):
 
     def schedule_event(self, engine: ClusterEngine) -> None:
         """Start jobs at the current event time while capacity remains."""
-        while engine.free_count > 0 and engine.has_waiting():
-            engine.start_next(self.select(engine))
+        engine.fill(self.select)
 
     # -- driver ----------------------------------------------------------------
     def run(

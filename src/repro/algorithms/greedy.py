@@ -20,9 +20,7 @@ __all__ = ["GreedyFifoScheduler", "fifo_select"]
 def fifo_select(engine: ClusterEngine) -> int:
     """Pick the organization whose head job was released earliest
     (ties: lowest organization id) -- a deterministic global FIFO."""
-    return min(
-        engine.waiting_orgs(), key=lambda u: (engine.head_release(u), u)
-    )
+    return engine.fifo_head()
 
 
 #: Marks the selector as natively understood by the batched

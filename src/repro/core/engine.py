@@ -58,15 +58,16 @@ __all__ = ["ClusterEngine", "RunningJob"]
 
 
 class RunningJob:
-    """A job currently occupying a machine (scheduler-visible fields only)."""
+    """A job occupying a machine, carrying its start-log ``entry``."""
 
-    __slots__ = ("job", "start", "machine", "finish")
+    __slots__ = ("entry", "job", "start", "machine", "finish")
 
-    def __init__(self, job: Job, start: int, machine: int):
-        self.job = job
-        self.start = start
-        self.machine = machine
-        self.finish = start + job.size  # engine-internal; hidden from policies
+    def __init__(self, entry: ScheduledJob):
+        self.entry = entry
+        self.job = job = entry.job
+        self.start = entry.start
+        self.machine = entry.machine
+        self.finish = entry.start + job.size  # hidden from policies
 
     @property
     def org(self) -> int:
@@ -90,14 +91,10 @@ class ClusterEngine:
         Utilities evaluated *at* the horizon are unaffected (a job started at
         ``t`` contributes nothing to :math:`\\psi_{sp}(t)`).
 
-    The orchestration contract is::
-
-        while (t := engine.next_event_time()) is not None:
-            engine.advance_to(t)
-            while engine.free_count > 0 and engine.has_waiting():
-                engine.start_next(chosen_org)
-
-    (:meth:`drive` packages this loop for simple policies.)
+    The orchestration contract: :meth:`advance_to` each
+    :meth:`next_event_time`, then start jobs while a machine is free and a
+    job waits -- :meth:`fill` is that greedy round for a selection
+    callback, :meth:`drive` the whole loop.
     """
 
     def __init__(
@@ -182,25 +179,21 @@ class ClusterEngine:
         Returns ``None`` once there is nothing left to do (or every
         remaining event is at/after the horizon).
         """
-        candidates: list[int] = []
+        t = self._busy[0][0] if self._busy else None
         if self._stream_pos < len(self._stream):
-            candidates.append(self._stream[self._stream_pos].release)
-        if self._busy:
-            candidates.append(self._busy[0][0])
-        if not candidates:
-            return None
-        t = min(candidates)
-        if self.horizon is not None and t >= self.horizon:
+            release = self._stream[self._stream_pos].release
+            if t is None or release < t:
+                t = release
+        if t is None or self.horizon is not None and t >= self.horizon:
             return None
         return t
 
     def has_event_at_or_before(self, t: int) -> bool:
         """Any unprocessed release or completion at a time ``<= t``?
 
-        Allocation-free (unlike :meth:`next_event_time`) and deliberately
-        horizon-blind: it answers "would :meth:`advance_to` do any work",
-        which is what :class:`repro.core.fleet.CoalitionFleet` asks once
-        per engine per decision time.
+        Deliberately horizon-blind: it answers "would :meth:`advance_to`
+        do any work", which is what :class:`repro.core.fleet.CoalitionFleet`
+        asks once per engine per decision time.
         """
         if self._stream_pos < len(self._stream):
             if self._stream[self._stream_pos].release <= t:
@@ -251,7 +244,7 @@ class ClusterEngine:
         self._run_start_sum -= s
         self._run_start_sq -= s * s
         self.version += 1
-        self._completed.append(ScheduledJob(run.start, run.machine, run.job))
+        self._completed.append(run.entry)
 
     # ------------------------------------------------------------------
     # scheduler-facing state (non-clairvoyant: no running sizes exposed)
@@ -280,6 +273,16 @@ class ClusterEngine:
         """Release time of the organization's first waiting job."""
         return self._pending[org][0].release
 
+    def fifo_head(self) -> int:
+        """The waiting member whose head job was released earliest (ties:
+        lowest id), in one pass -- the global FIFO pick; -1 if none waits."""
+        org, head = -1, 0
+        for u in self.members:  # ascending, so ties keep the lowest id
+            queue = self._pending[u]
+            if queue and (org < 0 or queue[0].release < head):
+                org, head = u, queue[0].release
+        return org
+
     def running_count(self, org: int) -> int:
         """Currently executing jobs of one organization."""
         return sum(1 for r in self._running.values() if r.org == org)
@@ -300,8 +303,15 @@ class ClusterEngine:
 
         Completed work plus elapsed time of running jobs -- the quantity the
         classic FAIRSHARE algorithm balances against target shares.
+        Retrospective queries (``t < self.t``) recompute from the start log.
         """
         t = self.t if t is None else t
+        if t < self.t:
+            return sum(
+                min(e.job.size, max(0, t - e.start))
+                for e in self._log
+                if e.job.org == org
+            )
         total = self._done_units[org]
         for r in self._running.values():
             if r.org == org:
@@ -432,15 +442,14 @@ class ClusterEngine:
             if machine not in self._free_set:
                 raise ValueError(f"machine {machine} is not free at t={self.t}")
             self._free_set.discard(machine)  # heap entry goes stale, O(1)
-        job = self._pending[org].popleft()
+        t = self.t
+        entry = ScheduledJob(t, machine, self._pending[org].popleft())
         self._n_waiting -= 1
-        run = RunningJob(job, self.t, machine)
-        self._running[machine] = run
+        run = self._running[machine] = RunningJob(entry)
         heapq.heappush(self._busy, (run.finish, machine))
-        self._run_start_sum += self.t
-        self._run_start_sq += self.t * self.t
+        self._run_start_sum += t
+        self._run_start_sq += t * t
         self.version += 1
-        entry = ScheduledJob(self.t, machine, job)
         self._log.append(entry)
         return entry
 
@@ -464,7 +473,10 @@ class ClusterEngine:
                 f"cannot submit into the past (release {job.release} < "
                 f"engine time {self.t})"
             )
-        insort(self._stream, job, lo=self._stream_pos)
+        if self._stream_pos < len(self._stream) and job < self._stream[-1]:
+            insort(self._stream, job, lo=self._stream_pos)
+        else:  # at or after the tail, as a service submits: append
+            self._stream.append(job)
 
     def add_machine(self, machine: int, owner: int) -> None:
         """Add a (free) machine with a service-assigned global id."""
@@ -665,7 +677,7 @@ class ClusterEngine:
             entry = ScheduledJob(s, m, job)
             log.append(entry)
             if end > t:
-                running[m] = RunningJob(job, s, m)
+                running[m] = RunningJob(entry)
                 run_sum += s
                 run_sq += s * s
             else:
@@ -784,8 +796,13 @@ class ClusterEngine:
             if t is None or (until is not None and t > until):
                 return
             self.advance_to(t)
-            while self._free_set and self._n_waiting:
-                self.start_next(select(self))
+            self.fill(select)
+
+    def fill(self, select) -> None:
+        """One greedy round at the current time: start ``select(engine)``'s
+        head job while a machine is free and a job waits."""
+        while self._free_set and self._n_waiting:
+            self.start_next(select(self))
 
     def is_idle(self) -> bool:
         """True when no job is running and none is waiting."""

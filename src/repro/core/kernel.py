@@ -746,10 +746,9 @@ class FleetKernel:
             (int(self.finish[row, m]), int(m)) for m in running_m
         ]
         heapq.heapify(eng._busy)
-        eng._running = {}
-        for m in running_m.tolist():
-            job = self._find_running_job(row, m)
-            eng._running[m] = RunningJob(job, int(self.run_start[row, m]), m)
+        entries = self.row_entries(row)
+        last = {e.machine: e for e in entries}  # a machine's latest start
+        eng._running = {m: RunningJob(last[m]) for m in running_m.tolist()}
         eng._retiring = set()
         eng._retired = set()
         eng._done_units = self.done_units[row].tolist()
@@ -757,7 +756,6 @@ class FleetKernel:
         # by-machine-owner aggregates over *completed* jobs, from the log
         eng._done_units_mach = [0] * self.k
         eng._done_wstart_mach = [0] * self.k
-        entries = self.row_entries(row)
         for e in entries:
             if e.end <= self.t:
                 p = e.job.size
@@ -775,16 +773,6 @@ class FleetKernel:
             key=lambda e: (e.end, e.machine),
         )
         return eng
-
-    def _find_running_job(self, row: int, machine: int) -> Job:
-        """The Job object running on ``(row, machine)`` via the start log."""
-        idx = self.row_log_indices(row)
-        for i in idx[::-1]:  # most recent start on that machine wins
-            if int(self._log_mach[i]) == machine:
-                return self.jobs_flat[int(self._log_flat(i))]
-        raise RuntimeError(
-            f"no log entry for running job on row {row} machine {machine}"
-        )  # pragma: no cover - running implies a logged start
 
 
 class KernelEngineView:
@@ -933,6 +921,10 @@ class KernelEngineView:
             raise IndexError(f"org {org} has no waiting job")
         return int(kern.rel_flat[kern.org_start[org] + kern.started[row, org]])
 
+    def fifo_head(self) -> int:
+        orgs = self.waiting_orgs()  # both reads forward once materialized
+        return min(orgs, key=lambda u: (self.head_release(u), u), default=-1)
+
     def running_count(self, org: int) -> int:
         real = self._real()
         if real is not None:
@@ -954,8 +946,8 @@ class KernelEngineView:
         kern, row = self._kr()
         if not (0 <= machine < kern.n_mach) or kern.finish[row, machine] >= _FAR:
             return None
-        s = int(kern.run_start[row, machine])
-        return RunningJob(kern._find_running_job(row, machine), s, machine)
+        last = {e.machine: e for e in kern.row_entries(row)}
+        return RunningJob(last[machine])
 
     def consumed_cpu(self, org: int, t: "int | None" = None) -> int:
         real = self._real()
@@ -963,6 +955,12 @@ class KernelEngineView:
             return real.consumed_cpu(org, t)
         kern, row = self._kr()
         t = kern.t if t is None else t
+        if t < kern.t:  # retrospective: from the start log, like psis
+            return sum(
+                min(e.job.size, max(0, t - e.start))
+                for e in kern.row_entries(row)
+                if e.job.org == org
+            )
         total = int(kern.done_units[row, org])
         for m in np.flatnonzero(kern.finish[row] < _FAR):
             if int(kern.run_org[row, m]) == org:

@@ -44,6 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from ..algorithms.base import PolicyScheduler
+from ..algorithms.greedy import fifo_select
 from ..algorithms.rand import RandRun
 from ..algorithms.ref import RefRun
 from ..core.coalition import iter_members, popcount, subsets_by_size
@@ -481,6 +482,24 @@ class _RandPolicy(_FleetPolicy):
 
     def _fleets(self) -> "tuple[CoalitionFleet, ...]":
         return (self.fleet, self.run.oracle)
+
+    def _mutate_pool(
+        self, org: int, machine_ids: "list[int]", add: bool
+    ) -> None:
+        """The oracle engines lag the clock (RAND drives them only at
+        capable decision events): drive them to it with their own greedy
+        FIFO first, and give an added machine its greedy round at the
+        clock, so each coalition sees a machine exactly from its add, and
+        until the round at its removal."""
+        clock = self.service.clock
+        oracle = self.run.oracle
+        oracle.values_array(clock, select=fifo_select)  # drives every engine
+        super()._mutate_pool(org, machine_ids, add)
+        horizon = self.service.horizon
+        if add and (horizon is None or clock < horizon):
+            for mask in oracle.masks:
+                if mask & (1 << org):
+                    oracle.engine(mask).fill(fifo_select)
 
     def join(self, org: int) -> None:
         self._grow_grand(org)

@@ -26,7 +26,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ..core.coalition import iter_members, iter_subsets
-from ..core.engine import ClusterEngine
 from ..core.fleet import CoalitionFleet
 from ..core.workload import Workload
 
@@ -55,17 +54,6 @@ class TableGame:
 
     def __call__(self, mask: int) -> "int | float":
         return self.table[mask]
-
-
-def _fifo_select(engine: ClusterEngine) -> int:
-    """Global FIFO tie-broken by (head release, org id): 'any greedy'."""
-    waiting = engine.waiting_orgs()
-    return min(waiting, key=lambda u: (engine.head_release(u), u))
-
-
-# the batched FleetKernel understands this selector natively, so large
-# values_for() batches advance in one vectorized lockstep sweep
-_fifo_select.kernel_policy = "fifo"
 
 
 class SchedulingGame:
@@ -105,11 +93,16 @@ class SchedulingGame:
         return self._cache[mask]
 
     def _fifo_values(self, masks: "list[int]") -> dict[int, int]:
-        """Engine-backed fifo values for ``masks`` via a transient fleet."""
+        """Engine-backed fifo values for ``masks`` via a transient fleet
+        (the kernel drives greedy FIFO natively, so a large batch advances
+        in one vectorized lockstep sweep)."""
+        # lazy: repro.algorithms imports repro.shapley
+        from ..algorithms.greedy import fifo_select
+
         fleet = CoalitionFleet(
             self.workload, masks, horizon=self.t, track_events=False
         )
-        return fleet.values_at(self.t, select=_fifo_select)
+        return fleet.values_at(self.t, select=fifo_select)
 
     def _compute(self, mask: int) -> int:
         members = list(iter_members(mask))

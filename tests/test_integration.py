@@ -119,6 +119,18 @@ class TestPortfolioInvariants:
         for t in (0, 7, 19, 50):
             assert result.utilities(t) == engine.psis(t)
 
+    def test_result_vector_utilization_and_repr(self):
+        # two machines; sizes 2 and 3 both start at 0
+        wl = make_workload([1, 1], [(0, 0, 2), (0, 1, 3)])
+        scheduler = GreedyFifoScheduler()
+        result = scheduler.run(wl)
+        vec = result.utility_vector(4)
+        assert vec.dtype == np.int64
+        assert vec.tolist() == result.utilities(4)
+        assert result.utilization(4) == (2 + 3) / (2 * 4)
+        assert result.utilization(0) == 0.0
+        assert repr(scheduler) == "GreedyFifoScheduler(name='GreedyFIFO')"
+
 
 class TestTraceToFairnessPipeline:
     """Workload generation -> transforms -> scheduling -> metrics."""

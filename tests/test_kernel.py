@@ -254,6 +254,9 @@ class TestEngineViews:
                 assert view.has_event_at_or_before(t) == (
                     eng.has_event_at_or_before(t)
                 )
+                for u in eng.members:
+                    assert view.consumed_cpu(u, t) == eng.consumed_cpu(u, t)
+            assert view.fifo_head() == eng.fifo_head()
             for u in eng.members:
                 assert view.waiting_count(u) == eng.waiting_count(u)
                 if eng.waiting_count(u):
@@ -919,7 +922,7 @@ def assert_rows_match(kf: CoalitionFleet, ef: CoalitionFleet, t_past: int):
         assert view.schedule() == ref.schedule(), mask
         assert view.completed_log == ref.completed_log, mask
         assert kern.materialize_row(row).schedule() == ref.schedule(), mask
-        for mid in ref.machine_owner:  # _find_running_job
+        for mid in ref.machine_owner:  # running_on from the start log
             a, b = view.running_on(mid), ref.running_on(mid)
             assert (a and (a.job, a.start)) == (b and (b.job, b.start)), mask
     assert kf.values_at(t_past) == ef.values_at(t_past)  # values_retro

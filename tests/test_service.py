@@ -30,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.greedy import fifo_select
 from repro.core.engine import ClusterEngine
 from repro.core.job import Job
 from repro.service import ClusterService, ReplayDriver, replay_scenario
@@ -1038,6 +1039,81 @@ class TestDynamicMembership:
         svc = ClusterService([1, 1], "fifo")
         svc.leave_org(1)
         assert svc.join_org(machines=1) == 2
+
+
+class TestRandOracleSeesThePoolAtTheClock:
+    """RAND drives its oracle engines only at capable decision events, so
+    they lag the clock.  A machine added or removed at clock ``c`` must
+    exist in every oracle coalition's greedy FIFO schedule exactly from
+    ``c`` on, or until the round at ``c`` has run."""
+
+    @staticmethod
+    def _churn(policy: str, seed: int):
+        rng = np.random.default_rng(seed)
+        svc = ClusterService([1, 1, 1], policy, seed=seed)
+        history = []  # ("submit", job) / ("pool", clock, org, ids, add)
+        for tick in range(1, 120):
+            for _ in range(int(rng.integers(3))):
+                org, size = int(rng.integers(3)), int(rng.integers(1, 7))
+                history.append(
+                    ("submit", svc.submit(org, size, release=tick))
+                )
+            svc.advance(tick)
+            if tick % 17 == 0:
+                org = int(rng.integers(3))
+                add = len(svc.census.machines[org]) < 2 or rng.random() < 0.5
+                ids = (
+                    svc.add_machines(org, 1)
+                    if add
+                    else svc.remove_machines(org, 1)
+                )
+                history.append(("pool", svc.clock, org, ids, add))
+        svc.drain()
+        return svc, history
+
+    @staticmethod
+    def _eager(svc, members, history) -> ClusterEngine:
+        """The coalition's greedy FIFO engine, brought to the clock at
+        each pool change and run to the end."""
+        ref = ClusterEngine(svc.genesis_workload(), members)
+        for op in history:
+            if op[0] == "submit":
+                if op[1].org in members:
+                    ref.submit(op[1])
+                continue
+            _, clock, org, ids, add = op
+            if org not in members:
+                continue
+            ref.drive(fifo_select, until=clock)
+            ref.advance_to(max(ref.t, clock))
+            for mid in ids:
+                if add:
+                    ref.add_machine(mid, org)
+                else:
+                    ref.retire_machine(mid)
+            if add:
+                ref.fill(fifo_select)
+        ref.drive(fifo_select)
+        return ref
+
+    @pytest.mark.parametrize("policy", ["rand", "ref_stratified"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_oracle_machines_live_from_add_to_removal(self, policy, seed):
+        svc, history = self._churn(policy, seed)
+        added = {m: op[1] for op in history if op[0] == "pool" and op[4]
+                 for m in op[3]}
+        removed = {m: op[1] for op in history
+                   if op[0] == "pool" and not op[4] for m in op[3]}
+        oracle = svc.policy.run.oracle
+        for mask in oracle.masks:
+            eng = oracle.engine(mask)
+            eng.drive(fifo_select)
+            for e in eng.start_log:
+                assert added.get(e.machine, 0) <= e.start, (mask, e)
+                # the round at the removal clock ran before the removal
+                assert e.start <= removed.get(e.machine, e.start), (mask, e)
+            ref = self._eager(svc, eng.members, history)
+            assert eng.start_log == ref.start_log, mask
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Runs the test suite in-process under a call trace (``sys.settrace``, call
 events only) and compares the functions it entered with the ``def``s of
 ``src/repro``.  Report-only for the package as a whole, but a function
-defined in one of the ``GATED`` files (the REF event bodies, the
+defined in one of the ``GATED`` files (the scheduler base classes and
+their event loops, greedy FIFO, the RAND and REF event bodies, the
 Shapley solver, the event engine, the coalition kernel and its engine
 views, the service with its policy adapters, its journal and its
 snapshot format, the pipe plumbing and row loop that ``repro serve``
@@ -28,6 +29,9 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 GATED = (
+    "algorithms/base.py",
+    "algorithms/greedy.py",
+    "algorithms/rand.py",
     "algorithms/ref.py",
     "algorithms/multiref.py",
     "shapley/vectorized.py",
