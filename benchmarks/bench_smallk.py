@@ -4,10 +4,11 @@ PR 1's vectorized psi_sp ledger made REF k=8 2.5x faster but left k=4 at
 0.94x of the seed: with <= 15 subcoalitions, per-event numpy overhead
 exceeds the Python loops it replaces.  REF therefore dispatches on
 ``VECTORIZE_MIN_K``: below it the exact big-int path (with the cached
-``_update_terms`` subset decomposition) runs, at or above it the ledger
-does.  ``CoalitionFleet`` dispatches the same way on
-``KERNEL_MIN_ENGINES``: fleets of at least that many coalitions run on the
-batched ``FleetKernel``, smaller ones on per-coalition engines.  These
+``_update_terms`` subset decomposition) runs, at or above it the int64
+values and the coefficient-matrix matmul do.  ``CoalitionFleet``
+dispatches the same way on ``KERNEL_MIN_ENGINES``: fleets of at least that
+many coalitions run on the batched ``FleetKernel``, smaller ones on
+per-coalition engines.  These
 benchmarks pin both dispatches to the right side of their crossover on
 the machine actually running them:
 

@@ -229,9 +229,10 @@ class RefRun:
         self._kernel_plan_cache: "tuple | None" = None
         #: what the fused array body did with each event that reached it:
         #: scheduled (every start forced / by Shapley keys) or declined
-        #: (retrospective ``t``, uncertifiable query, int64 guard)
+        #: (retrospective ``t``, uncertifiable query, int64 guard); plus
+        #: the events served on a fleet with no kernel
         self.ref_events = dict.fromkeys(
-            ("forced", "contested", "retro", "unsafe", "guard"), 0
+            ("forced", "contested", "retro", "unsafe", "guard", "engines"), 0
         )
 
     def drive(self) -> int:
@@ -253,11 +254,9 @@ class RefRun:
         size-ordered ``UpdateVals`` + Fig. 3 scheduling for every capable
         coalition (engine views make it backend-agnostic, and it reads a
         retrospective ``t`` from the start logs)."""
-        if (
-            self._vectorize
-            and fleet.kernel is not None
-            and self._on_event_kernel(fleet, t)
-        ):
+        if fleet.kernel is None:
+            self.ref_events["engines"] += 1
+        elif self._vectorize and self._on_event_kernel(fleet, t):
             return
         vals = None
         max_abs = 0
@@ -285,7 +284,7 @@ class RefRun:
             if not capable:
                 continue
             if vals is None and values_dict is None:
-                values_dict = fleet.values_exact(t)
+                values_dict = fleet.values_at(t)
             phi = (
                 self.solver.phi_scaled_matrix(
                     group, vals, max_abs, self.workload.n_orgs

@@ -86,8 +86,7 @@ def greedy_value_invariance(
         )
         row = []
         for t in sorted(times):
-            fleet.drive(grand_mask, policy, until=t)
-            row.append(fleet.values_at(t)[grand_mask])
+            row.append(fleet.values_at(t, select=policy)[grand_mask])
         values.append(row)
     reference = [
         unit_coalition_value(workload, members, t) for t in sorted(times)

@@ -21,10 +21,8 @@ Design notes (see DESIGN.md §2):
 * **O(1) value ledger**: coalition-total aggregates (completed units and
   weighted starts, plus running-job start moments) are maintained
   incrementally, so ``value(t)`` at the current time is a constant-time
-  formula and :class:`repro.core.fleet.CoalitionFleet` can mirror every
-  engine's ledger into numpy arrays.  A ``version`` counter bumps on each
-  value-affecting mutation (start or completion -- releases do not change
-  :math:`\\psi_{sp}`) for the fleet's dirty tracking.
+  formula; :class:`repro.core.fleet.CoalitionFleet` brings its engines to
+  a query time and reads each value from it.
 * **Free machines**: a min-heap with a shadow set and lazy deletion, so the
   default lowest-id pop stays O(log n) *and* DIRECTCONTR's explicit random
   machine choice is O(1) instead of the O(n) remove-and-reheapify it used
@@ -162,10 +160,6 @@ class ClusterEngine:
         self._tot_wstart = 0
         self._run_start_sum = 0
         self._run_start_sq = 0
-        #: bumped on every value-affecting mutation (start / completion);
-        #: releases leave it untouched.  CoalitionFleet uses this for dirty
-        #: tracking of its vectorized ledger.
-        self.version = 0
 
         self._log: list[ScheduledJob] = []
         self._completed: list[ScheduledJob] = []
@@ -187,18 +181,6 @@ class ClusterEngine:
         if t is None or self.horizon is not None and t >= self.horizon:
             return None
         return t
-
-    def has_event_at_or_before(self, t: int) -> bool:
-        """Any unprocessed release or completion at a time ``<= t``?
-
-        Deliberately horizon-blind: it answers "would :meth:`advance_to`
-        do any work", which is what :class:`repro.core.fleet.CoalitionFleet`
-        asks once per engine per decision time.
-        """
-        if self._stream_pos < len(self._stream):
-            if self._stream[self._stream_pos].release <= t:
-                return True
-        return bool(self._busy) and self._busy[0][0] <= t
 
     def advance_to(self, t: int) -> None:
         """Process all completions and releases at times ``<= t``.
@@ -243,7 +225,6 @@ class ClusterEngine:
         self._tot_wstart += tri
         self._run_start_sum -= s
         self._run_start_sq -= s * s
-        self.version += 1
         self._completed.append(run.entry)
 
     # ------------------------------------------------------------------
@@ -401,10 +382,9 @@ class ClusterEngine:
     def ledger(self) -> tuple[int, int, int, int, int]:
         """The O(1) value aggregates ``(units, wstart, n_running, Σs, Σs²)``.
 
-        Exact Python ints; :class:`repro.core.fleet.CoalitionFleet` mirrors
-        them into int64 numpy columns so ``v(C', t)`` for *all* coalitions is
-        a handful of array ops.  Valid for evaluation at the engine's current
-        time (see :meth:`value`).
+        Exact Python ints, valid for evaluation at the engine's current
+        time (see :meth:`value`); tests compare kernel rows and restored
+        engines against engines through them.
         """
         return (
             self._tot_units,
@@ -449,7 +429,6 @@ class ClusterEngine:
         heapq.heappush(self._busy, (run.finish, machine))
         self._run_start_sum += t
         self._run_start_sq += t * t
-        self.version += 1
         self._log.append(entry)
         return entry
 
@@ -578,7 +557,6 @@ class ClusterEngine:
         clone._tot_wstart = self._tot_wstart
         clone._run_start_sum = self._run_start_sum
         clone._run_start_sq = self._run_start_sq
-        clone.version = self.version
         clone._log = list(self._log)
         clone._completed = list(self._completed)
         return clone
@@ -756,7 +734,6 @@ class ClusterEngine:
         eng._tot_wstart = sum(done_wstart)
         eng._run_start_sum = run_sum
         eng._run_start_sq = run_sq
-        eng.version = len(log) + len(completed)
         eng._log = log
         eng._completed = [c[2] for c in completed]
         return eng

@@ -12,11 +12,12 @@ algorithm modules are thin policies:
 * one shared :class:`~repro.core.events.EventQueue` seeded with the release
   times of every covered organization's jobs; engine starts push their
   completion times back into it (:meth:`CoalitionFleet.start_next`);
-* a **vectorized psi_sp ledger**: each engine's O(1) value aggregates
-  ``(units, wstart, n_running, Σstart, Σstart²)`` are mirrored into int64
-  numpy columns, so :meth:`values_at` evaluates *all* coalition values at an
-  event time with a handful of array ops instead of ``2^k`` Python loops of
-  ``O(k + #running)`` each.
+* one value path: a query brings every engine not already past ``t`` to
+  ``t`` and reads :meth:`~repro.core.engine.ClusterEngine.value` from each
+  -- the engine's O(1) ledger formula at its own clock, its start log for
+  an engine already past ``t``.  Values are exact Python ints;
+  :meth:`values_array` hands them over as int64 unless one reaches
+  ``2**62``, and each int64 consumer guards its own products.
 
 **Kernel dispatch** (DESIGN.md §8): a fleet of at least
 :data:`~repro.core.kernel.KERNEL_MIN_ENGINES` coalitions over a workload
@@ -36,19 +37,10 @@ the fallback is counted and named: :attr:`CoalitionFleet.n_materializations`,
 backend_status`).  ``backend="engines"`` or ``backend="kernel"`` forces
 either mode.
 
-Dirty tracking: an engine's :attr:`~repro.core.engine.ClusterEngine.version`
-counter bumps only on value-affecting mutations (job starts / completions),
-so a ledger row is re-read only when its coalition processed such an event
-since the last query -- releases and no-op advances cost nothing.
-
-Exactness: the ledger is int64 with an overflow guard.  Aggregates are
-checked when mirrored, and each query bounds the largest possible
-intermediate from running column maxima; if either check trips, the query
-falls back to the engines' exact unbounded-int path
-(:meth:`~repro.core.engine.ClusterEngine.value`), so no scheduling decision
-is ever affected by wraparound.  The kernel keeps the same contract with
-its own two-tier guard (construction-time certification plus per-query
-checks).  Property tests verify all paths agree.
+Exactness: the kernel keeps int64 ledgers, certified at construction and
+guarded per query; when a query cannot be certified it falls back to exact
+Python-int arithmetic over the same ledgers, so no scheduling decision is
+ever affected by wraparound.  Property tests verify both modes agree.
 """
 
 from __future__ import annotations
@@ -61,19 +53,17 @@ from . import kernel as kernel_mod
 from .coalition import iter_members
 from .engine import ClusterEngine
 from .events import EventQueue
-from .kernel import FleetKernel, KernelEngineView, KernelUnsafe, kernel_certified
+from .kernel import (
+    _QUERY_CAP,
+    FleetKernel,
+    KernelEngineView,
+    KernelUnsafe,
+    kernel_certified,
+)
 from .schedule import ScheduledJob
 from .workload import Workload
 
 __all__ = ["CoalitionFleet"]
-
-#: Magnitude cap for a single mirrored ledger scalar.  Chosen so the query
-#: guard (a sum of five products of a scalar with ~t², see values_array) can
-#: certify the full expression fits in signed int64.
-_SCALAR_CAP = 1 << 61
-
-#: Cap for the certified worst-case intermediate of one vectorized query.
-_QUERY_CAP = 1 << 62
 
 SelectFn = Callable[[ClusterEngine], int]
 
@@ -130,23 +120,6 @@ class CoalitionFleet:
         #: completion times of every start made through the fleet
         self.events = EventQueue()
         self._seeded_orgs: set[int] = set()
-        # ledger columns (int64, grown geometrically; per-engine mode only)
-        cap = 8
-        self._units = np.zeros(cap, np.int64)
-        self._wstart = np.zeros(cap, np.int64)
-        self._rcount = np.zeros(cap, np.int64)
-        self._rsum = np.zeros(cap, np.int64)
-        self._rsq = np.zeros(cap, np.int64)
-        self._seen = np.full(cap, -1, np.int64)
-        # running column maxima (exact Python ints; grow monotonically, so
-        # they are conservative bounds for the overflow guard)
-        self._mx_units = 0
-        self._mx_wstart = 0
-        self._mx_rcount = 0
-        self._mx_rsum = 0
-        self._mx_rsq = 0
-        #: permanently False once any engine scalar exceeds the int64 cap
-        self._int64_ok = True
         # kernel-backend state
         self._use_kernel = False
         self._kernel_obj: FleetKernel | None = None
@@ -170,8 +143,6 @@ class CoalitionFleet:
             self._use_kernel = True
             self._kernel_stale = True
         else:
-            while len(self._seen) < len(self._order):
-                self._grow()
             for m in self._order:
                 self._engines[m] = ClusterEngine(
                     workload, list(iter_members(m)), horizon=horizon
@@ -221,9 +192,6 @@ class CoalitionFleet:
         for mask, view in self._views.items():
             view._bound = self._engines.get(mask)
         self._views.clear()
-        while len(self._seen) < len(self._order):
-            self._grow()
-        self._seen[: len(self._order)] = -1
 
     def backend_status(self) -> dict:
         """Which backend serves this fleet, how often it fell back from the
@@ -308,9 +276,6 @@ class CoalitionFleet:
             if engine is not None
             else ClusterEngine(self.workload, members, horizon=self.horizon)
         )
-        row = len(self._order)
-        if row == len(self._seen):
-            self._grow()
         self._engines[mask] = eng
         self._register(mask, members)
         return eng
@@ -336,25 +301,17 @@ class CoalitionFleet:
         """Deregister a coalition and return its (still valid) engine.
 
         The online service drops coalitions containing a departed
-        organization.  Ledger rows above the removed one shift down in
-        lockstep with :attr:`masks`, so dirty tracking stays aligned; the
-        running column maxima stay (conservatively) as they are.
+        organization; the remaining masks keep their registration order.
         """
         if mask not in self._mask_set:
             raise KeyError(f"mask {mask} is not registered")
         self._materialize("remove_mask")
         eng = self._engines.pop(mask)
         self._mask_set.discard(mask)
-        i = self._order.index(mask)
-        self._order.pop(i)
+        self._order.remove(mask)
         self._covered = 0
         for m in self._order:
             self._covered |= m
-        n = len(self._order)
-        for name in ("_units", "_wstart", "_rcount", "_rsum", "_rsq", "_seen"):
-            col = getattr(self, name)
-            col[i:n] = col[i + 1 : n + 1]
-            col[n] = -1 if name == "_seen" else 0
         return eng
 
     def replace_engine(self, mask: int, engine: ClusterEngine) -> None:
@@ -362,8 +319,8 @@ class CoalitionFleet:
 
         The online service uses this to fork a coalition's engine at a
         membership epoch: the physical engine moves to the grown coalition
-        while a deep copy continues the old mask's counterfactual.  The
-        ledger row is marked dirty so the next query re-mirrors it.
+        while a deep copy continues the old mask's counterfactual; the
+        next query reads its values from the new engine.
         """
         if mask not in self._mask_set:
             raise KeyError(f"mask {mask} is not registered")
@@ -371,7 +328,6 @@ class CoalitionFleet:
             engine = engine._escape("adopt_engine")
         self._materialize("adopt_engine")
         self._engines[mask] = engine
-        self._seen[self._order.index(mask)] = -1
 
     def submit(self, job) -> None:
         """Feed one job to every registered engine covering its owner and
@@ -393,16 +349,6 @@ class CoalitionFleet:
                     self._engines[mask].submit(job)
         if self._track_events:
             self.events.push(job.release)
-
-    def _grow(self) -> None:
-        cap = 2 * len(self._seen)
-        for name in ("_units", "_wstart", "_rcount", "_rsum", "_rsq", "_seen"):
-            old = getattr(self, name)
-            new = np.full(cap, -1, np.int64) if name == "_seen" else np.zeros(
-                cap, np.int64
-            )
-            new[: len(old)] = old
-            setattr(self, name, new)
 
     # ------------------------------------------------------------------
     # event iteration
@@ -429,17 +375,13 @@ class CoalitionFleet:
         return t
 
     # ------------------------------------------------------------------
-    # lockstep / lazy advancement
+    # lockstep advancement
     # ------------------------------------------------------------------
     def advance_all(self, t: int) -> None:
         """Process every engine's events up to ``t`` (lockstep advance).
 
-        Engines with no pending event at or before ``t`` are left lazily
-        behind: with no release or completion in ``(engine.t, t]`` their
-        scheduler-visible state and their value ledger are already exact at
-        ``t`` (psi_sp only changes through starts and completions, and the
-        greedy invariant guarantees they have no free-machine/waiting-job
-        pair to act on).
+        Engines already past ``t`` are left where they are: a retrospective
+        query reads them from their start logs.
         """
         if self._use_kernel:
             kern = self.kernel
@@ -449,38 +391,20 @@ class CoalitionFleet:
             return
         self._sync(t, None)
 
-    def drive(self, mask: int, select: SelectFn, until: int) -> None:
-        """Drive one engine's own greedy event loop to ``until`` (events at
-        ``until`` included), then align its clock with ``until``."""
-        self._materialize("unknown_drive")
-        eng = self._engines[mask]
-        eng.drive(select, until=until)
-        if eng.t < until:
-            eng.advance_to(until)
-
-    def _sync(self, t: int, select: SelectFn | None) -> list[int]:
-        """Bring every engine to ``t`` (advance, or drive with ``select``)
-        in one pass and return the row indices of engines already *past*
-        ``t`` -- the retrospective rows :meth:`values_array` must value
-        from their start logs.  Horizon capping is not needed here:
-        decision times already stop before the horizon, and processing a
-        completion/release never changes psi_sp.
+    def _sync(self, t: int, select: SelectFn | None) -> None:
+        """Bring every engine not already past ``t`` to ``t``: drive it with
+        ``select`` first when given (its own greedy policy, RAND-style),
+        then advance its clock to ``t``, so ``engine.value(t)`` is its O(1)
+        ledger formula.  Horizon capping is not needed here: decision times
+        already stop before the horizon, and processing a completion or
+        release never changes psi_sp.
         """
-        ahead: list[int] = []
-        for i, mask in enumerate(self._order):
+        for mask in self._order:
             eng = self._engines[mask]
-            if select is None:
-                if eng.has_event_at_or_before(t):
-                    eng.advance_to(t)
-                elif eng.t > t:
-                    ahead.append(i)
-            elif eng.t <= t:
-                eng.drive(select, until=t)
-                if eng.t < t:
-                    eng.advance_to(t)
-            else:
-                ahead.append(i)
-        return ahead
+            if eng.t <= t:
+                if select is not None:
+                    eng.drive(select, until=t)
+                eng.advance_to(t)
 
     # ------------------------------------------------------------------
     # actions
@@ -517,54 +441,6 @@ class CoalitionFleet:
     # ------------------------------------------------------------------
     # batched coalition values
     # ------------------------------------------------------------------
-    def _refresh(self) -> None:
-        """Mirror dirty engines' ledgers into the numpy columns."""
-        seen = self._seen
-        for i, mask in enumerate(self._order):
-            eng = self._engines[mask]
-            v = eng.version
-            if v == seen[i]:
-                continue
-            units, wstart, rcount, rsum, rsq = eng.ledger()
-            if units >= _SCALAR_CAP or wstart >= _SCALAR_CAP or rsq >= _SCALAR_CAP:
-                self._int64_ok = False
-            else:
-                self._units[i] = units
-                self._wstart[i] = wstart
-                self._rcount[i] = rcount
-                self._rsum[i] = rsum
-                self._rsq[i] = rsq
-                if units > self._mx_units:
-                    self._mx_units = units
-                if wstart > self._mx_wstart:
-                    self._mx_wstart = wstart
-                if rcount > self._mx_rcount:
-                    self._mx_rcount = rcount
-                if rsum > self._mx_rsum:
-                    self._mx_rsum = rsum
-                if rsq > self._mx_rsq:
-                    self._mx_rsq = rsq
-            seen[i] = v
-
-    def _vector_safe(self, t: int) -> bool:
-        """Certify that the vectorized int64 query at ``t`` cannot overflow."""
-        if not self._int64_ok or t < 0:
-            return False
-        tt = t * t + t
-        # the scalars t*t+t and 2t+1 are materialized as int64 inside the
-        # numpy expression even when every ledger column is zero, so they
-        # must fit on their own
-        if tt >= _QUERY_CAP:
-            return False
-        bound = (
-            self._mx_units * t
-            + self._mx_wstart
-            + self._mx_rcount * tt
-            + self._mx_rsum * (2 * t + 1)
-            + self._mx_rsq
-        )
-        return bound < _QUERY_CAP
-
     def _kernel_sync(
         self, t: int, select: "SelectFn | None"
     ) -> "FleetKernel | None":
@@ -585,91 +461,48 @@ class CoalitionFleet:
             return None
         return kern
 
+    def _engine_values(self, t: int, select: SelectFn | None) -> list[int]:
+        """Every engine's exact value at ``t``, in :attr:`masks` order."""
+        self._sync(t, select)
+        return [self._engines[m].value(t) for m in self._order]
+
     def values_array(
         self, t: int, *, select: SelectFn | None = None
     ) -> "np.ndarray | None":
         """Coalition values at ``t`` as an int64 array aligned with
-        :attr:`masks`, or ``None`` when the overflow guard trips (use
-        :meth:`values_at`, which falls back to exact arithmetic).
+        :attr:`masks`, or ``None`` when they do not fit (use
+        :meth:`values_at`, which is exact at any ``t``): the kernel's
+        per-query guard tripped, or some engine value reached ``2**62``.
 
         Every engine is brought to ``t`` first: driven by ``select`` when
         given (its own greedy policy, RAND-style), otherwise advanced in
-        lockstep.  An engine lazily left at ``engine.t < t`` has no start or
-        completion in ``(engine.t, t]``, so its ledger row evaluates exactly
-        at ``t``; engines already *past* ``t`` (retrospective queries) are
-        valued exactly from their start logs instead.
+        lockstep.  Engines already *past* ``t`` (retrospective queries) are
+        valued from their start logs.
         """
-        if self._use_kernel:
-            kern = self._kernel_sync(t, select)
-            if kern is not None:
-                if t < kern.t:
-                    return kern.values_retro(t)
-                return kern.values_i64(t)
-            # fall through: materialized on an unknown policy
-        ahead = self._sync(t, select)
-        if not self._int64_ok:  # permanent exact mode: skip the dead mirror
+        kern = self._kernel_sync(t, select) if self._use_kernel else None
+        if kern is not None:
+            return kern.values_retro(t) if t < kern.t else kern.values_i64(t)
+        vals = self._engine_values(t, select)
+        if max(vals, default=0) >= _QUERY_CAP:
             return None
-        self._refresh()
-        if not self._vector_safe(t):
-            return None
-        n = len(self._order)
-        rows = slice(0, n)
-        vals = (
-            self._units[rows] * t
-            - self._wstart[rows]
-            + (
-                self._rcount[rows] * (t * t + t)
-                - self._rsum[rows] * (2 * t + 1)
-                + self._rsq[rows]
-            )
-            // 2
-        )
-        for i in ahead:  # retrospective rows: value from the start log
-            exact = self._engines[self._order[i]].value(t)
-            if abs(exact) >= _SCALAR_CAP:
-                return None
-            vals[i] = exact
-        return vals
+        return np.array(vals, dtype=np.int64)
 
     def values_at(
         self, t: int, *, select: SelectFn | None = None
     ) -> dict[int, int]:
         """Coalition values ``{mask: v(C', t)}`` for every registered mask,
         plus the empty coalition ``{0: 0}`` -- exactly the table the REF
-        recursion's ``UpdateVals`` consumes."""
-        arr = self.values_array(t, select=select)
-        values: dict[int, int] = {0: 0}
-        if arr is not None:
-            values.update(zip(self._order, arr.tolist()))
-            return values
-        if self._use_kernel:
-            # kernel guard tripped at t >= kernel.t: exact Python-int formula
-            # over the (certified exact) int64 ledgers
-            kern = self._kernel_obj
-            assert kern is not None
-            values.update(zip(self._order, kern.values_exact(t)))
-            return values
-        # exact fallback: unbounded Python ints via each engine
-        for mask in self._order:
-            values[mask] = self._engines[mask].value(t)
-        return values
-
-    def values_exact(self, t: int) -> dict[int, int]:
-        """Like :meth:`values_at` but always on the engines' unbounded-int
-        path, skipping the numpy ledger entirely.  With the engines' O(1)
-        value formula this wins for small fleets (few dozen coalitions),
-        where per-query array overhead exceeds the loop it replaces."""
-        self.advance_all(t)
-        if self._use_kernel:
-            kern = self._kernel_obj
-            assert kern is not None
-            row_values = (
-                kern.values_retro(t).tolist()
-                if t < kern.t
-                else kern.values_exact(t)
-            )
+        recursion's ``UpdateVals`` consumes.  Exact at any ``t``."""
+        kern = self._kernel_sync(t, select) if self._use_kernel else None
+        if kern is None:
+            row_values = self._engine_values(t, select)
+        elif t < kern.t:
+            row_values = kern.values_retro(t).tolist()
         else:
-            row_values = [self._engines[m].value(t) for m in self._order]
+            arr = kern.values_i64(t)
+            # guard tripped: exact Python-int formula over the (certified
+            # exact) int64 ledgers
+            row_values = kern.values_exact(t) if arr is None else arr.tolist()
         values: dict[int, int] = {0: 0}
         values.update(zip(self._order, row_values))
         return values

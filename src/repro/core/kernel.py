@@ -38,8 +38,8 @@ the workload that *no ledger scalar nor any query at an event time can
 overflow int64* (conservative bound over the total work and the latest
 possible finish time).  Far-future value queries are still guarded per query
 and fall back to exact Python-int arithmetic over the (certified exact)
-int64 ledgers -- the same two-tier scheme as
-:class:`~repro.core.fleet.CoalitionFleet`, with identical results.
+int64 ledgers, with results identical to the per-engine
+:class:`~repro.core.fleet.CoalitionFleet`'s exact values.
 
 Escape hatch: anything the arrays cannot express (adopting an externally
 built engine, dynamic machine mutation, forking) triggers
@@ -92,7 +92,7 @@ KERNEL_MIN_ENGINES = 48
 _FAR = np.iinfo(np.int64).max // 4
 
 #: Cap certified for every ledger scalar and every query intermediate at
-#: event times (matches CoalitionFleet's guards).
+#: event times (a per-engine CoalitionFleet hands int64 values under it).
 _QUERY_CAP = 1 << 62
 
 _I64_MIN = np.iinfo(np.int64).min
@@ -230,7 +230,6 @@ class FleetKernel:
         self.rcount = np.zeros((n, k), dtype=np.int64)
         self.rsum = np.zeros((n, k), dtype=np.int64)
         self.rsq = np.zeros((n, k), dtype=np.int64)
-        self.version = np.zeros(n, dtype=np.int64)
 
         # --- global chronological start log (SoA, grown geometrically) -----
         # _log_job packs the job identity as rank * k + org; 24 bytes per
@@ -276,9 +275,6 @@ class FleetKernel:
             return None
         return t
 
-    def has_event_at_or_before(self, t: int) -> bool:
-        return min(self._next_fin, self._next_rel) <= t
-
     # ------------------------------------------------------------------
     # lockstep advancement
     # ------------------------------------------------------------------
@@ -307,7 +303,6 @@ class FleetKernel:
         fin[slot] = _FAR
         self.free.reshape(-1)[slot] = True
         np.add.at(self.free_count, e, 1)
-        np.add.at(self.version, e, 1)
         self._next_fin = int(fin.min()) if fin.size else _FAR
         return e
 
@@ -445,7 +440,6 @@ class FleetKernel:
         self.rcount.reshape(-1)[cell] += 1
         self.rsum.reshape(-1)[cell] += t
         self.rsq.reshape(-1)[cell] += t * t
-        self.version[rows] += 1
         nf = int(fins.min())
         if nf < self._next_fin:
             self._next_fin = nf
@@ -509,7 +503,6 @@ class FleetKernel:
         self.rcount[row, org] += 1
         self.rsum[row, org] += t
         self.rsq[row, org] += t * t
-        self.version[row] += 1
         if t + job.size < self._next_fin:
             self._next_fin = t + job.size
         self._log_append(
@@ -564,10 +557,9 @@ class FleetKernel:
     # batched queries
     # ------------------------------------------------------------------
     def _query_safe(self, t: int) -> bool:
-        """Certify one int64 evaluation at ``t`` -- CoalitionFleet's
-        ``_vector_safe`` from the construction-time component bounds (every
-        ledger scalar is bounded by the certified ``U``/``T``/``M``
-        quantities, so no per-query column maxima are needed)."""
+        """Certify one int64 evaluation at ``t`` from the construction-time
+        component bounds (every ledger scalar is bounded by the certified
+        ``U``/``T``/``M`` quantities)."""
         if t < 0:
             return False
         T = self._max_release + self._total_units + 1
@@ -766,7 +758,6 @@ class FleetKernel:
         eng._tot_wstart = int(self.done_wstart[row].sum())
         eng._run_start_sum = int(self.rsum[row].sum())
         eng._run_start_sq = int(self.rsq[row].sum())
-        eng.version = int(self.version[row])
         eng._log = entries
         eng._completed = sorted(
             (e for e in entries if e.end <= self.t),
@@ -842,14 +833,6 @@ class KernelEngineView:
         if real is not None:
             return real.t
         return self._fleet.kernel.t
-
-    @property
-    def version(self) -> int:
-        real = self._real()
-        if real is not None:
-            return real.version
-        kern, row = self._kr()
-        return int(kern.version[row])
 
     @property
     def machine_owner(self) -> "dict[int, int]":
@@ -1042,20 +1025,6 @@ class KernelEngineView:
         if kern.horizon is not None and t >= kern.horizon:
             return None
         return t
-
-    def has_event_at_or_before(self, t: int) -> bool:
-        real = self._real()
-        if real is not None:
-            return real.has_event_at_or_before(t)
-        kern, row = self._kr()
-        fin = kern.finish[row]
-        if fin.size and int(fin.min()) <= t:
-            return True
-        for u in np.flatnonzero(kern.member[row]):
-            lo = int(kern.org_start[u] + kern.released[u])
-            if lo < int(kern.org_start[u + 1]) and int(kern.rel_flat[lo]) <= t:
-                return True
-        return False
 
     def is_idle(self) -> bool:
         real = self._real()

@@ -382,8 +382,7 @@ class _RefPolicy(_FleetPolicy):
         old_grand = self.grand_mask
         # fork: the physical engine grows into the new grand coalition
         # while its fork carries on the old grand mask's counterfactual
-        # ("as if the joiner never arrived"), keeping that ledger row in
-        # place
+        # ("as if the joiner never arrived") under the old mask
         phys = self.fleet.engine(old_grand)
         self.fleet.replace_engine(old_grand, phys.fork())
         phys.add_member(org)

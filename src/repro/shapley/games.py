@@ -73,8 +73,8 @@ class SchedulingGame:
     jobs the vectorized Lindley backend is used automatically, and general
     sizes are simulated on a transient
     :class:`~repro.core.fleet.CoalitionFleet` so :meth:`values_for` reads a
-    whole batch of fresh coalitions from one vectorized ledger query (only
-    the integer values are retained -- engines are discarded once cached).
+    whole batch of fresh coalitions from one fleet query (only the integer
+    values are retained -- engines are discarded once cached).
     """
 
     def __init__(self, workload: Workload, t: int, policy: str = "fifo"):
@@ -123,8 +123,7 @@ class SchedulingGame:
         """Batch evaluation (shares the cache).
 
         With the engine-backed fifo policy, all uncached coalitions are
-        simulated on one transient fleet and read in a single vectorized
-        ledger query.
+        simulated on one transient fleet and read in a single fleet query.
         """
         masks = list(masks)
         fresh = [m for m in masks if m not in self._cache and m != 0]

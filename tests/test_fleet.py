@@ -2,10 +2,11 @@
 
 Three layers of protection for the fleet refactor:
 
-* **property tests** -- the fleet's vectorized psi_sp ledger returns exactly
-  the per-engine ``ClusterEngine.value(t)`` (itself cross-checked against
-  the original ``sum(psis(t))`` formulation) on random workloads, including
-  workloads engineered to trip the int64 guard into the exact big-int path;
+* **property tests** -- the fleet's values equal independent engines'
+  ``ClusterEngine.value(t)`` (itself cross-checked against the original
+  ``sum(psis(t))`` formulation) and the kernel's on random workloads,
+  online submits and retrospective queries included, and stay exact at
+  times far past int64;
 * **solver tests** -- the cached coefficient-matrix ``UpdateVals``
   (:class:`repro.shapley.vectorized.ScaledShapleySolver`) is bit-equal to
   the reference subset-sum ``update_vals_scaled``;
@@ -20,7 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.algorithms.base import fill_capacity
 from repro.algorithms.direct import DirectContributionScheduler
 from repro.algorithms.greedy import fifo_select
 from repro.algorithms.rand import RandScheduler
@@ -138,14 +142,15 @@ class TestFleetValueEquivalence:
         assert empty.members == () and len(empty.schedule) == 0
 
     def test_huge_times_with_empty_ledger_fall_back_cleanly(self):
-        """Regression: t*t+t beyond int64 must trip the guard even when no
-        job has ever started (all column maxima still zero), instead of
-        raising OverflowError inside the numpy expression."""
+        """Regression: a query where t*t+t is beyond int64 and no job has
+        ever started must not raise OverflowError; the engines answer
+        exact zeros."""
         far = 4_000_000_000  # t^2 overflows int64, t itself does not
         wl = make_workload([1, 1, 1, 1, 1], [(far, u, 1) for u in range(5)])
         masks = all_masks(5)
         fleet = CoalitionFleet(wl, masks)
-        assert fleet.values_array(far) is None
+        assert fleet.kernel is None
+        assert fleet.values_array(far).tolist() == [0] * len(masks)
         vals = fleet.values_at(far, select=fifo_select)
         assert all(vals[m] == 0 for m in masks)  # released at t: psi = 0
         # and the full REF recursion (k >= VECTORIZE_MIN_K) survives it
@@ -180,6 +185,83 @@ class TestFleetValueEquivalence:
         with pytest.raises(ValueError, match="covers org 2"):
             fleet.submit(Job(4, 2, 1, 1))
         fleet.submit(Job(4, 1, 1, 1))  # still covered by 0b011
+
+
+@st.composite
+def online_queries(draw):
+    """A k = 2..4 instance whose jobs released after ``cut`` arrive online,
+    increasing query times, retrospective ones after them, and whether the
+    engines are driven by FIFO or advanced in lockstep."""
+    k = draw(st.integers(2, 4))
+    machines = draw(
+        st.lists(st.integers(0, 2), min_size=k, max_size=k).filter(any)
+    )
+    triples = sorted(
+        draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 30),
+                    st.integers(0, k - 1),
+                    st.integers(1, 6),
+                ),
+                min_size=1,
+                max_size=20,
+            )
+        )
+    )
+    cut = draw(st.integers(-1, 30))
+    times = sorted(
+        set(draw(st.lists(st.integers(0, 45), min_size=1, max_size=6)))
+    )
+    retro = draw(st.lists(st.integers(0, times[-1]), max_size=4))
+    return machines, triples, cut, times, retro, draw(st.booleans())
+
+
+class TestEngineValuePath:
+    """A per-engine fleet brings each engine to ``t`` and reads its
+    ``value(t)``; the kernel (a separate implementation) and independent
+    FIFO engines are the oracles."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=online_queries())
+    def test_engines_match_kernel_and_reference(self, case):
+        machines, triples, cut, times, retro, fifo = case
+        full = make_workload(machines, triples)
+        masks = all_masks(len(machines))
+        known = Workload(
+            full.organizations, [j for j in full.jobs if j.release <= cut]
+        )
+        online = [j for j in full.jobs if j.release > cut]
+        ef = CoalitionFleet(known, masks, backend="engines")
+        kf = CoalitionFleet(known, masks, backend="kernel")
+        select = fifo_select if fifo else None
+        keys = dict.fromkeys(range(len(machines)), 0)
+
+        def check(t):
+            got = ef.values_at(t, select=select)
+            arr = ef.values_array(t, select=select)
+            assert got == kf.values_at(t, select=select), t
+            assert dict(zip(masks, arr.tolist())) == {m: got[m] for m in masks}
+            if fifo:
+                assert got == reference_values(full, masks, t, None), t
+
+        for t in times:
+            while online and online[0].release <= t:  # never into the past
+                job = online.pop(0)
+                ef.submit(job)
+                kf.submit(job)
+            check(t)
+            if not fifo:  # lockstep: start the waiting jobs by hand
+                for m in masks:
+                    for fleet in (ef, kf):
+                        fill_capacity(fleet, m, keys)
+        for job in online:
+            ef.submit(job)
+            kf.submit(job)
+        for t in retro:
+            check(t)
+        assert ef.kernel is None
+        assert kf.kernel is not None, kf.materialize_reason
 
 
 class TestScaledShapleySolver:

@@ -225,7 +225,6 @@ class TestEngineViews:
             assert repr(view) == f"KernelEngineView(mask={m:#b})"
             assert view.workload is eng.workload
             assert view.horizon == eng.horizon
-            assert view.version == eng.version
             assert view.t == eng.t
             assert view.members == eng.members
             assert view.free_count == eng.free_count
@@ -251,9 +250,6 @@ class TestEngineViews:
                 )
                 assert view.busy_units(t) == eng.busy_units(t)
                 assert view.utilization(t) == eng.utilization(t)
-                assert view.has_event_at_or_before(t) == (
-                    eng.has_event_at_or_before(t)
-                )
                 for u in eng.members:
                     assert view.consumed_cpu(u, t) == eng.consumed_cpu(u, t)
             assert view.fifo_head() == eng.fifo_head()
@@ -432,7 +428,9 @@ class TestMaterialization:
             ),
             "add_mask": lambda: fleet.add_mask(0b111),
             "remove_mask": lambda: fleet.remove_mask(0b011),
-            "unknown_drive": lambda: fleet.drive(0b001, fifo_select, 5),
+            "unknown_drive": lambda: fleet.values_at(
+                5, select=lambda eng: fifo_select(eng)
+            ),
             "view_mutation": lambda: fleet.engine(0b011).fork(),
         }
         trigger[reason]()
@@ -494,8 +492,8 @@ class TestDispatchAndCertification:
 
 
 class TestOverflowFallback:
-    """ISSUE 5 satellite: force the ledger past the _vector_safe guard and
-    pin values_exact == vectorized at the boundary, on both backends."""
+    """Push queries past the int64 hand-over and pin exact == vectorized
+    at the boundary, on both backends."""
 
     #: far past any guard: t*t + t alone exceeds 1 << 62
     T_UNSAFE = 1 << 31
@@ -529,12 +527,32 @@ class TestOverflowFallback:
         if backend == "kernel":
             assert fleet.kernel is not None
         fleet.values_at(20, select=fifo_select)  # run to completion
+        if backend == "engines":
+            # exact engine values, handed over as int64 below 2**62 only
+            cap = 1 << 62
+            lo, hi = 20, cap  # max value < cap at lo, >= cap at hi
+            while lo + 1 < hi:
+                mid = (lo + hi) // 2
+                if max(fleet.values_at(mid).values()) < cap:
+                    lo = mid
+                else:
+                    hi = mid
+            for t in (20, self.T_UNSAFE, lo, hi, cap):
+                exact = fleet.values_at(t)
+                assert exact == self._reference(wl, t)
+                arr = fleet.values_array(t)
+                assert (arr is None) == (max(exact.values()) >= cap), t
+                if arr is not None:
+                    assert dict(zip(fleet.masks, arr.tolist())) == {
+                        m: exact[m] for m in fleet.masks
+                    }
+            return
         t_safe = self._guard_boundary(fleet)
         assert 20 < t_safe < self.T_UNSAFE
         # at the boundary: vectorized and exact agree bit for bit
         arr = fleet.values_array(t_safe)
         assert arr is not None
-        exact = fleet.values_exact(t_safe)
+        exact = fleet.values_at(t_safe)
         assert dict(zip(fleet.masks, arr.tolist())) == {
             m: exact[m] for m in fleet.masks
         }
@@ -616,9 +634,14 @@ class TestRefBodiesAgree:
         ef, erun, _ = stepped_ref(wl, "engines")
         self._assert_same_logs(kf, ef)
         assert krun.ref_events == {
-            "forced": 15, "contested": 0, "retro": 0, "unsafe": 0, "guard": 0
+            "forced": 15, "contested": 0, "retro": 0, "unsafe": 0, "guard": 0,
+            "engines": 0,
         }
-        assert not any(erun.ref_events.values())  # engines: other body
+        # engines: the other body, at every one of the 30 decision times
+        assert erun.ref_events == {
+            "forced": 0, "contested": 0, "retro": 0, "unsafe": 0, "guard": 0,
+            "engines": 30,
+        }
         with mock.patch.object(
             FleetKernel, "psis_matrix", side_effect=AssertionError
         ):
@@ -648,7 +671,8 @@ class TestRefBodiesAgree:
         self._assert_same_logs(kf, ef)
         assert len(kf.engine(31).schedule()) == 8
         assert krun.ref_events == {
-            "forced": 0, "contested": 4, "retro": 0, "unsafe": 0, "guard": 0
+            "forced": 0, "contested": 4, "retro": 0, "unsafe": 0, "guard": 0,
+            "engines": 0,
         }
 
     @pytest.mark.parametrize("seed", range(5))
@@ -832,7 +856,6 @@ class TestKernelInternals:
         wl = make_workload([1, 1], [(0, 0, 2), (4, 1, 1)])
         kern = FleetKernel(wl, [0b01, 0b10, 0b11])
         assert kern.next_event_time() == 0
-        assert kern.has_event_at_or_before(0)
         kern.drive_fifo(10)
         assert kern.t == 10
         assert kern.next_event_time() is None
@@ -894,7 +917,6 @@ class TestKernelInternals:
                 assert view.psis(t + 2) == eng.psis(t + 2), (mask, t)
                 assert view.running_counts() == eng.running_counts()
                 assert view.free_machines() == eng.free_machines()
-                assert view.version == eng.version
             if t == 3:  # both of row {0}'s machines just completed org 0
                 kern = kf.kernel
                 assert kern.done_units[kern._row[0b01], 0] == 6
@@ -1062,9 +1084,7 @@ def serve_ref(workload, backend, runs, check, peek=0):
     whole tie group, like the service's).  ``check(fleet, t)`` runs after
     every such advance.  After the ``peek``-th decision of the final drain
     the caller looks 7 ticks ahead (only there: a look-ahead moves the
-    fleet clock, and no job may be submitted into its past; one query:
-    per-engine clocks are lazy, so a ladder of look-aheads legitimately
-    leaves engines and kernel rows at different times), which makes the
+    fleet clock, and no job may be submitted into its past), which makes the
     following steps retrospective; the values it read are returned."""
     k = workload.n_orgs
     empty = Workload(workload.organizations, ())

@@ -24,6 +24,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms.greedy import fifo_select
+from repro.algorithms.ref import RefRun
 from repro.core.engine import ClusterEngine
 from repro.core.job import Job
 from repro.service import ClusterService, ReplayDriver, replay_scenario
@@ -564,7 +566,6 @@ def _engine_view(eng: ClusterEngine) -> tuple:
         eng.members,
         eng.n_machines,
         eng.machine_owner,
-        eng.version,
         eng.ledger(),
         eng.psis(),
         eng.psis_by_machine_owner(),
@@ -1259,7 +1260,9 @@ class TestDaemon:
         assert status["ingest"] == {"flushes": 6, "jobs_flushed": 6}
         # ISSUE 22: what the fused REF body did with its decision events
         seen = backend["ref_events"]
-        assert set(seen) == {"forced", "contested", "retro", "unsafe", "guard"}
+        assert set(seen) == {
+            "forced", "contested", "retro", "unsafe", "guard", "engines"
+        }
         assert seen["forced"] + seen["contested"] > 0
         json.dumps(status)
         svc.leave_org(5)
@@ -1274,6 +1277,40 @@ class TestDaemon:
             "ref_events"
         }
         assert ClusterService([1], "fifo").status()["policy_backend"] is None
+
+    def test_ref_events_count_events_served_on_engines(self):
+        """Regression: once a REF fleet left the kernel (a machine added
+        here; any join or leave does the same), every later event took
+        the per-coalition body uncounted, so ``ref_events`` froze at the
+        fallback.  ``ref_events["engines"]`` counts each of them."""
+        rng = np.random.default_rng(0)
+        svc = ClusterService([2, 1, 1, 1, 1, 1, 1, 1], "ref", seed=0)
+        on_engines = []
+        step = RefRun.step
+
+        def spy(run, t):
+            on_engines.append(svc._policy.fleet.kernel is None)
+            step(run, t)
+
+        clock = 0
+        with mock.patch.object(RefRun, "step", spy):
+            for i in range(120):
+                if i == 40:
+                    before = svc.status()["policy_backend"]
+                    svc.add_machines(0, 1)
+                if i % 20 == 0:  # bursts of 20 jobs, 6 ticks apart
+                    clock += 6
+                    svc.advance(clock)
+                svc.submit(int(rng.integers(8)), int(rng.integers(1, 5)))
+            svc.drain()
+        after = svc.status()["policy_backend"]
+        assert before["backend"] == "kernel"
+        assert before["ref_events"]["engines"] == 0
+        assert (after["backend"], after["materializations"]) == ("engines", 1)
+        assert on_engines.count(True) > 0
+        assert after["ref_events"] == {
+            **before["ref_events"], "engines": on_engines.count(True)
+        }
 
     def test_malformed_json_is_in_band_error(self):
         svc = ClusterService([1], "fifo")
