@@ -235,14 +235,8 @@ class PolicyScheduler(Scheduler):
                     schedule=Schedule(()),
                     horizon=self.horizon,
                 )
-        members_t, mask = members_mask(workload, members)
-        # a fleet of one coalition; the event loop talks to its engine
-        # directly (no shared decision queue to pop, no sibling engines to
-        # sync), so track_events is off and no per-event cost is added
-        fleet = CoalitionFleet(
-            workload, (mask,), horizon=self.horizon, track_events=False
-        )
-        engine = fleet.engine(mask)
+        members_t, _ = members_mask(workload, members)
+        engine = ClusterEngine(workload, members_t, horizon=self.horizon)
         self.on_run_start(engine)
         while True:
             t = engine.next_event_time()

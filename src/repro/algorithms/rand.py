@@ -113,7 +113,12 @@ class RandRun:
             if fleet is not None
             else CoalitionFleet(workload, (grand_mask,), horizon=horizon)
         )
-        self.grand = self.fleet.engine(grand_mask)
+
+    @property
+    def grand(self):
+        """The carrier's grand engine, asked for afresh: a held kernel
+        view goes stale when a pool change materializes the carrier."""
+        return self.fleet.engine(self.grand_mask)
 
     def drive(self) -> int:
         """Run the carrier's decision loop to exhaustion / the horizon."""

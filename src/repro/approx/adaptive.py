@@ -308,7 +308,6 @@ class AdaptiveRun:
             if fleet is not None
             else CoalitionFleet(workload, (grand_mask,), horizon=horizon)
         )
-        self.grand = self.fleet.engine(grand_mask)
         self.certificates: list[DecisionCertificate] = []
         # per-member marginal-range ingredients: sorted release times with
         # work prefix sums, and machine counts
@@ -329,6 +328,12 @@ class AdaptiveRun:
         }
 
     # ------------------------------------------------------------------
+    @property
+    def grand(self):
+        """The carrier's grand engine, asked for afresh: a held kernel
+        view goes stale when a pool change materializes the carrier."""
+        return self.fleet.engine(self.grand_mask)
+
     @property
     def oracles(self) -> "tuple[CoalitionFleet, ...]":
         """Every oracle fleet (the online adapter feeds them all)."""

@@ -135,8 +135,13 @@ class HierRun:
             workload, self.sampled, horizon=horizon, track_events=False
         )
         self.fleet = CoalitionFleet(workload, (grand_mask,), horizon=horizon)
-        self.grand = self.fleet.engine(grand_mask)
         self._n_orgs = workload.n_orgs
+
+    @property
+    def grand(self):
+        """The carrier's grand engine, asked for afresh: a held kernel
+        view goes stale when a pool change materializes the carrier."""
+        return self.fleet.engine(self.grand_mask)
 
     def _union_of(self, block_subset: int) -> int:
         mask = 0

@@ -25,14 +25,17 @@ whose arithmetic is :func:`~repro.core.kernel.kernel_certified` does not
 build per-coalition engines at all -- the whole family lives in one
 :class:`~repro.core.kernel.FleetKernel` structure-of-arrays simulation, and
 ``advance_all`` / ``values_array`` (lockstep or FIFO-driven) / ``submit`` /
-``start_next`` become a handful of vectorized array passes.  The public API
-is unchanged: :meth:`engine` returns a live
-:class:`~repro.core.kernel.KernelEngineView`, and any operation the arrays
-cannot express (adopting an externally built engine, ``replace_engine``,
-dynamic machine mutation through a view, an unknown drive policy)
-transparently *materializes* real engines -- bit-identical state, same
-schedules -- and continues in per-engine mode (several times slower, so
-the fallback is counted and named: :attr:`CoalitionFleet.n_materializations`,
+``start_next`` become a handful of vectorized array passes.  :meth:`engine`
+returns a read-only :class:`~repro.core.kernel.KernelEngineView` of one
+row.  The fleet leaves the kernel only when told: a caller that mutates
+an engine (a join's fork, a machine-pool change) calls
+:meth:`~CoalitionFleet.materialize` first, and the fleet's own operations
+the arrays cannot express (adopting an externally built engine,
+``replace_engine``, ``remove_mask``, an unknown drive policy, a submit
+past the int64 certification) do the same.  Materializing builds real
+engines -- bit-identical state, same schedules -- and continues in
+per-engine mode (several times slower, so the fallback is counted and
+named: :attr:`CoalitionFleet.n_materializations`,
 :attr:`~CoalitionFleet.materialize_reason`, :meth:`~CoalitionFleet.
 backend_status`).  ``backend="engines"`` or ``backend="kernel"`` forces
 either mode.
@@ -124,11 +127,11 @@ class CoalitionFleet:
         self._use_kernel = False
         self._kernel_obj: FleetKernel | None = None
         self._kernel_stale = False
-        self._views: dict[int, KernelEngineView] = {}
         #: kernel -> per-engine fallbacks taken, and why the last one was:
         #: ``unsafe_submit``, ``adopt_engine``, ``add_mask`` (on a used
-        #: kernel), ``remove_mask``, ``unknown_drive``, ``view_mutation``
-        #: or ``explicit`` (a direct ``_materialize()`` call)
+        #: kernel), ``remove_mask`` or ``unknown_drive`` from the fleet
+        #: itself, or the reason a caller passed to :meth:`materialize`
+        #: (the online service's ``join`` and ``pool_change``)
         self.n_materializations = 0
         self.materialize_reason: str | None = None
         self._constructing = True
@@ -167,9 +170,11 @@ class CoalitionFleet:
             self._kernel_stale = False
         return self._kernel_obj
 
-    def _materialize(self, reason: str = "explicit") -> None:
-        """Escape hatch: reconstruct every kernel row as a real, bit-identical
-        :class:`~repro.core.engine.ClusterEngine` and continue per-engine."""
+    def materialize(self, reason: str) -> None:
+        """Leave the kernel: reconstruct every row as a real, bit-identical
+        :class:`~repro.core.engine.ClusterEngine` and continue per-engine
+        (a no-op on a per-engine fleet).  ``reason`` is recorded as
+        :attr:`materialize_reason`; views taken before go stale."""
         if not self._use_kernel:
             return
         self.n_materializations += 1
@@ -186,12 +191,6 @@ class CoalitionFleet:
         self._use_kernel = False
         self._kernel_obj = None
         self._kernel_stale = False
-        # held views become permanent proxies for the engines their masks
-        # resolved to at this moment (object-identity semantics survive a
-        # later replace_engine, like real engine references would)
-        for mask, view in self._views.items():
-            view._bound = self._engines.get(mask)
-        self._views.clear()
 
     def backend_status(self) -> dict:
         """Which backend serves this fleet, how often it fell back from the
@@ -222,16 +221,13 @@ class CoalitionFleet:
         return len(self._order)
 
     def engine(self, mask: int) -> ClusterEngine:
-        """The engine simulating coalition ``mask`` (a live
-        :class:`~repro.core.kernel.KernelEngineView` under the kernel
-        backend -- same read API, mutations materialize)."""
+        """The engine simulating coalition ``mask``: under the kernel
+        backend a new read-only :class:`~repro.core.kernel.KernelEngineView`
+        of its row (call :meth:`materialize` before mutating an engine)."""
         if self._use_kernel:
             if mask not in self._mask_set:
                 raise KeyError(mask)
-            view = self._views.get(mask)
-            if view is None:
-                view = self._views[mask] = KernelEngineView(self, mask)
-            return view
+            return KernelEngineView(self, mask)
         return self._engines[mask]
 
     def add_mask(
@@ -246,9 +242,6 @@ class CoalitionFleet:
         which the fleet's frozen ``workload`` cannot describe) instead of
         simulating ``mask`` over ``self.workload`` from time zero.
         """
-        if isinstance(engine, KernelEngineView):
-            # adopt the underlying real engine
-            engine = engine._escape("adopt_engine")
         if mask in self._mask_set:
             return self.engine(mask)
         if mask <= 0:
@@ -270,7 +263,7 @@ class CoalitionFleet:
                 self._register(mask, members)
                 self._kernel_stale = True
                 return self.engine(mask)
-            self._materialize("add_mask" if engine is None else "adopt_engine")
+            self.materialize("add_mask" if engine is None else "adopt_engine")
         eng = (
             engine
             if engine is not None
@@ -305,7 +298,7 @@ class CoalitionFleet:
         """
         if mask not in self._mask_set:
             raise KeyError(f"mask {mask} is not registered")
-        self._materialize("remove_mask")
+        self.materialize("remove_mask")
         eng = self._engines.pop(mask)
         self._mask_set.discard(mask)
         self._order.remove(mask)
@@ -324,9 +317,7 @@ class CoalitionFleet:
         """
         if mask not in self._mask_set:
             raise KeyError(f"mask {mask} is not registered")
-        if isinstance(engine, KernelEngineView):
-            engine = engine._escape("adopt_engine")
-        self._materialize("adopt_engine")
+        self.materialize("adopt_engine")
         self._engines[mask] = engine
 
     def submit(self, job) -> None:
@@ -342,7 +333,7 @@ class CoalitionFleet:
                 assert kern is not None
                 kern.submit(job)
             except KernelUnsafe:
-                self._materialize("unsafe_submit")
+                self.materialize("unsafe_submit")
         if not self._use_kernel:
             for mask in self._order:
                 if mask & bit:
@@ -457,7 +448,7 @@ class CoalitionFleet:
             if t >= kern.t:
                 kern.drive_fifo(t)
         else:
-            self._materialize("unknown_drive")
+            self.materialize("unknown_drive")
             return None
         return kern
 

@@ -41,12 +41,14 @@ and fall back to exact Python-int arithmetic over the (certified exact)
 int64 ledgers, with results identical to the per-engine
 :class:`~repro.core.fleet.CoalitionFleet`'s exact values.
 
-Escape hatch: anything the arrays cannot express (adopting an externally
-built engine, dynamic machine mutation, forking) triggers
-:meth:`FleetKernel.materialize_row` -- the row is reconstructed as a real,
+Escape hatch: a caller that needs what the arrays cannot express (adopting
+an externally built engine, a join's fork, a machine-pool change) first
+calls :meth:`~repro.core.fleet.CoalitionFleet.materialize` with its reason:
+:meth:`FleetKernel.materialize_row` reconstructs every row as a real,
 bit-identical :class:`~repro.core.engine.ClusterEngine` and the fleet
-continues in per-engine mode.  :class:`KernelEngineView` gives read access to
-one row through the ``ClusterEngine`` API in the meantime.
+continues in per-engine mode.  Until then :class:`KernelEngineView` is a
+read-only adapter over one row, carrying only the ``ClusterEngine`` members
+the schedulers and the service read.
 
 One level up, :class:`~repro.core.multikernel.MultiInstanceKernel`
 (DESIGN.md §10) applies the same SoA trick *across problem instances*:
@@ -118,12 +120,7 @@ def _overflow_bound(total_units: int, max_release: int, n_machines: int) -> int:
 
 def kernel_certified(workload: Workload, horizon: "int | None") -> bool:
     """True when int64 arithmetic provably cannot overflow for any event-time
-    update or query on ``workload`` (the kernel precondition).  Coalition
-    masks are stored as int64 rows, so workloads past 63 organizations
-    (the approximation ladder's high-``k`` regime) are inadmissible and
-    stay on the per-engine path."""
-    if workload.n_orgs > 63:
-        return False
+    update or query on ``workload`` (the kernel precondition)."""
     total = sum(j.size for j in workload.jobs)
     rel = max((j.release for j in workload.jobs), default=0)
     if horizon is not None:
@@ -168,9 +165,15 @@ class FleetKernel:
         self.n = n
         k = self.k
         self._row = {m: i for i, m in enumerate(self.masks)}
-        mask_arr = np.array(self.masks, dtype=np.int64)
-        self.member = (mask_arr[:, None] >> np.arange(k, dtype=np.int64)) & 1
-        self.member = self.member.astype(bool)
+        # masks stay Python ints, so any k fits: unpack their bytes
+        width = (k + 7) // 8
+        raw = b"".join(m.to_bytes(width, "little") for m in self.masks)
+        self.member = np.unpackbits(
+            np.frombuffer(raw, dtype=np.uint8).reshape(n, width),
+            axis=1,
+            count=k,
+            bitorder="little",
+        ).astype(bool)
 
         # --- machines (canonical global ids) --------------------------------
         owners: list[int] = []
@@ -673,29 +676,6 @@ class FleetKernel:
             out[int(self.run_org[row, m])] += _partial_psi(s, size, t)
         return out
 
-    def row_psis_by_machine_owner(
-        self, row: int, t: "int | None" = None
-    ) -> "list[int]":
-        """psi_sp of the work executed on each org's machines, re-derived
-        from the start log (``_partial_psi`` caps at the job size, so one
-        formula covers completed, running and retrospective queries)."""
-        t = self.t if t is None else t
-        out = [0] * self.k
-        for e in self.row_entries(row):
-            out[int(self.machine_org[e.machine])] += _partial_psi(
-                e.start, e.job.size, t
-            )
-        return out
-
-    def row_value(self, row: int, t: "int | None" = None) -> int:
-        t = self.t if t is None else t
-        if t < self.t:
-            total = 0
-            for e in self.row_entries(row):
-                total += _partial_psi(e.start, e.job.size, t)
-            return total
-        return sum(self.row_psis(row, t))
-
     # ------------------------------------------------------------------
     # materialization (the escape hatch back to real engines)
     # ------------------------------------------------------------------
@@ -767,372 +747,73 @@ class FleetKernel:
 
 
 class KernelEngineView:
-    """Read-only :class:`~repro.core.engine.ClusterEngine` facade over one
-    kernel row.
+    """Read-only view of one kernel row through the ``ClusterEngine``
+    members the schedulers and the service read (DESIGN.md §8.5).
 
-    Every accessor first checks whether the owning fleet has materialized
-    (escaped to real engines) and then delegates, so a held view stays valid
-    across materialization.  Mutating calls trigger materialization
-    themselves and are forwarded to the real engine.
+    A caller that mutates an engine materializes the fleet first; a view
+    read after the fleet has left the kernel raises ``RuntimeError``
+    (ask the fleet for the engine again instead).
     """
 
-    __slots__ = ("_fleet", "_mask", "_bound")
+    __slots__ = ("_fleet", "_mask")
 
     def __init__(self, fleet, mask: int):
         self._fleet = fleet
         self._mask = mask
-        #: set at fleet materialization: the real engine this view stands
-        #: for, *permanently* (callers expect engine() handles to keep
-        #: pointing at the same simulation even after the fleet row is
-        #: swapped by replace_engine, exactly like real engine references)
-        self._bound: "ClusterEngine | None" = None
-
-    # -- delegation plumbing -------------------------------------------------
-    def _real(self) -> "ClusterEngine | None":
-        if self._bound is not None:
-            return self._bound
-        return self._fleet._engines.get(self._mask)
-
-    def _escape(self, reason: str = "view_mutation") -> ClusterEngine:
-        self._fleet._materialize(reason)
-        return self._real()
 
     def _kr(self):
-        """(kernel, row) for the live-kernel path (caller checked _real)."""
-        kern = self._fleet.kernel  # property: builds a stale kernel lazily
+        """(kernel, row) of the live kernel (built lazily when stale)."""
+        kern = self._fleet.kernel
+        if kern is None:
+            raise RuntimeError(
+                f"stale view of mask {self._mask:#b}: the fleet has left the "
+                f"kernel ({self._fleet.materialize_reason})"
+            )
         return kern, kern._row[self._mask]
-
-    # -- identity ------------------------------------------------------------
-    @property
-    def workload(self):
-        real = self._real()
-        return real.workload if real is not None else self._fleet.workload
-
-    @property
-    def horizon(self):
-        real = self._real()
-        return real.horizon if real is not None else self._fleet.horizon
-
-    @property
-    def members(self) -> "tuple[int, ...]":
-        real = self._real()
-        if real is not None:
-            return real.members
-        return tuple(sorted(iter_members(self._mask)))
-
-    @property
-    def n_orgs(self) -> int:
-        real = self._real()
-        if real is not None:
-            return real.n_orgs
-        return self._fleet.workload.n_orgs
 
     @property
     def t(self) -> int:
-        real = self._real()
-        if real is not None:
-            return real.t
-        return self._fleet.kernel.t
+        return self._kr()[0].t
 
     @property
-    def machine_owner(self) -> "dict[int, int]":
-        real = self._real()
-        if real is not None:
-            return real.machine_owner
-        kern, row = self._kr()
-        return {
-            int(m): int(kern.machine_org[m])
-            for m in np.flatnonzero(kern.has_machine[row])
-        }
+    def members(self) -> "tuple[int, ...]":
+        self._kr()  # a stale view fails here too
+        return tuple(iter_members(self._mask))
 
-    @property
-    def n_machines(self) -> int:
-        real = self._real()
-        if real is not None:
-            return real.n_machines
-        kern, row = self._kr()
-        return int(kern.has_machine[row].sum())
-
-    # -- scheduler-facing state ---------------------------------------------
     @property
     def free_count(self) -> int:
-        real = self._real()
-        if real is not None:
-            return real.free_count
         kern, row = self._kr()
         return int(kern.free_count[row])
 
-    def free_machines(self) -> "list[int]":
-        real = self._real()
-        if real is not None:
-            return real.free_machines()
-        kern, row = self._kr()
-        return [int(m) for m in np.flatnonzero(kern.free[row])]
-
     def has_waiting(self) -> bool:
-        real = self._real()
-        if real is not None:
-            return real.has_waiting()
         kern, row = self._kr()
         return bool((kern.started[row] < kern.released).any())
 
     def waiting_count(self, org: int) -> int:
-        real = self._real()
-        if real is not None:
-            return real.waiting_count(org)
         kern, row = self._kr()
         if not kern.member[row, org]:
             raise KeyError(org)
         return int(kern.released[org] - kern.started[row, org])
 
     def waiting_orgs(self) -> "list[int]":
-        real = self._real()
-        if real is not None:
-            return real.waiting_orgs()
         kern, row = self._kr()
-        return [
-            int(u)
-            for u in np.flatnonzero(kern.started[row] < kern.released)
-        ]
-
-    def head_release(self, org: int) -> int:
-        real = self._real()
-        if real is not None:
-            return real.head_release(org)
-        kern, row = self._kr()
-        if kern.started[row, org] >= kern.released[org]:
-            raise IndexError(f"org {org} has no waiting job")
-        return int(kern.rel_flat[kern.org_start[org] + kern.started[row, org]])
-
-    def fifo_head(self) -> int:
-        orgs = self.waiting_orgs()  # both reads forward once materialized
-        return min(orgs, key=lambda u: (self.head_release(u), u), default=-1)
-
-    def running_count(self, org: int) -> int:
-        real = self._real()
-        if real is not None:
-            return real.running_count(org)
-        kern, row = self._kr()
-        return int(kern.rcount[row, org])
+        return np.flatnonzero(kern.started[row] < kern.released).tolist()
 
     def running_counts(self) -> "list[int]":
-        real = self._real()
-        if real is not None:
-            return real.running_counts()
         kern, row = self._kr()
         return kern.rcount[row].tolist()
 
-    def running_on(self, machine: int) -> "RunningJob | None":
-        real = self._real()
-        if real is not None:
-            return real.running_on(machine)
-        kern, row = self._kr()
-        if not (0 <= machine < kern.n_mach) or kern.finish[row, machine] >= _FAR:
-            return None
-        last = {e.machine: e for e in kern.row_entries(row)}
-        return RunningJob(last[machine])
-
-    def consumed_cpu(self, org: int, t: "int | None" = None) -> int:
-        real = self._real()
-        if real is not None:
-            return real.consumed_cpu(org, t)
-        kern, row = self._kr()
-        t = kern.t if t is None else t
-        if t < kern.t:  # retrospective: from the start log, like psis
-            return sum(
-                min(e.job.size, max(0, t - e.start))
-                for e in kern.row_entries(row)
-                if e.job.org == org
-            )
-        total = int(kern.done_units[row, org])
-        for m in np.flatnonzero(kern.finish[row] < _FAR):
-            if int(kern.run_org[row, m]) == org:
-                total += min(t, int(kern.finish[row, m])) - int(
-                    kern.run_start[row, m]
-                )
-        return total
-
-    def machine_counts(self) -> "list[int]":
-        real = self._real()
-        if real is not None:
-            return real.machine_counts()
-        kern, row = self._kr()
-        return np.bincount(
-            kern.machine_org[kern.has_machine[row]], minlength=kern.k
-        ).tolist()
-
-    # -- utilities -----------------------------------------------------------
-    def psi(self, org: int, t: "int | None" = None) -> int:
-        real = self._real()
-        if real is not None:
-            return real.psi(org, t)
-        kern, row = self._kr()
-        return kern.row_psis(row, t)[org]
-
     def psis(self, t: "int | None" = None) -> "list[int]":
-        real = self._real()
-        if real is not None:
-            return real.psis(t)
         kern, row = self._kr()
         return kern.row_psis(row, t)
 
-    def psis_by_machine_owner(self, t: "int | None" = None) -> "list[int]":
-        real = self._real()
-        if real is not None:
-            return real.psis_by_machine_owner(t)
-        kern, row = self._kr()
-        return kern.row_psis_by_machine_owner(row, t)
-
-    def value(self, t: "int | None" = None) -> int:
-        real = self._real()
-        if real is not None:
-            return real.value(t)
-        kern, row = self._kr()
-        return kern.row_value(row, t)
-
-    def ledger(self) -> "tuple[int, int, int, int, int]":
-        real = self._real()
-        if real is not None:
-            return real.ledger()
-        kern, row = self._kr()
-        return (
-            int(kern.done_units[row].sum()),
-            int(kern.done_wstart[row].sum()),
-            int(kern.rcount[row].sum()),
-            int(kern.rsum[row].sum()),
-            int(kern.rsq[row].sum()),
-        )
-
-    # -- event iteration -----------------------------------------------------
-    def next_event_time(self) -> "int | None":
-        real = self._real()
-        if real is not None:
-            return real.next_event_time()
-        kern, row = self._kr()
-        cands = []
-        fin = kern.finish[row]
-        if fin.size:
-            nf = int(fin.min())
-            if nf < _FAR:
-                cands.append(nf)
-        for u in np.flatnonzero(kern.member[row]):
-            lo = int(kern.org_start[u] + kern.released[u])
-            if lo < int(kern.org_start[u + 1]):
-                cands.append(int(kern.rel_flat[lo]))
-        if not cands:
-            return None
-        t = min(cands)
-        if kern.horizon is not None and t >= kern.horizon:
-            return None
-        return t
-
-    def is_idle(self) -> bool:
-        real = self._real()
-        if real is not None:
-            return real.is_idle()
-        kern, row = self._kr()
-        return int(kern.rcount[row].sum()) == 0 and not self.has_waiting()
-
-    def done(self) -> bool:
-        real = self._real()
-        if real is not None:
-            return real.done()
-        kern, row = self._kr()
-        member = kern.member[row]
-        released_all = bool(
-            (
-                kern.released[member]
-                == (kern.org_start[1:] - kern.org_start[:-1])[member]
-            ).all()
-        )
-        return released_all and self.is_idle()
-
-    # -- results -------------------------------------------------------------
-    @property
-    def completed_log(self) -> "list[ScheduledJob]":
-        real = self._real()
-        if real is not None:
-            return real.completed_log
-        kern, row = self._kr()
-        return sorted(
-            (e for e in kern.row_entries(row) if e.end <= kern.t),
-            key=lambda e: (e.end, e.machine),
-        )
-
     @property
     def start_log(self) -> "list[ScheduledJob]":
-        real = self._real()
-        if real is not None:
-            return real.start_log
         kern, row = self._kr()
         return kern.row_entries(row)
 
     def schedule(self) -> Schedule:
-        real = self._real()
-        if real is not None:
-            return real.schedule()
-        kern, row = self._kr()
-        return Schedule(kern.row_entries(row))
-
-    def busy_units(self, t: "int | None" = None) -> int:
-        real = self._real()
-        if real is not None:
-            return real.busy_units(t)
-        kern, row = self._kr()
-        t = kern.t if t is None else t
-        return sum(
-            min(e.job.size, max(0, t - e.start)) for e in kern.row_entries(row)
-        )
-
-    def utilization(self, t: "int | None" = None) -> float:
-        real = self._real()
-        if real is not None:
-            return real.utilization(t)
-        t = self._fleet.kernel.t if t is None else t
-        n_mach = self.n_machines
-        if t <= 0 or n_mach == 0:
-            return 0.0
-        return self.busy_units(t) / (t * n_mach)
-
-    # -- mutators (materialize, then delegate) -------------------------------
-    def start_next(self, org: int, machine: "int | None" = None) -> ScheduledJob:
-        real = self._real()
-        if real is not None:
-            return real.start_next(org, machine=machine)
-        kern, row = self._kr()
-        return kern.start_row(row, org, machine)
-
-    def submit(self, job: Job) -> None:
-        real = self._real() or self._escape()
-        real.submit(job)
-
-    def add_machine(self, machine: int, owner: int) -> None:
-        real = self._real() or self._escape()
-        real.add_machine(machine, owner)
-
-    def retire_machine(self, machine: int) -> None:
-        real = self._real() or self._escape()
-        real.retire_machine(machine)
-
-    def add_member(self, org: int) -> None:
-        real = self._real() or self._escape()
-        real.add_member(org)
-
-    def remove_member(self, org: int) -> None:
-        real = self._real() or self._escape()
-        real.remove_member(org)
-
-    def fork(self) -> ClusterEngine:
-        real = self._real() or self._escape()
-        return real.fork()
-
-    def advance_to(self, t: int) -> None:
-        real = self._real() or self._escape()
-        real.advance_to(t)
-
-    def drive(self, select, until: "int | None" = None) -> None:
-        real = self._real() or self._escape()
-        real.drive(select, until=until)
+        return Schedule(self.start_log)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"KernelEngineView(mask={self._mask:#b})"

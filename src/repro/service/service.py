@@ -301,14 +301,16 @@ class _FleetPolicy(OnlinePolicy):
     ) -> None:
         bit = 1 << org
         for fl in self._fleets():
-            for mask in fl.masks:
-                if mask & bit:
-                    eng = fl.engine(mask)
-                    for mid in machine_ids:
-                        if add:
-                            eng.add_machine(mid, org)
-                        else:
-                            eng.retire_machine(mid)
+            covering = [mask for mask in fl.masks if mask & bit]
+            if covering:
+                fl.materialize("pool_change")
+            for mask in covering:
+                eng = fl.engine(mask)
+                for mid in machine_ids:
+                    if add:
+                        eng.add_machine(mid, org)
+                    else:
+                        eng.retire_machine(mid)
 
     def _fleets(self) -> "tuple[CoalitionFleet, ...]":
         return (self.fleet,)
@@ -346,7 +348,6 @@ class _RefPolicy(_FleetPolicy):
 
     def __init__(self, service: "ClusterService"):
         super().__init__(service)
-        self._check_size(len(service.census.members))
         members = service.census.members
         self.grand_mask = service.census.members_mask
         self.run = RefRun(
@@ -356,15 +357,6 @@ class _RefPolicy(_FleetPolicy):
             service.horizon,
         )
         self.fleet = self.run.fleet
-
-    def _check_size(self, k: int) -> None:
-        cap = self.service.max_orgs
-        if cap is not None and k > cap:
-            raise CapabilityError(
-                f"online REF keeps 2^k - 1 coalition engines; {k} active "
-                f"members exceeds the cap of {cap} (use RAND or "
-                f"DIRECTCONTR for larger federations)"
-            )
 
     def _round(self, t: int) -> None:
         self.run.step(t)
@@ -378,11 +370,11 @@ class _RefPolicy(_FleetPolicy):
         }
 
     def join(self, org: int) -> None:
-        self._check_size(len(self.service.census.members))
         old_grand = self.grand_mask
         # fork: the physical engine grows into the new grand coalition
         # while its fork carries on the old grand mask's counterfactual
         # ("as if the joiner never arrived") under the old mask
+        self.fleet.materialize("join")
         phys = self.fleet.engine(old_grand)
         self.fleet.replace_engine(old_grand, phys.fork())
         phys.add_member(org)
@@ -807,8 +799,8 @@ class ClusterService:
         try:
             self._policy.join(org)
         except Exception:
-            # keep census and engines consistent on refusal (e.g. the
-            # REF size cap): roll the admission back
+            # keep census and engines consistent if the policy's join
+            # fails: roll the admission back
             self.census.rollback_admit(org, machines)
             self.journal.pop()
             raise

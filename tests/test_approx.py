@@ -455,15 +455,54 @@ class TestHier:
 # past the ceiling: kernel gate, gap gadget, scale family
 # ----------------------------------------------------------------------
 class TestPastTheCeiling:
-    def test_kernel_refuses_int64_mask_overflow(self):
-        # coalition bitmasks stop fitting in int64 at k > 63; the fleet
-        # must fall back to per-engine stepping rather than overflow
+    def test_kernel_certifies_past_int64_masks(self):
+        # the kernel keeps coalition masks as Python ints, so k > 63 is
+        # admissible; only the ledger arithmetic is certified
         big = Workload(
             organizations=[Organization(u, 1) for u in range(64)], jobs=[]
         )
-        assert not kernel_certified(big, 100)
+        assert kernel_certified(big, 100)
         small = asym_workload(0, k=4)
         assert kernel_certified(small, 100)
+
+    @pytest.mark.parametrize("k", range(64, 71))
+    def test_rand_kernel_matches_engines_past_int64_masks(
+        self, k, monkeypatch
+    ):
+        """RAND's oracle on the kernel at k = 64..70 (masks with bit 63
+        and up) schedules exactly like the per-engine oracle."""
+        from repro.algorithms.rand import RandRun
+        from repro.core import kernel as kernel_mod
+
+        # three machines (orgs 0, 63, k-1) and jobs on many orgs, so RAND
+        # has contested decisions that read high-bit coalition values
+        machines = [0] * k
+        for u in (0, 63, k - 1):
+            machines[u] = 1
+        jobs, counters = [], [0] * k
+        for i, u in enumerate(range(k - 1, -1, -3)):
+            for _ in range(2):
+                jobs.append(Job(i % 4, u, counters[u], 1 + (u + i) % 3))
+                counters[u] += 1
+        wl = Workload(
+            organizations=[Organization(u, m) for u, m in enumerate(machines)],
+            jobs=jobs,
+        )
+        members_t, grand = members_mask(wl, None)
+
+        def run():
+            r = RandRun(wl, members_t, grand, 3, np.random.default_rng(k), None)
+            r.drive()
+            return r
+
+        on = run()
+        assert on.oracle.kernel is not None
+        assert max(on.oracle.masks) >= 1 << 63
+        monkeypatch.setattr(kernel_mod, "KERNEL_MIN_ENGINES", 1 << 30)
+        off = run()
+        assert off.oracle.kernel is None
+        assert len(on.grand.schedule()) == len(jobs)
+        assert on.grand.schedule() == off.grand.schedule()
 
     def test_gap_workload_shape(self):
         wl = gap_workload(5, job_size=3)

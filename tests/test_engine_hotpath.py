@@ -158,16 +158,17 @@ def test_fifo_select_is_the_reference_pick(seed):
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 10_000), t=st.integers(0, 12))
-def test_kernel_view_fifo_head_is_the_reference_pick(seed, t):
+def test_kernel_row_fifo_head_is_the_reference_pick(seed, t):
     rng = np.random.default_rng(seed)
     wl = random_workload(rng, n_orgs=3, n_jobs=20, max_release=10)
     masks = [m for m in iter_subsets(0b111) if m]
     fleet = CoalitionFleet(wl, masks, backend="kernel", track_events=False)
     fleet.advance_all(t)  # releases without starts: queues build up
-    for m in masks:
-        view = fleet.engine(m)
-        expect = reference_fifo(view) if view.has_waiting() else -1
-        assert view.fifo_head() == expect
+    for row, m in enumerate(fleet.masks):
+        eng = fleet.kernel.materialize_row(row)
+        assert eng.waiting_orgs() == fleet.engine(m).waiting_orgs()
+        expect = reference_fifo(eng) if eng.has_waiting() else -1
+        assert eng.fifo_head() == expect
 
 
 # ----------------------------------------------------------------------
@@ -219,16 +220,15 @@ class TestOneRecordPerStart:
         masks = [m for m in iter_subsets(0b111) if m]
         fleet = CoalitionFleet(wl, masks, backend="kernel", track_events=False)
         fleet.values_array(8, select=fifo_select)
-        fleet.engine(0b111).drive(fifo_select)  # a mutation: materializes
-        assert fleet.backend_status()["backend"] == "engines"
-        for m in masks:
-            eng = fleet.engine(m)
+        for row, m in enumerate(fleet.masks):
+            eng = fleet.kernel.materialize_row(row)
             assert_one_record(eng)
             eng.drive(fifo_select)
             assert_one_record(eng)
             batch = ClusterEngine(wl, list(eng.members))
             batch.drive(fifo_select)
             assert eng.completed_log == batch.completed_log
+        assert fleet.backend_status()["backend"] == "kernel"
 
     def test_running_on_carries_the_log_entry(self):
         wl = make_workload([1, 1], [(0, 0, 5), (0, 1, 3)])
@@ -265,11 +265,11 @@ def test_consumed_cpu_is_the_start_log_sum(seed, until):
     masks = [m for m in iter_subsets(0b111) if m]
     fleet = CoalitionFleet(wl, masks, backend="kernel", track_events=False)
     fleet.values_array(until, select=fifo_select)
-    view = fleet.engine(0b111)
+    row = fleet.kernel.materialize_row(fleet.masks.index(0b111))
     for t in range(until + 8):  # past, present and future
         for u in range(3):
             expect = consumed_from_log(eng.start_log, u, t)
             assert eng.consumed_cpu(u, t) == expect, (u, t)
-            assert view.consumed_cpu(u, t) == consumed_from_log(
-                view.schedule(), u, t
+            assert row.consumed_cpu(u, t) == consumed_from_log(
+                fleet.engine(0b111).schedule(), u, t
             ), (u, t)

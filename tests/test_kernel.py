@@ -8,9 +8,11 @@ Four layers of protection for the batched kernel (DESIGN.md §8):
 * **bit-identical schedules** -- every contribution-driven scheduler run
   with the kernel forced on reproduces its per-engine transcript job for
   job (the golden transcripts pin the per-engine side separately);
-* **escape hatch** -- engine views answer the whole read API, and
-  materialization mid-run reconstructs real engines whose state is
-  indistinguishable from never having used the kernel at all;
+* **escape hatch** -- engine views answer their read members, every
+  other engine member agrees on the row's materialized engine, a view
+  read after materialization raises, and materialization mid-run
+  reconstructs real engines whose state is indistinguishable from never
+  having used the kernel at all;
 * **overflow fallbacks** (ISSUE 5 satellite) -- queries past the int64
   guard fall back to exact big-int arithmetic on both backends, agreeing
   with the vectorized path right at the boundary, and workloads that fail
@@ -218,61 +220,75 @@ class TestEngineViews:
         return kf, ef, masks
 
     def test_views_answer_the_read_api(self, rng):
+        """The view answers its own members from the row; every other
+        ``ClusterEngine`` member is checked on ``materialize_row(row)``,
+        which rebuilds an engine from the same row arrays and log."""
         kf, ef, masks = self._pair(rng, 9)
-        for m in masks:
+        kern = kf.kernel
+        for row, m in enumerate(masks):
             view, eng = kf.engine(m), ef.engine(m)
             assert isinstance(view, KernelEngineView)
             assert repr(view) == f"KernelEngineView(mask={m:#b})"
-            assert view.workload is eng.workload
-            assert view.horizon == eng.horizon
             assert view.t == eng.t
             assert view.members == eng.members
             assert view.free_count == eng.free_count
-            assert view.free_machines() == eng.free_machines()
             assert view.has_waiting() == eng.has_waiting()
             assert view.waiting_orgs() == eng.waiting_orgs()
-            assert view.machine_owner == eng.machine_owner
-            assert view.n_machines == eng.n_machines
-            assert view.machine_counts() == eng.machine_counts()
             assert view.running_counts() == eng.running_counts()
-            assert view.is_idle() == eng.is_idle()
-            assert view.done() == eng.done()
-            assert view.ledger() == eng.ledger()
-            assert view.next_event_time() == eng.next_event_time()
+            assert view.start_log == eng.start_log
+            assert view.schedule() == eng.schedule()
+            for u in range(3):
+                if u in eng.members:
+                    assert view.waiting_count(u) == eng.waiting_count(u)
+                else:
+                    with pytest.raises(KeyError):
+                        view.waiting_count(u)
             for t in (4, 9, 30):
                 assert view.psis(t) == eng.psis(t), (m, t)
-                assert [view.psi(u, t) for u in eng.members] == [
+            got = kern.materialize_row(row)
+            assert got.workload is eng.workload
+            assert got.horizon == eng.horizon
+            assert got.n_orgs == eng.n_orgs
+            assert got.free_machines() == eng.free_machines()
+            assert got.machine_owner == eng.machine_owner
+            assert got.n_machines == eng.n_machines
+            assert got.machine_counts() == eng.machine_counts()
+            assert got.is_idle() == eng.is_idle()
+            assert got.done() == eng.done()
+            assert got.ledger() == eng.ledger()
+            assert got.next_event_time() == eng.next_event_time()
+            for t in (4, 9, 30):
+                assert [got.psi(u, t) for u in eng.members] == [
                     eng.psi(u, t) for u in eng.members
                 ]
-                assert view.value(t) == eng.value(t)
-                assert view.psis_by_machine_owner(t) == (
+                assert got.value(t) == eng.value(t)
+                assert got.psis_by_machine_owner(t) == (
                     eng.psis_by_machine_owner(t)
                 )
-                assert view.busy_units(t) == eng.busy_units(t)
-                assert view.utilization(t) == eng.utilization(t)
+                assert got.busy_units(t) == eng.busy_units(t)
+                assert got.utilization(t) == eng.utilization(t)
                 for u in eng.members:
-                    assert view.consumed_cpu(u, t) == eng.consumed_cpu(u, t)
-            assert view.fifo_head() == eng.fifo_head()
+                    assert got.consumed_cpu(u, t) == eng.consumed_cpu(u, t)
+            assert got.fifo_head() == eng.fifo_head()
             for u in eng.members:
-                assert view.waiting_count(u) == eng.waiting_count(u)
                 if eng.waiting_count(u):
-                    assert view.head_release(u) == eng.head_release(u)
+                    assert got.head_release(u) == eng.head_release(u)
                 else:
                     with pytest.raises(IndexError):
-                        view.head_release(u)
-                assert view.running_count(u) == eng.running_count(u)
-                assert view.consumed_cpu(u) == eng.consumed_cpu(u)
-            assert view.schedule() == eng.schedule()
+                        got.head_release(u)
+                assert got.running_count(u) == eng.running_count(u)
+                assert got.consumed_cpu(u) == eng.consumed_cpu(u)
             assert [
-                (e.start, e.machine, e.job) for e in view.completed_log
+                (e.start, e.machine, e.job) for e in got.completed_log
             ] == [(e.start, e.machine, e.job) for e in eng.completed_log]
+        assert kf.kernel is kern  # nothing above left the kernel
 
     def test_view_running_on_matches(self, rng):
         kf, ef, masks = self._pair(rng, 6)
-        grand = masks[-1] if masks[-1] == 0b111 else 0b111
-        view, eng = kf.engine(grand), ef.engine(grand)
+        row = masks.index(0b111)
+        got, eng = kf.kernel.materialize_row(row), ef.engine(0b111)
         for mid in eng.machine_owner:
-            a, b = view.running_on(mid), eng.running_on(mid)
+            a, b = got.running_on(mid), eng.running_on(mid)
             assert (a is None) == (b is None)
             if a is not None:
                 assert (a.job, a.start, a.machine) == (b.job, b.start, b.machine)
@@ -286,7 +302,7 @@ class TestMaterialization:
         ef = CoalitionFleet(wl, masks, backend="engines")
         kf.values_at(8, select=fifo_select)
         ef.values_at(8, select=fifo_select)
-        kf._materialize()
+        kf.materialize("explicit")
         assert kf.kernel is None
         for m in masks:
             a, b = kf.engine(m), ef.engine(m)
@@ -313,25 +329,25 @@ class TestMaterialization:
                 t, select=fifo_select
             )
 
-    def test_held_view_survives_materialization(self, rng):
+    def test_held_view_goes_stale_at_materialization(self, rng):
+        """A view taken before the fleet leaves the kernel raises on every
+        read instead of answering from a dead kernel."""
         wl = random_workload(rng, n_orgs=2, n_jobs=10, max_release=6)
         fleet = CoalitionFleet(wl, all_masks(2), backend="kernel")
         view = fleet.engine(0b11)
         fleet.values_at(4, select=fifo_select)
         psis_before = view.psis(4)
-        fleet._materialize()
-        assert view.psis(4) == psis_before
-        assert view._real() is fleet.engine(0b11)
-
-    def test_view_mutators_materialize_and_delegate(self, rng):
-        wl = random_workload(rng, n_orgs=2, n_jobs=8, max_release=5)
-        fleet = CoalitionFleet(wl, all_masks(2), backend="kernel")
-        fleet.values_at(3, select=fifo_select)
-        view = fleet.engine(0b11)
-        clone = view.fork()  # escapes
-        assert isinstance(clone, ClusterEngine)
-        assert fleet.kernel is None
-        assert clone.t == fleet.engine(0b11).t
+        fleet.materialize("explicit")
+        reads = [
+            lambda: view.t, lambda: view.members, lambda: view.free_count,
+            view.has_waiting, view.waiting_orgs,
+            lambda: view.waiting_count(0), view.running_counts,
+            lambda: view.psis(4), lambda: view.start_log, view.schedule,
+        ]
+        for read in reads:
+            with pytest.raises(RuntimeError, match="stale view"):
+                read()
+        assert fleet.engine(0b11).psis(4) == psis_before
 
     @pytest.mark.parametrize(
         "mask, mutate",
@@ -342,15 +358,16 @@ class TestMaterialization:
             (0b01, lambda e: e.add_member(1)),
             (0b11, lambda e: e.remove_member(1)),
             (0b11, lambda e: e.drive(fifo_select, until=6)),
+            (0b11, lambda e: e.fork().drive(fifo_select)),
         ],
         ids=[
             "submit", "add_machine", "retire_machine", "add_member",
-            "remove_member", "drive",
+            "remove_member", "drive", "fork",
         ],
     )
-    def test_each_view_mutator_escapes_once(self, mask, mutate, rng):
-        """ISSUE 22: every escape mutator of a live view materializes the
-        fleet (once, named) and lands on the real engine, so the fleet
+    def test_each_mutator_after_materialize(self, mask, mutate, rng):
+        """A caller that mutates an engine materializes the fleet first
+        (once, named); the mutation lands on the real engine and the fleet
         carries on exactly like one that never used the kernel."""
         wl = random_workload(rng, n_orgs=2, n_jobs=10, max_release=8,
                              machine_counts=[2, 1])
@@ -358,21 +375,21 @@ class TestMaterialization:
         ef = CoalitionFleet(wl, all_masks(2), backend="engines")
         for fleet in (kf, ef):
             fleet.values_at(3, select=fifo_select)
-        view = kf.engine(mask)
-        assert isinstance(view, KernelEngineView)
-        mutate(view)
-        mutate(ef.engine(mask))
+        kf.materialize("explicit")
         assert kf.kernel is None
-        assert (kf.n_materializations, kf.materialize_reason) == (
-            1, "view_mutation"
-        )
-        assert view._real() is kf.engine(mask)
+        eng = kf.engine(mask)
+        assert isinstance(eng, ClusterEngine)
+        mutate(eng)
+        mutate(ef.engine(mask))
+        assert kf.engine(mask) is eng
         assert kf.values_at(40, select=fifo_select) == ef.values_at(
             40, select=fifo_select
         )
         for m in all_masks(2):
             assert kf.engine(m).schedule() == ef.engine(m).schedule(), m
-        assert kf.n_materializations == 1
+        assert (kf.n_materializations, kf.materialize_reason) == (
+            1, "explicit"
+        )
 
     def test_unknown_drive_policy_materializes(self, rng):
         wl = random_workload(rng, n_orgs=2, n_jobs=8, max_release=5)
@@ -407,7 +424,7 @@ class TestMaterialization:
         "reason",
         [
             "unsafe_submit", "adopt_engine", "add_mask", "remove_mask",
-            "unknown_drive", "view_mutation",
+            "unknown_drive", "pool_change", "join",
         ],
     )
     def test_fallbacks_are_counted_and_named(self, reason, rng):
@@ -431,7 +448,10 @@ class TestMaterialization:
             "unknown_drive": lambda: fleet.values_at(
                 5, select=lambda eng: fifo_select(eng)
             ),
-            "view_mutation": lambda: fleet.engine(0b011).fork(),
+            # the online service's reasons (tests/test_kernel_membership.py
+            # drives them through ClusterService)
+            "pool_change": lambda: fleet.materialize("pool_change"),
+            "join": lambda: fleet.materialize("join"),
         }
         trigger[reason]()
         assert fleet.kernel is None
@@ -444,7 +464,7 @@ class TestMaterialization:
         )
         after = fleet.backend_status()
         assert (after["backend"], after["materializations"]) == ("engines", 1)
-        if reason in ("unsafe_submit", "view_mutation"):  # same engines
+        if reason in ("unsafe_submit", "pool_change", "join"):  # same engines
             assert after["start_log_entries"] == sum(
                 len(fleet.engine(m).schedule()) for m in fleet.masks
             )
@@ -890,9 +910,9 @@ class TestKernelInternals:
         }
         for row, mask in enumerate(masks):
             assert kern.row_entries(row) == ef.engine(mask)._log, mask
-            view, eng = kf.engine(mask), ef.engine(mask)
-            assert view.ledger() == eng.ledger(), mask
-            assert view.free_machines() == eng.free_machines(), mask
+            got, eng = kern.materialize_row(row), ef.engine(mask)
+            assert got.ledger() == eng.ledger(), mask
+            assert got.free_machines() == eng.free_machines(), mask
         kf.fill_rows(rows, None, 0)  # nothing left to pair anywhere
         assert kern._log_len == sum(n_started.values())
         assert_rows_match(kf, ef, 0)
@@ -911,12 +931,13 @@ class TestKernelInternals:
             assert kf.values_at(t, select=fifo_select) == ef.values_at(
                 t, select=fifo_select
             ), t
-            for mask in masks:
+            for row, mask in enumerate(masks):
                 view, eng = kf.engine(mask), ef.engine(mask)
-                assert view.ledger() == eng.ledger(), (mask, t)
+                got = kf.kernel.materialize_row(row)
+                assert got.ledger() == eng.ledger(), (mask, t)
                 assert view.psis(t + 2) == eng.psis(t + 2), (mask, t)
                 assert view.running_counts() == eng.running_counts()
-                assert view.free_machines() == eng.free_machines()
+                assert got.free_machines() == eng.free_machines()
             if t == 3:  # both of row {0}'s machines just completed org 0
                 kern = kf.kernel
                 assert kern.done_units[kern._row[0b01], 0] == 6
@@ -933,19 +954,20 @@ def log_bytes(kern: FleetKernel) -> dict:
 
 
 def assert_rows_match(kf: CoalitionFleet, ef: CoalitionFleet, t_past: int):
-    """Every kernel row reads back, through each log reader, exactly what
-    the per-engine fleet fed the same ops recorded."""
+    """Every kernel row reads back, through each log reader (the view's
+    and the materialized row's), exactly what the per-engine fleet fed
+    the same ops recorded."""
     kern = kf.kernel
     assert kern is not None
     for row, mask in enumerate(kf.masks):
         ref = ef.engine(mask)
-        view = kf.engine(mask)
+        got = kern.materialize_row(row)
         assert kern.row_entries(row) == ref._log, mask
-        assert view.schedule() == ref.schedule(), mask
-        assert view.completed_log == ref.completed_log, mask
-        assert kern.materialize_row(row).schedule() == ref.schedule(), mask
+        assert kf.engine(mask).schedule() == ref.schedule(), mask
+        assert got.schedule() == ref.schedule(), mask
+        assert got.completed_log == ref.completed_log, mask
         for mid in ref.machine_owner:  # running_on from the start log
-            a, b = view.running_on(mid), ref.running_on(mid)
+            a, b = got.running_on(mid), ref.running_on(mid)
             assert (a and (a.job, a.start)) == (b and (b.job, b.start)), mask
     assert kf.values_at(t_past) == ef.values_at(t_past)  # values_retro
     assert kf.kernel is kern  # nothing above materialized the fleet
