@@ -134,9 +134,7 @@ def _rand_oracle_seconds(workload, masks, times, backend: str) -> float:
     coalition value -- the per-event work ``RandRun`` asks of its oracle."""
 
     def run():
-        fleet = CoalitionFleet(
-            workload, masks, track_events=False, backend=backend
-        )
+        fleet = CoalitionFleet(workload, masks, backend=backend)
         for t in times:
             fleet.values_array(t, select=fifo_select)
         assert (fleet.kernel is not None) == (backend == "auto")

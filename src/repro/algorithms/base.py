@@ -7,7 +7,7 @@ to start next and subclass :class:`PolicyScheduler`, which owns the
 per-engine event loop.  The contribution-driven algorithms (REF, its
 general-utility variant, RAND, DIRECTCONTR) are thin policies over a shared
 :class:`~repro.core.fleet.CoalitionFleet`: this module also hosts their
-common machinery -- the :func:`drive_fleet` EventQueue decision loop, the
+common machinery -- the :func:`drive_fleet` decision loop, the
 Fig. 3 ``argmax(phi - psi)`` selection rule (:func:`fair_select`), and the
 :func:`fill_capacity` start loop.
 
@@ -74,8 +74,7 @@ def fill_capacity(
     fleet: CoalitionFleet, mask: int, keys: Mapping[int, int]
 ) -> list[ScheduledJob]:
     """Start jobs on coalition ``mask`` while a machine is free and jobs
-    wait, always picking :func:`fair_select`'s winner; completion times are
-    pushed into the fleet's shared event queue."""
+    wait, always picking :func:`fair_select`'s winner."""
     eng = fleet.engine(mask)
     started: list[ScheduledJob] = []
     while eng.free_count > 0 and eng.has_waiting():
@@ -87,20 +86,20 @@ def fill_capacity(
 def drive_fleet(
     fleet: CoalitionFleet, on_event: Callable[[CoalitionFleet, int], None]
 ) -> int:
-    """The shared EventQueue-driven decision loop (paper Figs. 1/3/6).
+    """The shared decision loop (paper Figs. 1/3/6).
 
-    Pops decision times (job releases seeded at fleet construction, plus
-    completion times pushed by every ``fleet.start_next``) until exhausted
-    or at/after the fleet's horizon, invoking ``on_event(fleet, t)`` at
-    each.  Returns the last processed event time (0 if none).
+    Invokes ``on_event(fleet, t)`` at each :meth:`~repro.core.fleet.
+    CoalitionFleet.next_event_time` -- the next release or completion in
+    any of the fleet's simulations -- until none is left before the
+    fleet's horizon.  ``on_event`` must bring the fleet to ``t``, so the
+    next one lies beyond it.  Returns the last processed event time (0 if
+    none).
     """
     last = 0
-    while True:
-        t = fleet.next_decision()
-        if t is None:
-            return last
+    while (t := fleet.next_event_time()) is not None:
         last = t
         on_event(fleet, t)
+    return last
 
 
 @dataclass(frozen=True)

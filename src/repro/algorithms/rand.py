@@ -104,9 +104,7 @@ class RandRun:
         self.oracle = (
             oracle_factory(self.sampled)
             if oracle_factory is not None
-            else CoalitionFleet(
-                workload, self.sampled, horizon=horizon, track_events=False
-            )
+            else CoalitionFleet(workload, self.sampled, horizon=horizon)
         )
         self.fleet = (
             fleet

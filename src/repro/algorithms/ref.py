@@ -229,10 +229,10 @@ class RefRun:
         self._kernel_plan_cache: "tuple | None" = None
         #: what the fused array body did with each event that reached it:
         #: scheduled (every start forced / by Shapley keys) or declined
-        #: (retrospective ``t``, uncertifiable query, int64 guard); plus
-        #: the events served on a fleet with no kernel
+        #: (uncertifiable query, int64 guard); plus the events served on a
+        #: fleet with no kernel
         self.ref_events = dict.fromkeys(
-            ("forced", "contested", "retro", "unsafe", "guard", "engines"), 0
+            ("forced", "contested", "unsafe", "guard", "engines"), 0
         )
 
     def drive(self) -> int:
@@ -252,8 +252,7 @@ class RefRun:
         fused array body; whatever that body declines, and every per-engine
         fleet, takes the per-coalition body below: batched values, then
         size-ordered ``UpdateVals`` + Fig. 3 scheduling for every capable
-        coalition (engine views make it backend-agnostic, and it reads a
-        retrospective ``t`` from the start logs)."""
+        coalition (engine views make it backend-agnostic)."""
         if fleet.kernel is None:
             self.ref_events["engines"] += 1
         elif self._vectorize and self._on_event_kernel(fleet, t):
@@ -341,15 +340,13 @@ class RefRun:
         dense ``UpdateVals`` matmul per size group *holding a contested
         row* scattered into a single ``(rows, orgs)`` phi matrix --
         bit-identical decisions to the per-coalition body.  Returns
-        ``False``, *before any start*, for an event it cannot serve (a
-        retrospective ``t``, or int64 arithmetic it cannot certify); the
-        caller then runs the per-coalition body, which carries the exact
-        big-int fallback.  ``ref_events`` counts each outcome."""
+        ``False``, *before any start*, for an event whose int64 arithmetic
+        it cannot certify; the caller then runs the per-coalition body,
+        which carries the exact big-int fallback.  ``ref_events`` counts
+        each outcome.  A ``t`` behind the kernel's clock raises
+        (:meth:`~repro.core.kernel.FleetKernel.advance`)."""
         kern = fleet.kernel
         seen = self.ref_events
-        if t < kern.t:  # retrospective step: values come from the start log
-            seen["retro"] += 1
-            return False
         kern.advance(t)
         if not kern._query_safe(t):
             seen["unsafe"] += 1

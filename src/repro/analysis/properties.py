@@ -81,9 +81,7 @@ def greedy_value_invariance(
     horizon = max(times) if times else 0
     values: list[list[int]] = []
     for policy in policies:
-        fleet = CoalitionFleet(
-            workload, (grand_mask,), horizon=horizon + 1, track_events=False
-        )
+        fleet = CoalitionFleet(workload, (grand_mask,), horizon=horizon + 1)
         row = []
         for t in sorted(times):
             row.append(fleet.values_at(t, select=policy)[grand_mask])

@@ -32,7 +32,7 @@ from .adaptive import (
 )
 from .hier import HierRun, HierScheduler, org_blocks
 from .stratified import StratifiedScheduler
-from .validate import agreement_report, exact_oracle_keys
+from .validate import agreement_report
 
 __all__ = [
     "AdaptiveRun",
@@ -43,7 +43,6 @@ __all__ = [
     "HierScheduler",
     "StratifiedScheduler",
     "agreement_report",
-    "exact_oracle_keys",
     "org_blocks",
     "summarize_certificates",
 ]

@@ -273,9 +273,7 @@ class AdaptiveRun:
             ORDERING_SAMPLERS[sampler] if isinstance(sampler, str) else sampler
         )
         factory = oracle_factory or (
-            lambda sampled: CoalitionFleet(
-                workload, sampled, horizon=horizon, track_events=False
-            )
+            lambda sampled: CoalitionFleet(workload, sampled, horizon=horizon)
         )
         k = workload.n_orgs
         self._n_orgs = k

@@ -131,9 +131,7 @@ class HierRun:
                     self._union[bsub] = self._union_of(bsub)
         coalitions.update(m for m in self._union.values() if m)
         self.sampled = sorted(coalitions)
-        self.oracle = CoalitionFleet(
-            workload, self.sampled, horizon=horizon, track_events=False
-        )
+        self.oracle = CoalitionFleet(workload, self.sampled, horizon=horizon)
         self.fleet = CoalitionFleet(workload, (grand_mask,), horizon=horizon)
         self._n_orgs = workload.n_orgs
 

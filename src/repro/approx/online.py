@@ -97,28 +97,20 @@ class _AdaptivePolicy(_FleetPolicy):
         return run
 
     def _genesis_oracle(self, sampled: "list[int]") -> CoalitionFleet:
+        service = self.service
         return CoalitionFleet(
-            self.service.genesis_workload(),
-            sampled,
-            horizon=self.service.horizon,
-            track_events=False,
+            service.genesis_workload(), sampled, horizon=service.horizon
         )
 
     def _epoch_oracle(self, sampled: "list[int]") -> CoalitionFleet:
         fleet = CoalitionFleet(
-            self.service.zero_workload(),
-            (),
-            horizon=self.service.horizon,
-            track_events=False,
+            self.service.zero_workload(), (), horizon=self.service.horizon
         )
         for mask in sampled:
             fleet.add_mask(mask, self.service.build_engine(mask))
         return fleet
 
     # ------------------------------------------------------------------
-    def _round(self, t: int) -> None:
-        self.run.step(t)
-
     def submit(self, job: Job) -> None:
         self.fleet.submit(job)
         for oracle in self._oracles:

@@ -23,7 +23,7 @@ from ..core.fleet import CoalitionFleet
 from ..core.workload import Workload
 from ..shapley.exact import shapley_exact_scaled
 
-__all__ = ["ExactDecisionOracle", "agreement_report", "exact_oracle_keys"]
+__all__ = ["ExactDecisionOracle", "agreement_report"]
 
 #: Largest member count the full-lattice oracle will build (2^k engines).
 ORACLE_MAX_ORGS = 12
@@ -49,9 +49,7 @@ class ExactDecisionOracle:
                 f"(got {len(self.members_t)}); it builds 2^k engines"
             )
         masks = [sub for sub in iter_subsets(self.grand_mask) if sub]
-        self.fleet = CoalitionFleet(
-            workload, masks, horizon=horizon, track_events=False
-        )
+        self.fleet = CoalitionFleet(workload, masks, horizon=horizon)
         self._n_orgs = workload.n_orgs
 
     def keys(
@@ -74,19 +72,6 @@ class ExactDecisionOracle:
     ) -> int:
         """The exact fair-select winner among ``waiting`` at ``t``."""
         return fair_select(waiting, self.keys(t, psis))
-
-
-def exact_oracle_keys(
-    workload: Workload,
-    t: int,
-    psis: "dict[int, int]",
-    members: "Iterable[int] | None" = None,
-    *,
-    horizon: "int | None" = None,
-) -> "dict[int, int]":
-    """One-shot :meth:`ExactDecisionOracle.keys` (builds a fresh lattice;
-    use the class directly to score a whole transcript)."""
-    return ExactDecisionOracle(workload, members, horizon).keys(t, psis)
 
 
 def agreement_report(

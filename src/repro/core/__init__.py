@@ -17,7 +17,6 @@ from .coalition import (
     subsets_by_size,
 )
 from .engine import ClusterEngine, RunningJob
-from .events import EventQueue
 from .fleet import CoalitionFleet
 from .kernel import KERNEL_MIN_ENGINES, FleetKernel, KernelEngineView, kernel_certified
 from .job import Job, merge_jobs, sort_jobs, split_job, validate_jobs
@@ -29,7 +28,6 @@ __all__ = [
     "Coalition",
     "CoalitionFleet",
     "ClusterEngine",
-    "EventQueue",
     "FleetKernel",
     "Job",
     "KERNEL_MIN_ENGINES",

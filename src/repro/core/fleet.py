@@ -9,9 +9,9 @@ algorithm modules are thin policies:
 * one :class:`~repro.core.engine.ClusterEngine` per registered coalition
   bitmask, advanced in lockstep (or driven lazily by a per-coalition greedy
   policy, as RAND's sampled coalitions require);
-* one shared :class:`~repro.core.events.EventQueue` seeded with the release
-  times of every covered organization's jobs; engine starts push their
-  completion times back into it (:meth:`CoalitionFleet.start_next`);
+* one decision-time rule: the next release or completion in any of the
+  simulations (:meth:`CoalitionFleet.next_event_time`), read from the
+  engines or the kernel rather than kept in a second copy;
 * one value path: a query brings every engine not already past ``t`` to
   ``t`` and reads :meth:`~repro.core.engine.ClusterEngine.value` from each
   -- the engine's O(1) ledger formula at its own clock, its start log for
@@ -55,7 +55,6 @@ import numpy as np
 from . import kernel as kernel_mod
 from .coalition import iter_members
 from .engine import ClusterEngine
-from .events import EventQueue
 from .kernel import (
     _QUERY_CAP,
     FleetKernel,
@@ -86,11 +85,6 @@ class CoalitionFleet:
     horizon:
         Optional stop time, forwarded to every engine: events at
         ``t >= horizon`` are not processed.
-    track_events:
-        Seed the shared :attr:`events` queue with covered organizations'
-        job releases (and accept completion pushes).  Pass ``False`` for
-        fleets driven by a per-engine loop or used purely as a value
-        oracle, where the queue would only accumulate unpopped entries.
     backend:
         ``"auto"`` (default) chooses the batched
         :class:`~repro.core.kernel.FleetKernel` when the construction-time
@@ -106,23 +100,17 @@ class CoalitionFleet:
         masks: Iterable[int] = (),
         *,
         horizon: int | None = None,
-        track_events: bool = True,
         backend: str = "auto",
     ) -> None:
         if backend not in ("auto", "engines", "kernel"):
             raise ValueError("backend must be 'auto', 'engines' or 'kernel'")
         self.workload = workload
         self.horizon = horizon
-        self._track_events = track_events
         self._engines: dict[int, ClusterEngine] = {}
         self._order: list[int] = []
         self._mask_set: set[int] = set()
         #: union of the registered masks (which orgs have any coalition)
         self._covered = 0
-        #: shared decision-time queue: job releases of covered orgs, plus
-        #: completion times of every start made through the fleet
-        self.events = EventQueue()
-        self._seeded_orgs: set[int] = set()
         # kernel-backend state
         self._use_kernel = False
         self._kernel_obj: FleetKernel | None = None
@@ -162,10 +150,7 @@ class CoalitionFleet:
             return None
         if self._kernel_stale or self._kernel_obj is None:
             self._kernel_obj = FleetKernel(
-                self.workload,
-                self._order,
-                self.horizon,
-                self.events if self._track_events else None,
+                self.workload, self._order, self.horizon
             )
             self._kernel_stale = False
         return self._kernel_obj
@@ -235,18 +220,16 @@ class CoalitionFleet:
     ) -> ClusterEngine:
         """Register a coalition (idempotent) and return its engine.
 
-        Release times of newly covered organizations are pushed into the
-        shared event queue.  ``engine`` adopts an externally built engine
-        (the online service constructs engines from its *dynamic* cluster
-        state -- machines added at runtime, coalitions formed mid-stream --
-        which the fleet's frozen ``workload`` cannot describe) instead of
-        simulating ``mask`` over ``self.workload`` from time zero.
+        ``engine`` adopts an externally built engine (the online service
+        constructs engines from its *dynamic* cluster state -- machines
+        added at runtime, coalitions formed mid-stream -- which the fleet's
+        frozen ``workload`` cannot describe) instead of simulating ``mask``
+        over ``self.workload`` from time zero.
         """
         if mask in self._mask_set:
             return self.engine(mask)
         if mask <= 0:
             raise ValueError("coalition mask must be a nonzero bitmask")
-        members = list(iter_members(mask))
         if self._constructing:
             # engine construction is deferred until the backend is chosen
             # at the end of __init__ (the kernel backend never builds them)
@@ -254,41 +237,31 @@ class CoalitionFleet:
                 raise ValueError(
                     "cannot adopt an external engine at construction"
                 )
-            self._register(mask, members)
+            self._register(mask)
             return None  # unused during construction
         if self._use_kernel:
             kern = self._kernel_obj
             if engine is None and (kern is None or not kern._used):
                 # pristine kernel: absorb the mask by (lazily) rebuilding
-                self._register(mask, members)
+                self._register(mask)
                 self._kernel_stale = True
                 return self.engine(mask)
             self.materialize("add_mask" if engine is None else "adopt_engine")
         eng = (
             engine
             if engine is not None
-            else ClusterEngine(self.workload, members, horizon=self.horizon)
+            else ClusterEngine(
+                self.workload, list(iter_members(mask)), horizon=self.horizon
+            )
         )
         self._engines[mask] = eng
-        self._register(mask, members)
+        self._register(mask)
         return eng
 
-    def _register(self, mask: int, members: "list[int]") -> None:
+    def _register(self, mask: int) -> None:
         self._order.append(mask)
         self._mask_set.add(mask)
         self._covered |= mask
-        self._seed_releases(members)
-
-    def _seed_releases(self, members: "list[int]") -> None:
-        if not self._track_events:
-            return
-        new_orgs = [u for u in members if u not in self._seeded_orgs]
-        if new_orgs:
-            self._seeded_orgs.update(new_orgs)
-            new_set = set(new_orgs)
-            for j in self.workload.jobs:
-                if j.org in new_set:
-                    self.events.push(j.release)
 
     def remove_mask(self, mask: int) -> ClusterEngine:
         """Deregister a coalition and return its (still valid) engine.
@@ -321,9 +294,9 @@ class CoalitionFleet:
         self._engines[mask] = engine
 
     def submit(self, job) -> None:
-        """Feed one job to every registered engine covering its owner and
-        push its release into the shared decision queue (online ingestion;
-        the batch path instead freezes streams at construction)."""
+        """Feed one job to every registered engine covering its owner
+        (online ingestion; the batch path instead freezes streams at
+        construction)."""
         bit = 1 << job.org
         if not self._covered & bit:
             raise ValueError(f"no registered coalition covers org {job.org}")
@@ -338,32 +311,22 @@ class CoalitionFleet:
             for mask in self._order:
                 if mask & bit:
                     self._engines[mask].submit(job)
-        if self._track_events:
-            self.events.push(job.release)
 
     # ------------------------------------------------------------------
     # event iteration
     # ------------------------------------------------------------------
-    def next_decision(self) -> int | None:
-        """Pop the next decision time from the shared queue (deduplicated),
-        or ``None`` when exhausted or at/after the horizon."""
-        t = self.events.pop()
-        if t is None:
-            return None
-        if self.horizon is not None and t >= self.horizon:
-            return None
-        return t
-
-    def peek_decision(self) -> int | None:
-        """The next decision time without consuming it (``None`` when
-        exhausted or at/after the horizon) -- how the online service bounds
-        event processing by its ingest clock."""
-        t = self.events.peek()
-        if t is None:
-            return None
-        if self.horizon is not None and t >= self.horizon:
-            return None
-        return t
+    def next_event_time(self) -> int | None:
+        """The next decision time: the earliest release or completion still
+        ahead in any coalition's simulation, or ``None`` when every one is
+        exhausted or at/after the horizon."""
+        if self._use_kernel:
+            return self.kernel.next_event_time()
+        times = [
+            t
+            for eng in self._engines.values()
+            if (t := eng.next_event_time()) is not None
+        ]
+        return min(times, default=None)
 
     # ------------------------------------------------------------------
     # lockstep advancement
@@ -403,18 +366,12 @@ class CoalitionFleet:
     def start_next(
         self, mask: int, org: int, machine: int | None = None
     ) -> ScheduledJob:
-        """Start ``org``'s FIFO-head job on coalition ``mask``'s cluster and
-        push the completion time into the shared event queue (when event
-        tracking is on)."""
+        """Start ``org``'s FIFO-head job on coalition ``mask``'s cluster."""
         if self._use_kernel:
             kern = self.kernel
             assert kern is not None
-            entry = kern.start_row(kern._row[mask], org, machine)
-        else:
-            entry = self._engines[mask].start_next(org, machine=machine)
-        if self._track_events:
-            self.events.push(entry.end)
-        return entry
+            return kern.start_row(kern._row[mask], org, machine)
+        return self._engines[mask].start_next(org, machine=machine)
 
     def fill_rows(
         self, rows: np.ndarray, keys: "np.ndarray | None", t: int

@@ -32,6 +32,10 @@ reproducing the per-engine selection loop (first-occurrence ``argmax`` is the
 lowest-id tie-break).  Only engines **touched** by an event (a completion, or
 a member organization's release) are filled, which is sound by the greedy
 invariant: an untouched engine has no new free-machine/waiting-job pair.
+Two cached scalars, the earliest running finish and the earliest pending
+release of an organization some row simulates, give
+:meth:`FleetKernel.next_event_time`: the owning fleet's next decision
+time, recorded nowhere else.
 
 Exactness: the kernel only engages when :func:`kernel_certified` proves from
 the workload that *no ledger scalar nor any query at an event time can
@@ -143,10 +147,6 @@ class FleetKernel:
         Optional stop time: greedy fills are suppressed at ``t >= horizon``
         (completions and releases still process, like
         :meth:`~repro.core.engine.ClusterEngine.advance_to`).
-    events:
-        The owning fleet's shared :class:`~repro.core.events.EventQueue`, or
-        ``None`` when the fleet does not track decision events; batched
-        starts push their completion times into it.
     """
 
     def __init__(
@@ -154,11 +154,9 @@ class FleetKernel:
         workload: Workload,
         masks: "Iterable[int]",
         horizon: "int | None" = None,
-        events=None,
     ) -> None:
         self.workload = workload
         self.horizon = horizon
-        self.events = events
         self.masks = list(masks)
         self.k = workload.n_orgs
         n = len(self.masks)
@@ -253,6 +251,8 @@ class FleetKernel:
             self._max_release = max(self._max_release, horizon)
 
         self._head_rel = np.full(k, _FAR, dtype=np.int64)
+        #: organizations some row simulates: only their releases are events
+        self._covered = self.member.any(axis=0)
         self._org_clip = np.maximum(
             self.org_start[1:] - self.org_start[:-1] - 1, 0
         )
@@ -265,12 +265,14 @@ class FleetKernel:
     def _refresh_head_rel(self) -> None:
         idx = np.minimum(self.org_start[:-1] + self.released, self.org_start[1:])
         have = self.org_start[:-1] + self.released < self.org_start[1:]
+        have &= self._covered
         self._head_rel = np.where(have, self.rel_flat[idx], _FAR)
         self._next_rel = int(self._head_rel.min()) if self.k else _FAR
 
     def next_event_time(self) -> "int | None":
-        """Next release or completion strictly tracking the engines' union
-        (``None`` when exhausted or at/after the horizon)."""
+        """Next release (of an organization some row simulates) or
+        completion in any row -- the union of the per-row engines' next
+        events (``None`` when exhausted or at/after the horizon)."""
         t = min(self._next_fin, self._next_rel)
         if t >= _FAR:
             return None
@@ -447,9 +449,6 @@ class FleetKernel:
         if nf < self._next_fin:
             self._next_fin = nf
         self._log_append(rows, mach, jidx * self.k + sel, t)
-        if self.events is not None:
-            for end in set(fins.tolist()):
-                self.events.push(end)
 
     def _log_append(self, rows, mach, job, t) -> None:
         b = len(rows)

@@ -17,10 +17,10 @@ schedule **bit for bit**, because
 * engines receive jobs through :meth:`~repro.core.engine.ClusterEngine.
   submit`, which keeps the stream in the same canonical order the batch
   constructor sorts into;
-* decision times flow through the same
-  :class:`~repro.core.events.EventQueue` (releases pushed at ingest,
-  completions pushed by starts) and are therefore popped in the same
-  deduplicated ascending order;
+* decision times follow the same rule: the next release or completion
+  in the policy's simulations (:meth:`~repro.core.engine.ClusterEngine.
+  next_event_time`, :meth:`~repro.core.fleet.CoalitionFleet.
+  next_event_time`), so they come in the same ascending order;
 * the per-event bodies are literally the batch ones
   (:meth:`repro.algorithms.ref.RefRun.step`,
   :meth:`repro.algorithms.rand.RandRun.step`,
@@ -82,9 +82,9 @@ class OnlinePolicy(ABC):
     """Event-granular policy driver bound to one :class:`ClusterService`.
 
     The service owns time: it asks :meth:`pending` for the next decision
-    time and calls :meth:`step` exactly once per popped time, in
-    ascending order.  Mutation hooks keep the policy's engines aligned
-    with the live census.
+    time and calls :meth:`step` once per decision time, in ascending
+    order.  Mutation hooks keep the policy's engines aligned with the
+    live census.
     """
 
     #: Batch display name (matches the equivalent batch scheduler's).
@@ -96,12 +96,9 @@ class OnlinePolicy(ABC):
 
     @abstractmethod
     def step(self, t: int) -> None:
-        """Process the decision round at time ``t``."""
-
-    @abstractmethod
-    def force_round(self, t: int) -> None:
-        """Run an out-of-band scheduling round at ``t`` (capacity or work
-        appeared *after* the round at ``t`` was already processed)."""
+        """Process the decision round at time ``t``; the service also runs
+        it out of band at its clock when capacity or work appeared *after*
+        that round was processed."""
 
     @abstractmethod
     def submit(self, job: Job) -> None:
@@ -175,9 +172,6 @@ class _SingleEnginePolicy(OnlinePolicy):
             self.scheduler.on_cluster_change(self.engine)
         self.scheduler.schedule_event(self.engine)
 
-    def force_round(self, t: int) -> None:
-        self.step(t)
-
     def _note_drain(self) -> None:
         """A removal may have hit busy machines; until the pool shrinks to
         the census's live count, every step re-derives pool state."""
@@ -233,39 +227,30 @@ class _SingleEnginePolicy(OnlinePolicy):
 
 class _FleetPolicy(OnlinePolicy):
     """Shared machinery for the fleet-driven policies (REF, RAND): the
-    decision queue lives on a :class:`CoalitionFleet` whose grand engine
-    is the physical cluster."""
+    decision times are those of a :class:`CoalitionFleet` whose grand
+    engine is the physical cluster."""
 
     def __init__(self, service: "ClusterService"):
         self.service = service
 
-    # the fleet carrying the decision queue (set by subclasses)
+    # the fleet whose simulations set the decision times, and the run
+    # (RefRun, RandRun, the ladder's AdaptiveRun) whose per-event body
+    # ``step`` is the policy's (set by subclasses)
     fleet: CoalitionFleet
     grand_mask: int
+    run: "RefRun | RandRun"
 
     def pending(self) -> "int | None":
-        return self.fleet.peek_decision()
+        return self.fleet.next_event_time()
 
     def step(self, t: int) -> None:
-        popped = self.fleet.next_decision()
-        if popped != t:
-            raise RuntimeError(
-                f"decision queue out of sync: popped {popped}, expected {t}"
-            )
-        self._round(t)
-
-    def force_round(self, t: int) -> None:
-        self._round(t)
+        self.run.step(t)
 
     def submit(self, job: Job) -> None:
         self.fleet.submit(job)
 
     def grand_engine(self) -> ClusterEngine:
         return self.fleet.engine(self.grand_mask)
-
-    @abstractmethod
-    def _round(self, t: int) -> None:
-        """The policy's per-event body."""
 
     # -- physical-engine mutation (shared by join/leave) ----------------
     def _grow_grand(self, org: int) -> ClusterEngine:
@@ -357,9 +342,6 @@ class _RefPolicy(_FleetPolicy):
             service.horizon,
         )
         self.fleet = self.run.fleet
-
-    def _round(self, t: int) -> None:
-        self.run.step(t)
 
     def backend_status(self) -> dict:
         """The fleet record plus what the fused REF body did with the
@@ -459,13 +441,10 @@ class _RandPolicy(_FleetPolicy):
             service.horizon,
             sampler=sampler,
             oracle_factory=lambda sampled: CoalitionFleet(
-                genesis, sampled, horizon=service.horizon, track_events=False
+                genesis, sampled, horizon=service.horizon
             ),
             fleet=carrier,
         )
-
-    def _round(self, t: int) -> None:
-        self.run.step(t)
 
     def submit(self, job: Job) -> None:
         self.fleet.submit(job)
@@ -527,10 +506,7 @@ class _RandPolicy(_FleetPolicy):
 
     def _epoch_oracle(self, sampled: "list[int]") -> CoalitionFleet:
         fleet = CoalitionFleet(
-            self.service.zero_workload(),
-            (),
-            horizon=self.service.horizon,
-            track_events=False,
+            self.service.zero_workload(), (), horizon=self.service.horizon
         )
         for mask in sampled:
             fleet.add_mask(mask, self.service.build_engine(mask))
@@ -708,7 +684,7 @@ class ClusterService:
     def _force_round(self) -> None:
         """Re-open the scheduling round at the current clock (capacity or
         work appeared after that round was processed)."""
-        self._policy.force_round(self.clock)
+        self._policy.step(self.clock)
         self.n_events += 1
 
     # ------------------------------------------------------------------

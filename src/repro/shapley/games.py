@@ -99,9 +99,7 @@ class SchedulingGame:
         # lazy: repro.algorithms imports repro.shapley
         from ..algorithms.greedy import fifo_select
 
-        fleet = CoalitionFleet(
-            self.workload, masks, horizon=self.t, track_events=False
-        )
+        fleet = CoalitionFleet(self.workload, masks, horizon=self.t)
         return fleet.values_at(self.t, select=fifo_select)
 
     def _compute(self, mask: int) -> int:

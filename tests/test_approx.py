@@ -618,8 +618,7 @@ class TestApproxGate:
         k, n = 8, 8
         wl = service_workload((1,) * k, 120, seed=3)
         fleet = CoalitionFleet(
-            wl, [m for m in iter_subsets((1 << k) - 1) if m],
-            track_events=False,
+            wl, [m for m in iter_subsets((1 << k) - 1) if m]
         )
         t = max(j.release for j in wl.jobs) // 2
         values = dict(fleet.values_at(t, select=fifo_select))

@@ -162,7 +162,7 @@ def test_kernel_row_fifo_head_is_the_reference_pick(seed, t):
     rng = np.random.default_rng(seed)
     wl = random_workload(rng, n_orgs=3, n_jobs=20, max_release=10)
     masks = [m for m in iter_subsets(0b111) if m]
-    fleet = CoalitionFleet(wl, masks, backend="kernel", track_events=False)
+    fleet = CoalitionFleet(wl, masks, backend="kernel")
     fleet.advance_all(t)  # releases without starts: queues build up
     for row, m in enumerate(fleet.masks):
         eng = fleet.kernel.materialize_row(row)
@@ -218,7 +218,7 @@ class TestOneRecordPerStart:
     def test_materialize_row(self):
         wl = self._workload(3)
         masks = [m for m in iter_subsets(0b111) if m]
-        fleet = CoalitionFleet(wl, masks, backend="kernel", track_events=False)
+        fleet = CoalitionFleet(wl, masks, backend="kernel")
         fleet.values_array(8, select=fifo_select)
         for row, m in enumerate(fleet.masks):
             eng = fleet.kernel.materialize_row(row)
@@ -263,7 +263,7 @@ def test_consumed_cpu_is_the_start_log_sum(seed, until):
     eng = ClusterEngine(wl)
     eng.drive(fifo_select, until=until)
     masks = [m for m in iter_subsets(0b111) if m]
-    fleet = CoalitionFleet(wl, masks, backend="kernel", track_events=False)
+    fleet = CoalitionFleet(wl, masks, backend="kernel")
     fleet.values_array(until, select=fifo_select)
     row = fleet.kernel.materialize_row(fleet.masks.index(0b111))
     for t in range(until + 8):  # past, present and future

@@ -245,6 +245,18 @@ class TestEngineValuePath:
             if fifo:
                 assert got == reference_values(full, masks, t, None), t
 
+        def check_next_event():
+            # the decision time: one kernel scalar, the engines fleet's
+            # minimum, and that minimum taken engine by engine here
+            ahead = [
+                t
+                for m in masks
+                if (t := ef.engine(m).next_event_time()) is not None
+            ]
+            nxt = min(ahead, default=None)
+            assert kf.next_event_time() == ef.next_event_time() == nxt
+
+        check_next_event()
         for t in times:
             while online and online[0].release <= t:  # never into the past
                 job = online.pop(0)
@@ -255,11 +267,14 @@ class TestEngineValuePath:
                 for m in masks:
                     for fleet in (ef, kf):
                         fill_capacity(fleet, m, keys)
+            check_next_event()
         for job in online:
             ef.submit(job)
             kf.submit(job)
+        check_next_event()
         for t in retro:
             check(t)
+            check_next_event()
         assert ef.kernel is None
         assert kf.kernel is not None, kf.materialize_reason
 

@@ -614,8 +614,8 @@ def stepped_ref(workload, backend, peek_after=None, horizon=None):
     """REF stepped one decision at a time over a frozen workload; after the
     ``peek_after``-th decision the caller looks 7 ticks ahead
     (``RefRun.values_at``), which advances the fleet past decisions it has
-    not scheduled yet -- every later ``step`` is then retrospective until
-    the decision clock catches up."""
+    not scheduled yet -- the next decision time is then the fleet's first
+    event after the look-ahead."""
     k = workload.n_orgs
     grand = (1 << k) - 1
     fleet = CoalitionFleet(
@@ -624,7 +624,7 @@ def stepped_ref(workload, backend, peek_after=None, horizon=None):
     run = RefRun(workload, tuple(range(k)), grand, horizon, fleet=fleet)
     peeked = None
     n = 0
-    while (t := fleet.next_decision()) is not None:
+    while (t := fleet.next_event_time()) is not None:
         run.step(t)
         n += 1
         if n == peek_after:
@@ -654,13 +654,11 @@ class TestRefBodiesAgree:
         ef, erun, _ = stepped_ref(wl, "engines")
         self._assert_same_logs(kf, ef)
         assert krun.ref_events == {
-            "forced": 15, "contested": 0, "retro": 0, "unsafe": 0, "guard": 0,
-            "engines": 0,
+            "forced": 15, "contested": 0, "unsafe": 0, "guard": 0, "engines": 0,
         }
         # engines: the other body, at every one of the 30 decision times
         assert erun.ref_events == {
-            "forced": 0, "contested": 0, "retro": 0, "unsafe": 0, "guard": 0,
-            "engines": 30,
+            "forced": 0, "contested": 0, "unsafe": 0, "guard": 0, "engines": 30,
         }
         with mock.patch.object(
             FleetKernel, "psis_matrix", side_effect=AssertionError
@@ -691,25 +689,52 @@ class TestRefBodiesAgree:
         self._assert_same_logs(kf, ef)
         assert len(kf.engine(31).schedule()) == 8
         assert krun.ref_events == {
-            "forced": 0, "contested": 4, "retro": 0, "unsafe": 0, "guard": 0,
-            "engines": 0,
+            "forced": 0, "contested": 4, "unsafe": 0, "guard": 0, "engines": 0,
         }
 
     @pytest.mark.parametrize("seed", range(5))
     def test_lookahead_mid_run_matches_engines(self, seed):
-        """Regression (failed 40/40 at the parent): the deleted
-        ``_on_event_kernel_groups`` served retrospective steps with
-        ``psis_matrix(t)`` from the *current* ledger; the per-coalition
-        body reads the start log through the engine views."""
+        """A look-ahead mid-run moves both fleets past decisions they have
+        not scheduled; both resume at their first event after it, and
+        agree on every value and start."""
         wl = random_workload(
             np.random.default_rng(seed), n_orgs=6, n_jobs=40, max_release=30
         )
-        kf, krun, k_peek = stepped_ref(wl, "kernel", peek_after=5)
+        kf, _, k_peek = stepped_ref(wl, "kernel", peek_after=5)
         ef, _, e_peek = stepped_ref(wl, "engines", peek_after=5)
-        assert krun.ref_events["retro"] > 0
         assert k_peek is not None and k_peek == e_peek
         assert kf.engine(63).schedule() == ef.engine(63).schedule()
         self._assert_same_logs(kf, ef)
+
+    def test_step_behind_the_kernel_clock_raises(self):
+        """Decision times come from the simulations, so no decision loop
+        steps REF into the past; a caller that does gets the kernel's
+        refusal, as a per-engine simulation refuses ``advance_to``
+        backwards."""
+        wl = make_workload([1] * 6, [(3 * i, i % 6, 2) for i in range(12)])
+        kf, krun, _ = stepped_ref(wl, "kernel")
+        assert kf.kernel.t > 0
+        with pytest.raises(ValueError, match="backwards"):
+            krun.step(kf.kernel.t - 1)
+
+    def test_non_member_release_is_no_decision_time(self):
+        """The kernel holds every organization's stream, but a release of
+        one no row simulates is no row's event: REF over six of seven
+        organizations stops at their last event on both backends (the
+        seventh's release at 50 would otherwise be the last one)."""
+        wl = make_workload(
+            [1] * 7, [(0, u, 2) for u in range(6)] + [(50, 6, 1)]
+        )
+        kf = CoalitionFleet(wl, all_masks(6), backend="kernel")
+        ef = CoalitionFleet(wl, all_masks(6), backend="engines")
+        assert kf.kernel is not None
+        kf.advance_all(0)
+        ef.advance_all(0)
+        assert kf.next_event_time() == ef.next_event_time() is None
+        result = RefScheduler(collect_contributions=True).run(
+            wl, members=range(6)
+        )
+        assert result.meta["contributions_time"] == 2
 
     @staticmethod
     def _scaled(workload, factor):
@@ -765,9 +790,7 @@ class TestRefBodiesAgree:
         # it: the guard bound grows with t, so each forced event served
         # after the first decline is one the guard would have refused
         seen = krun.ref_events
-        assert (seen["guard"], seen["retro"], seen["unsafe"]) == (
-            len(declined), 0, 0
-        )
+        assert (seen["guard"], seen["unsafe"]) == (len(declined), 0)
         assert forced_at and max(forced_at) > min(declined)
         ef, _, _ = stepped_ref(certified, "engines")
         assert kf.engine(grand).schedule() == ef.engine(grand).schedule()
@@ -1106,8 +1129,9 @@ def serve_ref(workload, backend, runs, check, peek=0):
     whole tie group, like the service's).  ``check(fleet, t)`` runs after
     every such advance.  After the ``peek``-th decision of the final drain
     the caller looks 7 ticks ahead (only there: a look-ahead moves the
-    fleet clock, and no job may be submitted into its past), which makes the
-    following steps retrospective; the values it read are returned."""
+    fleet clock, and no job may be submitted into its past), so the next
+    decision is the fleet's first event after it; the values it read are
+    returned."""
     k = workload.n_orgs
     empty = Workload(workload.organizations, ())
     fleet = CoalitionFleet(empty, all_masks(k), backend=backend)
@@ -1118,10 +1142,9 @@ def serve_ref(workload, backend, runs, check, peek=0):
     def advance(limit, peek=0):
         nonlocal peeked
         n = 0
-        while (t := fleet.peek_decision()) is not None and (
+        while (t := fleet.next_event_time()) is not None and (
             limit is None or t < limit
         ):
-            fleet.next_decision()
             run.step(t)
             check(fleet, t)
             n += 1
@@ -1155,8 +1178,7 @@ def test_online_kernel_ingest_equals_batch_and_engines(instance, vectorize):
         return check
 
     # both REF bodies, and both arithmetics of the per-coalition one: the
-    # fused array body on the kernel fleet (fill_rows; retrospective steps
-    # after a peek decline to the per-coalition body) with the solver's
+    # fused array body on the kernel fleet (fill_rows) with the solver's
     # matmul on the engines fleet, or exact small-k dicts on both (over
     # engine views on the kernel fleet)
     threshold = 0 if vectorize else 99

@@ -5,6 +5,8 @@ lockstep handling of instances with very different event counts."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.multiref import batchable, ref_results_batched
 from repro.algorithms.ref import RefScheduler
@@ -13,6 +15,8 @@ from repro.core.multikernel import MultiInstanceKernel, instance_bound
 from repro.core.kernel import KernelUnsafe, _QUERY_CAP
 from repro.core.organization import Organization
 from repro.core.workload import Workload
+
+from .conftest import make_workload
 
 
 def rand_workload(k, m_per, n_jobs, seed, max_rel=200, max_size=9):
@@ -43,14 +47,36 @@ def huge_workload(k=5):
     )
 
 
+@st.composite
+def ref_instances(draw):
+    """One REF instance: k = 2..6 organizations (k = 6, drawn twice as
+    often, puts the serial scheduler on the fleet kernel), a job stream with release ties and
+    zero gaps, and a horizon that may be ``None``."""
+    k = draw(st.sampled_from([2, 3, 4, 5, 6, 6]))
+    # at most one machine per organization keeps queues long, so most
+    # decision times are completions while work waits
+    machines = draw(
+        st.lists(st.integers(0, 1), min_size=k, max_size=k).filter(any)
+    )
+    n = draw(st.integers(0, 16))
+    gaps = draw(
+        st.lists(st.sampled_from([0, 0, 1, 3]), min_size=n, max_size=n)
+    )
+    orgs = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    releases = np.cumsum(gaps).tolist()
+    wl = make_workload(machines, list(zip(releases, orgs, sizes)))
+    horizon = draw(st.one_of(st.none(), st.integers(1, 30)))
+    return wl, horizon
+
+
 class TestBatchedRefBitIdentity:
-    def test_matches_serial_across_k_and_horizons(self):
-        items = [
-            (rand_workload(5, 3, 40, 1), 250),
-            (rand_workload(5, 2, 25, 2), None),  # run to exhaustion
-            (rand_workload(6, 2, 30, 3), 180),
-            (rand_workload(5, 4, 60, 4), 300),
-        ]
+    @settings(max_examples=60, deadline=None)
+    @given(items=st.lists(ref_instances(), min_size=1, max_size=4))
+    def test_matches_serial_on_generated_batches(self, items):
+        """The multi-instance kernel finds each instance's decision times
+        in its own sweep, so it is an oracle independent of the fleet's
+        next-event rule: every batched schedule equals the serial one."""
         results = ref_results_batched(items)
         for (wl, horizon), res in zip(items, results):
             assert res is not None

@@ -925,6 +925,26 @@ class TestDynamicMembership:
         # ...and the machine drained instead of rejoining the pool
         assert engine.n_machines == 1
 
+    @pytest.mark.parametrize("policy", ["ref", "rand", "ref_adaptive", "fifo"])
+    def test_withdrawn_release_is_no_decision_time(self, policy):
+        """A leaver's unreleased job is withdrawn from every simulation, so
+        its release is no decision time: the run, events counted, equals
+        one where the job was never submitted."""
+
+        def run(with_leaver_job):
+            svc = ClusterService([1, 1, 1], policy, seed=0)
+            svc.submit(0, 3, release=0)
+            svc.submit(1, 2, release=0)
+            if with_leaver_job:
+                svc.submit(2, 4, release=50)
+            svc.advance(10)
+            svc.leave_org(2)
+            svc.advance(100)
+            svc.drain()
+            return svc.status()["events_processed"], svc._digest()
+
+        assert run(True) == run(False)
+
     def test_joiner_machines_start_work_immediately(self):
         svc = ClusterService([1], "fifo")
         svc.submit(0, 4)
@@ -1260,9 +1280,7 @@ class TestDaemon:
         assert status["ingest"] == {"flushes": 6, "jobs_flushed": 6}
         # ISSUE 22: what the fused REF body did with its decision events
         seen = backend["ref_events"]
-        assert set(seen) == {
-            "forced", "contested", "retro", "unsafe", "guard", "engines"
-        }
+        assert set(seen) == {"forced", "contested", "unsafe", "guard", "engines"}
         assert seen["forced"] + seen["contested"] > 0
         json.dumps(status)
         svc.leave_org(5)

@@ -1,4 +1,4 @@
-"""Tests for metrics, the comparison runner and the event queue."""
+"""Tests for metrics and the comparison runner."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.algorithms import (
     RefScheduler,
     RoundRobinScheduler,
 )
-from repro.core.events import EventQueue
 from repro.sim.metrics import (
     avg_delay,
     manhattan,
@@ -19,31 +18,6 @@ from repro.sim.metrics import (
 from repro.sim.runner import compare_algorithms
 
 from .conftest import make_workload, random_workload
-
-
-class TestEventQueue:
-    def test_ordered_dedup(self):
-        q = EventQueue([5, 1, 5, 3])
-        q.push(1)
-        assert [q.pop(), q.pop(), q.pop(), q.pop()] == [1, 3, 5, None]
-
-    def test_stale_pushes_skipped(self):
-        q = EventQueue([2])
-        assert q.pop() == 2
-        q.push(1)  # before the current time: can't matter
-        q.push(2)
-        q.push(4)
-        assert q.pop() == 4
-
-    def test_peek(self):
-        q = EventQueue([3, 1])
-        assert q.peek() == 1
-        assert q.pop() == 1
-        assert q.peek() == 3
-        assert bool(q)
-        q.pop()
-        assert q.peek() is None
-        assert not q
 
 
 class TestMetrics:
