@@ -21,7 +21,10 @@ the machine actually running them:
   faster on 2 cores);
 * the RAND k=8, N=75 value oracle (188 sampled coalitions) must be no
   slower on the chosen (kernel) backend than on ``backend="engines"``
-  (4-4.6x faster).
+  (4-4.6x faster);
+* the RAND k=5, N=15 value oracle (26 sampled coalitions, the Table 1
+  configuration) must be no slower on the chosen (engines) backend than
+  on ``backend="kernel"`` (1.7-1.9x faster on 2 cores).
 
 All comparisons are measured back-to-back in-process (best-of-N), so the
 assertions are about the *dispatch decision*, not about absolute machine
@@ -128,35 +131,43 @@ def test_k8_kernel_dispatch_beats_forced_engines(benchmark, monkeypatch):
     )
 
 
-def _rand_oracle_seconds(workload, masks, times, backend: str) -> float:
+def _rand_oracle_seconds(
+    workload, masks, times, backend: str, on_kernel: bool
+) -> float:
     """Best-of-5 sweeps of the RAND value oracle in isolation: build the
     sampled prefix fleet, drive it to each decision time and read every
-    coalition value -- the per-event work ``RandRun`` asks of its oracle."""
+    coalition value -- the per-event work ``RandRun`` asks of its oracle
+    -- on whichever backend ``backend`` picks, which must be the one the
+    caller is timing."""
 
     def run():
         fleet = CoalitionFleet(workload, masks, backend=backend)
         for t in times:
             fleet.values_array(t, select=fifo_select)
-        assert (fleet.kernel is not None) == (backend == "auto")
+        assert (fleet.kernel is not None) == on_kernel
 
     run()
     return best_of(run)
 
 
+def _rand_oracle_masks(k: int, n_orderings: int) -> "list[int]":
+    orderings = sample_member_orderings(
+        np.arange(k), n_orderings, np.random.default_rng(0)
+    )
+    return sorted(m for m in SampledPrefixes(k, orderings).masks if m)
+
+
 def test_rand_k8_oracle_kernel_dispatch_beats_forced_engines(benchmark):
-    k, n_orderings = 8, 75
+    k = 8
     wl = random_workload(
         np.random.default_rng(8), n_orgs=k, n_jobs=8 * k, max_release=80,
         sizes=(1, 2, 5), machine_counts=[1] * k,
     )
-    orderings = sample_member_orderings(
-        np.arange(k), n_orderings, np.random.default_rng(0)
-    )
-    masks = sorted(m for m in SampledPrefixes(k, orderings).masks if m)
+    masks = _rand_oracle_masks(k, 75)
     assert len(masks) >= kernel_mod.KERNEL_MIN_ENGINES
     times = sorted({j.release for j in wl.jobs})
-    chosen = _rand_oracle_seconds(wl, masks, times, "auto")
-    forced = _rand_oracle_seconds(wl, masks, times, "engines")
+    chosen = _rand_oracle_seconds(wl, masks, times, "auto", True)
+    forced = _rand_oracle_seconds(wl, masks, times, "engines", False)
     benchmark.extra_info.update(
         {"kernel_s": chosen, "engines_s": forced, "masks": len(masks)}
     )
@@ -164,6 +175,27 @@ def test_rand_k8_oracle_kernel_dispatch_beats_forced_engines(benchmark):
     assert chosen <= forced * SLACK, (
         f"RAND k=8 N=75 oracle regressed below the per-engine fleet: "
         f"kernel {chosen:.4f}s vs engines {forced:.4f}s"
+    )
+
+
+def test_rand_k5_oracle_engines_dispatch_beats_forced_kernel(benchmark):
+    k = 5
+    wl = random_workload(
+        np.random.default_rng(5), n_orgs=k, n_jobs=200, max_release=400,
+        sizes=(1, 2, 5, 20), machine_counts=[3, 2, 1, 1, 1],
+    )
+    masks = _rand_oracle_masks(k, 15)
+    assert len(masks) < kernel_mod.KERNEL_MIN_ENGINES
+    times = sorted({j.release for j in wl.jobs})
+    chosen = _rand_oracle_seconds(wl, masks, times, "auto", False)
+    forced = _rand_oracle_seconds(wl, masks, times, "kernel", True)
+    benchmark.extra_info.update(
+        {"engines_s": chosen, "kernel_s": forced, "masks": len(masks)}
+    )
+    benchmark(lambda: None)
+    assert chosen <= forced * SLACK, (
+        f"RAND k=5 N=15 oracle is faster on the kernel than on its "
+        f"per-engine fleet: engines {chosen:.4f}s vs kernel {forced:.4f}s"
     )
 
 

@@ -23,7 +23,9 @@ Implementation notes: the sampled prefix coalitions
 (:class:`~repro.shapley.sampling.SampledPrefixes`, de-duplicated) live in a
 :class:`~repro.core.fleet.CoalitionFleet` serving as a pure value oracle --
 each engine runs its own greedy FIFO schedule, driven lazily to the grand
-coalition's decision times, and values are read batched from the fleet's
+coalition's *contested* decision times (two or more organizations wait;
+at a forced one the single waiting organization wins whatever the
+estimates say), and values are read batched from the fleet's
 vectorized ψ_sp ledger.  A second fleet-of-one carries the actual RAND
 schedule through the shared decision loop.  Contribution estimates are
 compared as exact integers scaled by ``N``
@@ -111,6 +113,9 @@ class RandRun:
             if fleet is not None
             else CoalitionFleet(workload, (grand_mask,), horizon=horizon)
         )
+        #: capable decision events by kind: ``forced`` (one organization
+        #: waits; the oracle is not valued) and ``contested`` (valued)
+        self.rand_events = {"forced": 0, "contested": 0}
 
     @property
     def grand(self):
@@ -131,12 +136,28 @@ class RandRun:
         grand = self.grand
         if grand.free_count == 0 or not grand.has_waiting():
             # keep the oracle engines lazily behind; they are only
-            # needed at decision times
+            # needed at contested decision times
             return
-        # contribution estimate scaled by N (exact integers); with the
-        # batched oracle the whole estimate is one int64 matrix-vector
-        # product over the coalition value vector, guarded like every other
-        # vectorized path (None -> exact big-int dict fallback)
+        waiting = grand.waiting_orgs()
+        if len(waiting) == 1:
+            # forced: fair_select ignores the keys of a lone waiting
+            # organization, so the oracle stays behind here too (its
+            # engines run their own greedy FIFO: driving them later is
+            # exact)
+            self.rand_events["forced"] += 1
+            keys = {waiting[0]: 0}
+        else:
+            self.rand_events["contested"] += 1
+            keys = self.keys(t)
+        fill_capacity(fleet, self.grand_mask, keys)
+
+    def keys(self, t: int) -> dict[int, int]:
+        """Every member's ``phi - psi`` at ``t``, scaled by ``N`` (exact
+        integers), driving the oracle to ``t``."""
+        # with the batched oracle the whole estimate is one int64
+        # matrix-vector product over the coalition value vector, guarded
+        # like every other vectorized path (None -> exact big-int dict
+        # fallback)
         phi_scaled = None
         arr = self.oracle.values_array(t, select=fifo_select)
         if arr is not None and self.oracle.masks == self._sampled_t:
@@ -147,12 +168,11 @@ class RandRun:
         if phi_scaled is None:
             values = self.oracle.values_at(t, select=fifo_select)
             phi_scaled = self.prefixes.estimate_scaled(values)
-        psis = grand.psis(t)
-        keys = {
+        psis = self.grand.psis(t)
+        return {
             u: phi_scaled[u] - self.n_orderings * psis[u]
             for u in self.members_t
         }
-        fill_capacity(fleet, self.grand_mask, keys)
 
 
 class RandScheduler(Scheduler):

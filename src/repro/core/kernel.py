@@ -86,11 +86,14 @@ __all__ = [
 ]
 
 #: Fleets with at least this many coalition engines dispatch to the kernel
-#: (below it the per-event numpy overhead exceeds the Python loops saved;
-#: a 31-engine fleet -- REF k=5, RAND k=5/N=75 -- is break-even or slightly
-#: slower, a 63-engine fleet ~1.6x faster, 255 engines ~4x; PR 16 read
-#: ``sweep_table1_k5`` at 19.0-19.9k ev/s here, 16.0-16.6k / 13.8-14.5k at
-#: 16 / 1, and ``benchmarks/bench_smallk.py`` guards the 255-engine side).
+#: (below it the per-event numpy overhead exceeds the Python loops saved).
+#: RAND's k=5/N=15 oracle (25-31 engines) is the Table 1 case: one
+#: ``sweep_table1_k5`` pipeline call takes 0.48 s at 48, 0.61-0.62 s at 24
+#: or 8 and 0.69 s at 1 (best of 3, 2 cores), and its oracle alone is
+#: 1.7-1.9x faster on engines; a 63-engine fleet is ~1.6x faster on the
+#: kernel, 255 engines ~4x.  ``benchmarks/bench_smallk.py`` guards both
+#: sides (the RAND k=5 oracle on engines, REF k=8 and the RAND k=8/N=75
+#: oracle on the kernel).
 KERNEL_MIN_ENGINES = 48
 
 #: Sentinel finish time for a free (or absent) machine slot.  Far beyond any

@@ -254,20 +254,26 @@ class MultiInstanceKernel:
         if not self.n_mach_max:
             return
         thr_row = thr[self.row_inst]
-        e, m = np.nonzero(self.finish <= thr_row[:, None])
-        if not e.size:
+        # flat slot / cell indices on reshape(-1) views, as in the
+        # single-instance kernel (the arrays are C-contiguous and owned
+        # here); cells repeat when two machines of a row finish one org's
+        # jobs at once, hence np.add.at
+        slot = np.flatnonzero(self.finish <= thr_row[:, None])
+        if not slot.size:
             return
-        starts = self.run_start[e, m]
-        sizes = self.finish[e, m] - starts
+        fin = self.finish.reshape(-1)
+        e = slot // self.n_mach_max
+        starts = self.run_start.reshape(-1)[slot]
+        sizes = fin[slot] - starts
         tri = sizes * starts + sizes * (sizes - 1) // 2
-        orgs = self.run_org[e, m]
-        np.add.at(self.done_units, (e, orgs), sizes)
-        np.add.at(self.done_wstart, (e, orgs), tri)
-        np.add.at(self.rcount, (e, orgs), -1)
-        np.add.at(self.rsum, (e, orgs), -starts)
-        np.add.at(self.rsq, (e, orgs), -(starts * starts))
-        self.finish[e, m] = _FAR
-        self.free[e, m] = True
+        cell = e * self.k_max + self.run_org.reshape(-1)[slot]
+        np.add.at(self.done_units.reshape(-1), cell, sizes)
+        np.add.at(self.done_wstart.reshape(-1), cell, tri)
+        np.add.at(self.rcount.reshape(-1), cell, -1)
+        np.add.at(self.rsum.reshape(-1), cell, -starts)
+        np.add.at(self.rsq.reshape(-1), cell, -(starts * starts))
+        fin[slot] = _FAR
+        self.free.reshape(-1)[slot] = True
         np.add.at(self.free_count, e, 1)
 
     def _release_upto(self, thr: np.ndarray) -> None:

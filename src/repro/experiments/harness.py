@@ -31,7 +31,7 @@ from ..core.workload import Workload
 from ..workloads.traces import make_trace
 from ..workloads.transforms import (
     assign_users_to_orgs,
-    build_workload,
+    build_window,
     machine_split,
 )
 
@@ -85,14 +85,18 @@ def assign_instance(
     machine_dist: str = "zipf",
     zipf_exponent: float = 1.0,
 ) -> Workload:
-    """Steps 3-4 of the protocol: user->org and machine->org assignment."""
+    """Steps 3-4 of the protocol: user->org and machine->org assignment.
+
+    Every user of the long trace is dealt (so the RNG draws do not depend
+    on the window); only the window's records are built into jobs."""
     users = [r.user for r in records]
     user_map = assign_users_to_orgs(users, n_orgs, rng)
     machines = machine_split(
         spec.n_machines, n_orgs, machine_dist, zipf_exponent
     )
-    full = build_workload(records, machines, user_map)
-    return full.window(t_start, t_start + duration)
+    return build_window(
+        records, machines, user_map, t_start, t_start + duration
+    )
 
 
 def sample_instance(

@@ -55,7 +55,7 @@ from ..workloads.swf import load_swf
 from ..workloads.traces import PAPER_TRACES
 from ..workloads.transforms import (
     build_swf_instance,
-    build_workload,
+    build_window,
     machine_split,
 )
 from .harness import assign_instance, sample_instance, sample_window
@@ -356,8 +356,9 @@ def federated_instance(
     machines = machine_split(
         k * fspec.machines_per_org, k, spec.machine_dist, spec.zipf_exponent
     )
-    full = build_workload(records, machines, user_map)
-    workload = full.window(t_start, t_start + spec.duration)
+    workload = build_window(
+        records, machines, user_map, t_start, t_start + spec.duration
+    )
     return workload, int(rng.integers(0, 2**31 - 1))
 
 
@@ -392,8 +393,9 @@ def scale_instance(
     machines = machine_split(
         k * fspec.machines_per_org, k, spec.machine_dist, spec.zipf_exponent
     )
-    full = build_workload(records, machines, user_map)
-    workload = full.window(t_start, t_start + spec.duration)
+    workload = build_window(
+        records, machines, user_map, t_start, t_start + spec.duration
+    )
     return workload, int(rng.integers(0, 2**31 - 1))
 
 

@@ -47,7 +47,7 @@ from ..algorithms.base import PolicyScheduler
 from ..algorithms.greedy import fifo_select
 from ..algorithms.rand import RandRun
 from ..algorithms.ref import RefRun
-from ..core.coalition import iter_members, popcount, subsets_by_size
+from ..core.coalition import iter_members, subsets_by_size
 from ..core.engine import ClusterEngine
 from ..core.fleet import CoalitionFleet
 from ..core.job import Job
@@ -450,6 +450,14 @@ class _RandPolicy(_FleetPolicy):
         self.fleet.submit(job)
         self.run.oracle.submit(job)
 
+    def backend_status(self) -> dict:
+        """The fleet record plus how many capable decision events were
+        forced or contested (``RandRun.rand_events``)."""
+        return {
+            **super().backend_status(),
+            "rand_events": dict(self.run.rand_events),
+        }
+
     def _fleets(self) -> "tuple[CoalitionFleet, ...]":
         return (self.fleet, self.run.oracle)
 
@@ -492,6 +500,7 @@ class _RandPolicy(_FleetPolicy):
 
     def _redraw(self) -> None:
         service = self.service
+        seen = self.run.rand_events
         self.run = RandRun(
             service.zero_workload(),
             service.census.members,
@@ -503,6 +512,7 @@ class _RandPolicy(_FleetPolicy):
             oracle_factory=self._epoch_oracle,
             fleet=self.fleet,
         )
+        self.run.rand_events = seen  # counts span membership epochs
 
     def _epoch_oracle(self, sampled: "list[int]") -> CoalitionFleet:
         fleet = CoalitionFleet(

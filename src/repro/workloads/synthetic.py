@@ -153,41 +153,33 @@ def generate_jobs(
         ).astype(np.int64)
 
     # sessions: split jobs into bursts, assign each burst a user and a
-    # diurnal start time, space jobs inside the burst by exponential gaps
-    jobs: list[SwfJob] = []
+    # diurnal start time, space jobs inside the burst by exponential gaps;
+    # rows are (submit, generation order, user), the order a unique key
+    sizes_l = sizes.tolist()
+    widths_l = widths.tolist()
+    last = spec.horizon - 1
+    rows: list[tuple[int, int, int]] = []
     i = 0
-    session_id = 0
     while i < n_jobs:
         burst = 1 + rng.geometric(1.0 / spec.session_jobs_mean)
         burst = min(burst, n_jobs - i)
         user = int(rng.integers(0, spec.n_users))
-        start = int(_diurnal_times(spec, 1, rng)[0])
-        t = start
-        for b in range(burst):
-            jobs.append(
-                SwfJob(
-                    job_id=i + b + 1,
-                    submit=min(t, spec.horizon - 1),
-                    run=int(sizes[i + b]),
-                    cpus=int(widths[i + b]),
-                    req_cpus=int(widths[i + b]),
-                    user=user,
-                )
-            )
+        t = int(_diurnal_times(spec, 1, rng)[0])
+        for b in range(i, i + burst):
+            rows.append((min(t, last), b, user))
             t += 1 + int(rng.exponential(spec.session_gap_mean))
         i += burst
-        session_id += 1
 
-    jobs.sort(key=lambda j: (j.submit, j.job_id))
-    # renumber in submit order (SWF convention)
+    rows.sort()
+    # numbered in submit order (SWF convention)
     return [
         SwfJob(
             job_id=n + 1,
-            submit=j.submit,
-            run=j.run,
-            cpus=j.cpus,
-            req_cpus=j.req_cpus,
-            user=j.user,
+            submit=submit,
+            run=sizes_l[b],
+            cpus=widths_l[b],
+            req_cpus=widths_l[b],
+            user=user,
         )
-        for n, j in enumerate(jobs)
+        for n, (submit, b, user) in enumerate(rows)
     ]

@@ -30,6 +30,7 @@ __all__ = [
     "zipf_machine_split",
     "uniform_machine_split",
     "build_workload",
+    "build_window",
     "machine_split",
     "build_swf_instance",
 ]
@@ -167,8 +168,7 @@ def build_swf_instance(
     t_start = lo + int(rng.integers(0, max(1, hi - lo - duration + 1)))
     user_map = assign_users_to_orgs([j.user for j in jobs], n_orgs, rng)
     machines = machine_split(n_machines, n_orgs, machine_dist, zipf_exponent)
-    full = build_workload(jobs, machines, user_map)
-    return full.window(t_start, t_start + duration)
+    return build_window(jobs, machines, user_map, t_start, t_start + duration)
 
 
 def build_workload(
@@ -192,6 +192,37 @@ def build_workload(
     sequentialize:
         Apply :func:`parallel_to_sequential` first (the paper's step 1).
     """
+    return _assemble(jobs, machine_counts, user_to_org, 0, sequentialize)
+
+
+def build_window(
+    jobs: Sequence[SwfJob],
+    machine_counts: Sequence[int],
+    user_to_org: dict[int, int],
+    start: int,
+    end: int,
+    *,
+    sequentialize: bool = True,
+) -> Workload:
+    """``build_workload(jobs, ...).window(start, end)``, building only the
+    jobs released in ``[start, end)``: the records are cut to the window
+    first, then assembled and re-based so time 0 = ``start``."""
+    if end < start:
+        raise ValueError("end must be >= start")
+    kept = [j for j in jobs if start <= max(0, j.submit) < end]
+    return _assemble(kept, machine_counts, user_to_org, start, sequentialize)
+
+
+def _assemble(
+    jobs: Sequence[SwfJob],
+    machine_counts: Sequence[int],
+    user_to_org: dict[int, int],
+    origin: int,
+    sequentialize: bool,
+) -> Workload:
+    """The jobs of ``jobs`` whose users are mapped, released at
+    ``max(0, submit) - origin`` and FIFO-indexed per organization in
+    ``(submit, job_id)`` order."""
     records = parallel_to_sequential(jobs) if sequentialize else list(jobs)
     n_orgs = len(machine_counts)
     orgs = [Organization(i, int(machine_counts[i])) for i in range(n_orgs)]
@@ -203,7 +234,7 @@ def build_workload(
         org = user_to_org[rec.user]
         out.append(
             Job(
-                release=max(0, rec.submit),
+                release=max(0, rec.submit) - origin,
                 org=org,
                 index=counters[org],
                 size=max(1, rec.run),

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.rand import RandScheduler
+from repro.algorithms.base import fill_capacity, members_mask
+from repro.algorithms.rand import RandRun, RandScheduler
 from repro.algorithms.ref import RefScheduler
+from repro.core.fleet import CoalitionFleet
 from repro.shapley.sampling import hoeffding_samples
 from repro.sim.metrics import unfairness
 
@@ -105,3 +107,84 @@ class TestFairness:
             RoundRobinScheduler(horizon=t_end).run(wl), ref, t_end
         )
         assert rand_gap <= rr_gap
+
+
+class ValuedAtEveryEvent(RandRun):
+    """RAND without the forced shortcut: the oracle is valued at every
+    decision event where the carrier can start a job, one waiting
+    organization or many."""
+
+    def _on_event(self, fleet, t):
+        fleet.advance_all(t)
+        grand = self.grand
+        if grand.free_count and grand.has_waiting():
+            fill_capacity(fleet, self.grand_mask, self.keys(t))
+
+
+@st.composite
+def rand_streams(draw):
+    """k = 1..6 organizations, release ties and zero gaps, at most one
+    machine per organization (long queues), an optional horizon."""
+    k = draw(st.integers(1, 6))
+    machines = draw(
+        st.lists(st.integers(0, 1), min_size=k, max_size=k).filter(any)
+    )
+    n = draw(st.integers(0, 24))
+    gaps = draw(st.lists(st.sampled_from([0, 0, 1, 3]), min_size=n, max_size=n))
+    orgs = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    wl = make_workload(
+        machines, list(zip(np.cumsum(gaps).tolist(), orgs, sizes))
+    )
+    horizon = draw(st.one_of(st.none(), st.integers(1, 40)))
+    return wl, horizon
+
+
+def _valued_run(wl, monkeypatch, run_cls=RandRun, horizon=None, seed=0):
+    """Drive one RAND run; returns it and how often its oracle was valued."""
+    calls = []
+    values_array = CoalitionFleet.values_array
+
+    def counted(fleet, t, **kw):
+        calls.append(t)
+        return values_array(fleet, t, **kw)
+
+    monkeypatch.setattr(CoalitionFleet, "values_array", counted)
+    members, grand = members_mask(wl, None)
+    run = run_cls(
+        wl, members, grand, 15, np.random.default_rng(seed), horizon
+    )
+    run.drive()
+    monkeypatch.undo()
+    return run, len(calls)
+
+
+class TestForcedEvents:
+    """A capable decision event where one organization waits is *forced*:
+    RAND starts its jobs without valuing the oracle."""
+
+    def test_rand_events_count_the_valuations(self, monkeypatch):
+        wl = random_workload(
+            np.random.default_rng(5), n_orgs=5, n_jobs=80, max_release=60,
+            machine_counts=[2, 1, 1, 1, 1],
+        )
+        run, valued = _valued_run(wl, monkeypatch)
+        seen = run.rand_events
+        assert seen["forced"] > 0 and seen["contested"] > 0
+        assert seen["contested"] == valued
+        eager, eager_valued = _valued_run(wl, monkeypatch, ValuedAtEveryEvent)
+        assert seen["forced"] + seen["contested"] == eager_valued
+        assert run.grand.schedule() == eager.grand.schedule()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=rand_streams(), seed=st.integers(0, 3))
+    def test_forced_shortcut_keeps_the_schedule(self, case, seed):
+        wl, horizon = case
+        members, grand = members_mask(wl, None)
+        runs = [
+            cls(wl, members, grand, 15, np.random.default_rng(seed), horizon)
+            for cls in (RandRun, ValuedAtEveryEvent)
+        ]
+        for run in runs:
+            run.drive()
+        assert runs[0].grand.schedule() == runs[1].grand.schedule()

@@ -1291,10 +1291,28 @@ class TestDaemon:
         assert svc._policy.fleet.materialize_reason == "remove_mask"
         assert backend["ref_events"] == seen  # counts outlive the epoch
         rand = ClusterService([1, 1, 1], "rand", seed=0)
-        assert set(rand.status()["policy_backend"]) == set(backend) - {
-            "ref_events"
-        }
+        assert set(rand.status()["policy_backend"]) == (
+            set(backend) - {"ref_events"} | {"rand_events"}
+        )
         assert ClusterService([1], "fifo").status()["policy_backend"] is None
+
+    def test_rand_events_count_capable_events_across_epochs(self):
+        """An online RAND service reports its forced / contested split,
+        and the counts outlive a membership change's redraw."""
+        svc = ClusterService([1, 1, 1], "rand", seed=0)
+        for tick in range(6):
+            svc.submit(0, 3, release=tick)
+            if tick % 2:
+                svc.submit(1, 2, release=tick)
+        svc.advance(6)
+        seen = svc.status()["policy_backend"]["rand_events"]
+        assert set(seen) == {"forced", "contested"}
+        assert seen["forced"] > 0 and seen["contested"] > 0
+        svc.leave_org(2)
+        assert svc.status()["policy_backend"]["rand_events"] == seen
+        svc.drain()
+        after = svc.status()["policy_backend"]["rand_events"]
+        assert sum(after.values()) > sum(seen.values())
 
     def test_ref_events_count_events_served_on_engines(self):
         """Regression: once a REF fleet left the kernel (a machine added

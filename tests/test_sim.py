@@ -1,6 +1,5 @@
 """Tests for metrics and the comparison runner."""
 
-import numpy as np
 import pytest
 
 from repro.algorithms import (

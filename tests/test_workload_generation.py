@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workloads.swf import SwfJob
 from repro.workloads.synthetic import SyntheticSpec, generate_jobs
@@ -12,6 +14,7 @@ from repro.workloads.traces import (
 )
 from repro.workloads.transforms import (
     assign_users_to_orgs,
+    build_window,
     build_workload,
     parallel_to_sequential,
     uniform_machine_split,
@@ -179,3 +182,56 @@ class TestTransforms:
         jobs = [SwfJob(job_id=1, submit=0, run=5, cpus=1, user=99)]
         wl = build_workload(jobs, [1], {10: 0})
         assert len(wl.jobs) == 0
+
+
+@st.composite
+def windowed_traces(draw):
+    """Records with parallel widths, negative and tied submits, users
+    missing from the map, and a window whose edges often sit on a
+    record's submit time (or hold nothing)."""
+    n = draw(st.integers(0, 14))
+    ids = draw(st.permutations(range(1, n + 1)))
+    records = [
+        SwfJob(
+            job_id=job_id,
+            submit=draw(st.integers(-2, 20)),
+            run=draw(st.integers(0, 6)),
+            cpus=draw(st.integers(1, 3)),
+            user=draw(st.integers(0, 5)),
+        )
+        for job_id in ids
+    ]
+    k = draw(st.integers(1, 3))
+    machines = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+    user_map = draw(
+        st.dictionaries(st.integers(0, 5), st.integers(0, k - 1))
+    )
+    edges = sorted({0, 25, *(max(0, r.submit) for r in records)})
+    start = draw(st.sampled_from(edges))
+    end = draw(st.sampled_from([e for e in edges if e >= start]))
+    return records, machines, user_map, start, end
+
+
+class TestBuildWindow:
+    @settings(max_examples=150, deadline=None)
+    @given(case=windowed_traces(), sequentialize=st.booleans())
+    def test_equals_build_then_window(self, case, sequentialize):
+        records, machines, user_map, start, end = case
+        full = build_workload(
+            records, machines, user_map, sequentialize=sequentialize
+        )
+        got = build_window(
+            records, machines, user_map, start, end,
+            sequentialize=sequentialize,
+        )
+        assert got == full.window(start, end)
+
+    def test_empty_window_keeps_the_organizations(self):
+        jobs = [SwfJob(job_id=1, submit=4, run=2, cpus=2, user=1)]
+        wl = build_window(jobs, [2, 1], {1: 0}, 4, 4)
+        assert len(wl.jobs) == 0
+        assert [o.machines for o in wl.organizations] == [2, 1]
+
+    def test_rejects_reversed_window(self):
+        with pytest.raises(ValueError):
+            build_window([], [1], {}, 5, 3)
