@@ -102,7 +102,10 @@ def ref_results_batched(
             capable = kern.capable_rows(act)
             if not capable.any():
                 continue
-            psis = kern.psis_rows()
+            # each row at its own instance clock (a column); int64-exact
+            # with no runtime guard: every clock is bounded by its
+            # instance's certified T_i
+            psis = kern.rec.psis(kern.t_inst[kern.row_inst][:, None])
             vals = psis.sum(axis=1)
             phi_full = np.zeros((kern.n, k), dtype=np.int64)
             for coef, vrows_b, krows_b, cols in plans_b:
@@ -120,7 +123,11 @@ def ref_results_batched(
                 algorithm="REF",
                 workload=wl,
                 members=members_t,
-                schedule=Schedule(kern.row_entries(grand_row)),
+                schedule=Schedule(
+                    kern.rec.row_entries(
+                        grand_row, kern.jobs_flat, kern.seg_start[b]
+                    )
+                ),
                 horizon=horizon,
                 meta={},
             )

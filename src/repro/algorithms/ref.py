@@ -352,23 +352,24 @@ class RefRun:
             seen["unsafe"] += 1
             return False
         # waiting organizations per row, zero where no machine is free
-        n_wait = np.count_nonzero(kern.started < kern.released, axis=1)
-        n_wait[kern.free_count <= 0] = 0
+        rec = kern.rec
+        n_wait = np.count_nonzero(rec.started < kern.released, axis=1)
+        n_wait[rec.free_count <= 0] = 0
         rows = np.flatnonzero(n_wait)
         if not rows.size:
             return True
         contested = n_wait > 1
         if not contested.any():
             seen["forced"] += 1
-            fleet.fill_rows(rows, None, t)
+            kern.fill_rows(rows, None, t)
             return True
         plan_groups, facts, max_rw, max_fact, group_of = self._kernel_plan(
             kern
         )
-        psis = kern.psis_matrix(t)
+        psis = rec.psis(t)
         # per-cell psi numerators are even (s·(s-2t-1) is always even), so
         # the cellwise //2 loses nothing and row sums are exactly the
-        # coalition values of values_i64
+        # coalition values (values_i64 is this sum)
         vals = psis.sum(axis=1)
         max_abs = int(np.abs(vals).max())
         psis_absmax = int(np.abs(psis).max())
@@ -387,7 +388,7 @@ class RefRun:
             phi = np.matmul(coef, vals[vrows][:, :, None])[:, :, 0]
             phi_full[krows[:, None], cols] = phi
         keys = phi_full - facts * psis
-        fleet.fill_rows(rows, keys[rows], t)
+        kern.fill_rows(rows, keys[rows], t)
         return True
 
     def values_at(self, t: int) -> dict[int, int]:

@@ -182,7 +182,8 @@ class CoalitionFleet:
         kernel, and how many starts its log(s) hold (JSON-friendly)."""
         if self._use_kernel:
             kern = self._kernel_obj
-            entries = 0 if kern is None or self._kernel_stale else kern._log_len
+            stale = kern is None or self._kernel_stale
+            entries = 0 if stale else kern.rec.log_len
         else:
             entries = sum(len(e._log) for e in self._engines.values())
         return {
@@ -372,19 +373,6 @@ class CoalitionFleet:
             assert kern is not None
             return kern.start_row(kern._row[mask], org, machine)
         return self._engines[mask].start_next(org, machine=machine)
-
-    def fill_rows(
-        self, rows: np.ndarray, keys: "np.ndarray | None", t: int
-    ) -> None:
-        """Kernel fast path for :func:`repro.algorithms.base.fill_capacity`
-        over many coalitions at once: batched greedy rounds starting the
-        ``argmax(keys)`` organization's FIFO-head job on every still-capable
-        row (ties: lowest org id; ``keys=None`` when no row has a choice).
-        Kernel backend only."""
-        kern = self.kernel
-        if kern is None:
-            raise RuntimeError("fill_rows requires the kernel backend")
-        kern.fill_rows(rows, keys, t)
 
     # ------------------------------------------------------------------
     # batched coalition values

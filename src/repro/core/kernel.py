@@ -5,24 +5,20 @@ one engine per subcoalition (up to ``2^k``), RAND one per sampled prefix
 coalition (up to ``N * k`` before deduplication).  Advancing each of them as a
 separate :class:`~repro.core.engine.ClusterEngine` costs a Python event loop
 per engine per decision time.  :class:`FleetKernel` replaces the whole family
-with one structure-of-arrays simulation advanced in **vectorized lockstep**:
+with one structure-of-arrays simulation advanced in **vectorized lockstep**.
 
-* ``(n_engines, n_machines)`` int64 matrices hold every engine's busy-until
-  times (``_FAR`` where free/absent), running-job owner and start -- the
-  flattened union of all the per-engine busy heaps;
-* ``(n_engines, n_orgs)`` int64 matrices generalize the engines' psi_sp value
-  ledgers: completed units / weighted starts and the running-job start
-  moments ``(count, Σs, Σs²)``, by job owner and by machine owner;
-* the job streams are shared: every engine sees the same canonical per-org
-  job arrays, so one *global* release pointer per organization plus a
-  per-(engine, org) started counter describe every engine's FIFO queues
-  (engine ``e`` waits on exactly the org-``u`` jobs in ``[started[e,u],
-  released[u])``);
-* one chronological start log holds ``(row, time, machine, job)`` per
-  start, the job as **(org, rank in the org's stream)**, never as a flat
-  position: ingest splices into an org's unreleased tail, past every
-  logged rank (``rank < started[e,u] <= released[u]``), so it never
-  touches the log; readers resolve ``org_start[org] + rank`` when asked.
+Every row's state is one :class:`RowRecord` of named arrays: the
+flattened busy heaps, the psi_sp ledgers, and a chronological start log
+that names each job by **(org, rank in the org's stream)**, never by flat
+position, so ingest (which splices into an org's unreleased tail, past
+every logged rank) never touches it.  The record owns every write to that
+state and the reads both kernels make of it.
+
+The job streams are shared, not per row: one *global* release pointer per
+organization plus the started counts describe every row's FIFO queues
+(row ``e`` waits on the org-``u`` jobs in ``[started[e,u], released[u])``).
+:meth:`FleetKernel._derive` rebuilds the kernel's caches from the record,
+the streams and the horizon.
 
 Lockstep invariant: all rows share one clock ``t``; completions and releases
 at times ``<= t`` are processed for every engine in a handful of scatter
@@ -57,9 +53,11 @@ the schedulers and the service read.
 One level up, :class:`~repro.core.multikernel.MultiInstanceKernel`
 (DESIGN.md §10) applies the same SoA trick *across problem instances*:
 the rows of many independent single-instance simulations advance in
-jagged lockstep with per-row clocks.  It shares this module's sentinels
-and the :func:`_overflow_bound` certification arithmetic (applied per
-instance there, since its rows never mix instances).
+jagged lockstep with per-row clocks.  It keeps its rows in a
+:class:`RowRecord` too (passing each row's clock where this kernel
+passes its one ``t``), and shares this module's sentinels and the
+:func:`_overflow_bound` certification arithmetic (applied per instance
+there, since its rows never mix instances).
 """
 
 from __future__ import annotations
@@ -135,6 +133,159 @@ def kernel_certified(workload: Workload, horizon: "int | None") -> bool:
     return _overflow_bound(total, rel, workload.n_machines) < _QUERY_CAP
 
 
+class RowRecord:
+    """The per-row simulation state both coalition kernels keep, and every
+    write to it (DESIGN.md §8.2).
+
+    ``member`` ``(n, k)`` and ``has_machine`` ``(n, M)`` fix what each row
+    simulates.  The row × machine slots (``free``, ``free_count``,
+    ``finish``, ``run_org``, ``run_start``) and the row × org ``started``
+    counts and psi_sp ledgers (``done_units``, ``done_wstart``, ``rcount``,
+    ``rsum``, ``rsq``) are the flattened engines.  ``started`` holds the
+    ``_FAR`` sentinel in non-member cells, so ``started < released`` alone
+    is the waiting predicate.  By-machine-owner aggregates are not kept:
+    they are exactly reconstructible from the start log, and the queries
+    that need them are rare while completions are the hot path.  The
+    chronological start log is four growing columns (``log_row``/
+    ``log_mach`` int32, ``log_start``/``log_job`` int64: 24 bytes per
+    start, which times every coalition row is most of a long run's
+    memory) with ``log_len`` live entries; a job is logged as
+    ``rank * k + org``.
+
+    A ``t`` below is one clock, or one clock per row as a column aligned
+    with the rows it touches (``(n, 1)`` for every row, ``(len(rows),)``
+    for :meth:`start`): numpy broadcasting serves both kernels.
+    """
+
+    def __init__(self, member: np.ndarray, has_machine: np.ndarray) -> None:
+        n, k = member.shape
+        shape = has_machine.shape
+        self.member = member
+        self.has_machine = has_machine
+        self.free = has_machine.copy()
+        self.free_count = self.free.sum(axis=1).astype(np.int64)
+        self.finish = np.full(shape, _FAR, dtype=np.int64)
+        self.run_org = np.zeros(shape, dtype=np.int64)
+        self.run_start = np.zeros(shape, dtype=np.int64)
+        self.started = np.zeros((n, k), dtype=np.int64)
+        self.started[~member] = _FAR
+        self.done_units = np.zeros((n, k), dtype=np.int64)
+        self.done_wstart = np.zeros((n, k), dtype=np.int64)
+        self.rcount = np.zeros((n, k), dtype=np.int64)
+        self.rsum = np.zeros((n, k), dtype=np.int64)
+        self.rsq = np.zeros((n, k), dtype=np.int64)
+        cap = 256
+        self.log_row = np.empty(cap, dtype=np.int32)
+        self.log_start = np.empty(cap, dtype=np.int64)
+        self.log_mach = np.empty(cap, dtype=np.int32)
+        self.log_job = np.empty(cap, dtype=np.int64)
+        self.log_len = 0
+
+    def complete(self, t) -> "np.ndarray | None":
+        """Complete every running job with finish ``<= t``: fold it into
+        its row's ledgers and free its slot.  Returns the rows of the
+        completed slots (``None`` when nothing finished)."""
+        # flat slot / cell indices on reshape(-1) views (the arrays are
+        # C-contiguous and owned here); two machines of a row can finish
+        # the same org's jobs at one t, so cells repeat: np.add.at
+        slot = np.flatnonzero(self.finish <= t)
+        if not slot.size:
+            return None
+        fin = self.finish.reshape(-1)
+        e = slot // self.finish.shape[1]
+        starts = self.run_start.reshape(-1)[slot]
+        sizes = fin[slot] - starts
+        tri = sizes * starts + sizes * (sizes - 1) // 2
+        cell = e * self.started.shape[1] + self.run_org.reshape(-1)[slot]
+        np.add.at(self.done_units.reshape(-1), cell, sizes)
+        np.add.at(self.done_wstart.reshape(-1), cell, tri)
+        np.add.at(self.rcount.reshape(-1), cell, -1)
+        np.add.at(self.rsum.reshape(-1), cell, -starts)
+        np.add.at(self.rsq.reshape(-1), cell, -(starts * starts))
+        fin[slot] = _FAR
+        self.free.reshape(-1)[slot] = True
+        np.add.at(self.free_count, e, 1)
+        return e
+
+    def start(self, rows, sel, t, first, size_flat, mach=None) -> np.ndarray:
+        """Start org ``sel[i]``'s FIFO-head job on row ``rows[i]`` at
+        ``t``, on machine ``mach[i]`` (default: the row's lowest free
+        one), for all ``i`` at once; returns the finish times.
+        ``first[i]`` is the flat position of that org's first job in
+        ``size_flat``.  ``rows`` are distinct, so the flat cell
+        ``row*k + org`` and slot ``row*M + machine`` indices never repeat
+        and plain in-place updates are exact."""
+        k = self.started.shape[1]
+        cell = rows * k + sel
+        started = self.started.reshape(-1)
+        jidx = started[cell]
+        fins = t + size_flat[first + jidx]
+        if mach is None:
+            mach = self.free[rows].argmax(axis=1)  # first True == lowest id
+        slot = rows * self.finish.shape[1] + mach
+        self.finish.reshape(-1)[slot] = fins
+        self.run_org.reshape(-1)[slot] = sel
+        self.run_start.reshape(-1)[slot] = t
+        self.free.reshape(-1)[slot] = False
+        self.free_count[rows] -= 1
+        started[cell] = jidx + 1
+        self.rcount.reshape(-1)[cell] += 1
+        self.rsum.reshape(-1)[cell] += t
+        self.rsq.reshape(-1)[cell] += t * t
+        self._log_append(rows, mach, jidx * k + sel, t)
+        return fins
+
+    def _log_append(self, rows, mach, job, t) -> None:
+        need = self.log_len + len(rows)
+        if need > len(self.log_row):
+            cap = max(need, 2 * len(self.log_row))
+            for name in ("log_row", "log_start", "log_mach", "log_job"):
+                old = getattr(self, name)
+                new = np.empty(cap, dtype=old.dtype)
+                new[: self.log_len] = old[: self.log_len]
+                setattr(self, name, new)
+        s = slice(self.log_len, need)
+        self.log_row[s] = rows
+        self.log_start[s] = t
+        self.log_mach[s] = mach
+        self.log_job[s] = job
+        self.log_len = need
+
+    def psis(self, t) -> np.ndarray:
+        """Per-(row, org) psi_sp at ``t`` as int64 (the caller certifies
+        the arithmetic).  Each cell's numerator is even, so the cellwise
+        ``//2`` is exact and row sums are the coalition values."""
+        return (
+            self.done_units * t
+            - self.done_wstart
+            + (
+                self.rcount * (t * t + t)
+                - self.rsum * (2 * t + 1)
+                + self.rsq
+            )
+            // 2
+        )
+
+    def log_flat(self, idx, first) -> np.ndarray:
+        """Flat stream positions of the log entries ``idx``, ``first[org]``
+        being the flat position of each org's first job."""
+        rank, org = np.divmod(self.log_job[idx], self.started.shape[1])
+        return first[org] + rank
+
+    def row_entries(self, row: int, jobs, first) -> "list[ScheduledJob]":
+        """Row ``row``'s starts in chronological order, each job resolved
+        in ``jobs`` through :meth:`log_flat`."""
+        idx = np.flatnonzero(self.log_row[: self.log_len] == row)
+        return [
+            ScheduledJob(start, mach, jobs[flat])
+            for start, mach, flat in zip(
+                self.log_start[idx].tolist(),
+                self.log_mach[idx].tolist(),
+                self.log_flat(idx, first).tolist(),
+            )
+        ]
+
+
 class FleetKernel:
     """Structure-of-arrays lockstep simulation of one fleet of coalition
     engines over a frozen (but online-extensible) workload.
@@ -161,37 +312,25 @@ class FleetKernel:
         self.workload = workload
         self.horizon = horizon
         self.masks = list(masks)
-        self.k = workload.n_orgs
-        n = len(self.masks)
-        self.n = n
-        k = self.k
+        self.k = k = workload.n_orgs
+        self.n = n = len(self.masks)
         self._row = {m: i for i, m in enumerate(self.masks)}
         # masks stay Python ints, so any k fits: unpack their bytes
         width = (k + 7) // 8
         raw = b"".join(m.to_bytes(width, "little") for m in self.masks)
-        self.member = np.unpackbits(
+        member = np.unpackbits(
             np.frombuffer(raw, dtype=np.uint8).reshape(n, width),
             axis=1,
             count=k,
             bitorder="little",
         ).astype(bool)
-
-        # --- machines (canonical global ids) --------------------------------
+        # machines: canonical global ids
         owners: list[int] = []
         for org in workload.organizations:
             owners.extend([org.id] * org.machines)
         self.machine_org = np.array(owners, dtype=np.int64)
         self.n_mach = len(owners)
-        self.has_machine = (
-            self.member[:, self.machine_org]
-            if self.n_mach
-            else np.zeros((n, 0), dtype=bool)
-        )
-        self.free = self.has_machine.copy()
-        self.free_count = self.free.sum(axis=1).astype(np.int64)
-        self.finish = np.full((n, self.n_mach), _FAR, dtype=np.int64)
-        self.run_org = np.zeros((n, self.n_mach), dtype=np.int64)
-        self.run_start = np.zeros((n, self.n_mach), dtype=np.int64)
+        self.rec = RowRecord(member, member[:, self.machine_org])
 
         # --- shared job streams (canonical per-org order) -------------------
         per_org: list[list[Job]] = [[] for _ in range(k)]
@@ -203,64 +342,34 @@ class FleetKernel:
         np.cumsum(counts, out=self.org_start[1:])
         # one trailing sentinel pads the flat arrays so clipped gathers of an
         # exhausted / empty organization stay in bounds (never selected)
-        self.rel_flat = np.fromiter(
-            (j.release for j in self.jobs_flat),
-            dtype=np.int64,
-            count=len(self.jobs_flat),
+        self.rel_flat = np.array(
+            [j.release for j in self.jobs_flat] + [_FAR], dtype=np.int64
         )
-        self.size_flat = np.fromiter(
-            (j.size for j in self.jobs_flat),
-            dtype=np.int64,
-            count=len(self.jobs_flat),
+        self.size_flat = np.array(
+            [j.size for j in self.jobs_flat] + [1], dtype=np.int64
         )
-        self.rel_flat = np.append(self.rel_flat, _FAR)
-        self.size_flat = np.append(self.size_flat, 1)
-
         #: global per-org released-job counts (shared by every row)
         self.released = np.zeros(k, dtype=np.int64)
-        #: per-(row, org) started-job counts; row e's FIFO queue for org u is
-        #: the canonical org-u jobs in [started[e,u], released[u]).  Non-member
-        #: cells hold the _FAR sentinel so ``started < released`` alone is the
-        #: waiting predicate (no separate member mask in the hot loops).
-        self.started = np.zeros((n, k), dtype=np.int64)
-        self.started[~self.member] = _FAR
-
-        # --- psi_sp ledgers ((n_engines, n_orgs) int64, certified exact) ---
-        # by-machine-owner aggregates are *not* kept hot: they are exactly
-        # reconstructible from the start log (DIRECTCONTR-style queries and
-        # materialization are rare; completions are the hot path)
-        self.done_units = np.zeros((n, k), dtype=np.int64)
-        self.done_wstart = np.zeros((n, k), dtype=np.int64)
-        self.rcount = np.zeros((n, k), dtype=np.int64)
-        self.rsum = np.zeros((n, k), dtype=np.int64)
-        self.rsq = np.zeros((n, k), dtype=np.int64)
-
-        # --- global chronological start log (SoA, grown geometrically) -----
-        # _log_job packs the job identity as rank * k + org; 24 bytes per
-        # start, times every coalition row, is most of a long run's memory
-        cap = 256
-        self._log_row = np.empty(cap, dtype=np.int32)
-        self._log_start = np.empty(cap, dtype=np.int64)
-        self._log_mach = np.empty(cap, dtype=np.int32)
-        self._log_job = np.empty(cap, dtype=np.int64)
-        self._log_len = 0
-
         self.t = 0
         self._used = False
-        # running certification inputs (extended by submit)
-        self._total_units = int(self.size_flat[:-1].sum())
-        self._max_release = int(self.rel_flat[:-1].max()) if len(self.jobs_flat) else 0
-        if horizon is not None:
-            self._max_release = max(self._max_release, horizon)
+        self._derive()
 
-        self._head_rel = np.full(k, _FAR, dtype=np.int64)
+    def _derive(self) -> None:
+        """Rebuild every cache from the record, the streams and the
+        horizon.  Construction calls it; the hot paths patch the same
+        caches incrementally (start, complete, release, submit)."""
+        rec = self.rec
+        rec.free_count = rec.free.sum(axis=1).astype(np.int64)
+        self._next_fin = int(rec.finish.min(initial=_FAR))
         #: organizations some row simulates: only their releases are events
-        self._covered = self.member.any(axis=0)
-        self._org_clip = np.maximum(
-            self.org_start[1:] - self.org_start[:-1] - 1, 0
-        )
+        self._covered = rec.member.any(axis=0)
+        self._org_clip = np.maximum(np.diff(self.org_start) - 1, 0)
+        # certification inputs (extended by submit)
+        self._total_units = int(self.size_flat[:-1].sum())
+        self._max_release = int(self.rel_flat[:-1].max(initial=0))
+        if self.horizon is not None:
+            self._max_release = max(self._max_release, self.horizon)
         self._refresh_head_rel()
-        self._next_fin = _FAR
 
     # ------------------------------------------------------------------
     # event bookkeeping
@@ -270,7 +379,7 @@ class FleetKernel:
         have = self.org_start[:-1] + self.released < self.org_start[1:]
         have &= self._covered
         self._head_rel = np.where(have, self.rel_flat[idx], _FAR)
-        self._next_rel = int(self._head_rel.min()) if self.k else _FAR
+        self._next_rel = int(self._head_rel.min(initial=_FAR))
 
     def next_event_time(self) -> "int | None":
         """Next release (of an organization some row simulates) or
@@ -291,27 +400,8 @@ class FleetKernel:
         indices that completed something (or ``None`` when none did)."""
         if self._next_fin > t:
             return None
-        # flat slot / cell indices on reshape(-1) views (the arrays are
-        # C-contiguous and owned here); two machines of a row can finish
-        # the same org's jobs at one t, so cells repeat: np.add.at
-        fin = self.finish.reshape(-1)
-        slot = np.flatnonzero(fin <= t)
-        if not slot.size:
-            return None
-        e = slot // self.n_mach
-        starts = self.run_start.reshape(-1)[slot]
-        sizes = fin[slot] - starts
-        tri = sizes * starts + sizes * (sizes - 1) // 2
-        cell = e * self.k + self.run_org.reshape(-1)[slot]
-        np.add.at(self.done_units.reshape(-1), cell, sizes)
-        np.add.at(self.done_wstart.reshape(-1), cell, tri)
-        np.add.at(self.rcount.reshape(-1), cell, -1)
-        np.add.at(self.rsum.reshape(-1), cell, -starts)
-        np.add.at(self.rsq.reshape(-1), cell, -(starts * starts))
-        fin[slot] = _FAR
-        self.free.reshape(-1)[slot] = True
-        np.add.at(self.free_count, e, 1)
-        self._next_fin = int(fin.min()) if fin.size else _FAR
+        e = self.rec.complete(t)
+        self._next_fin = int(self.rec.finish.min(initial=_FAR))
         return e
 
     def _release_upto(self, t: int) -> "np.ndarray | None":
@@ -348,6 +438,7 @@ class FleetKernel:
         if until < self.t:
             raise ValueError(f"cannot advance backwards ({self.t} -> {until})")
         self._used = True
+        rec = self.rec
         while True:
             tn = min(self._next_fin, self._next_rel)
             if tn > until or tn >= _FAR:
@@ -361,24 +452,25 @@ class FleetKernel:
             if comp_rows is not None:
                 touched[comp_rows] = True
             if rel_orgs is not None and rel_orgs.size:
-                touched |= self.member[:, rel_orgs].any(axis=1)
-            rows = np.flatnonzero(touched & (self.free_count > 0))
+                touched |= rec.member[:, rel_orgs].any(axis=1)
+            rows = np.flatnonzero(touched & (rec.free_count > 0))
             self._fill_fifo(rows, tn)
         self.t = until
 
     def _fill_fifo(self, rows: np.ndarray, t: int) -> None:
         """Batched greedy-FIFO rounds: start the (earliest head release,
         lowest org) job on every still-capable row until none remains."""
+        rec = self.rec
         while rows.size:
-            wait = self.started[rows] < self.released
-            cap = (self.free_count[rows] > 0) & wait.any(axis=1)
+            wait = rec.started[rows] < self.released
+            cap = (rec.free_count[rows] > 0) & wait.any(axis=1)
             if not cap.all():
                 rows = rows[cap]
                 if not rows.size:
                     return
                 wait = wait[cap]
             idx = self.org_start[:-1] + np.minimum(
-                self.started[rows], self._org_clip
+                rec.started[rows], self._org_clip
             )
             hr = np.where(wait, self.rel_flat[idx], _FAR)
             sel = hr.argmin(axis=1)  # first min == lowest org id tie-break
@@ -403,10 +495,10 @@ class FleetKernel:
         self._used = True
         if keys is not None:
             keys = np.asarray(keys, dtype=np.int64)
-        wcount = self.released - self.started[rows]  # non-member cells << 0
+        wcount = self.released - self.rec.started[rows]  # non-members << 0
         wait = wcount > 0
         left = np.minimum(
-            self.free_count[rows], wcount.sum(axis=1, where=wait)
+            self.rec.free_count[rows], wcount.sum(axis=1, where=wait)
         )
         while True:
             live = left > 0
@@ -428,93 +520,41 @@ class FleetKernel:
             wcount[np.arange(len(rows)), sel] -= 1
             wait = wcount > 0
 
-    def _start_batch(self, rows: np.ndarray, sel: np.ndarray, t: int) -> None:
-        """Start org ``sel[i]``'s FIFO-head job on row ``rows[i]``'s lowest
-        free machine, for all ``i`` at once (``rows`` are distinct, so the
-        flat cell ``rows*k + org`` and slot ``rows*n_mach + mach`` indices
-        never repeat and plain in-place updates are exact)."""
-        cell = rows * self.k + sel
-        started = self.started.reshape(-1)
-        jidx = started[cell]
-        fins = t + self.size_flat[self.org_start[sel] + jidx]
-        mach = self.free[rows].argmax(axis=1)  # first True == lowest free id
-        slot = rows * self.n_mach + mach
-        self.finish.reshape(-1)[slot] = fins
-        self.run_org.reshape(-1)[slot] = sel
-        self.run_start.reshape(-1)[slot] = t
-        self.free.reshape(-1)[slot] = False
-        self.free_count[rows] -= 1
-        started[cell] = jidx + 1
-        self.rcount.reshape(-1)[cell] += 1
-        self.rsum.reshape(-1)[cell] += t
-        self.rsq.reshape(-1)[cell] += t * t
+    def _start_batch(self, rows, sel, t: int, mach=None) -> None:
+        """:meth:`RowRecord.start` on this kernel's streams, lowering the
+        cached next finish."""
+        fins = self.rec.start(
+            rows, sel, t, self.org_start[sel], self.size_flat, mach
+        )
         nf = int(fins.min())
         if nf < self._next_fin:
             self._next_fin = nf
-        self._log_append(rows, mach, jidx * self.k + sel, t)
-
-    def _log_append(self, rows, mach, job, t) -> None:
-        b = len(rows)
-        need = self._log_len + b
-        if need > len(self._log_row):
-            cap = max(need, 2 * len(self._log_row))
-            for name in ("_log_row", "_log_start", "_log_mach", "_log_job"):
-                old = getattr(self, name)
-                new = np.empty(cap, dtype=old.dtype)
-                new[: self._log_len] = old[: self._log_len]
-                setattr(self, name, new)
-        s = slice(self._log_len, need)
-        self._log_row[s] = rows
-        self._log_start[s] = t
-        self._log_mach[s] = mach
-        self._log_job[s] = job
-        self._log_len = need
-
-    def _log_flat(self, idx) -> np.ndarray:
-        """Current flat stream positions of the log entries ``idx``."""
-        rank, org = np.divmod(self._log_job[idx], self.k)
-        return self.org_start[org] + rank
 
     # ------------------------------------------------------------------
     # single-row actions (the per-engine API surface)
     # ------------------------------------------------------------------
     def start_row(
-        self, row: int, org: int, machine: "int | None" = None, *, t=None
+        self, row: int, org: int, machine: "int | None" = None
     ) -> ScheduledJob:
         """Start ``org``'s FIFO-head job on one row (explicit or lowest-id
         free machine) -- the kernel's ``engine.start_next``."""
         self._used = True
-        t = self.t if t is None else t
+        rec, t = self.rec, self.t
         if not (
             0 <= org < self.k
-            and self.member[row, org]
-            and self.started[row, org] < self.released[org]
+            and rec.member[row, org]
+            and rec.started[row, org] < self.released[org]
         ):
             raise ValueError(f"org {org} has no waiting job at t={t}")
-        if self.free_count[row] <= 0:
+        if rec.free_count[row] <= 0:
             raise ValueError(f"no free machine at t={t}")
         if machine is None:
-            machine = int(self.free[row].argmax())
-        elif not (0 <= machine < self.n_mach and self.free[row, machine]):
+            machine = int(rec.free[row].argmax())
+        elif not (0 <= machine < self.n_mach and rec.free[row, machine]):
             raise ValueError(f"machine {machine} is not free at t={t}")
-        rank = int(self.started[row, org])
-        job = self.jobs_flat[int(self.org_start[org]) + rank]
-        self.finish[row, machine] = t + job.size
-        self.run_org[row, machine] = org
-        self.run_start[row, machine] = t
-        self.free[row, machine] = False
-        self.free_count[row] -= 1
-        self.started[row, org] += 1
-        self.rcount[row, org] += 1
-        self.rsum[row, org] += t
-        self.rsq[row, org] += t * t
-        if t + job.size < self._next_fin:
-            self._next_fin = t + job.size
-        self._log_append(
-            np.array([row], dtype=np.int64),
-            np.array([machine], dtype=np.int64),
-            np.array([rank * self.k + org], dtype=np.int64),
-            t,
+        job = self.jobs_flat[int(self.org_start[org] + rec.started[row, org])]
+        self._start_batch(
+            np.array([row]), np.array([org]), t, np.array([machine])
         )
         return ScheduledJob(t, machine, job)
 
@@ -553,9 +593,7 @@ class FleetKernel:
         self.org_start[u + 1 :] += 1
         self._total_units = total
         self._max_release = rel
-        self._org_clip = np.maximum(
-            self.org_start[1:] - self.org_start[:-1] - 1, 0
-        )
+        self._org_clip[u] = self.org_start[u + 1] - self.org_start[u] - 1
         self._refresh_head_rel()
 
     # ------------------------------------------------------------------
@@ -580,85 +618,40 @@ class FleetKernel:
         )
         return bound < _QUERY_CAP
 
-    def _ledger_rows(self):
-        """Row totals of the five value aggregates (int64 vectors)."""
-        return (
-            self.done_units.sum(axis=1),
-            self.done_wstart.sum(axis=1),
-            self.rcount.sum(axis=1),
-            self.rsum.sum(axis=1),
-            self.rsq.sum(axis=1),
-        )
-
     def values_i64(self, t: int) -> "np.ndarray | None":
         """All row values at ``t`` (``t >= self.t``) as int64, or ``None``
         when the per-query overflow guard cannot certify the evaluation."""
         if not self._query_safe(t):
             return None
-        units, wstart, rc, rs, rq = self._ledger_rows()
-        return units * t - wstart + (rc * (t * t + t) - rs * (2 * t + 1) + rq) // 2
+        return self.rec.psis(t).sum(axis=1)
 
     def values_exact(self, t: int) -> "list[int]":
         """All row values at ``t >= self.t`` in exact Python ints (the
         overflow fallback; the int64 ledgers are exact by certification)."""
-        units, wstart, rc, rs, rq = (
-            col.tolist() for col in self._ledger_rows()
-        )
-        tt = t * t + t
-        return [
-            u * t - w + (c * tt - s * (2 * t + 1) + q) // 2
-            for u, w, c, s, q in zip(units, wstart, rc, rs, rq)
-        ]
+        return [sum(self.row_psis(row, t)) for row in range(self.n)]
 
     def values_retro(self, t: int) -> "np.ndarray":
         """All row values at a *past* time ``t < self.t``, re-derived from
         the chronological start log (int64-safe: ``t`` precedes certified
         event times)."""
-        n = self._log_len
+        rec = self.rec
+        n = rec.log_len
         out = np.zeros(self.n, dtype=np.int64)
         if not n:
             return out
-        starts = self._log_start[:n]
-        sizes = self.size_flat[self._log_flat(slice(n))]
+        starts = rec.log_start[:n]
+        sizes = self.size_flat[rec.log_flat(slice(n), self.org_start)]
         c = np.clip(t - starts, 0, sizes)
         vals = c * (t - starts) - c * (c - 1) // 2
-        np.add.at(out, self._log_row[:n], vals)
+        np.add.at(out, rec.log_row[:n], vals)
         return out
-
-    def psis_matrix(self, t: int) -> "np.ndarray | None":
-        """Per-(row, org) psi_sp at ``t >= self.t`` as int64, or ``None``
-        when the per-query guard trips (fall back to exact row queries)."""
-        if not self._query_safe(t):
-            return None
-        return (
-            self.done_units * t
-            - self.done_wstart
-            + (
-                self.rcount * (t * t + t)
-                - self.rsum * (2 * t + 1)
-                + self.rsq
-            )
-            // 2
-        )
 
     # ------------------------------------------------------------------
     # per-row exact queries (view/materialization substrate)
     # ------------------------------------------------------------------
-    def row_log_indices(self, row: int) -> np.ndarray:
-        return np.flatnonzero(self._log_row[: self._log_len] == row)
-
     def row_entries(self, row: int) -> "list[ScheduledJob]":
         """The row's start log in chronological order (exact objects)."""
-        idx = self.row_log_indices(row)
-        jobs = self.jobs_flat
-        return [
-            ScheduledJob(start, mach, jobs[flat])
-            for start, mach, flat in zip(
-                self._log_start[idx].tolist(),
-                self._log_mach[idx].tolist(),
-                self._log_flat(idx).tolist(),
-            )
-        ]
+        return self.rec.row_entries(row, self.jobs_flat, self.org_start)
 
     def row_psis(self, row: int, t: "int | None" = None) -> "list[int]":
         """One row's per-org psi_sp at ``t`` in exact Python ints (matches
@@ -669,13 +662,14 @@ class FleetKernel:
             for e in self.row_entries(row):
                 out[e.job.org] += _partial_psi(e.start, e.job.size, t)
             return out
-        du = self.done_units[row].tolist()
-        dw = self.done_wstart[row].tolist()
+        rec = self.rec
+        du = rec.done_units[row].tolist()
+        dw = rec.done_wstart[row].tolist()
         out = [u * t - w for u, w in zip(du, dw)]
-        for m in np.flatnonzero(self.finish[row] < _FAR):
-            s = int(self.run_start[row, m])
-            size = int(self.finish[row, m]) - s
-            out[int(self.run_org[row, m])] += _partial_psi(s, size, t)
+        for m in np.flatnonzero(rec.finish[row] < _FAR):
+            s = int(rec.run_start[row, m])
+            size = int(rec.finish[row, m]) - s
+            out[int(rec.run_org[row, m])] += _partial_psi(s, size, t)
         return out
 
     # ------------------------------------------------------------------
@@ -685,6 +679,7 @@ class FleetKernel:
         """Reconstruct this row as a real, bit-identical
         :class:`~repro.core.engine.ClusterEngine` (same schedule, ledgers,
         stream position, free set and pending queues)."""
+        rec = self.rec
         mask = self.masks[row]
         members = tuple(sorted(iter_members(mask)))
         eng = object.__new__(ClusterEngine)
@@ -695,11 +690,10 @@ class FleetKernel:
         member_set = set(members)
         eng.machine_owner = {
             int(m): int(self.machine_org[m])
-            for m in range(self.n_mach)
-            if self.has_machine[row, m]
+            for m in np.flatnonzero(rec.has_machine[row])
         }
         eng.n_machines = len(eng.machine_owner)
-        eng._free = sorted(int(m) for m in np.flatnonzero(self.free[row]))
+        eng._free = sorted(int(m) for m in np.flatnonzero(rec.free[row]))
         eng._free_set = set(eng._free)
         heapq.heapify(eng._free)
         # shared canonical stream, restricted to members (includes submits)
@@ -710,14 +704,14 @@ class FleetKernel:
         )
         eng._pending = {}
         for u in members:
-            lo = int(self.org_start[u] + self.started[row, u])
+            lo = int(self.org_start[u] + rec.started[row, u])
             hi = int(self.org_start[u] + self.released[u])
             eng._pending[u] = deque(self.jobs_flat[lo:hi])
         eng._n_waiting = int(sum(len(q) for q in eng._pending.values()))
         eng.t = self.t
-        running_m = np.flatnonzero(self.finish[row] < _FAR)
+        running_m = np.flatnonzero(rec.finish[row] < _FAR)
         eng._busy = [
-            (int(self.finish[row, m]), int(m)) for m in running_m
+            (int(rec.finish[row, m]), int(m)) for m in running_m
         ]
         heapq.heapify(eng._busy)
         entries = self.row_entries(row)
@@ -725,8 +719,8 @@ class FleetKernel:
         eng._running = {m: RunningJob(last[m]) for m in running_m.tolist()}
         eng._retiring = set()
         eng._retired = set()
-        eng._done_units = self.done_units[row].tolist()
-        eng._done_wstart = self.done_wstart[row].tolist()
+        eng._done_units = rec.done_units[row].tolist()
+        eng._done_wstart = rec.done_wstart[row].tolist()
         # by-machine-owner aggregates over *completed* jobs, from the log
         eng._done_units_mach = [0] * self.k
         eng._done_wstart_mach = [0] * self.k
@@ -736,10 +730,10 @@ class FleetKernel:
                 owner = int(self.machine_org[e.machine])
                 eng._done_units_mach[owner] += p
                 eng._done_wstart_mach[owner] += p * e.start + p * (p - 1) // 2
-        eng._tot_units = int(self.done_units[row].sum())
-        eng._tot_wstart = int(self.done_wstart[row].sum())
-        eng._run_start_sum = int(self.rsum[row].sum())
-        eng._run_start_sq = int(self.rsq[row].sum())
+        eng._tot_units = int(rec.done_units[row].sum())
+        eng._tot_wstart = int(rec.done_wstart[row].sum())
+        eng._run_start_sum = int(rec.rsum[row].sum())
+        eng._run_start_sq = int(rec.rsq[row].sum())
         eng._log = entries
         eng._completed = sorted(
             (e for e in entries if e.end <= self.t),
@@ -785,25 +779,25 @@ class KernelEngineView:
     @property
     def free_count(self) -> int:
         kern, row = self._kr()
-        return int(kern.free_count[row])
+        return int(kern.rec.free_count[row])
 
     def has_waiting(self) -> bool:
         kern, row = self._kr()
-        return bool((kern.started[row] < kern.released).any())
+        return bool((kern.rec.started[row] < kern.released).any())
 
     def waiting_count(self, org: int) -> int:
         kern, row = self._kr()
-        if not kern.member[row, org]:
+        if not kern.rec.member[row, org]:
             raise KeyError(org)
-        return int(kern.released[org] - kern.started[row, org])
+        return int(kern.released[org] - kern.rec.started[row, org])
 
     def waiting_orgs(self) -> "list[int]":
         kern, row = self._kr()
-        return np.flatnonzero(kern.started[row] < kern.released).tolist()
+        return np.flatnonzero(kern.rec.started[row] < kern.released).tolist()
 
     def running_counts(self) -> "list[int]":
         kern, row = self._kr()
-        return kern.rcount[row].tolist()
+        return kern.rec.rcount[row].tolist()
 
     def psis(self, t: "int | None" = None) -> "list[int]":
         kern, row = self._kr()

@@ -11,19 +11,28 @@ advanced in **jagged lockstep** -- every sweep moves every live instance to
 its *own* next event time, so one masked argmin/argmax pass serves N
 instances and the sweep count is ``max_i E_i`` instead of ``sum_i E_i``.
 
-Layout (local coordinates, padded to the batch maxima):
+The rows' state is the single-instance kernel's
+:class:`~repro.core.kernel.RowRecord`, and so are its completions, starts,
+start log, ``psis`` and row entries: where ``FleetKernel`` passes its one
+clock, this kernel passes each row's instance clock as a column.  What
+stays here is the instance axis (local coordinates, padded to the batch
+maxima):
 
 * rows are grouped per instance (``row0[i] .. row0[i+1]``), ``row_inst``
   maps each row back to its instance;
 * organization columns are the instance's *own* org ids ``0..k_i-1``
-  (padding columns are non-member: ``started`` holds the ``_FAR`` sentinel
-  so ``started < released`` stays the waiting predicate);
+  (padding columns are non-members of every row);
 * machine columns are the instance's *own* canonical machine ids
   ``0..M_i-1`` (padding columns are absent: never free, finish ``_FAR``),
   so logged starts translate directly into each instance's schedule;
 * job streams concatenate per-(instance, org) segments of the canonical
   per-org arrays, addressed by ``seg_start``/``seg_len`` -- the
-  two-dimensional form of ``FleetKernel.org_start``.
+  two-dimensional form of ``FleetKernel.org_start`` (a row's log entries
+  resolve through its instance's ``seg_start`` row);
+* per-instance release pointers, clocks, horizons and the jagged event
+  iteration (:meth:`MultiInstanceKernel.sweep`).  :meth:`fill_rows` stays
+  a separate copy of ``FleetKernel.fill_rows``: its waiting predicate
+  gathers each row's instance pointers.
 
 Because organization and machine columns are instance-local, **no
 arithmetic ever mixes rows of different instances**: completions scatter by
@@ -50,9 +59,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .kernel import _FAR, _I64_MIN, _QUERY_CAP, KernelUnsafe, _overflow_bound
 from .job import Job
-from .schedule import ScheduledJob
+from .kernel import (
+    _FAR,
+    _I64_MIN,
+    _QUERY_CAP,
+    KernelUnsafe,
+    RowRecord,
+    _overflow_bound,
+)
 from .workload import Workload
 
 __all__ = ["MultiInstanceKernel", "instance_bound"]
@@ -87,11 +102,8 @@ class MultiInstanceKernel:
     ) -> None:
         items = [(wl, list(masks), horizon) for wl, masks, horizon in items]
         self.B = B = len(items)
-        self.workloads = [wl for wl, _, _ in items]
-        self.bounds = [
-            instance_bound(wl, horizon) for wl, _, horizon in items
-        ]
-        for i, bound in enumerate(self.bounds):
+        for i, (wl, _, horizon) in enumerate(items):
+            bound = instance_bound(wl, horizon)
             if bound >= _QUERY_CAP:
                 raise KernelUnsafe(
                     f"instance {i} fails int64 certification (bound {bound})"
@@ -110,40 +122,17 @@ class MultiInstanceKernel:
             dtype=np.int64,
         )
 
-        # --- membership (instance-local org columns) -----------------------
-        self.member = np.zeros((n, k_max), dtype=bool)
+        # --- rows: instance-local org and canonical machine columns --------
+        member = np.zeros((n, k_max), dtype=bool)
+        has_machine = np.zeros((n, m_max), dtype=bool)
         for i, (wl, masks, _) in enumerate(items):
             block = np.array(masks, dtype=np.int64)[:, None]
+            rows = slice(self.row0[i], self.row0[i] + len(masks))
             bits = (block >> np.arange(wl.n_orgs, dtype=np.int64)) & 1
-            self.member[
-                self.row0[i] : self.row0[i] + len(masks), : wl.n_orgs
-            ] = bits.astype(bool)
-
-        # --- machines (instance-local canonical ids) -----------------------
-        self.has_machine = np.zeros((n, m_max), dtype=bool)
-        for i, (wl, masks, _) in enumerate(items):
-            owners: list[int] = []
-            for org in wl.organizations:
-                owners.extend([org.id] * org.machines)
-            if owners:
-                lo = self.row0[i]
-                self.has_machine[lo : lo + len(masks), : len(owners)] = (
-                    self.member[lo : lo + len(masks)][
-                        :, np.array(owners, dtype=np.int64)
-                    ]
-                )
-        self.machine_org = np.zeros((B, m_max), dtype=np.int64)
-        for i, (wl, _, _) in enumerate(items):
-            col = 0
-            for org in wl.organizations:
-                for _ in range(org.machines):
-                    self.machine_org[i, col] = org.id
-                    col += 1
-        self.free = self.has_machine.copy()
-        self.free_count = self.free.sum(axis=1).astype(np.int64)
-        self.finish = np.full((n, m_max), _FAR, dtype=np.int64)
-        self.run_org = np.zeros((n, m_max), dtype=np.int64)
-        self.run_start = np.zeros((n, m_max), dtype=np.int64)
+            member[rows, : wl.n_orgs] = bits.astype(bool)
+            owners = [o.id for o in wl.organizations for _ in range(o.machines)]
+            has_machine[rows, : len(owners)] = member[rows][:, owners]
+        self.rec = RowRecord(member, has_machine)
 
         # --- job streams: per-(instance, org) segments ---------------------
         self.jobs_flat: list[Job] = []
@@ -171,50 +160,28 @@ class MultiInstanceKernel:
         self.size_flat = np.array(size_parts + [1], dtype=np.int64)
         self.seg_clip = np.maximum(self.seg_len - 1, 0)
 
-        #: per-(instance, org) released counts and per-(row, org) started
-        #: counts; row r of instance i waits on org u's jobs in
-        #: ``[started[r,u], released[i,u])``
+        #: per-(instance, org) released counts; row r of instance i waits
+        #: on org u's jobs in ``[rec.started[r,u], released[i,u])``
         self.released = np.zeros((B, k_max), dtype=np.int64)
-        self.started = np.zeros((n, k_max), dtype=np.int64)
-        self.started[~self.member] = _FAR
-
-        # --- psi_sp ledgers (instance-local org columns) -------------------
-        self.done_units = np.zeros((n, k_max), dtype=np.int64)
-        self.done_wstart = np.zeros((n, k_max), dtype=np.int64)
-        self.rcount = np.zeros((n, k_max), dtype=np.int64)
-        self.rsum = np.zeros((n, k_max), dtype=np.int64)
-        self.rsq = np.zeros((n, k_max), dtype=np.int64)
-
-        # --- chronological start log (SoA, grown geometrically) -----------
-        cap = 256
-        self._log_row = np.empty(cap, dtype=np.int64)
-        self._log_start = np.empty(cap, dtype=np.int64)
-        self._log_mach = np.empty(cap, dtype=np.int64)
-        self._log_job = np.empty(cap, dtype=np.int64)
-        self._log_len = 0
 
         #: per-instance clocks and liveness
         self.t_inst = np.zeros(B, dtype=np.int64)
         self.done = np.zeros(B, dtype=bool)
-        self.head_rel = np.full((B, k_max), _FAR, dtype=np.int64)
         self._refresh_head_rel()
 
     # ------------------------------------------------------------------
     # event bookkeeping
     # ------------------------------------------------------------------
     def _refresh_head_rel(self) -> None:
-        if not self.k_max:
-            self.next_rel = np.full(self.B, _FAR, dtype=np.int64)
-            return
         idx = self.seg_start + np.minimum(self.released, self.seg_clip)
         have = self.released < self.seg_len
         self.head_rel = np.where(have, self.rel_flat[idx], _FAR)
-        self.next_rel = self.head_rel.min(axis=1)
+        self.next_rel = self.head_rel.min(axis=1, initial=_FAR)
 
     def _next_fin(self) -> np.ndarray:
         if not (self.n and self.n_mach_max):
             return np.full(self.B, _FAR, dtype=np.int64)
-        row_min = self.finish.min(axis=1)
+        row_min = self.rec.finish.min(axis=1)
         return np.minimum.reduceat(row_min, self.row0)
 
     # ------------------------------------------------------------------
@@ -243,38 +210,11 @@ class MultiInstanceKernel:
             self.done[:] = True
             return None
         thr = np.where(live, nt, _I64_MIN)
-        self._complete_upto(thr)
+        # a done instance's threshold completes nothing
+        self.rec.complete(thr[self.row_inst][:, None])
         self._release_upto(thr)
         self.t_inst = np.where(live, nt, self.t_inst)
         return live
-
-    def _complete_upto(self, thr: np.ndarray) -> None:
-        """Process every completion with ``finish <= thr[instance]`` (the
-        per-row-threshold form of ``FleetKernel._complete_upto``)."""
-        if not self.n_mach_max:
-            return
-        thr_row = thr[self.row_inst]
-        # flat slot / cell indices on reshape(-1) views, as in the
-        # single-instance kernel (the arrays are C-contiguous and owned
-        # here); cells repeat when two machines of a row finish one org's
-        # jobs at once, hence np.add.at
-        slot = np.flatnonzero(self.finish <= thr_row[:, None])
-        if not slot.size:
-            return
-        fin = self.finish.reshape(-1)
-        e = slot // self.n_mach_max
-        starts = self.run_start.reshape(-1)[slot]
-        sizes = fin[slot] - starts
-        tri = sizes * starts + sizes * (sizes - 1) // 2
-        cell = e * self.k_max + self.run_org.reshape(-1)[slot]
-        np.add.at(self.done_units.reshape(-1), cell, sizes)
-        np.add.at(self.done_wstart.reshape(-1), cell, tri)
-        np.add.at(self.rcount.reshape(-1), cell, -1)
-        np.add.at(self.rsum.reshape(-1), cell, -starts)
-        np.add.at(self.rsq.reshape(-1), cell, -(starts * starts))
-        fin[slot] = _FAR
-        self.free.reshape(-1)[slot] = True
-        np.add.at(self.free_count, e, 1)
 
     def _release_upto(self, thr: np.ndarray) -> None:
         """Advance every (instance, org) release pointer past jobs released
@@ -294,106 +234,36 @@ class MultiInstanceKernel:
         self._refresh_head_rel()
 
     # ------------------------------------------------------------------
-    # batched queries (per-row instance clocks)
+    # batched queries and scheduling rounds (per-row instance clocks)
     # ------------------------------------------------------------------
     def capable_rows(self, act: np.ndarray) -> np.ndarray:
         """Rows of this sweep's active instances with a free machine and a
         waiting job (the start-eligible set)."""
-        waiting = (self.started < self.released[self.row_inst]).any(axis=1)
-        return act[self.row_inst] & (self.free_count > 0) & waiting
+        rec = self.rec
+        waiting = (rec.started < self.released[self.row_inst]).any(axis=1)
+        return act[self.row_inst] & (rec.free_count > 0) & waiting
 
-    def psis_rows(self) -> np.ndarray:
-        """Per-(row, org) psi_sp, each row evaluated at its own instance
-        clock.  Always int64-exact: every clock is bounded by its
-        instance's certified ``T_i``, so no runtime guard is needed (the
-        construction-time certification covers every sweep query)."""
-        t = self.t_inst[self.row_inst]
-        tc = t[:, None]
-        return (
-            self.done_units * tc
-            - self.done_wstart
-            + (
-                self.rcount * (t * t + t)[:, None]
-                - self.rsum * (2 * t + 1)[:, None]
-                + self.rsq
-            )
-            // 2
-        )
-
-    # ------------------------------------------------------------------
-    # batched scheduling rounds
-    # ------------------------------------------------------------------
     def fill_rows(self, rows: np.ndarray, keys: np.ndarray) -> None:
         """Batched ``fill_capacity`` at per-row times: repeatedly start the
         FIFO-head job of the waiting org maximizing ``keys[row, org]``
         (ties: lowest org id) on every row while it has a free machine and
         waiting work.  ``keys`` is aligned with ``rows``; starts stamp each
         row's own instance clock."""
+        rec = self.rec
         keys = np.asarray(keys, dtype=np.int64)
-        t_row = self.t_inst[self.row_inst[rows]]
+        inst = self.row_inst[rows]
+        t_row = self.t_inst[inst]
         while rows.size:
-            wait = self.started[rows] < self.released[self.row_inst[rows]]
-            cap = (self.free_count[rows] > 0) & wait.any(axis=1)
+            wait = rec.started[rows] < self.released[inst]
+            cap = (rec.free_count[rows] > 0) & wait.any(axis=1)
             if not cap.all():
-                rows = rows[cap]
-                keys = keys[cap]
+                rows, keys, inst = rows[cap], keys[cap], inst[cap]
                 t_row = t_row[cap]
                 wait = wait[cap]
             if not rows.size:
                 return
             masked = np.where(wait, keys, _I64_MIN)
             sel = masked.argmax(axis=1)  # first max == lowest org id
-            self._start_batch(rows, sel, t_row)
-
-    def _start_batch(
-        self, rows: np.ndarray, sel: np.ndarray, t_row: np.ndarray
-    ) -> None:
-        inst = self.row_inst[rows]
-        jidx = self.started[rows, sel]
-        flat = self.seg_start[inst, sel] + jidx
-        fins = t_row + self.size_flat[flat]
-        mach = self.free[rows].argmax(axis=1)  # first True == lowest free id
-        self.finish[rows, mach] = fins
-        self.run_org[rows, mach] = sel
-        self.run_start[rows, mach] = t_row
-        self.free[rows, mach] = False
-        self.free_count[rows] -= 1
-        self.started[rows, sel] += 1
-        self.rcount[rows, sel] += 1
-        self.rsum[rows, sel] += t_row
-        self.rsq[rows, sel] += t_row * t_row
-        self._log_append(rows, mach, flat, t_row)
-
-    def _log_append(self, rows, mach, flat, t_row) -> None:
-        b = len(rows)
-        need = self._log_len + b
-        if need > len(self._log_row):
-            cap = max(need, 2 * len(self._log_row))
-            for name in ("_log_row", "_log_start", "_log_mach", "_log_job"):
-                old = getattr(self, name)
-                new = np.empty(cap, dtype=np.int64)
-                new[: self._log_len] = old[: self._log_len]
-                setattr(self, name, new)
-        s = slice(self._log_len, need)
-        self._log_row[s] = rows
-        self._log_start[s] = t_row
-        self._log_mach[s] = mach
-        self._log_job[s] = flat
-        self._log_len = need
-
-    # ------------------------------------------------------------------
-    # results
-    # ------------------------------------------------------------------
-    def row_entries(self, row: int) -> "list[ScheduledJob]":
-        """One row's start log in chronological order (exact Job objects;
-        machine ids are the owning instance's canonical ids)."""
-        idx = np.flatnonzero(self._log_row[: self._log_len] == row)
-        jobs = self.jobs_flat
-        return [
-            ScheduledJob(
-                int(self._log_start[i]),
-                int(self._log_mach[i]),
-                jobs[int(self._log_job[i])],
+            rec.start(
+                rows, sel, t_row, self.seg_start[inst, sel], self.size_flat
             )
-            for i in idx
-        ]

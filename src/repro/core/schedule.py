@@ -16,7 +16,6 @@ Feasibility (the paper's :math:`\\Gamma`):
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 

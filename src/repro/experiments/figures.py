@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..analysis.utilization import figure7_ratios, figure7_workload
+from ..analysis.utilization import figure7_ratios
 from ..core.job import Job
 from ..core.organization import Organization
 from ..core.schedule import Schedule, ScheduledJob

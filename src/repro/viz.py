@@ -6,7 +6,7 @@ examples and EXPERIMENTS.md can embed the output directly.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .algorithms.base import SchedulerResult
 from .core.schedule import Schedule

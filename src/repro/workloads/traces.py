@@ -26,7 +26,7 @@ horizons); ``scale=1.0`` generates full-size traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

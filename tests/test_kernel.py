@@ -21,6 +21,7 @@ Four layers of protection for the batched kernel (DESIGN.md §8):
 
 from __future__ import annotations
 
+import copy
 from unittest import mock
 
 import numpy as np
@@ -43,8 +44,10 @@ from repro.core.kernel import (
     KERNEL_MIN_ENGINES,
     FleetKernel,
     KernelEngineView,
+    RowRecord,
     kernel_certified,
 )
+from repro.core.multikernel import MultiInstanceKernel
 from repro.core.organization import Organization
 from repro.core.workload import Workload
 
@@ -436,7 +439,7 @@ class TestMaterialization:
         before = fleet.backend_status()
         assert before["backend"] == "kernel"
         assert before["materializations"] == fleet.n_materializations == 0
-        assert before["start_log_entries"] == fleet.kernel._log_len > 0
+        assert before["start_log_entries"] == fleet.kernel.rec.log_len > 0
         assert fleet.materialize_reason is None
         trigger = {
             "unsafe_submit": lambda: fleet.submit(Job(9, 0, 99, 1 << 40)),
@@ -661,7 +664,7 @@ class TestRefBodiesAgree:
             "forced": 0, "contested": 0, "unsafe": 0, "guard": 0, "engines": 30,
         }
         with mock.patch.object(
-            FleetKernel, "psis_matrix", side_effect=AssertionError
+            RowRecord, "psis", side_effect=AssertionError
         ):
             stepped_ref(wl, "kernel")
 
@@ -772,11 +775,11 @@ class TestRefBodiesAgree:
         forced_at = []
 
         def spy(self, fleet, t):
-            starts = fleet.kernel._log_len
+            starts = fleet.kernel.rec.log_len
             forced = self.ref_events["forced"]
             served = fused(self, fleet, t)
             if not served:
-                assert fleet.kernel._log_len == starts
+                assert fleet.kernel.rec.log_len == starts
                 declined.append(t)
             elif self.ref_events["forced"] > forced:
                 forced_at.append(t)
@@ -920,7 +923,7 @@ class TestKernelInternals:
         kf.advance_all(0)
         ef.advance_all(0)
         rows = np.arange(len(masks))
-        kf.fill_rows(rows, np.tile(np.array(keys), (len(rows), 1)), 0)
+        kf.kernel.fill_rows(rows, np.tile(np.array(keys), (len(rows), 1)), 0)
         for mask in masks:
             fill_capacity(ef, mask, dict(enumerate(keys)))
         kern = kf.kernel
@@ -936,8 +939,8 @@ class TestKernelInternals:
             got, eng = kern.materialize_row(row), ef.engine(mask)
             assert got.ledger() == eng.ledger(), mask
             assert got.free_machines() == eng.free_machines(), mask
-        kf.fill_rows(rows, None, 0)  # nothing left to pair anywhere
-        assert kern._log_len == sum(n_started.values())
+        kern.fill_rows(rows, None, 0)  # nothing left to pair anywhere
+        assert kern.rec.log_len == sum(n_started.values())
         assert_rows_match(kf, ef, 0)
 
     def test_same_cell_completing_twice_at_one_time(self):
@@ -963,16 +966,16 @@ class TestKernelInternals:
                 assert got.free_machines() == eng.free_machines()
             if t == 3:  # both of row {0}'s machines just completed org 0
                 kern = kf.kernel
-                assert kern.done_units[kern._row[0b01], 0] == 6
+                assert kern.rec.done_units[kern._row[0b01], 0] == 6
         assert_rows_match(kf, ef, 3)
 
 
-def log_bytes(kern: FleetKernel) -> dict:
+def log_bytes(rec: RowRecord) -> dict:
     """Every start-log column's live prefix, byte for byte."""
     return {
-        name: col[: kern._log_len].tobytes()
-        for name, col in vars(kern).items()
-        if name.startswith("_log_") and isinstance(col, np.ndarray)
+        name: col[: rec.log_len].tobytes()
+        for name, col in vars(rec).items()
+        if name.startswith("log_") and isinstance(col, np.ndarray)
     }
 
 
@@ -1031,12 +1034,12 @@ class TestStartLogIdentity:
     def _ingest(kf, ef, jobs):
         """Feed ``jobs`` to both fleets; the kernel's log must come out
         byte-identical (ingest never writes it)."""
-        before = log_bytes(kf.kernel)
-        assert set(before) == {"_log_row", "_log_start", "_log_mach", "_log_job"}
+        before = log_bytes(kf.kernel.rec)
+        assert set(before) == {"log_row", "log_start", "log_mach", "log_job"}
         for fleet in (kf, ef):
             for job in jobs:
                 fleet.submit(job)
-        assert log_bytes(kf.kernel) == before
+        assert log_bytes(kf.kernel.rec) == before
 
     @staticmethod
     def _fifo(kf, ef, t):
@@ -1053,7 +1056,7 @@ class TestStartLogIdentity:
         ef.advance_all(t)
         by_org = dict(enumerate(keys))
         rows = np.arange(0, len(kf.masks), 2)
-        kf.fill_rows(rows, np.tile(np.array(keys), (len(rows), 1)), t)
+        kf.kernel.fill_rows(rows, np.tile(np.array(keys), (len(rows), 1)), t)
         for row, mask in enumerate(kf.masks):
             if row % 2:
                 fill_capacity(kf, mask, by_org)
@@ -1062,7 +1065,7 @@ class TestStartLogIdentity:
     def test_interleaved_ingest_and_fills_match_engines(self):
         kf, ef, late = self._fleets()
         self._fifo(kf, ef, 2)
-        assert kf.kernel._log_len > 0
+        assert kf.kernel.rec.log_len > 0
         assert_rows_match(kf, ef, 1)
         self._ingest(kf, ef, late[0:1])     # lower org's window: orgs 1, 2 shift
         assert_rows_match(kf, ef, 2)
@@ -1085,14 +1088,33 @@ class TestStartLogIdentity:
         n_jobs = len(self.EARLY) + len(self.LATE)
         assert len(kf.engine(0b111).schedule()) == n_jobs
 
-    def test_log_entry_is_at_most_32_bytes(self):
+    def _fleet_record(self) -> RowRecord:
+        kf, ef, _ = self._fleets()
+        self._fifo(kf, ef, 3)
+        return kf.kernel.rec
+
+    def _multi_record(self) -> RowRecord:
+        wl = make_workload(self.MACHINES, self.EARLY)
+        kern = MultiInstanceKernel([(wl, all_masks(3), None)] * 2)
+        while (act := kern.sweep()) is not None:
+            rows = np.flatnonzero(kern.capable_rows(act))
+            kern.fill_rows(rows, np.zeros((len(rows), kern.k_max)))
+        return kern.rec
+
+    @pytest.mark.parametrize(
+        "record",
+        ["_fleet_record", "_multi_record"],
+        ids=["FleetKernel", "MultiInstanceKernel"],
+    )
+    def test_log_entry_is_24_bytes(self, record):
         """ISSUE 12: the log (one entry per start per coalition row) is
         most of a long-running REF service's kernel memory; the job
-        identity must not widen it."""
-        kf, ef, late = self._fleets()
-        self._fifo(kf, ef, 3)
-        cols = log_bytes(kf.kernel)
-        assert sum(map(len, cols.values())) <= 32 * kf.kernel._log_len
+        identity must not widen it.  Both kernels keep the record's log:
+        int32 row and machine, int64 start and job (DESIGN §8.2)."""
+        rec = getattr(self, record)()
+        assert rec.log_len > 0
+        cols = log_bytes(rec)
+        assert sum(map(len, cols.values())) == 24 * rec.log_len
 
 
 # ----------------------------------------------------------------------
@@ -1160,9 +1182,36 @@ def serve_ref(workload, backend, runs, check, peek=0):
     return fleet, run, peeked
 
 
+#: FleetKernel's caches: the hot paths patch them, ``_derive`` rebuilds
+#: them (with ``rec.free_count``) from the record, streams and horizon
+DERIVED = (
+    "_head_rel", "_next_rel", "_next_fin", "_covered", "_org_clip",
+    "_total_units", "_max_release",
+)
+
+
+def rederived(kern: FleetKernel) -> FleetKernel:
+    """A copy of ``kern`` with every cache wiped and rebuilt by
+    ``_derive``; each must equal the live kernel's patched value."""
+    twin = copy.deepcopy(kern, {id(kern.workload): kern.workload})
+    for name in DERIVED:
+        setattr(twin, name, None)
+    twin.rec.free_count = None
+    twin._derive()
+    for name in DERIVED:
+        np.testing.assert_array_equal(
+            getattr(twin, name), getattr(kern, name), err_msg=name
+        )
+    np.testing.assert_array_equal(twin.rec.free_count, kern.rec.free_count)
+    return twin
+
+
 @settings(max_examples=60, deadline=None)
 @given(instance=online_instances(), vectorize=st.booleans())
 def test_online_kernel_ingest_equals_batch_and_engines(instance, vectorize):
+    """...and at every cut the kernel's caches are what ``_derive``
+    computes; from the first cut on, the run continues on a re-derived
+    copy (everything asserted below must still hold)."""
     machines, triples, runs, peek = instance
     wl = make_workload(machines, triples)
     k = len(machines)
@@ -1171,6 +1220,10 @@ def test_online_kernel_ingest_equals_batch_and_engines(instance, vectorize):
 
     def checker(name):
         def check(fleet, t):
+            if name == "kernel":
+                twin = rederived(fleet.kernel)
+                if not seen[name]:
+                    fleet._kernel_obj = twin
             # a past and the current time, mid-stream (a future query
             # advances the fleet past decisions it has not scheduled yet:
             # that is serve_ref's ``peek``)
@@ -1219,7 +1272,9 @@ def test_keys_of_single_waiter_rows_never_matter(instance, junk_seed):
     junk = np.random.default_rng(junk_seed)
 
     def scrambled(self, rows, keys, t):
-        n_wait = np.count_nonzero(self.started[rows] < self.released, axis=1)
+        n_wait = np.count_nonzero(
+            self.rec.started[rows] < self.released, axis=1
+        )
         noise = junk.integers(-(1 << 62), 1 << 62, size=(len(rows), self.k))
         if keys is None:
             assert (n_wait == 1).all()
@@ -1231,7 +1286,7 @@ def test_keys_of_single_waiter_rows_never_matter(instance, junk_seed):
     def serve():
         fleet, run, _ = serve_ref(wl, "kernel", runs, lambda f, t: None)
         assert fleet.kernel is not None, fleet.materialize_reason
-        return log_bytes(fleet.kernel), run.ref_events
+        return log_bytes(fleet.kernel.rec), run.ref_events
 
     with mock.patch.object(ref_mod, "VECTORIZE_MIN_K", 0):
         plain, events = serve()

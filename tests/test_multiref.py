@@ -169,4 +169,4 @@ class TestMultiKernelInternals:
         assert list(kern.row_inst) == [0] * len(masks) + [1] * len(masks)
         # padding machine columns of the narrower instance are never free
         assert kern.n_mach_max == max(a.n_machines, b.n_machines)
-        assert kern.free[: len(masks), a.n_machines :].sum() == 0
+        assert kern.rec.free[: len(masks), a.n_machines :].sum() == 0
