@@ -123,6 +123,25 @@ class RandRun:
         view goes stale when a pool change materializes the carrier."""
         return self.fleet.engine(self.grand_mask)
 
+    @property
+    def oracles(self) -> "tuple[CoalitionFleet, ...]":
+        """Every oracle fleet (the online adapter feeds and drives them)."""
+        return (self.oracle,)
+
+    def note_job(self, job) -> None:
+        """Online ingest hook: the oracle is RAND's only estimate input."""
+
+    def note_machines(self, machines: "dict[int, int]") -> None:
+        """Online pool hook: the oracle is RAND's only estimate input."""
+
+    def carry(self, prev: "RandRun") -> None:
+        """Continue ``prev``'s event counts in this membership epoch."""
+        self.rand_events = prev.rand_events
+
+    def counters(self) -> dict:
+        """What an online service reports in ``policy_backend``."""
+        return {"rand_events": dict(self.rand_events)}
+
     def drive(self) -> int:
         """Run the carrier's decision loop to exhaustion / the horizon."""
         return drive_fleet(self.fleet, self._on_event)
@@ -261,25 +280,39 @@ class RandScheduler(Scheduler):
             return hoeffding_samples(k, self.epsilon, 1.0 - self.delta)
         return self.n_orderings
 
+    def make_run(
+        self,
+        workload: Workload,
+        members_t: tuple[int, ...],
+        grand_mask: int,
+        rng: np.random.Generator,
+        *,
+        oracle_factory: "Callable[[list[int]], CoalitionFleet] | None" = None,
+        fleet: CoalitionFleet | None = None,
+    ) -> RandRun:
+        """One run over ``members_t`` with this scheduler's budget (resolved
+        for their count), sampler and horizon; the batch path and the
+        online service's adapter both make their runs here
+        (``oracle_factory`` / ``fleet`` as in :class:`RandRun`)."""
+        return RandRun(
+            workload,
+            members_t,
+            grand_mask,
+            self.resolve_budget(len(members_t)),
+            rng,
+            self.horizon,
+            oracle_factory=oracle_factory,
+            fleet=fleet,
+            sampler=self.sampler,
+        )
+
     def run(
         self, workload: Workload, members: Iterable[int] | None = None
     ) -> SchedulerResult:
         """Build the sampled-contribution fair schedule for ``members``."""
         members_t, grand_mask = members_mask(workload, members)
-        rng = (
-            self._seed
-            if isinstance(self._seed, np.random.Generator)
-            else np.random.default_rng(self._seed)
-        )
-        n = self.resolve_budget(len(members_t))
-        run = RandRun(
-            workload,
-            members_t,
-            grand_mask,
-            n,
-            rng,
-            self.horizon,
-            sampler=self.sampler,
+        run = self.make_run(
+            workload, members_t, grand_mask, np.random.default_rng(self._seed)
         )
         run.drive()
         return SchedulerResult(
@@ -289,7 +322,7 @@ class RandScheduler(Scheduler):
             schedule=run.grand.schedule(),
             horizon=self.horizon,
             meta={
-                "n_orderings": n,
+                "n_orderings": run.n_orderings,
                 "n_coalitions": len(run.sampled),
             },
         )

@@ -19,6 +19,10 @@ packaged as three registered policies:
   exact Shapley inside <=10-org blocks, exact or sampled Shapley across
   blocks, lifting the ceiling to k = 50-200.
 
+Online, ``ref_stratified`` and ``ref_adaptive`` are served like
+``rand``: one service adapter steps the run their scheduler's
+``make_run`` returns, the same call its batch ``run()`` makes.
+
 :mod:`repro.approx.validate` holds the exact-oracle comparator the
 agreement tests (and ``repro gap --policy``) score these policies with.
 """

@@ -63,6 +63,7 @@ import numpy as np
 from ..algorithms.base import (
     Scheduler,
     SchedulerResult,
+    drive_fleet,
     fair_select,
     members_mask,
 )
@@ -84,6 +85,12 @@ __all__ = [
     "DecisionCertificate",
     "summarize_certificates",
 ]
+
+
+#: Every :attr:`DecisionCertificate.kind`, the certified ones first.
+CERTIFICATE_KINDS = (
+    "singleton", "degenerate", "separated", "exact", "budget_exhausted"
+)
 
 
 @dataclass(frozen=True)
@@ -256,8 +263,6 @@ class AdaptiveRun:
         oracle_factory: "Callable[[list[int]], CoalitionFleet] | None" = None,
         fleet: "CoalitionFleet | None" = None,
     ) -> None:
-        if not 0 < delta < 1:
-            raise ValueError("delta must be in (0, 1)")
         self.members_t = members_t
         self.grand_mask = grand_mask
         self.epsilon = float(epsilon)
@@ -307,6 +312,10 @@ class AdaptiveRun:
             else CoalitionFleet(workload, (grand_mask,), horizon=horizon)
         )
         self.certificates: list[DecisionCertificate] = []
+        #: earlier membership epochs' certificates (online; see carry)
+        self.earlier: list[DecisionCertificate] = []
+        #: certificates by kind, every epoch's (online status counters)
+        self.kinds = dict.fromkeys(CERTIFICATE_KINDS, 0)
         # per-member marginal-range ingredients: sorted release times with
         # work prefix sums, and machine counts
         self._releases: dict[int, list[int]] = {}
@@ -334,21 +343,39 @@ class AdaptiveRun:
 
     @property
     def oracles(self) -> "tuple[CoalitionFleet, ...]":
-        """Every oracle fleet (the online adapter feeds them all)."""
+        """Every oracle fleet, every wave's built (the online adapter
+        feeds and drives them all)."""
         if self.exact_mode:
             return (self._exact_oracle,)
         return tuple(w.oracle for w in self.waves)
 
     def drive(self) -> int:
-        from ..algorithms.base import drive_fleet
-
         return drive_fleet(self.fleet, self._on_event)
 
     def step(self, t: int) -> None:
         self._on_event(self.fleet, t)
 
+    def all_certificates(self) -> "list[DecisionCertificate]":
+        """Every decision certificate, earlier membership epochs' first."""
+        return [*self.earlier, *self.certificates]
+
     def summary(self) -> CertificateSummary:
-        return summarize_certificates(self.certificates)
+        return summarize_certificates(self.all_certificates())
+
+    def carry(self, prev: "AdaptiveRun") -> None:
+        """Continue ``prev``'s service-long state in this membership
+        epoch: its certificates and their counts, and each surviving
+        member's released-work ledger (a joiner's starts empty)."""
+        self.earlier = prev.all_certificates()
+        self.kinds = prev.kinds
+        for u in self.members_t:
+            if u in prev._releases:
+                self._releases[u] = prev._releases[u]
+                self._work_cum[u] = prev._work_cum[u]
+
+    def counters(self) -> dict:
+        """What an online service reports in ``policy_backend``."""
+        return {"certificates": dict(self.kinds)}
 
     # ------------------------------------------------------------------
     def _on_event(self, fleet: CoalitionFleet, t: int) -> None:
@@ -366,23 +393,21 @@ class AdaptiveRun:
             waiting = tuple(grand.waiting_orgs())
             if len(waiting) == 1:
                 winner = waiting[0]
-                self.certificates.append(
-                    DecisionCertificate(
-                        t=t, winner=winner, certified=True,
-                        kind="singleton",
-                        n_used=0 if est is None else est["n"],
-                        budget=self.n_max, halfwidth=0.0,
-                        margin=float("inf"), waiting=waiting,
-                        members=self.members_t, psis=psis_t,
-                    )
+                cert = DecisionCertificate(
+                    t=t, winner=winner, certified=True,
+                    kind="singleton",
+                    n_used=0 if est is None else est["n"],
+                    budget=self.n_max, halfwidth=0.0,
+                    margin=float("inf"), waiting=waiting,
+                    members=self.members_t, psis=psis_t,
                 )
-                fleet.start_next(self.grand_mask, winner)
-                continue
-            if est is None:
-                est = self._estimate(t, waiting, psis)
-            winner = fair_select(waiting, est["keys"])
-            cert = self._certify(t, waiting, winner, psis, est)
+            else:
+                if est is None:
+                    est = self._estimate(t, waiting, psis)
+                winner = fair_select(waiting, est["keys"])
+                cert = self._certify(t, waiting, winner, psis, est)
             self.certificates.append(cert)
+            self.kinds[cert.kind] += 1
             fleet.start_next(self.grand_mask, winner)
 
     def _estimate(self, t: int, waiting, psis) -> dict:
@@ -450,8 +475,9 @@ class AdaptiveRun:
         """Online ingest: fold one submitted job into the per-member
         marginal-range ledger.  Construction only sees ``workload.jobs``,
         and the service builds runs over jobless workloads -- without
-        this hook the range bound would undercount released work and the
-        certificates would be unsound."""
+        this hook (and :meth:`carry` at a membership change) the range
+        bound would undercount released work and the certificates would
+        be unsound."""
         rel = self._releases.get(job.org)
         if rel is None:
             return
@@ -558,7 +584,8 @@ class AdaptiveScheduler(Scheduler):
     Parameters mirror :class:`AdaptiveRun`; ``n_max=0`` selects the
     Theorem 5.6 worst-case budget automatically from ``epsilon`` /
     ``delta`` (honest but quadratic in k -- the explicit default keeps
-    the oracle fleet bounded).
+    the oracle fleet bounded).  Bad knobs are refused here, so a batch
+    run and an online service refuse the same spec the same way.
     """
 
     name = "RefAdaptive"
@@ -574,6 +601,17 @@ class AdaptiveScheduler(Scheduler):
         n_max: int = 1024,
         sampler: str = "antithetic",
     ):
+        if not 0 < delta < 1:
+            raise ValueError("delta must be in (0, 1)")
+        if n_min < 1 or n_max < 0:
+            raise ValueError("need n_min >= 1 and n_max >= 0")
+        if not n_max and not epsilon > 0:
+            raise ValueError("epsilon must be positive for the n_max=0 budget")
+        if isinstance(sampler, str) and sampler not in ORDERING_SAMPLERS:
+            raise ValueError(
+                f"unknown sampler {sampler!r}; "
+                f"known: {sorted(ORDERING_SAMPLERS)}"
+            )
         self.horizon = horizon
         self.epsilon = float(epsilon)
         self.delta = float(delta)
@@ -583,16 +621,21 @@ class AdaptiveScheduler(Scheduler):
         self._seed = seed
         self.name = f"RefAdaptive(delta={self.delta:g},n_max={self.n_max})"
 
-    def run(
-        self, workload: Workload, members: Iterable[int] | None = None
-    ) -> SchedulerResult:
-        members_t, grand_mask = members_mask(workload, members)
-        rng = (
-            self._seed
-            if isinstance(self._seed, np.random.Generator)
-            else np.random.default_rng(self._seed)
-        )
-        run = AdaptiveRun(
+    def make_run(
+        self,
+        workload: Workload,
+        members_t: tuple[int, ...],
+        grand_mask: int,
+        rng: np.random.Generator,
+        *,
+        oracle_factory: "Callable[[list[int]], CoalitionFleet] | None" = None,
+        fleet: "CoalitionFleet | None" = None,
+    ) -> AdaptiveRun:
+        """One run over ``members_t`` with this scheduler's knobs and
+        horizon; the batch path and the online service's adapter both make
+        their runs here (``oracle_factory`` / ``fleet`` as in
+        :class:`AdaptiveRun`)."""
+        return AdaptiveRun(
             workload,
             members_t,
             grand_mask,
@@ -603,6 +646,16 @@ class AdaptiveScheduler(Scheduler):
             n_min=self.n_min,
             n_max=self.n_max,
             sampler=self.sampler,
+            oracle_factory=oracle_factory,
+            fleet=fleet,
+        )
+
+    def run(
+        self, workload: Workload, members: Iterable[int] | None = None
+    ) -> SchedulerResult:
+        members_t, grand_mask = members_mask(workload, members)
+        run = self.make_run(
+            workload, members_t, grand_mask, np.random.default_rng(self._seed)
         )
         run.drive()
         summary = run.summary()

@@ -92,6 +92,11 @@ class Workload:
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("Workload is immutable")
 
+    def __setstate__(self, state: "tuple[None, dict]") -> None:
+        # copy and pickle restore __slots__ through setattr, refused above
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
     # -- accessors ---------------------------------------------------------
     @property
     def n_orgs(self) -> int:

@@ -512,68 +512,15 @@ def build_online_policy(
 # ----------------------------------------------------------------------
 # builtin policies
 # ----------------------------------------------------------------------
-def _ref_online(service: "ClusterService", params: dict) -> "OnlinePolicy":
-    from .service.service import _RefPolicy
-
-    return _RefPolicy(service)
-
-
-def _rand_online(service: "ClusterService", params: dict) -> "OnlinePolicy":
-    from .service.service import _RandPolicy
-
-    return _RandPolicy(
-        service,
-        int(params["n_orderings"]),
-        epsilon=float(params["epsilon"]),
-        delta=float(params["delta"]),
-        n_samples=int(params["n_samples"]),
-    )
-
-
-def _stratified_online(
-    service: "ClusterService", params: dict
-) -> "OnlinePolicy":
-    from .service.service import _RandPolicy
-
-    sampler = (
-        "stratified_antithetic" if params["antithetic"] else "stratified"
-    )
-    return _RandPolicy(
-        service,
-        int(params["n_orderings"]),
-        epsilon=float(params["epsilon"]),
-        delta=float(params["delta"]),
-        n_samples=int(params["n_samples"]),
-        sampler=sampler,
-        name="RefStrat(online)",
-    )
-
-
-def _adaptive_online(
-    service: "ClusterService", params: dict
-) -> "OnlinePolicy":
-    from .approx.online import _AdaptivePolicy
-
-    return _AdaptivePolicy(
-        service,
-        epsilon=float(params["epsilon"]),
-        delta=float(params["delta"]),
-        n_min=int(params["n_min"]),
-        n_max=int(params["n_max"]),
-        sampler=str(params["sampler"]),
-    )
-
-
-def _single_online(batch_factory: BatchFactory) -> OnlineFactory:
-    """Online adapter for any :class:`~repro.algorithms.base.
-    PolicyScheduler`-style policy: wrap the *same* batch factory in a
-    :class:`~repro.service.service._SingleEnginePolicy`, so the batch
-    and online paths cannot drift."""
+def _from_batch(adapter: str, batch_factory: BatchFactory) -> OnlineFactory:
+    """A step policy's online factory: the service's ``adapter`` class
+    around the scheduler the *same* batch factory returns, so the batch
+    and online paths cannot drift (knobs, validation, names)."""
 
     def make(service: "ClusterService", params: dict) -> "OnlinePolicy":
-        from .service.service import _SingleEnginePolicy
+        from .service import service as online
 
-        return _SingleEnginePolicy(
+        return getattr(online, adapter)(
             service, batch_factory(params, service.seed, service.horizon)
         )
 
@@ -588,23 +535,18 @@ def _register_builtin(
     paper_section: str,
     capabilities: "PolicyCapabilities | None" = None,
     params: tuple[ParamSpec, ...] = (),
-    online_factory: "OnlineFactory | str" = "single",
+    adapter: str = "_SingleEnginePolicy",
 ) -> None:
     caps = capabilities or PolicyCapabilities()
-    factory: "OnlineFactory | None"
-    if not caps.step:
-        factory = None
-    elif online_factory == "single":
-        factory = _single_online(batch_factory)
-    else:
-        factory = online_factory  # type: ignore[assignment]
     register_policy(
         PolicyEntry(
             name=name,
             summary=summary,
             capabilities=caps,
             batch_factory=batch_factory,
-            online_factory=factory,
+            online_factory=(
+                _from_batch(adapter, batch_factory) if caps.step else None
+            ),
             params=params,
             paper_section=paper_section,
         )
@@ -617,7 +559,7 @@ _register_builtin(
     lambda params, seed, horizon: RefScheduler(horizon=horizon),
     paper_section="§3, Figs. 1/3",
     capabilities=PolicyCapabilities(max_orgs=REF_MAX_ORGS),
-    online_factory=_ref_online,
+    adapter="_RefPolicy",
 )
 _register_builtin(
     "ref-general",
@@ -700,7 +642,7 @@ _register_builtin(
     paper_section="§5.2, Fig. 6",
     capabilities=PolicyCapabilities(needs_seed=True, exact=False),
     params=_BUDGET_PARAMS,
-    online_factory=_rand_online,
+    adapter="_SampledPolicy",
 )
 _register_builtin(
     "ref_stratified",
@@ -715,7 +657,7 @@ _register_builtin(
             "pair every stratified rotation with its reverse",
         ),
     ),
-    online_factory=_stratified_online,
+    adapter="_SampledPolicy",
 )
 _register_builtin(
     "ref_adaptive",
@@ -742,7 +684,7 @@ _register_builtin(
             "ordering sampler (see ORDERING_SAMPLERS)",
         ),
     ),
-    online_factory=_adaptive_online,
+    adapter="_SampledPolicy",
 )
 _register_builtin(
     "ref_hier",

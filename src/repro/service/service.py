@@ -39,13 +39,12 @@ at the change epoch when it does not.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..algorithms.base import PolicyScheduler
 from ..algorithms.greedy import fifo_select
-from ..algorithms.rand import RandRun
 from ..algorithms.ref import RefRun
 from ..core.coalition import iter_members, subsets_by_size
 from ..core.engine import ClusterEngine
@@ -67,6 +66,11 @@ from .snapshot import (
     schedule_digest,
 )
 from .state import ClusterCensus, JournalFold, fold_journal
+
+if TYPE_CHECKING:  # annotations only
+    from ..algorithms.rand import RandRun, RandScheduler
+    from ..algorithms.ref import RefScheduler
+    from ..approx.adaptive import AdaptiveRun, AdaptiveScheduler
 
 __all__ = [
     "ClusterService",
@@ -238,7 +242,7 @@ class _FleetPolicy(OnlinePolicy):
     # ``step`` is the policy's (set by subclasses)
     fleet: CoalitionFleet
     grand_mask: int
-    run: "RefRun | RandRun"
+    run: "RefRun | RandRun | AdaptiveRun"
 
     def pending(self) -> "int | None":
         return self.fleet.next_event_time()
@@ -326,13 +330,13 @@ class _RefPolicy(_FleetPolicy):
     change (they contain the joiner) start fresh at the change epoch.
     The old grand coalition forks at a join: the physical engine grows
     into the new grand mask while a deep copy continues the old mask's
-    counterfactual ("as if the joiner never arrived").
+    counterfactual ("as if the joiner never arrived").  The batch
+    scheduler gives only its name: the recursion is built here.
     """
 
-    name = "REF"
-
-    def __init__(self, service: "ClusterService"):
+    def __init__(self, service: "ClusterService", scheduler: "RefScheduler"):
         super().__init__(service)
+        self.name = scheduler.name
         members = service.census.members
         self.grand_mask = service.census.members_mask
         self.run = RefRun(
@@ -390,94 +394,96 @@ class _RefPolicy(_FleetPolicy):
         self.run.ref_events = seen  # counts span membership epochs
 
 
-class _RandPolicy(_FleetPolicy):
-    """Online RAND: sampled-prefix contribution estimates, stepped per
-    event.  At a membership change the joining orders are redrawn over
-    the new member set (continuing the policy's RNG stream) and the
-    oracle engines restart at the change epoch; the physical engine keeps
-    its history like every other policy.
+class _SampledPolicy(_FleetPolicy):
+    """Online RAND, ``ref_stratified`` and ``ref_adaptive``: the run their
+    batch scheduler makes (``make_run``: :class:`~repro.algorithms.rand.
+    RandRun` or :class:`~repro.approx.adaptive.AdaptiveRun`), stepped per
+    event.
 
-    The budget controls mirror :class:`~repro.algorithms.rand.
-    RandScheduler`: explicit ``n_samples`` beats the Theorem 5.6
-    ``epsilon``/``delta`` choice beats the fixed ``n_orderings``, and an
-    epsilon-driven budget is re-resolved from the *live* member count at
-    every membership epoch.  ``sampler`` selects the ordering draw
-    (:data:`~repro.shapley.sampling.ORDERING_SAMPLERS`), which is how
-    ``ref_stratified`` rides this same adapter online.
+    The physical engine is the grand engine of a carrier fleet and keeps
+    its history like every other policy's; the run's oracle fleets get
+    every submission.  At a membership change the scheduler makes a new
+    run over the new member set (continuing the policy's RNG stream, so
+    an epsilon budget is re-resolved for the live member count) whose
+    oracle engines start at the change epoch, and the new run carries
+    on the old one's service-long state (``carry``).  What differs
+    between the policies -- budget, sampler, waves, certificates,
+    ledgers -- stays in the run.
     """
 
     def __init__(
         self,
         service: "ClusterService",
-        n_orderings: int = 15,
-        *,
-        epsilon: float = 0.0,
-        delta: float = 0.05,
-        n_samples: int = 0,
-        sampler: "str | None" = None,
-        name: "str | None" = None,
+        scheduler: "RandScheduler | AdaptiveScheduler",
     ):
         super().__init__(service)
-        self.n_orderings = int(n_orderings)
-        self.epsilon = float(epsilon)
-        self.delta = float(delta)
-        self.n_samples = int(n_samples)
-        self.sampler = sampler
+        self.scheduler = scheduler
+        self.name = scheduler.name
         self.rng = np.random.default_rng(service.seed)
         self.grand_mask = service.census.members_mask
-        budget = self._budget(len(service.census.members))
-        self.name = name or f"Rand(N={budget})"
         genesis = service.genesis_workload()
-        carrier = CoalitionFleet(
+        self.fleet = CoalitionFleet(
             genesis, (self.grand_mask,), horizon=service.horizon
         )
-        self.fleet = carrier
-        self.run = RandRun(
+        self._start(
             genesis,
-            service.census.members,
-            self.grand_mask,
-            budget,
-            self.rng,
-            service.horizon,
-            sampler=sampler,
-            oracle_factory=lambda sampled: CoalitionFleet(
+            lambda sampled: CoalitionFleet(
                 genesis, sampled, horizon=service.horizon
             ),
-            fleet=carrier,
         )
+
+    def _start(self, workload: Workload, oracle_factory) -> None:
+        """Make this membership epoch's run, build all of its oracle
+        fleets before any job reaches them, and give it the live pool."""
+        self.run = self.scheduler.make_run(
+            workload,
+            self.service.census.members,
+            self.grand_mask,
+            self.rng,
+            oracle_factory=oracle_factory,
+            fleet=self.fleet,
+        )
+        self._oracles = self.run.oracles
+        self.run.note_machines(self._live_machines())
+
+    def _live_machines(self) -> "dict[int, int]":
+        census = self.service.census
+        return {u: len(census.machines[u]) for u in census.members}
 
     def submit(self, job: Job) -> None:
         self.fleet.submit(job)
-        self.run.oracle.submit(job)
+        for oracle in self._oracles:
+            oracle.submit(job)
+        self.run.note_job(job)
 
     def backend_status(self) -> dict:
-        """The fleet record plus how many capable decision events were
-        forced or contested (``RandRun.rand_events``)."""
-        return {
-            **super().backend_status(),
-            "rand_events": dict(self.run.rand_events),
-        }
+        """The fleet record plus the run's counters: RAND's forced /
+        contested capable events (``rand_events``), the ladder's
+        certificates by kind (``certificates``), every epoch's."""
+        return {**super().backend_status(), **self.run.counters()}
 
     def _fleets(self) -> "tuple[CoalitionFleet, ...]":
-        return (self.fleet, self.run.oracle)
+        return (self.fleet, *self._oracles)
 
     def _mutate_pool(
         self, org: int, machine_ids: "list[int]", add: bool
     ) -> None:
-        """The oracle engines lag the clock (RAND drives them only at
-        capable decision events): drive them to it with their own greedy
+        """The oracle engines lag the clock (the run drives them only at
+        contested decision events): drive them to it with their own greedy
         FIFO first, and give an added machine its greedy round at the
         clock, so each coalition sees a machine exactly from its add, and
         until the round at its removal."""
         clock = self.service.clock
-        oracle = self.run.oracle
-        oracle.values_array(clock, select=fifo_select)  # drives every engine
+        for oracle in self._oracles:
+            oracle.values_array(clock, select=fifo_select)  # drives them all
         super()._mutate_pool(org, machine_ids, add)
         horizon = self.service.horizon
         if add and (horizon is None or clock < horizon):
-            for mask in oracle.masks:
-                if mask & (1 << org):
-                    oracle.engine(mask).fill(fifo_select)
+            for oracle in self._oracles:
+                for mask in oracle.masks:
+                    if mask & (1 << org):
+                        oracle.engine(mask).fill(fifo_select)
+        self.run.note_machines(self._live_machines())
 
     def join(self, org: int) -> None:
         self._grow_grand(org)
@@ -487,32 +493,10 @@ class _RandPolicy(_FleetPolicy):
         self._shrink_grand(org, machine_ids)
         self._redraw()
 
-    def _budget(self, k: int) -> int:
-        """The joining-order budget for ``k`` live members (explicit
-        ``n_samples``, else Theorem 5.6, else fixed ``n_orderings``)."""
-        if self.n_samples:
-            return self.n_samples
-        if self.epsilon:
-            from ..shapley.sampling import hoeffding_samples
-
-            return hoeffding_samples(k, self.epsilon, 1.0 - self.delta)
-        return self.n_orderings
-
     def _redraw(self) -> None:
-        service = self.service
-        seen = self.run.rand_events
-        self.run = RandRun(
-            service.zero_workload(),
-            service.census.members,
-            self.grand_mask,
-            self._budget(len(service.census.members)),
-            self.rng,
-            service.horizon,
-            sampler=self.sampler,
-            oracle_factory=self._epoch_oracle,
-            fleet=self.fleet,
-        )
-        self.run.rand_events = seen  # counts span membership epochs
+        prev = self.run
+        self._start(self.service.zero_workload(), self._epoch_oracle)
+        self.run.carry(prev)
 
     def _epoch_oracle(self, sampled: "list[int]") -> CoalitionFleet:
         fleet = CoalitionFleet(

@@ -22,7 +22,7 @@ from repro.approx import (
     agreement_report,
     org_blocks,
 )
-from repro.approx.adaptive import AdaptiveRun, wave_sizes
+from repro.approx.adaptive import CERTIFICATE_KINDS, AdaptiveRun, wave_sizes
 from repro.approx.validate import ORACLE_MAX_ORGS, ExactDecisionOracle
 from repro.core.coalition import iter_subsets
 from repro.core.fleet import CoalitionFleet
@@ -562,12 +562,18 @@ class TestOnlineAdaptive:
         org = svc.join_org(machines=1)
         svc.submit(org, 2)
         svc.drain()
-        policy = svc._policy
-        certs = policy.all_certificates()
+        run = svc._policy.run
+        certs = run.all_certificates()
         # the pre-join epoch's certificates survive the redraw
-        assert len(certs) > len(policy.run.certificates)
-        assert policy.summary().decisions == len(certs)
+        assert len(certs) > len(run.certificates)
+        assert run.summary().decisions == len(certs)
         assert all(c.certified in (True, False) for c in certs)
+        # and so do their counts by kind in the status
+        kinds = svc.status()["policy_backend"]["certificates"]
+        assert kinds == {
+            kind: sum(c.kind == kind for c in certs)
+            for kind in CERTIFICATE_KINDS
+        }
 
     def test_stratified_online_is_deterministic_past_cap(self):
         # replay == batch equivalence for the new step-capable policies is

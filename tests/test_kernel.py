@@ -1193,7 +1193,7 @@ DERIVED = (
 def rederived(kern: FleetKernel) -> FleetKernel:
     """A copy of ``kern`` with every cache wiped and rebuilt by
     ``_derive``; each must equal the live kernel's patched value."""
-    twin = copy.deepcopy(kern, {id(kern.workload): kern.workload})
+    twin = copy.deepcopy(kern)
     for name in DERIVED:
         setattr(twin, name, None)
     twin.rec.free_count = None

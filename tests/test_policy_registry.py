@@ -125,6 +125,31 @@ class TestTypedErrors:
         with pytest.raises(PolicyParamError):
             ClusterService([1, 1], "rand:bogus=3")
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "rand:n_orderings=0",
+            "rand:epsilon=0.1,delta=1.5",
+            "ref_stratified:epsilon=-1",
+            "ref_stratified:epsilon=0.1,delta=0",
+            "ref_adaptive:delta=1.5",
+            "ref_adaptive:n_min=0",
+            "ref_adaptive:n_max=-1",
+            "ref_adaptive:n_max=0,epsilon=0",
+            "ref_adaptive:sampler=bogus",
+        ],
+    )
+    def test_batch_and_online_refuse_bad_specs_alike(self, spec):
+        """A sampled policy's knobs are checked where its scheduler is
+        built, and its online adapter is built from that scheduler: both
+        paths refuse at construction, with one message -- also
+        ``n_min=0`` at k=3, where 3! <= n_max and no wave is ever drawn."""
+        with pytest.raises(ValueError) as batch:
+            build_scheduler(spec)
+        with pytest.raises(ValueError) as online:
+            ClusterService([1, 1, 1], spec)
+        assert str(online.value) == str(batch.value)
+
     def test_join_beyond_max_orgs_is_typed_at_ingest(self):
         cap = get_policy("ref").capabilities.max_orgs
         svc = ClusterService([1] * cap, "ref")

@@ -1063,25 +1063,27 @@ class TestDynamicMembership:
 
 
 class TestRandOracleSeesThePoolAtTheClock:
-    """RAND drives its oracle engines only at capable decision events, so
-    they lag the clock.  A machine added or removed at clock ``c`` must
-    exist in every oracle coalition's greedy FIFO schedule exactly from
-    ``c`` on, or until the round at ``c`` has run."""
+    """The sampled policies drive their oracle engines only at contested
+    decision events, so they lag the clock.  A machine added or removed
+    at clock ``c`` must exist in every oracle coalition's greedy FIFO
+    schedule exactly from ``c`` on, or until the round at ``c`` has run.
+    RAND has one oracle fleet; ``ref_adaptive`` at k=3 values the whole
+    lattice (its exact rung), at k=5 with ``n_max=16`` its waves."""
 
     @staticmethod
-    def _churn(policy: str, seed: int):
+    def _churn(policy: str, seed: int, k: int = 3):
         rng = np.random.default_rng(seed)
-        svc = ClusterService([1, 1, 1], policy, seed=seed)
+        svc = ClusterService([1] * k, policy, seed=seed)
         history = []  # ("submit", job) / ("pool", clock, org, ids, add)
         for tick in range(1, 120):
             for _ in range(int(rng.integers(3))):
-                org, size = int(rng.integers(3)), int(rng.integers(1, 7))
+                org, size = int(rng.integers(k)), int(rng.integers(1, 7))
                 history.append(
                     ("submit", svc.submit(org, size, release=tick))
                 )
             svc.advance(tick)
             if tick % 17 == 0:
-                org = int(rng.integers(3))
+                org = int(rng.integers(k))
                 add = len(svc.census.machines[org]) < 2 or rng.random() < 0.5
                 ids = (
                     svc.add_machines(org, 1)
@@ -1117,24 +1119,37 @@ class TestRandOracleSeesThePoolAtTheClock:
         ref.drive(fifo_select)
         return ref
 
-    @pytest.mark.parametrize("policy", ["rand", "ref_stratified"])
+    @pytest.mark.parametrize(
+        "policy, k",
+        [
+            pytest.param(policy, k, id=policy)
+            for policy, k in [
+                ("rand", 3),
+                ("ref_stratified", 3),
+                ("ref_adaptive", 3),
+                ("ref_adaptive:n_max=16,n_min=4", 5),
+            ]
+        ],
+    )
     @pytest.mark.parametrize("seed", range(6))
-    def test_oracle_machines_live_from_add_to_removal(self, policy, seed):
-        svc, history = self._churn(policy, seed)
+    def test_oracle_machines_live_from_add_to_removal(self, policy, k, seed):
+        svc, history = self._churn(policy, seed, k)
         added = {m: op[1] for op in history if op[0] == "pool" and op[4]
                  for m in op[3]}
         removed = {m: op[1] for op in history
                    if op[0] == "pool" and not op[4] for m in op[3]}
-        oracle = svc.policy.run.oracle
-        for mask in oracle.masks:
-            eng = oracle.engine(mask)
-            eng.drive(fifo_select)
-            for e in eng.start_log:
-                assert added.get(e.machine, 0) <= e.start, (mask, e)
-                # the round at the removal clock ran before the removal
-                assert e.start <= removed.get(e.machine, e.start), (mask, e)
-            ref = self._eager(svc, eng.members, history)
-            assert eng.start_log == ref.start_log, mask
+        for oracle in svc.policy.run.oracles:
+            for mask in oracle.masks:
+                eng = oracle.engine(mask)
+                eng.drive(fifo_select)
+                for e in eng.start_log:
+                    assert added.get(e.machine, 0) <= e.start, (mask, e)
+                    # the round at the removal clock ran before the removal
+                    assert e.start <= removed.get(e.machine, e.start), (
+                        mask, e
+                    )
+                ref = self._eager(svc, eng.members, history)
+                assert eng.start_log == ref.start_log, mask
 
 
 # ----------------------------------------------------------------------
@@ -1290,10 +1305,16 @@ class TestDaemon:
         )
         assert svc._policy.fleet.materialize_reason == "remove_mask"
         assert backend["ref_events"] == seen  # counts outlive the epoch
-        rand = ClusterService([1, 1, 1], "rand", seed=0)
-        assert set(rand.status()["policy_backend"]) == (
-            set(backend) - {"ref_events"} | {"rand_events"}
-        )
+        fleet_keys = set(backend) - {"ref_events"}
+        for policy, counters in [
+            ("rand", "rand_events"),
+            ("ref_stratified", "rand_events"),
+            ("ref_adaptive", "certificates"),
+        ]:
+            sampled = ClusterService([1, 1, 1], policy, seed=0)
+            assert set(sampled.status()["policy_backend"]) == (
+                fleet_keys | {counters}
+            ), policy
         assert ClusterService([1], "fifo").status()["policy_backend"] is None
 
     def test_rand_events_count_capable_events_across_epochs(self):

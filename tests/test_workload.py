@@ -1,5 +1,8 @@
 """Unit tests for repro.core.workload."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core.job import Job
@@ -33,6 +36,19 @@ class TestConstruction:
         wl = make_workload([1], [(0, 0, 1)])
         with pytest.raises(AttributeError):
             wl.jobs = ()
+
+    @pytest.mark.parametrize(
+        "copier",
+        [copy.copy, copy.deepcopy, lambda wl: pickle.loads(pickle.dumps(wl))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_round_trip(self, copier):
+        wl = make_workload([2, 1], [(0, 0, 3), (1, 1, 2), (2, 0, 1)])
+        twin = copier(wl)
+        assert twin == wl and hash(twin) == hash(wl)
+        assert twin.jobs_of(0) == wl.jobs_of(0)
+        with pytest.raises(AttributeError):
+            twin.jobs = ()
 
     def test_fifo_validation_applied(self):
         with pytest.raises(ValueError, match="FIFO"):
