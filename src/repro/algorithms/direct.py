@@ -181,9 +181,9 @@ class DirectContributionScheduler(PolicyScheduler):
                 run = engine.running_on(machine)
                 if run is None:
                     continue
-                self._fin_ut[run.org] += dt
+                self._fin_ut[run.job.org] += dt
                 self._fin_con[owner] += dt
-                self._phi[run.org] += tri  # paper writes phi[own(J)]
+                self._phi[run.job.org] += tri  # paper writes phi[own(J)]
                 self._psi[owner] += tri  # paper writes psi[own(m)]
             # repair: jobs completed in (tprev, t] would otherwise lose
             # their final chunk entirely

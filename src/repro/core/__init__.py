@@ -16,7 +16,7 @@ from .coalition import (
     shapley_weight,
     subsets_by_size,
 )
-from .engine import ClusterEngine, RunningJob
+from .engine import ClusterEngine
 from .fleet import CoalitionFleet
 from .kernel import KERNEL_MIN_ENGINES, FleetKernel, KernelEngineView, kernel_certified
 from .job import Job, merge_jobs, sort_jobs, split_job, validate_jobs
@@ -34,7 +34,6 @@ __all__ = [
     "KernelEngineView",
     "kernel_certified",
     "Organization",
-    "RunningJob",
     "Schedule",
     "ScheduledJob",
     "Workload",

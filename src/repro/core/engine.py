@@ -52,24 +52,7 @@ from .job import Job
 from .schedule import Schedule, ScheduledJob
 from .workload import Workload
 
-__all__ = ["ClusterEngine", "RunningJob"]
-
-
-class RunningJob:
-    """A job occupying a machine, carrying its start-log ``entry``."""
-
-    __slots__ = ("entry", "job", "start", "machine", "finish")
-
-    def __init__(self, entry: ScheduledJob):
-        self.entry = entry
-        self.job = job = entry.job
-        self.start = entry.start
-        self.machine = entry.machine
-        self.finish = entry.start + job.size  # hidden from policies
-
-    @property
-    def org(self) -> int:
-        return self.job.org
+__all__ = ["ClusterEngine"]
 
 
 class ClusterEngine:
@@ -112,13 +95,14 @@ class ClusterEngine:
             if not 0 <= u < k:
                 raise ValueError(f"unknown organization {u}")
         self.horizon = horizon
+        member_set = set(self.members)
 
         # --- machines (canonical global ids, filtered to members) --------
         owners: list[int] = []
         for org in workload.organizations:
             owners.extend([org.id] * org.machines)
         self.machine_owner: dict[int, int] = {
-            mid: o for mid, o in enumerate(owners) if o in set(self.members)
+            mid: o for mid, o in enumerate(owners) if o in member_set
         }
         self.n_machines = len(self.machine_owner)
         # free machines: min-heap + shadow set with lazy deletion (an id is
@@ -129,7 +113,7 @@ class ClusterEngine:
 
         # --- job release stream (members only, canonical order) ----------
         self._stream: list[Job] = sorted(
-            j for j in workload.jobs if j.org in set(self.members)
+            j for j in workload.jobs if j.org in member_set
         )
         self._stream_pos = 0
         self._pending: dict[int, deque[Job]] = {u: deque() for u in self.members}
@@ -138,7 +122,8 @@ class ClusterEngine:
         # --- execution state ---------------------------------------------
         self.t = 0
         self._busy: list[tuple[int, int]] = []  # (finish, machine) heap
-        self._running: dict[int, RunningJob] = {}  # machine -> RunningJob
+        # machine -> the start-log entry of the job running on it
+        self._running: dict[int, ScheduledJob] = {}
         # dynamic-pool bookkeeping: machines draining (busy, retire at
         # completion) and machines fully retired (kept in machine_owner so
         # retrospective by-owner attribution of their past work still works)
@@ -192,8 +177,7 @@ class ClusterEngine:
             raise ValueError(f"cannot advance backwards ({self.t} -> {t})")
         while self._busy and self._busy[0][0] <= t:
             finish, machine = heapq.heappop(self._busy)
-            run = self._running.pop(machine)
-            self._complete(run)
+            self._complete(self._running.pop(machine))
             if machine in self._retiring:
                 self._retiring.discard(machine)
                 self._retired.add(machine)
@@ -211,21 +195,21 @@ class ClusterEngine:
             self._n_waiting += 1
         self.t = t
 
-    def _complete(self, run: RunningJob) -> None:
-        p = run.job.size
-        s = run.start
+    def _complete(self, entry: ScheduledJob) -> None:
+        s, machine, job = entry
+        p = job.size
         tri = p * s + p * (p - 1) // 2
-        u = run.job.org
+        u = job.org
         self._done_units[u] += p
         self._done_wstart[u] += tri
-        mo = self.machine_owner[run.machine]
+        mo = self.machine_owner[machine]
         self._done_units_mach[mo] += p
         self._done_wstart_mach[mo] += tri
         self._tot_units += p
         self._tot_wstart += tri
         self._run_start_sum -= s
         self._run_start_sq -= s * s
-        self._completed.append(run.entry)
+        self._completed.append(entry)
 
     # ------------------------------------------------------------------
     # scheduler-facing state (non-clairvoyant: no running sizes exposed)
@@ -266,17 +250,18 @@ class ClusterEngine:
 
     def running_count(self, org: int) -> int:
         """Currently executing jobs of one organization."""
-        return sum(1 for r in self._running.values() if r.org == org)
+        return sum(1 for r in self._running.values() if r.job.org == org)
 
     def running_counts(self) -> list[int]:
         """Currently executing jobs per organization (length k)."""
         out = [0] * self.n_orgs
         for r in self._running.values():
-            out[r.org] += 1
+            out[r.job.org] += 1
         return out
 
-    def running_on(self, machine: int) -> RunningJob | None:
-        """The job currently on ``machine`` (None if the machine is free)."""
+    def running_on(self, machine: int) -> ScheduledJob | None:
+        """The start-log entry of the job currently on ``machine`` (None
+        if the machine is free)."""
         return self._running.get(machine)
 
     def consumed_cpu(self, org: int, t: int | None = None) -> int:
@@ -295,8 +280,8 @@ class ClusterEngine:
             )
         total = self._done_units[org]
         for r in self._running.values():
-            if r.org == org:
-                total += min(t, r.finish) - r.start
+            if r.job.org == org:
+                total += min(t - r.start, r.job.size)
         return total
 
     # ------------------------------------------------------------------
@@ -313,7 +298,7 @@ class ClusterEngine:
             return self.psis(t)[org]
         val = self._done_units[org] * t - self._done_wstart[org]
         for r in self._running.values():
-            if r.org == org:
+            if r.job.org == org:
                 val += _partial_psi(r.start, r.job.size, t)
         return val
 
@@ -330,7 +315,7 @@ class ClusterEngine:
         for u in range(self.n_orgs):
             out[u] = self._done_units[u] * t - self._done_wstart[u]
         for r in self._running.values():
-            out[r.org] += _partial_psi(r.start, r.job.size, t)
+            out[r.job.org] += _partial_psi(r.start, r.job.size, t)
         return out
 
     def psis_by_machine_owner(self, t: int | None = None) -> list[int]:
@@ -423,10 +408,10 @@ class ClusterEngine:
                 raise ValueError(f"machine {machine} is not free at t={self.t}")
             self._free_set.discard(machine)  # heap entry goes stale, O(1)
         t = self.t
-        entry = ScheduledJob(t, machine, self._pending[org].popleft())
+        job = self._pending[org].popleft()
+        entry = self._running[machine] = ScheduledJob(t, machine, job)
         self._n_waiting -= 1
-        run = self._running[machine] = RunningJob(entry)
-        heapq.heappush(self._busy, (run.finish, machine))
+        heapq.heappush(self._busy, (t + job.size, machine))
         self._run_start_sum += t
         self._run_start_sq += t * t
         self._log.append(entry)
@@ -526,7 +511,7 @@ class ClusterEngine:
         """An independent copy of this engine's full simulation state.
 
         Mutable containers are copied, immutable records (the workload,
-        jobs, schedule entries, write-once running-job records) are
+        jobs, schedule entries, which are also the running jobs) are
         shared.  The online service forks the grand coalition's engine at
         a membership epoch: the original grows into the new coalition
         while the fork continues the old mask's counterfactual.
@@ -622,7 +607,7 @@ class ClusterEngine:
         last_end: dict[int, int] = {}
         log: list[ScheduledJob] = []
         completed: list[tuple[int, int, ScheduledJob]] = []
-        running: dict[int, RunningJob] = {}
+        running: dict[int, ScheduledJob] = {}
         run_sum = run_sq = 0
         prev = 0
         triples = iter(image["starts"])
@@ -655,7 +640,7 @@ class ClusterEngine:
             entry = ScheduledJob(s, m, job)
             log.append(entry)
             if end > t:
-                running[m] = RunningJob(entry)
+                running[m] = entry
                 run_sum += s
                 run_sq += s * s
             else:
@@ -722,7 +707,7 @@ class ClusterEngine:
         eng._pending = pending
         eng._n_waiting = sum(waiting)
         eng.t = t
-        eng._busy = sorted((r.finish, m) for m, r in running.items())
+        eng._busy = sorted((r.end, m) for m, r in running.items())
         eng._running = running
         eng._retiring = retiring
         eng._retired = retired
@@ -806,6 +791,11 @@ class ClusterEngine:
         return self._completed
 
     @property
+    def started_count(self) -> int:
+        """Jobs started so far (the start log's length)."""
+        return len(self._log)
+
+    @property
     def start_log(self) -> list[ScheduledJob]:
         """Started jobs in start order (treat as read-only): the schedule
         without :meth:`schedule`'s sort."""
@@ -826,7 +816,7 @@ class ClusterEngine:
                 min(e.job.size, max(0, t - e.start)) for e in self._log
             )
         for r in self._running.values():
-            total += max(0, min(t, r.finish) - r.start)
+            total += max(0, min(t - r.start, r.job.size))
         return total
 
     def utilization(self, t: int | None = None) -> float:

@@ -122,6 +122,7 @@ class CoalitionFleet:
         #: (the online service's ``join`` and ``pool_change``)
         self.n_materializations = 0
         self.materialize_reason: str | None = None
+        self._built_on_engines: str | None = None  # see backend_status
         self._constructing = True
         for m in masks:
             self.add_mask(m)
@@ -134,6 +135,9 @@ class CoalitionFleet:
             self._use_kernel = True
             self._kernel_stale = True
         else:
+            self._built_on_engines = "uncertified" if wants_kernel else (
+                "requested" if backend == "engines" else "below_threshold"
+            )
             for m in self._order:
                 self._engines[m] = ClusterEngine(
                     workload, list(iter_members(m)), horizon=horizon
@@ -179,7 +183,9 @@ class CoalitionFleet:
 
     def backend_status(self) -> dict:
         """Which backend serves this fleet, how often it fell back from the
-        kernel, and how many starts its log(s) hold (JSON-friendly)."""
+        kernel, how many starts its log(s) hold, and (off the kernel) why:
+        the last fallback's :attr:`materialize_reason`, else ``requested``,
+        ``below_threshold`` or ``uncertified`` (JSON-friendly)."""
         if self._use_kernel:
             kern = self._kernel_obj
             stale = kern is None or self._kernel_stale
@@ -190,6 +196,9 @@ class CoalitionFleet:
             "backend": "kernel" if self._use_kernel else "engines",
             "materializations": self.n_materializations,
             "start_log_entries": int(entries),
+            "reason": None if self._use_kernel else (
+                self.materialize_reason or self._built_on_engines
+            ),
         }
 
     # ------------------------------------------------------------------

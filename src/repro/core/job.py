@@ -15,19 +15,23 @@ Time is discrete (:class:`int` time steps) and processing times are positive
 integers, exactly as in the paper.  A job occupying a machine during the time
 slots ``[s, s+p)`` is identified with the pair ``(s, p)`` when evaluating
 utility functions (Section 4).
+
+A :class:`Job` is a tuple record: it compares equal to the tuple of its
+fields, orders and hashes as that tuple, and :mod:`json` encodes it as an
+array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from typing import Iterable, Iterator, Sequence
 
 __all__ = ["Job", "sort_jobs", "validate_jobs", "split_job", "merge_jobs"]
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Job:
-    """A sequential job.
+class Job(namedtuple("Job", "release org index size id", defaults=(-1,))):
+    """A sequential job, checked on every constructor path (``Job(...)``,
+    :meth:`_make`, ``_replace``, copy and pickle).
 
     The ordering of :class:`Job` instances is (release, org, index, size, id)
     which is exactly the submission order required by the FIFO-per-
@@ -53,21 +57,25 @@ class Job:
         for schedule bookkeeping and round-tripping through SWF files.
     """
 
-    release: int
-    org: int
-    index: int
-    size: int
-    id: int = field(default=-1)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.release < 0:
-            raise ValueError(f"release must be >= 0, got {self.release}")
-        if self.size < 1:
-            raise ValueError(f"size must be >= 1, got {self.size}")
-        if self.org < 0:
-            raise ValueError(f"org must be >= 0, got {self.org}")
-        if self.index < 0:
-            raise ValueError(f"index must be >= 0, got {self.index}")
+    def __new__(
+        cls, release: int, org: int, index: int, size: int, id: int = -1
+    ) -> Job:
+        if release < 0:
+            raise ValueError(f"release must be >= 0, got {release}")
+        if size < 1:
+            raise ValueError(f"size must be >= 1, got {size}")
+        if org < 0:
+            raise ValueError(f"org must be >= 0, got {org}")
+        if index < 0:
+            raise ValueError(f"index must be >= 0, got {index}")
+        return tuple.__new__(cls, (release, org, index, size, id))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> Job:
+        """``Job(*iterable)``: namedtuple's own skips the checks."""
+        return cls(*iterable)
 
     def delayed(self, delta: int) -> "Job":
         """Return a copy of this job released ``delta`` time units later.
@@ -77,7 +85,7 @@ class Job:
         """
         if delta < 0:
             raise ValueError("delta must be >= 0")
-        return replace(self, release=self.release + delta)
+        return self._replace(release=self.release + delta)
 
     def inflated(self, extra: int) -> "Job":
         """Return a copy with ``extra`` artificial processing units appended.
@@ -87,7 +95,7 @@ class Job:
         """
         if extra < 0:
             raise ValueError("extra must be >= 0")
-        return replace(self, size=self.size + extra)
+        return self._replace(size=self.size + extra)
 
 
 def sort_jobs(jobs: Iterable[Job]) -> list[Job]:

@@ -70,7 +70,7 @@ from typing import Iterable
 import numpy as np
 
 from .coalition import iter_members
-from .engine import ClusterEngine, RunningJob, _partial_psi
+from .engine import ClusterEngine, _partial_psi
 from .job import Job
 from .schedule import Schedule, ScheduledJob
 from .workload import Workload
@@ -716,7 +716,7 @@ class FleetKernel:
         heapq.heapify(eng._busy)
         entries = self.row_entries(row)
         last = {e.machine: e for e in entries}  # a machine's latest start
-        eng._running = {m: RunningJob(last[m]) for m in running_m.tolist()}
+        eng._running = {m: last[m] for m in running_m.tolist()}
         eng._retiring = set()
         eng._retired = set()
         eng._done_units = rec.done_units[row].tolist()
@@ -802,6 +802,11 @@ class KernelEngineView:
     def psis(self, t: "int | None" = None) -> "list[int]":
         kern, row = self._kr()
         return kern.row_psis(row, t)
+
+    @property
+    def started_count(self) -> int:
+        kern, row = self._kr()  # counted, not built from the start log
+        return int(kern.rec.started[row][kern.rec.member[row]].sum())
 
     @property
     def start_log(self) -> "list[ScheduledJob]":

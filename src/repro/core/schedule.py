@@ -12,26 +12,26 @@ Feasibility (the paper's :math:`\\Gamma`):
 * jobs of one organization start in FIFO (submission) order,
 * *greediness*: whenever a machine is free and a released job waits, some
   job is started (checked by replay).
+
+A :class:`ScheduledJob` is a tuple record ``(start, machine, job)`` like
+:class:`~repro.core.job.Job` (equal to the tuple of its fields, encoded
+by :mod:`json` as an array).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Iterator, Sequence
 
-from .job import Job
 from .workload import Workload
 
 __all__ = ["ScheduledJob", "Schedule"]
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class ScheduledJob:
+class ScheduledJob(namedtuple("ScheduledJob", "start machine job")):
     """One schedule entry: ``job`` started at ``start`` on ``machine``."""
 
-    start: int
-    machine: int
-    job: Job
+    __slots__ = ()
 
     @property
     def end(self) -> int:

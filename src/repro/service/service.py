@@ -306,13 +306,17 @@ class _FleetPolicy(OnlinePolicy):
 
     def backend_status(self) -> dict:
         """The policy's fleets as one record: on the kernel while any of
-        them is, with their fallbacks and start-log entries summed."""
+        them is, with their fallbacks and start-log entries summed (and
+        off it, their distinct reasons)."""
         parts = [fl.backend_status() for fl in self._fleets()]
         on_kernel = any(p["backend"] == "kernel" for p in parts)
         return {
             "backend": "kernel" if on_kernel else "engines",
             "materializations": sum(p["materializations"] for p in parts),
             "start_log_entries": sum(p["start_log_entries"] for p in parts),
+            "reason": None if on_kernel else ", ".join(
+                dict.fromkeys(p["reason"] for p in parts)
+            ),
         }
 
     def machines_added(self, org: int, machine_ids: "list[int]") -> None:
@@ -847,7 +851,7 @@ class ClusterService:
                 str(org): len(ids) for org, ids in self.census.machines.items()
             },
             "jobs_submitted": self.n_jobs,
-            "jobs_started": len(engine.start_log),
+            "jobs_started": engine.started_count,
             "events_processed": self.n_events,
             "waiting": sum(
                 engine.waiting_count(u) for u in engine.members

@@ -235,11 +235,7 @@ class TestOneRecordPerStart:
         eng = ClusterEngine(wl)
         eng.drive(fifo_select, until=0)
         for e in eng.start_log:
-            run = eng.running_on(e.machine)
-            assert run.entry is e
-            assert (run.job, run.start, run.machine, run.org) == (
-                e.job, e.start, e.machine, e.job.org
-            )
+            assert eng.running_on(e.machine) is e
 
 
 # ----------------------------------------------------------------------

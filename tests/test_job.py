@@ -1,5 +1,8 @@
 """Unit tests for repro.core.job."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from repro.core.job import (
     split_job,
     validate_jobs,
 )
+from repro.core.schedule import ScheduledJob
 
 
 class TestJobConstruction:
@@ -135,3 +139,62 @@ def test_split_then_merge_roundtrip(release, size, pieces):
     assert merged.size == job.size
     assert merged.index == job.index
     assert merged.release == job.release
+
+
+
+_job_fields = st.tuples(
+    st.integers(0, 4), st.integers(0, 2), st.integers(0, 2),
+    st.integers(1, 3), st.integers(-1, 3),
+)
+_bad_fields = st.one_of(
+    st.tuples(
+        st.sampled_from(["release", "org", "index"]), st.integers(-3, -1)
+    ),
+    st.tuples(st.just("size"), st.integers(-2, 0)),
+)
+
+
+@given(
+    fields=st.lists(_job_fields, min_size=1, max_size=6),
+    places=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 2)),
+        min_size=6, max_size=6,
+    ),
+    bad=_bad_fields,
+)
+def test_records_are_their_field_tuples(fields, places, bad):
+    """A Job and a ScheduledJob order, hash and compare exactly as their
+    field tuples; every constructor path refuses a bad field; copies and
+    pickles round-trip."""
+    jobs = [Job(*f) for f in fields]
+    entries = [ScheduledJob(s, m, j) for (s, m), j in zip(places, jobs)]
+    rows = [(s, m, f) for (s, m), f in zip(places, fields)]
+    for records, plain in ((jobs, fields), (entries, rows)):
+        for a, fa in zip(records, plain):
+            assert a == fa and hash(a) == hash(fa)
+            for b, fb in zip(records, plain):
+                assert (a < b, a <= b, a == b) == (fa < fb, fa <= fb, fa == fb)
+        assert sorted(records) == sorted(plain)
+        for a in records:
+            for twin in (
+                copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))
+            ):
+                assert type(twin) is type(a) and twin == a
+    release, org, index, size, id_ = fields[0]
+    assert repr(jobs[0]) == (
+        f"Job(release={release}, org={org}, index={index}, size={size}, "
+        f"id={id_})"
+    )
+    s, m = places[0]
+    assert repr(entries[0]) == (
+        f"ScheduledJob(start={s}, machine={m}, job={jobs[0]!r})"
+    )
+    name, value = bad
+    kwargs = jobs[0]._asdict() | {name: value}
+    for build in (
+        lambda: Job(**kwargs),
+        lambda: Job._make(kwargs.values()),
+        lambda: jobs[0]._replace(**{name: value}),
+    ):
+        with pytest.raises(ValueError, match=name):
+            build()

@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import ref as ref_mod
-from repro.algorithms.base import fill_capacity, members_mask
+from repro.algorithms.base import fill_capacity
 from repro.algorithms.direct import DirectContributionScheduler
 from repro.algorithms.greedy import fifo_select
 from repro.algorithms.rand import RandScheduler
@@ -48,7 +48,6 @@ from repro.core.kernel import (
     kernel_certified,
 )
 from repro.core.multikernel import MultiInstanceKernel
-from repro.core.organization import Organization
 from repro.core.workload import Workload
 
 from .conftest import make_workload, random_workload

@@ -27,7 +27,6 @@ from repro.experiments.spec import ScenarioSpec
 from repro.policies import (
     POLICY_REGISTRY,
     CapabilityError,
-    ParamSpec,
     PolicyCapabilities,
     PolicyEntry,
     PolicyParamError,

@@ -1290,7 +1290,10 @@ class TestDaemon:
         backend = status["policy_backend"]
         assert backend["backend"] == "kernel"
         assert backend["materializations"] == 0
+        assert backend["reason"] is None
         assert backend["start_log_entries"] >= status["jobs_started"] > 0
+        # counted from the kernel record, not a built start log
+        assert status["jobs_started"] == len(svc.schedule())
         # one feed per job: the two keys perf/ reads, nothing buffered
         assert status["ingest"] == {"flushes": 6, "jobs_flushed": 6}
         # ISSUE 22: what the fused REF body did with its decision events
@@ -1304,6 +1307,7 @@ class TestDaemon:
             "engines", 1
         )
         assert svc._policy.fleet.materialize_reason == "remove_mask"
+        assert backend["reason"] == "remove_mask"
         assert backend["ref_events"] == seen  # counts outlive the epoch
         fleet_keys = set(backend) - {"ref_events"}
         for policy, counters in [
@@ -1316,6 +1320,27 @@ class TestDaemon:
                 fleet_keys | {counters}
             ), policy
         assert ClusterService([1], "fifo").status()["policy_backend"] is None
+
+    def test_engines_backed_sampled_fleets_say_why(self):
+        """After a join a RAND service's epoch oracle is built empty and
+        filled mask by mask, so it serves on engines without a fallback:
+        the status names that cause."""
+        svc = ClusterService([1] * 8, "rand", seed=0)
+        for org in range(8):
+            svc.submit(org, 2)
+        svc.advance(1)
+        backend = svc.status()["policy_backend"]
+        assert (backend["backend"], backend["reason"]) == ("kernel", None)
+        svc.join_org(1)
+        svc.submit(8, 2)
+        svc.advance(2)
+        backend = svc.status()["policy_backend"]
+        assert (
+            backend["backend"], backend["materializations"], backend["reason"]
+        ) == ("engines", 0, "below_threshold")
+        assert [o.backend_status()["reason"] for o in svc._policy._oracles] == [
+            "below_threshold"
+        ] * len(svc._policy._oracles)
 
     def test_rand_events_count_capable_events_across_epochs(self):
         """An online RAND service reports its forced / contested split,

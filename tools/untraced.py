@@ -6,15 +6,16 @@ events only) and compares the functions it entered with the ``def``s of
 defined in one of the ``GATED`` files (``fnmatch`` patterns: the
 scheduler base classes and their event loops, greedy FIFO, the RAND and
 REF event bodies, the certified-approximation ladder, the Shapley
-solver, the event engine, the coalition fleet, the coalition kernel and
-its engine views, the multi-instance kernel, the service with its policy adapters, its
-journal and its snapshot format, the pipe plumbing and row loop that
-``repro serve`` and a gateway worker share, the gateway's pipe grammar,
+solver, the job record and its constructors, the event engine, the
+coalition fleet, the coalition kernel and its engine views, the
+multi-instance kernel, the service with its policy adapters, its journal
+and its snapshot format, the pipe plumbing and row loop that ``repro
+serve`` and a gateway worker share, the gateway's pipe grammar,
 write-ahead log, worker pipes, shard pool and front door) that no test
 calls fails the run: every REF path, every kernel pass, every engine and
 fleet method, every ingest method, every checkpoint helper, every WAL
-path and every recovery path is a tested one.  ``@abstractmethod`` bodies are
-declarations, not paths, and are skipped.
+path and every recovery path is a tested one.  ``@abstractmethod``
+bodies are declarations, not paths, and are skipped.
 
     PYTHONPATH=src python tools/untraced.py [pytest args...]
 """
@@ -38,6 +39,7 @@ GATED = (
     "algorithms/multiref.py",
     "approx/*.py",
     "shapley/vectorized.py",
+    "core/job.py",
     "core/engine.py",
     "core/fleet.py",
     "core/kernel.py",
