@@ -35,10 +35,11 @@ is a cached coefficient-matrix product
 :func:`update_vals_scaled` as the exact big-int fallback and reference.
 
 The loop is stated twice, and only twice (DESIGN.md §2.5):
-:meth:`RefRun._on_event_kernel`, the fused array body tried first on a
-kernel-backed fleet, and :meth:`RefRun._on_event`, the per-coalition body
-that serves every other fleet and is the one fallback for whatever the
-array body declines.
+:func:`fused_round`, the array body over a structure-of-arrays kernel
+(tried first on a kernel-backed fleet by :meth:`RefRun._on_event_kernel`,
+and the whole of the batched sweep, :mod:`repro.algorithms.multiref`), and
+:meth:`RefRun._on_event`, the per-coalition body that serves every other
+fleet and is the one fallback for whatever the array body declines.
 
 The general-utility variant of Fig. 1 (arbitrary ψ, explicit ``Distance``)
 is :class:`GeneralRefScheduler`.
@@ -94,6 +95,12 @@ VECTORIZE_MIN_K = 5
 #: case); bigger masks use the uncached loop.
 _TERMS_MAX_K = 6
 
+#: The fused round's int64 caps on ``|phi|`` and on a key ``|phi| +
+#: |C|!·|psi|``, checked per round (:func:`fused_round`) and, statically on
+#: an instance's certified bound, by ``multiref.batchable``.
+PHI_CAP = 1 << 62
+KEY_CAP = 1 << 63
+
 
 @lru_cache(maxsize=512)
 def _update_terms(
@@ -125,27 +132,89 @@ def _solver_for(masks: "tuple[int, ...]") -> ScaledShapleySolver:
     return ScaledShapleySolver({m: i for i, m in enumerate(masks)})
 
 
-def fused_plan(solver: ScaledShapleySolver, groups, row_of, n_rows: int):
-    """The fused event body's plan over all size groups, shared by the
-    single-instance body (:meth:`RefRun._on_event_kernel`) and the
-    multi-instance sweep (:mod:`repro.algorithms.multiref`): per group the
-    stacked ``UpdateVals`` coefficients, value-row gather, simulation rows
-    (``row_of[mask]``) and phi scatter columns; the per-row ``|C|!`` column
-    over ``n_rows`` rows; and the two int64 guard coefficients (largest
+def fused_plan(solver: ScaledShapleySolver, groups, row_of, row0):
+    """:func:`fused_round`'s plan over kernel instances sharing one row
+    layout (``row_of[mask]``: a row of one instance; instance ``i``'s rows
+    start at ``row0[i]``): per size group the stacked ``UpdateVals``
+    coefficients, value-row gather, phi scatter rows and columns; each
+    row's ``|C|!`` and group; the two int64 guard coefficients (largest
     coefficient row weight, largest ``|C|!``)."""
-    plans = []
+    n_rows = len(row_of)
     facts = np.zeros((n_rows, 1), dtype=np.int64)
-    max_rw = 0
-    max_fact = 1
-    for group in groups:
+    group_of = np.zeros(n_rows, dtype=np.intp)
+    lift = np.asarray(row0, dtype=np.intp)[:, None, None]
+    plans = []
+    max_rw, max_fact = 0, 1
+    for g, group in enumerate(groups):
         coef, vrows, cols, rw = solver.matrix_plan(group)
         krows = np.array([row_of[m] for m in group], dtype=np.intp)
         fact = factorial(popcount(group[0]))
         facts[krows, 0] = fact
-        plans.append((coef, vrows, krows, cols))
+        group_of[krows] = g
+        plans.append((coef, vrows + lift, krows[:, None] + lift, cols))
         max_rw = max(max_rw, rw)
         max_fact = max(max_fact, fact)
-    return plans, facts, max_rw, max_fact
+    B = len(row0)
+    facts, group_of = np.tile(facts, (B, 1)), np.tile(group_of, B)
+    return plans, facts, group_of, max_rw, max_fact
+
+
+def fused_round(kern, plan, seen: dict) -> bool:
+    """Fig. 1's per-event body fused over a structure-of-arrays kernel at
+    every instance's clock (``plan``: :func:`fused_plan` over its rows):
+    one batched scheduling pass, with Shapley only where there is a choice.
+    A capable row with a single waiting organization has a forced start
+    (``argmax`` over one candidate ignores the key, and a row's waiting set
+    only shrinks within an event), so a round whose capable rows are all
+    forced schedules with no key work.  Otherwise: one psi-ledger
+    evaluation (coalition values are its row sums), one global int64
+    guard, one dense ``UpdateVals`` matmul per size group *holding a
+    contested row* scattered into a single ``(rows, orgs)`` phi matrix --
+    bit-identical decisions to the per-coalition body.  Returns ``False``,
+    *before any start*, for a round whose int64 arithmetic it cannot
+    certify.  ``seen`` counts each outcome: ``forced``, ``contested``, and
+    the declines ``unsafe`` and ``guard``."""
+    if not kern._query_safe(kern.clocks.tolist()):
+        seen["unsafe"] += 1
+        return False
+    # waiting organizations per row, zero where no machine is free
+    rec = kern.rec
+    n_wait = (rec.started < kern.released.take(kern.row_inst, 0)).sum(axis=1)
+    n_wait[rec.free_count <= 0] = 0
+    rows = np.flatnonzero(n_wait)
+    if not rows.size:
+        return True
+    contested = n_wait > 1
+    if not contested.any():
+        seen["forced"] += 1
+        kern.fill_rows(rows, None)
+        return True
+    plans, facts, group_of, max_rw, max_fact = plan
+    psis = kern.psis()
+    # per-cell psi numerators are even (s·(s-2t-1) is always even), so
+    # the cellwise //2 loses nothing and row sums are exactly the
+    # coalition values (values_i64 is this sum)
+    vals = psis.sum(axis=1)
+    max_abs = int(np.abs(vals).max())
+    psis_absmax = int(np.abs(psis).max())
+    # one conservative guard for every group's |phi| + |C|!·|psi|
+    if (
+        max_rw * max_abs >= PHI_CAP
+        or max_rw * max_abs + max_fact * psis_absmax >= KEY_CAP
+    ):
+        seen["guard"] += 1
+        return False
+    seen["contested"] += 1
+    # a skipped group's rows keep phi = 0: all forced, keys never compared
+    phi_full = np.zeros((kern.n, kern.k), dtype=np.int64)
+    # bincount, not np.unique: the groups are few small ints, and unique
+    # imports numpy.ma (~1 MB) on first use
+    for g in np.flatnonzero(np.bincount(group_of[contested])).tolist():
+        coef, vrows, krows, cols = plans[g]
+        phi_full[krows, cols] = np.matmul(coef, vals[vrows][..., None])[..., 0]
+    keys = phi_full - facts * psis
+    kern.fill_rows(rows, keys[rows])
+    return True
 
 
 def update_vals_scaled(mask: int, values: dict[int, int]) -> dict[int, int]:
@@ -312,84 +381,25 @@ class RefRun:
                 fill_capacity(fleet, m, keys)
 
     def _kernel_plan(self, kern):
-        """The fused per-event plan over *all* size groups (cached per
-        kernel object): :func:`fused_plan` over the kernel's rows, plus
-        each row's index into the group plans."""
+        """:func:`fused_plan` over the kernel's rows (cached per kernel
+        object)."""
         cached = self._kernel_plan_cache
         if cached is not None and cached[0] is kern:
             return cached[1]
-        plans, facts, max_rw, max_fact = fused_plan(
-            self.solver, self._groups, kern._row, kern.n
-        )
-        group_of = np.zeros(kern.n, dtype=np.intp)
-        for g, (_, _, krows, _) in enumerate(plans):
-            group_of[krows] = g
-        plan = (plans, facts, max_rw, max_fact, group_of)
+        plan = fused_plan(self.solver, self._groups, kern._row, kern.row0)
         self._kernel_plan_cache = (kern, plan)
         return plan
 
     def _on_event_kernel(self, fleet: CoalitionFleet, t: int) -> bool:
-        """Fig. 1's per-event body fused over the structure-of-arrays
-        kernel: one lockstep advance and one batched scheduling pass, with
-        Shapley only where there is a choice.  A capable row with a single
-        waiting organization has a forced start (``argmax`` over one
-        candidate ignores the key, and a row's waiting set only shrinks
-        within an event), so an event whose capable rows are all forced
-        schedules with no key work.  Otherwise: one psi-ledger evaluation
-        (coalition values are its row sums), one global int64 guard, one
-        dense ``UpdateVals`` matmul per size group *holding a contested
-        row* scattered into a single ``(rows, orgs)`` phi matrix --
-        bit-identical decisions to the per-coalition body.  Returns
-        ``False``, *before any start*, for an event whose int64 arithmetic
-        it cannot certify; the caller then runs the per-coalition body,
-        which carries the exact big-int fallback.  ``ref_events`` counts
-        each outcome.  A ``t`` behind the kernel's clock raises
+        """Fig. 1's per-event body on a kernel-backed fleet: one lockstep
+        advance and one :func:`fused_round`.  Returns ``False``, *before
+        any start*, when the round declines the event; the caller then runs
+        the per-coalition body, which carries the exact big-int fallback.
+        A ``t`` behind the kernel's clock raises
         (:meth:`~repro.core.kernel.FleetKernel.advance`)."""
         kern = fleet.kernel
-        seen = self.ref_events
         kern.advance(t)
-        if not kern._query_safe(t):
-            seen["unsafe"] += 1
-            return False
-        # waiting organizations per row, zero where no machine is free
-        rec = kern.rec
-        n_wait = np.count_nonzero(rec.started < kern.released, axis=1)
-        n_wait[rec.free_count <= 0] = 0
-        rows = np.flatnonzero(n_wait)
-        if not rows.size:
-            return True
-        contested = n_wait > 1
-        if not contested.any():
-            seen["forced"] += 1
-            kern.fill_rows(rows, None, t)
-            return True
-        plan_groups, facts, max_rw, max_fact, group_of = self._kernel_plan(
-            kern
-        )
-        psis = rec.psis(t)
-        # per-cell psi numerators are even (s·(s-2t-1) is always even), so
-        # the cellwise //2 loses nothing and row sums are exactly the
-        # coalition values (values_i64 is this sum)
-        vals = psis.sum(axis=1)
-        max_abs = int(np.abs(vals).max())
-        psis_absmax = int(np.abs(psis).max())
-        # one conservative guard for every group's |phi| + |C|!·|psi|
-        if (
-            max_rw * max_abs >= 1 << 62
-            or max_rw * max_abs + max_fact * psis_absmax >= 1 << 63
-        ):
-            seen["guard"] += 1
-            return False
-        seen["contested"] += 1
-        # a skipped group's rows keep phi = 0: all forced, keys never compared
-        phi_full = np.zeros((kern.n, self.workload.n_orgs), dtype=np.int64)
-        for g in np.unique(group_of[contested]).tolist():
-            coef, vrows, krows, cols = plan_groups[g]
-            phi = np.matmul(coef, vals[vrows][:, :, None])[:, :, 0]
-            phi_full[krows[:, None], cols] = phi
-        keys = phi_full - facts * psis
-        kern.fill_rows(rows, keys[rows], t)
-        return True
+        return fused_round(kern, self._kernel_plan(kern), self.ref_events)
 
     def values_at(self, t: int) -> dict[int, int]:
         """Coalition values at ``t`` (all engines advanced at least to ``t``)."""

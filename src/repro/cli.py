@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_figure2() -> None:
-    from .experiments.figures import figure2_numbers, figure2_schedule, figure2_workload
+    from .experiments.figures import figure2_numbers, figure2_schedule
     from .viz import gantt
 
     n = figure2_numbers()

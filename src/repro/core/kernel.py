@@ -1,4 +1,4 @@
-"""Batched structure-of-arrays coalition simulation kernel (DESIGN.md §8).
+"""Batched structure-of-arrays coalition simulation kernel (DESIGN §8, §10).
 
 The fair schedulers drive *many near-identical greedy simulations*: REF keeps
 one engine per subcoalition (up to ``2^k``), RAND one per sampled prefix
@@ -12,31 +12,39 @@ flattened busy heaps, the psi_sp ledgers, and a chronological start log
 that names each job by **(org, rank in the org's stream)**, never by flat
 position, so ingest (which splices into an org's unreleased tail, past
 every logged rank) never touches it.  The record owns every write to that
-state and the reads both kernels make of it.
+state and the kernel's reads of it.
 
-The job streams are shared, not per row: one *global* release pointer per
-organization plus the started counts describe every row's FIFO queues
-(row ``e`` waits on the org-``u`` jobs in ``[started[e,u], released[u])``).
-:meth:`FleetKernel._derive` rebuilds the kernel's caches from the record,
-the streams and the horizon.
+The rows belong to ``B`` independent problem instances: a fleet's
+kernel has one, the Table-1 sweep stacks many (:meth:`FleetKernel.batch`).
+Instance ``i`` owns the rows from ``row0[i]`` (``row_inst`` maps back),
+and its org and machine columns are its own ids, padded to the widest
+instance, so no arithmetic mixes instances.  An instance's rows share its
+job streams: one segment ``seg_start[i,u]`` of the flat stream arrays and
+one release pointer per org (row ``e`` waits on the org-``u`` jobs in
+``[started[e,u], released[row_inst[e],u])``).  :meth:`FleetKernel._derive`
+rebuilds the caches from the record, the streams and the horizons.
 
-Lockstep invariant: all rows share one clock ``t``; completions and releases
-at times ``<= t`` are processed for every engine in a handful of scatter
-operations, and greedy fills run as *batched rounds* -- each round starts one
-job per still-capable engine via a masked row ``argmax``/``argmin``, exactly
-reproducing the per-engine selection loop (first-occurrence ``argmax`` is the
-lowest-id tie-break).  Only engines **touched** by an event (a completion, or
-a member organization's release) are filled, which is sound by the greedy
-invariant: an untouched engine has no new free-machine/waiting-job pair.
-Two cached scalars, the earliest running finish and the earliest pending
-release of an organization some row simulates, give
-:meth:`FleetKernel.next_event_time`: the owning fleet's next decision
-time, recorded nowhere else.
+Lockstep invariant: an instance's rows share one clock.
+:meth:`FleetKernel.sweep` moves every instance to its *own* next event,
+:meth:`FleetKernel.advance` every clock to one time; completions and
+releases at or before each clock are then processed for every row in a
+handful of scatter operations, and greedy fills run as *batched rounds*
+-- each round starts one job per still-capable engine via a masked row
+``argmax``/``argmin``, exactly reproducing the per-engine selection loop
+(first-occurrence ``argmax`` is the lowest-id tie-break).  Only engines
+**touched** by an event (a completion, or a member organization's
+release) are filled, which is sound by the greedy invariant: an untouched
+engine has no new free-machine/waiting-job pair.  Two cached scalars, the
+earliest running finish and the earliest pending release of an
+organization some row simulates, give :meth:`FleetKernel.next_event_time`:
+the owning fleet's next decision time, recorded nowhere else.  The
+instance count shows in one place only, :meth:`FleetKernel._clock`.
 
 Exactness: the kernel only engages when :func:`kernel_certified` proves from
 the workload that *no ledger scalar nor any query at an event time can
 overflow int64* (conservative bound over the total work and the latest
-possible finish time).  Far-future value queries are still guarded per query
+possible finish time), per instance: one instance's totals never weigh
+on another's.  Far-future value queries are still guarded per query
 and fall back to exact Python-int arithmetic over the (certified exact)
 int64 ledgers, with results identical to the per-engine
 :class:`~repro.core.fleet.CoalitionFleet`'s exact values.
@@ -49,15 +57,6 @@ bit-identical :class:`~repro.core.engine.ClusterEngine` and the fleet
 continues in per-engine mode.  Until then :class:`KernelEngineView` is a
 read-only adapter over one row, carrying only the ``ClusterEngine`` members
 the schedulers and the service read.
-
-One level up, :class:`~repro.core.multikernel.MultiInstanceKernel`
-(DESIGN.md §10) applies the same SoA trick *across problem instances*:
-the rows of many independent single-instance simulations advance in
-jagged lockstep with per-row clocks.  It keeps its rows in a
-:class:`RowRecord` too (passing each row's clock where this kernel
-passes its one ``t``), and shares this module's sentinels and the
-:func:`_overflow_bound` certification arithmetic (applied per instance
-there, since its rows never mix instances).
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from collections import deque
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -80,6 +79,7 @@ __all__ = [
     "KernelEngineView",
     "KernelUnsafe",
     "KERNEL_MIN_ENGINES",
+    "instance_bound",
     "kernel_certified",
 ]
 
@@ -104,6 +104,9 @@ _QUERY_CAP = 1 << 62
 
 _I64_MIN = np.iinfo(np.int64).min
 
+#: :meth:`FleetKernel._clock`'s index for every row, as a column
+_EVERY_ROW = np.s_[:, None]
+
 
 class KernelUnsafe(Exception):
     """Raised *before* any mutation when an operation cannot be absorbed
@@ -123,18 +126,25 @@ def _overflow_bound(total_units: int, max_release: int, n_machines: int) -> int:
     return 4 * u * t + 6 * m * t * t + 16
 
 
-def kernel_certified(workload: Workload, horizon: "int | None") -> bool:
-    """True when int64 arithmetic provably cannot overflow for any event-time
-    update or query on ``workload`` (the kernel precondition)."""
+def instance_bound(workload: Workload, horizon: "int | None") -> int:
+    """The worst-case magnitude of any ledger scalar or event-time query
+    on ``workload`` run to ``horizon``: :func:`_overflow_bound` over its
+    totals."""
     total = sum(j.size for j in workload.jobs)
     rel = max((j.release for j in workload.jobs), default=0)
     if horizon is not None:
         rel = max(rel, horizon)
-    return _overflow_bound(total, rel, workload.n_machines) < _QUERY_CAP
+    return _overflow_bound(total, rel, workload.n_machines)
+
+
+def kernel_certified(workload: Workload, horizon: "int | None") -> bool:
+    """True when int64 arithmetic provably cannot overflow for any event-time
+    update or query on ``workload`` (the kernel precondition)."""
+    return instance_bound(workload, horizon) < _QUERY_CAP
 
 
 class RowRecord:
-    """The per-row simulation state both coalition kernels keep, and every
+    """The per-row simulation state of the coalition kernel, and every
     write to it (DESIGN.md §8.2).
 
     ``member`` ``(n, k)`` and ``has_machine`` ``(n, M)`` fix what each row
@@ -154,7 +164,7 @@ class RowRecord:
 
     A ``t`` below is one clock, or one clock per row as a column aligned
     with the rows it touches (``(n, 1)`` for every row, ``(len(rows),)``
-    for :meth:`start`): numpy broadcasting serves both kernels.
+    for :meth:`start`): numpy broadcasting serves both.
     """
 
     def __init__(self, member: np.ndarray, has_machine: np.ndarray) -> None:
@@ -266,13 +276,16 @@ class RowRecord:
             // 2
         )
 
-    def log_flat(self, idx, first) -> np.ndarray:
-        """Flat stream positions of the log entries ``idx``, ``first[org]``
-        being the flat position of each org's first job."""
+    def log_flat(self, idx, seg_start, row_inst) -> np.ndarray:
+        """Flat stream positions of the log entries ``idx``:
+        ``seg_start[i, org]`` is the flat position of the first job of
+        instance ``i``'s org, ``row_inst[row]`` a row's instance."""
         rank, org = np.divmod(self.log_job[idx], self.started.shape[1])
-        return first[org] + rank
+        return seg_start[row_inst[self.log_row[idx]], org] + rank
 
-    def row_entries(self, row: int, jobs, first) -> "list[ScheduledJob]":
+    def row_entries(
+        self, row: int, jobs, seg_start, row_inst
+    ) -> "list[ScheduledJob]":
         """Row ``row``'s starts in chronological order, each job resolved
         in ``jobs`` through :meth:`log_flat`."""
         idx = np.flatnonzero(self.log_row[: self.log_len] == row)
@@ -281,14 +294,16 @@ class RowRecord:
             for start, mach, flat in zip(
                 self.log_start[idx].tolist(),
                 self.log_mach[idx].tolist(),
-                self.log_flat(idx, first).tolist(),
+                self.log_flat(idx, seg_start, row_inst).tolist(),
             )
         ]
 
 
 class FleetKernel:
-    """Structure-of-arrays lockstep simulation of one fleet of coalition
-    engines over a frozen (but online-extensible) workload.
+    """Structure-of-arrays lockstep simulation of the coalition engines of
+    one problem instance -- a fleet's, over a frozen (but
+    online-extensible) workload -- or of many stacked ones
+    (:meth:`batch`).
 
     Parameters
     ----------
@@ -301,6 +316,11 @@ class FleetKernel:
         Optional stop time: greedy fills are suppressed at ``t >= horizon``
         (completions and releases still process, like
         :meth:`~repro.core.engine.ClusterEngine.advance_to`).
+
+    The event loop and :meth:`row_entries` serve any number of instances;
+    the rest of the per-engine API (:meth:`start_row`, :meth:`submit`, the
+    ``values_*`` queries, :meth:`row_psis`, :meth:`materialize_row`,
+    ``_row``, the engine views) is a fleet's and reads instance 0.
     """
 
     def __init__(
@@ -312,178 +332,268 @@ class FleetKernel:
         self.workload = workload
         self.horizon = horizon
         self.masks = list(masks)
-        self.k = k = workload.n_orgs
-        self.n = n = len(self.masks)
         self._row = {m: i for i, m in enumerate(self.masks)}
-        # masks stay Python ints, so any k fits: unpack their bytes
+        self._build([(workload, self.masks, horizon)])
+
+    @classmethod
+    def batch(
+        cls, items: "Sequence[tuple[Workload, Iterable[int], int | None]]"
+    ) -> "FleetKernel":
+        """One kernel over many independent instances, one ``(workload,
+        masks, horizon)`` item each (at least one mask per item), their
+        rows stacked in item order.  Raises :class:`KernelUnsafe` when an
+        instance fails its own int64 certification (callers pre-filter
+        with :func:`instance_bound`)."""
+        kern = cls.__new__(cls)
+        kern._build([(wl, list(masks), h) for wl, masks, h in items])
+        return kern
+
+    def _build(self, items) -> None:
+        self.B = B = len(items)
+        self.k = k = max(wl.n_orgs for wl, _, _ in items)
+        m_max = max(wl.n_machines for wl, _, _ in items)
+        counts = [len(masks) for _, masks, _ in items]
+        self.n = n = sum(counts)
+        self.row0 = np.zeros(B, dtype=np.int64)
+        np.cumsum(counts[:-1], out=self.row0[1:])
+        self.row_inst = np.repeat(np.arange(B, dtype=np.int64), counts)
+        # masks stay Python ints, so any k fits: unpack their bytes (an
+        # instance's bits stop at its own k: wider columns are padding)
         width = (k + 7) // 8
-        raw = b"".join(m.to_bytes(width, "little") for m in self.masks)
+        raw = b"".join(
+            m.to_bytes(width, "little") for _, masks, _ in items for m in masks
+        )
         member = np.unpackbits(
             np.frombuffer(raw, dtype=np.uint8).reshape(n, width),
             axis=1,
             count=k,
             bitorder="little",
         ).astype(bool)
-        # machines: canonical global ids
-        owners: list[int] = []
-        for org in workload.organizations:
-            owners.extend([org.id] * org.machines)
-        self.machine_org = np.array(owners, dtype=np.int64)
-        self.n_mach = len(owners)
-        self.rec = RowRecord(member, member[:, self.machine_org])
+        # machines: each instance's canonical ids; -1 owns a padding slot,
+        # which no row has (never free, finish _FAR)
+        self.machine_org = np.full((B, m_max), -1, dtype=np.int64)
+        has_machine = np.zeros((n, m_max), dtype=bool)
+        for i, (wl, _, _) in enumerate(items):
+            owners = [o.id for o in wl.organizations for _ in range(o.machines)]
+            self.machine_org[i, : len(owners)] = owners
+            rows = slice(self.row0[i], self.row0[i] + counts[i])
+            has_machine[rows, : len(owners)] = member[rows][:, owners]
+        self.n_mach = [wl.n_machines for wl, _, _ in items]
+        self.rec = RowRecord(member, has_machine)
 
-        # --- shared job streams (canonical per-org order) -------------------
-        per_org: list[list[Job]] = [[] for _ in range(k)]
-        for j in sorted(workload.jobs):
-            per_org[j.org].append(j)
-        self.jobs_flat: list[Job] = [j for org in per_org for j in org]
-        counts = np.array([len(o) for o in per_org], dtype=np.int64)
-        self.org_start = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.org_start[1:])
+        # --- job streams: one canonical segment per (instance, org) --------
+        self.jobs_flat: list[Job] = []
+        seg_len = []
+        for wl, _, _ in items:
+            per_org: list[list[Job]] = [[] for _ in range(k)]
+            for j in sorted(wl.jobs):
+                per_org[j.org].append(j)
+            seg_len.append([len(jobs) for jobs in per_org])
+            self.jobs_flat.extend(j for jobs in per_org for j in jobs)
+        self.seg_len = np.array(seg_len, dtype=np.int64)
+        self.seg_start = np.cumsum(self.seg_len).reshape(B, k) - self.seg_len
         # one trailing sentinel pads the flat arrays so clipped gathers of an
-        # exhausted / empty organization stay in bounds (never selected)
+        # exhausted / empty / padding segment stay in bounds (never selected)
         self.rel_flat = np.array(
             [j.release for j in self.jobs_flat] + [_FAR], dtype=np.int64
         )
         self.size_flat = np.array(
             [j.size for j in self.jobs_flat] + [1], dtype=np.int64
         )
-        #: global per-org released-job counts (shared by every row)
-        self.released = np.zeros(k, dtype=np.int64)
-        self.t = 0
+        #: per-(instance, org) released-job counts, shared by its rows
+        self.released = np.zeros((B, k), dtype=np.int64)
+        self.horizons = np.array(
+            [_FAR if h is None else h for _, _, h in items], dtype=np.int64
+        )
+        self.clocks = np.zeros(B, dtype=np.int64)
+        self._first_horizon = int(self.horizons.min())
         self._used = False
         self._derive()
+        for i, cert in enumerate(
+            zip(self._total_units, self._max_release, self.n_mach)
+        ):
+            if _overflow_bound(*cert) >= _QUERY_CAP:
+                raise KernelUnsafe(f"instance {i} fails int64 certification")
 
     def _derive(self) -> None:
         """Rebuild every cache from the record, the streams and the
-        horizon.  Construction calls it; the hot paths patch the same
+        horizons.  Construction calls it; the hot paths patch the same
         caches incrementally (start, complete, release, submit)."""
         rec = self.rec
         rec.free_count = rec.free.sum(axis=1).astype(np.int64)
+        #: organizations some row of the instance simulates: only their
+        #: releases are events
+        self._covered = np.zeros((self.B, self.k), dtype=bool)
+        np.logical_or.at(self._covered, self.row_inst, rec.member)
+        self._org_clip = np.maximum(self.seg_len - 1, 0)
+        # certification inputs per instance, as Python ints (extended by
+        # submit); an instance's segments are contiguous
+        spans = zip(
+            self.seg_start[:, 0].tolist(),
+            (self.seg_start[:, -1] + self.seg_len[:, -1]).tolist(),
+            self.horizons.tolist(),
+        )
+        self._total_units, self._max_release = [], []
+        for lo, hi, h in spans:
+            self._total_units.append(int(self.size_flat[lo:hi].sum()))
+            rel = int(self.rel_flat[lo:hi].max(initial=0))
+            self._max_release.append(max(rel, h if h < _FAR else 0))
         self._next_fin = int(rec.finish.min(initial=_FAR))
-        #: organizations some row simulates: only their releases are events
-        self._covered = rec.member.any(axis=0)
-        self._org_clip = np.maximum(np.diff(self.org_start) - 1, 0)
-        # certification inputs (extended by submit)
-        self._total_units = int(self.size_flat[:-1].sum())
-        self._max_release = int(self.rel_flat[:-1].max(initial=0))
-        if self.horizon is not None:
-            self._max_release = max(self._max_release, self.horizon)
         self._refresh_head_rel()
 
     # ------------------------------------------------------------------
     # event bookkeeping
     # ------------------------------------------------------------------
     def _refresh_head_rel(self) -> None:
-        idx = np.minimum(self.org_start[:-1] + self.released, self.org_start[1:])
-        have = self.org_start[:-1] + self.released < self.org_start[1:]
-        have &= self._covered
+        idx = self.seg_start + np.minimum(self.released, self._org_clip)
+        have = (self.released < self.seg_len) & self._covered
         self._head_rel = np.where(have, self.rel_flat[idx], _FAR)
         self._next_rel = int(self._head_rel.min(initial=_FAR))
 
+    def _next_events(self) -> np.ndarray:
+        """Each instance's next event: its earliest running finish or
+        pending release (of an organization some row simulates), ``_FAR``
+        when there is none before its horizon."""
+        finish = self.rec.finish
+        if finish.size:  # an instance's slots are one flat block
+            slot0 = self.row0 * finish.shape[1]
+            nt = np.minimum.reduceat(finish.reshape(-1), slot0)
+        else:
+            nt = np.full(self.B, _FAR, dtype=np.int64)
+        np.minimum(nt, self._head_rel.min(axis=1, initial=_FAR), out=nt)
+        nt[nt >= self.horizons] = _FAR
+        return nt
+
     def next_event_time(self) -> "int | None":
-        """Next release (of an organization some row simulates) or
-        completion in any row -- the union of the per-row engines' next
-        events (``None`` when exhausted or at/after the horizon)."""
+        """The earliest next event of any instance before its horizon -- on
+        a fleet, the union of the per-row engines' next events (``None``
+        when exhausted or at/after the horizon).  Two cached scalars, the
+        earliest running finish and pending release over every instance,
+        answer it until some instance reaches its horizon."""
         t = min(self._next_fin, self._next_rel)
-        if t >= _FAR:
-            return None
-        if self.horizon is not None and t >= self.horizon:
-            return None
-        return t
+        if t >= self._first_horizon:
+            t = min(self._next_events().tolist())
+        return None if t >= _FAR else t
+
+    @property
+    def t(self) -> int:
+        """Instance 0's clock: a fleet's one clock."""
+        return int(self.clocks[0])
+
+    def _clock(self, rows):
+        """The clock operand of the record's calls on ``rows`` (an index
+        array, or ``_EVERY_ROW`` for a column): each row's instance clock,
+        but one Python int on a one-instance kernel -- the one place the
+        instance count shows.  A scalar keeps numpy on the fast loops the
+        serving path lives in (``RowRecord.psis``, 255 rows, k=8, 2-core
+        Xeon: 11 µs, against 21 µs with a column)."""
+        if self.B == 1:
+            return self.t
+        return self.clocks[self.row_inst[rows]]
 
     # ------------------------------------------------------------------
     # lockstep advancement
     # ------------------------------------------------------------------
-    def _complete_upto(self, t: int) -> "np.ndarray | None":
-        """Process every completion with finish ``<= t``; returns the row
-        indices that completed something (or ``None`` when none did)."""
-        if self._next_fin > t:
+    def sweep(self, until: int = _FAR - 1):
+        """Move every instance whose next event falls before its horizon
+        and at or before ``until`` to that event -- each to its own, the
+        jagged lockstep -- and process its completions and releases there;
+        returns :meth:`_advance`'s pair, or ``None`` when none moved.
+        Iterated, this is each instance's own ``min(next completion, next
+        release)`` event sequence.  An instance whose next event lies at or
+        past its horizon stays where it is: completions there cannot change
+        the start log, hence not the schedule."""
+        nt = self._next_events()
+        live = nt <= until
+        if not live.any():
             return None
-        e = self.rec.complete(t)
-        self._next_fin = int(self.rec.finish.min(initial=_FAR))
-        return e
+        self._used = True
+        self.clocks = np.where(live, nt, self.clocks)
+        return self._advance(int(self.clocks.max()))
 
-    def _release_upto(self, t: int) -> "np.ndarray | None":
-        """Advance the global release pointers past every job released at
-        ``<= t``; returns the org ids that released (or ``None``)."""
-        if self._next_rel > t:
-            return None
-        hit = np.flatnonzero(self._head_rel <= t)
-        for u in hit:
-            lo = int(self.org_start[u] + self.released[u])
-            hi = int(self.org_start[u + 1])
-            self.released[u] += int(
-                np.searchsorted(self.rel_flat[lo:hi], t, side="right")
+    def advance(self, t: int) -> None:
+        """Move every clock to ``t`` and process all completions and
+        releases at times ``<= t`` for every row at once (the no-starts
+        lockstep of ``CoalitionFleet.advance_all``; starts between events
+        are the caller's job)."""
+        if t < self.t:
+            raise ValueError(f"cannot advance backwards ({self.t} -> {t})")
+        self._used = True
+        self.clocks[:] = t
+        self._advance(t)
+
+    def _advance(self, until: int):
+        """Process every completion and release at or before each row's
+        instance clock (``until``: the latest clock).  Returns the rows that
+        completed a job and the ``(B, k)`` mask of streams due a release,
+        each ``None`` when there was nothing due."""
+        done = hit = None
+        if self._next_fin <= until:
+            done = self.rec.complete(self._clock(_EVERY_ROW))
+            self._next_fin = int(self.rec.finish.min(initial=_FAR))
+        if self._next_rel <= until:
+            hit = self._release_upto()
+        return done, hit
+
+    def _release_upto(self) -> np.ndarray:
+        """Advance every (instance, org) release pointer past the jobs
+        released at or before the instance's clock (each pointer moves once
+        per distinct release time of its stream, so the loop amortizes)."""
+        hit = self._head_rel <= self.clocks[:, None]
+        for cell in np.flatnonzero(hit).tolist():
+            i, u = divmod(cell, self.k)
+            lo = int(self.seg_start[i, u] + self.released[i, u])
+            hi = int(self.seg_start[i, u] + self.seg_len[i, u])
+            t = int(self.clocks[i])
+            self.released[i, u] += int(
+                np.searchsorted(self.rel_flat[lo:hi], t, "right")
             )
         self._refresh_head_rel()
         return hit
 
-    def advance(self, t: int) -> None:
-        """Process all completions and releases at times ``<= t`` for every
-        row at once (the no-starts lockstep of ``CoalitionFleet.advance_all``;
-        starts between events are the caller's job)."""
-        if t < self.t:
-            raise ValueError(f"cannot advance backwards ({self.t} -> {t})")
-        self._used = True
-        self._complete_upto(t)
-        self._release_upto(t)
-        self.t = t
-
     def drive_fifo(self, until: int) -> None:
         """Drive every row's own greedy FIFO loop to ``until`` (events at
-        ``until`` included) in lockstep over the union of event times, then
-        align all clocks with ``until`` -- the batched equivalent of
+        ``until`` included) over its instance's events, then move every
+        clock to ``until`` -- the batched equivalent of
         ``engine.drive(fifo_select, until)`` per engine."""
-        if until < self.t:
-            raise ValueError(f"cannot advance backwards ({self.t} -> {until})")
-        self._used = True
         rec = self.rec
-        while True:
-            tn = min(self._next_fin, self._next_rel)
-            if tn > until or tn >= _FAR:
-                break
-            comp_rows = self._complete_upto(tn)
-            rel_orgs = self._release_upto(tn)
-            self.t = tn
-            if self.horizon is not None and tn >= self.horizon:
-                continue  # completions/releases only; no starts past horizon
+        while (events := self.sweep(until)) is not None:
+            done, hit = events
             touched = np.zeros(self.n, dtype=bool)
-            if comp_rows is not None:
-                touched[comp_rows] = True
-            if rel_orgs is not None and rel_orgs.size:
-                touched |= rec.member[:, rel_orgs].any(axis=1)
-            rows = np.flatnonzero(touched & (rec.free_count > 0))
-            self._fill_fifo(rows, tn)
-        self.t = until
+            if done is not None:
+                touched[done] = True
+            if hit is not None:
+                cells = hit.take(self.row_inst, 0)
+                touched |= (rec.member & cells).any(axis=1)
+            self._fill_fifo(np.flatnonzero(touched & (rec.free_count > 0)))
+        self.advance(until)  # completions/releases only past the horizon
 
-    def _fill_fifo(self, rows: np.ndarray, t: int) -> None:
+    def _fill_fifo(self, rows: np.ndarray) -> None:
         """Batched greedy-FIFO rounds: start the (earliest head release,
         lowest org) job on every still-capable row until none remains."""
         rec = self.rec
         while rows.size:
-            wait = rec.started[rows] < self.released
+            inst = self.row_inst[rows]
+            wait = rec.started[rows] < self.released.take(inst, 0)
             cap = (rec.free_count[rows] > 0) & wait.any(axis=1)
             if not cap.all():
-                rows = rows[cap]
+                rows, inst, wait = rows[cap], inst[cap], wait[cap]
                 if not rows.size:
                     return
-                wait = wait[cap]
-            idx = self.org_start[:-1] + np.minimum(
-                rec.started[rows], self._org_clip
+            idx = self.seg_start.take(inst, 0) + np.minimum(
+                rec.started[rows], self._org_clip.take(inst, 0)
             )
             hr = np.where(wait, self.rel_flat[idx], _FAR)
-            sel = hr.argmin(axis=1)  # first min == lowest org id tie-break
-            self._start_batch(rows, sel, t)
+            # first min == lowest org id tie-break
+            self._start_batch(rows, hr.argmin(axis=1))
 
-    def fill_rows(
-        self, rows: np.ndarray, keys: "np.ndarray | None", t: int
-    ) -> None:
-        """Batched ``fill_capacity``: repeatedly start the FIFO-head job of
-        the waiting organization maximizing ``keys[row, org]`` (ties: lowest
-        org id) on every row while it has a free machine and waiting work.
+    def fill_rows(self, rows: np.ndarray, keys: "np.ndarray | None") -> None:
+        """Batched ``fill_capacity`` at each row's instance clock:
+        repeatedly start the FIFO-head job of the waiting organization
+        maximizing ``keys[row, org]`` (ties: lowest org id) on every row
+        while it has a free machine and waiting work.
 
-        ``keys`` is aligned with ``rows`` (shape ``(len(rows), n_orgs)``) and
+        ``keys`` is aligned with ``rows`` (shape ``(len(rows), k)``) and
         must be exact in int64 (the caller guards the subtraction); ``None``
         when no row has two organizations waiting, so every start is forced
         (a masked argmax over one candidate returns it for any key).
@@ -495,7 +605,11 @@ class FleetKernel:
         self._used = True
         if keys is not None:
             keys = np.asarray(keys, dtype=np.int64)
-        wcount = self.released - self.rec.started[rows]  # non-members << 0
+        # non-member and padding cells << 0; ``take`` gathers an
+        # instance row per kernel row ~4x faster than fancy indexing
+        wcount = (
+            self.released.take(self.row_inst[rows], 0) - self.rec.started[rows]
+        )
         wait = wcount > 0
         left = np.minimum(
             self.rec.free_count[rows], wcount.sum(axis=1, where=wait)
@@ -513,25 +627,31 @@ class FleetKernel:
                 sel = wait.argmax(axis=1)
             else:  # first max == lowest org id tie-break
                 sel = np.where(wait, keys, _I64_MIN).argmax(axis=1)
-            self._start_batch(rows, sel, t)
+            self._start_batch(rows, sel)
             left -= 1
             if not left.any():
                 return  # that was every row's last start
             wcount[np.arange(len(rows)), sel] -= 1
             wait = wcount > 0
 
-    def _start_batch(self, rows, sel, t: int, mach=None) -> None:
-        """:meth:`RowRecord.start` on this kernel's streams, lowering the
-        cached next finish."""
+    def _start_batch(self, rows, sel, mach=None) -> None:
+        """:meth:`RowRecord.start` on the rows' instance streams and
+        clocks, lowering the cached earliest finish."""
+        first = self.seg_start[self.row_inst[rows], sel]
         fins = self.rec.start(
-            rows, sel, t, self.org_start[sel], self.size_flat, mach
+            rows, sel, self._clock(rows), first, self.size_flat, mach
         )
         nf = int(fins.min())
         if nf < self._next_fin:
             self._next_fin = nf
 
+    def psis(self) -> np.ndarray:
+        """Per-(row, org) psi_sp at each row's instance clock as int64
+        (:meth:`RowRecord.psis`; the caller certifies the arithmetic)."""
+        return self.rec.psis(self._clock(_EVERY_ROW))
+
     # ------------------------------------------------------------------
-    # single-row actions (the per-engine API surface)
+    # single-row actions (a fleet's per-engine API surface)
     # ------------------------------------------------------------------
     def start_row(
         self, row: int, org: int, machine: "int | None" = None
@@ -543,20 +663,20 @@ class FleetKernel:
         if not (
             0 <= org < self.k
             and rec.member[row, org]
-            and rec.started[row, org] < self.released[org]
+            and rec.started[row, org] < self.released[0, org]
         ):
             raise ValueError(f"org {org} has no waiting job at t={t}")
         if rec.free_count[row] <= 0:
             raise ValueError(f"no free machine at t={t}")
         if machine is None:
             machine = int(rec.free[row].argmax())
-        elif not (0 <= machine < self.n_mach and rec.free[row, machine]):
+        elif not (0 <= machine < self.n_mach[0] and rec.free[row, machine]):
             raise ValueError(f"machine {machine} is not free at t={t}")
-        job = self.jobs_flat[int(self.org_start[org] + rec.started[row, org])]
+        pos = int(self.seg_start[0, org] + rec.started[row, org])
         self._start_batch(
-            np.array([row]), np.array([org]), t, np.array([machine])
+            np.array([row]), np.array([org]), np.array([machine])
         )
-        return ScheduledJob(t, machine, job)
+        return ScheduledJob(t, machine, self.jobs_flat[pos])
 
     @staticmethod
     def _splice_one(arr: np.ndarray, pos: int, value: int) -> np.ndarray:
@@ -576,52 +696,56 @@ class FleetKernel:
                 f"cannot submit into the past (release {job.release} < "
                 f"engine time {self.t})"
             )
-        total = self._total_units + job.size
-        rel = max(self._max_release, job.release)
-        if _overflow_bound(total, rel, self.n_mach) >= _QUERY_CAP:
+        total = self._total_units[0] + job.size
+        rel = max(self._max_release[0], job.release)
+        if _overflow_bound(total, rel, self.n_mach[0]) >= _QUERY_CAP:
             raise KernelUnsafe("job pushes the int64 certification bound")
         self._used = True
         u = job.org
-        lo = int(self.org_start[u] + self.released[u])
-        hi = int(self.org_start[u + 1])
+        lo = int(self.seg_start[0, u] + self.released[0, u])
+        hi = int(self.seg_start[0, u] + self.seg_len[0, u])
         pos = bisect_right(self.jobs_flat, job, lo, hi)
         self.jobs_flat.insert(pos, job)
         # manual splice: ~5x cheaper than np.insert's generic machinery on
         # this per-op hot path (online ingest runs it once per job)
         self.rel_flat = self._splice_one(self.rel_flat, pos, job.release)
         self.size_flat = self._splice_one(self.size_flat, pos, job.size)
-        self.org_start[u + 1 :] += 1
-        self._total_units = total
-        self._max_release = rel
-        self._org_clip[u] = self.org_start[u + 1] - self.org_start[u] - 1
+        self.seg_start[0, u + 1 :] += 1
+        self.seg_len[0, u] += 1
+        self._org_clip[0, u] = self.seg_len[0, u] - 1
+        self._total_units[0] = total
+        self._max_release[0] = rel
         self._refresh_head_rel()
 
     # ------------------------------------------------------------------
     # batched queries
     # ------------------------------------------------------------------
-    def _query_safe(self, t: int) -> bool:
-        """Certify one int64 evaluation at ``t`` from the construction-time
-        component bounds (every ledger scalar is bounded by the certified
-        ``U``/``T``/``M`` quantities)."""
-        if t < 0:
-            return False
-        T = self._max_release + self._total_units + 1
-        if t <= T:  # certified once at construction / submit
-            return True
-        tt = t * t + t
-        if tt >= _QUERY_CAP:
-            return False
-        u = self._total_units
-        m = max(self.n_mach, 1)
-        bound = (
-            u * t + 2 * u * T + m * tt + m * T * (2 * t + 1) + m * T * T
-        )
-        return bound < _QUERY_CAP
+    def _query_safe(self, times: "list[int]") -> bool:
+        """Certify one int64 evaluation of each instance at its time in
+        ``times`` from the certified component bounds (every ledger scalar
+        is bounded by the certified ``U``/``T``/``M`` quantities).  Python
+        ints throughout: a far-future query time need not fit int64."""
+        for t, u, rel, m in zip(
+            times, self._total_units, self._max_release, self.n_mach
+        ):
+            T = rel + u + 1
+            if t < 0:
+                return False
+            if t <= T:  # certified once at construction / submit
+                continue
+            tt = t * t + t
+            m = max(m, 1)
+            if tt >= _QUERY_CAP or (
+                u * t + 2 * u * T + m * tt + m * T * (2 * t + 1) + m * T * T
+                >= _QUERY_CAP
+            ):
+                return False
+        return True
 
     def values_i64(self, t: int) -> "np.ndarray | None":
         """All row values at ``t`` (``t >= self.t``) as int64, or ``None``
         when the per-query overflow guard cannot certify the evaluation."""
-        if not self._query_safe(t):
+        if not self._query_safe([t]):
             return None
         return self.rec.psis(t).sum(axis=1)
 
@@ -640,7 +764,8 @@ class FleetKernel:
         if not n:
             return out
         starts = rec.log_start[:n]
-        sizes = self.size_flat[rec.log_flat(slice(n), self.org_start)]
+        flat = rec.log_flat(slice(n), self.seg_start, self.row_inst)
+        sizes = self.size_flat[flat]
         c = np.clip(t - starts, 0, sizes)
         vals = c * (t - starts) - c * (c - 1) // 2
         np.add.at(out, rec.log_row[:n], vals)
@@ -651,7 +776,9 @@ class FleetKernel:
     # ------------------------------------------------------------------
     def row_entries(self, row: int) -> "list[ScheduledJob]":
         """The row's start log in chronological order (exact objects)."""
-        return self.rec.row_entries(row, self.jobs_flat, self.org_start)
+        return self.rec.row_entries(
+            row, self.jobs_flat, self.seg_start, self.row_inst
+        )
 
     def row_psis(self, row: int, t: "int | None" = None) -> "list[int]":
         """One row's per-org psi_sp at ``t`` in exact Python ints (matches
@@ -680,6 +807,7 @@ class FleetKernel:
         :class:`~repro.core.engine.ClusterEngine` (same schedule, ledgers,
         stream position, free set and pending queues)."""
         rec = self.rec
+        released, first = self.released[0], self.seg_start[0]
         mask = self.masks[row]
         members = tuple(sorted(iter_members(mask)))
         eng = object.__new__(ClusterEngine)
@@ -689,7 +817,7 @@ class FleetKernel:
         eng.horizon = self.horizon
         member_set = set(members)
         eng.machine_owner = {
-            int(m): int(self.machine_org[m])
+            int(m): int(self.machine_org[0, m])
             for m in np.flatnonzero(rec.has_machine[row])
         }
         eng.n_machines = len(eng.machine_owner)
@@ -699,13 +827,11 @@ class FleetKernel:
         # shared canonical stream, restricted to members (includes submits)
         stream = sorted(j for j in self.jobs_flat if j.org in member_set)
         eng._stream = stream
-        eng._stream_pos = int(
-            sum(self.released[u] for u in members)
-        )
+        eng._stream_pos = int(sum(released[u] for u in members))
         eng._pending = {}
         for u in members:
-            lo = int(self.org_start[u] + rec.started[row, u])
-            hi = int(self.org_start[u] + self.released[u])
+            lo = int(first[u] + rec.started[row, u])
+            hi = int(first[u] + released[u])
             eng._pending[u] = deque(self.jobs_flat[lo:hi])
         eng._n_waiting = int(sum(len(q) for q in eng._pending.values()))
         eng.t = self.t
@@ -725,9 +851,9 @@ class FleetKernel:
         eng._done_units_mach = [0] * self.k
         eng._done_wstart_mach = [0] * self.k
         for e in entries:
-            if e.end <= self.t:
+            if e.end <= eng.t:
                 p = e.job.size
-                owner = int(self.machine_org[e.machine])
+                owner = int(self.machine_org[0, e.machine])
                 eng._done_units_mach[owner] += p
                 eng._done_wstart_mach[owner] += p * e.start + p * (p - 1) // 2
         eng._tot_units = int(rec.done_units[row].sum())
@@ -736,7 +862,7 @@ class FleetKernel:
         eng._run_start_sq = int(rec.rsq[row].sum())
         eng._log = entries
         eng._completed = sorted(
-            (e for e in entries if e.end <= self.t),
+            (e for e in entries if e.end <= eng.t),
             key=lambda e: (e.end, e.machine),
         )
         return eng
@@ -783,17 +909,17 @@ class KernelEngineView:
 
     def has_waiting(self) -> bool:
         kern, row = self._kr()
-        return bool((kern.rec.started[row] < kern.released).any())
+        return bool((kern.rec.started[row] < kern.released[0]).any())
 
     def waiting_count(self, org: int) -> int:
         kern, row = self._kr()
         if not kern.rec.member[row, org]:
             raise KeyError(org)
-        return int(kern.released[org] - kern.rec.started[row, org])
+        return int(kern.released[0, org] - kern.rec.started[row, org])
 
     def waiting_orgs(self) -> "list[int]":
         kern, row = self._kr()
-        return np.flatnonzero(kern.rec.started[row] < kern.released).tolist()
+        return np.flatnonzero(kern.rec.started[row] < kern.released[0]).tolist()
 
     def running_counts(self) -> "list[int]":
         kern, row = self._kr()

@@ -15,7 +15,7 @@ order, so a ``workers=N`` run is **bit-identical** to the serial run
 
 **Batched across instances.**  Within a shard, every admissible REF
 reference run advances through one fused
-:class:`~repro.core.multikernel.MultiInstanceKernel` sweep loop
+:meth:`~repro.core.kernel.FleetKernel.batch` sweep loop
 (:func:`~repro.algorithms.multiref.ref_results_batched`) instead of one
 Python event loop per instance; inadmissible instances (small k,
 failed per-instance int64 certification) transparently fall back to the

@@ -1,6 +1,5 @@
 """Tests for the Section 8 extensions: related machines and rigid jobs."""
 
-import numpy as np
 import pytest
 
 from repro.core.job import Job

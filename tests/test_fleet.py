@@ -37,7 +37,6 @@ from repro.core.coalition import iter_members, iter_subsets
 from repro.core.engine import ClusterEngine
 from repro.core.fleet import CoalitionFleet
 from repro.core.job import Job
-from repro.core.organization import Organization
 from repro.core.workload import Workload
 from repro.shapley.vectorized import ScaledShapleySolver
 

@@ -1,7 +1,6 @@
 """Cross-module integration tests: the whole pipeline, end to end."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -47,7 +47,6 @@ from repro.core.kernel import (
     RowRecord,
     kernel_certified,
 )
-from repro.core.multikernel import MultiInstanceKernel
 from repro.core.workload import Workload
 
 from .conftest import make_workload, random_workload
@@ -922,7 +921,7 @@ class TestKernelInternals:
         kf.advance_all(0)
         ef.advance_all(0)
         rows = np.arange(len(masks))
-        kf.kernel.fill_rows(rows, np.tile(np.array(keys), (len(rows), 1)), 0)
+        kf.kernel.fill_rows(rows, np.tile(np.array(keys), (len(rows), 1)))
         for mask in masks:
             fill_capacity(ef, mask, dict(enumerate(keys)))
         kern = kf.kernel
@@ -938,7 +937,7 @@ class TestKernelInternals:
             got, eng = kern.materialize_row(row), ef.engine(mask)
             assert got.ledger() == eng.ledger(), mask
             assert got.free_machines() == eng.free_machines(), mask
-        kern.fill_rows(rows, None, 0)  # nothing left to pair anywhere
+        kern.fill_rows(rows, None)  # nothing left to pair anywhere
         assert kern.rec.log_len == sum(n_started.values())
         assert_rows_match(kf, ef, 0)
 
@@ -1055,7 +1054,7 @@ class TestStartLogIdentity:
         ef.advance_all(t)
         by_org = dict(enumerate(keys))
         rows = np.arange(0, len(kf.masks), 2)
-        kf.kernel.fill_rows(rows, np.tile(np.array(keys), (len(rows), 1)), t)
+        kf.kernel.fill_rows(rows, np.tile(np.array(keys), (len(rows), 1)))
         for row, mask in enumerate(kf.masks):
             if row % 2:
                 fill_capacity(kf, mask, by_org)
@@ -1092,23 +1091,24 @@ class TestStartLogIdentity:
         self._fifo(kf, ef, 3)
         return kf.kernel.rec
 
-    def _multi_record(self) -> RowRecord:
+    def _batch_record(self) -> RowRecord:
         wl = make_workload(self.MACHINES, self.EARLY)
-        kern = MultiInstanceKernel([(wl, all_masks(3), None)] * 2)
-        while (act := kern.sweep()) is not None:
-            rows = np.flatnonzero(kern.capable_rows(act))
-            kern.fill_rows(rows, np.zeros((len(rows), kern.k_max)))
+        kern = FleetKernel.batch([(wl, all_masks(3), None)] * 2)
+        rows = np.arange(kern.n)
+        while kern.sweep() is not None:
+            kern.fill_rows(rows, np.zeros((kern.n, kern.k)))
         return kern.rec
 
     @pytest.mark.parametrize(
         "record",
-        ["_fleet_record", "_multi_record"],
-        ids=["FleetKernel", "MultiInstanceKernel"],
+        ["_fleet_record", "_batch_record"],
+        ids=["FleetKernel", "FleetKernel.batch"],
     )
     def test_log_entry_is_24_bytes(self, record):
         """ISSUE 12: the log (one entry per start per coalition row) is
         most of a long-running REF service's kernel memory; the job
-        identity must not widen it.  Both kernels keep the record's log:
+        identity must not widen it.  A fleet's kernel and a batch of two
+        instances both keep the record's log:
         int32 row and machine, int64 start and job (DESIGN §8.2)."""
         rec = getattr(self, record)()
         assert rec.log_len > 0
@@ -1270,7 +1270,7 @@ def test_keys_of_single_waiter_rows_never_matter(instance, junk_seed):
     fill_rows = FleetKernel.fill_rows
     junk = np.random.default_rng(junk_seed)
 
-    def scrambled(self, rows, keys, t):
+    def scrambled(self, rows, keys):
         n_wait = np.count_nonzero(
             self.rec.started[rows] < self.released, axis=1
         )
@@ -1280,7 +1280,7 @@ def test_keys_of_single_waiter_rows_never_matter(instance, junk_seed):
             keys = noise
         else:
             keys = np.where((n_wait == 1)[:, None], noise, keys)
-        return fill_rows(self, rows, keys, t)
+        return fill_rows(self, rows, keys)
 
     def serve():
         fleet, run, _ = serve_ref(wl, "kernel", runs, lambda f, t: None)

@@ -1,18 +1,23 @@
 """Tests for the cross-instance batched REF driver: bit-identity against
 the per-instance scheduler, per-instance certification fallback (one
-overflowing instance never evicts its batch siblings), and the jagged
-lockstep handling of instances with very different event counts."""
+overflowing instance never evicts its batch siblings), the jagged
+lockstep handling of instances with very different event counts, and the
+instance axis of the one coalition kernel (``FleetKernel.batch``)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.multiref import batchable, ref_results_batched
+from repro.algorithms.multiref import batchable, ref_batch, ref_results_batched
 from repro.algorithms.ref import RefScheduler
 from repro.core.job import Job
-from repro.core.multikernel import MultiInstanceKernel, instance_bound
-from repro.core.kernel import KernelUnsafe, _QUERY_CAP
+from repro.core.kernel import (
+    _QUERY_CAP,
+    FleetKernel,
+    KernelUnsafe,
+    instance_bound,
+)
 from repro.core.organization import Organization
 from repro.core.workload import Workload
 
@@ -151,7 +156,24 @@ class TestPerInstanceCertification:
 
     def test_kernel_rejects_uncertified_instance(self):
         with pytest.raises(KernelUnsafe):
-            MultiInstanceKernel([(huge_workload(), [1, 2, 3], None)])
+            FleetKernel.batch([(huge_workload(), [1, 2, 3], None)])
+
+    @settings(max_examples=30, deadline=None)
+    @given(items=st.lists(ref_instances(), min_size=1, max_size=4))
+    def test_admitted_batches_never_decline_a_round(self, items):
+        """DESIGN §10.3: ``batchable``'s static guard dominates the shared
+        round's runtime checks, so over an admitted batch the round never
+        declines -- neither an uncertifiable clock (``unsafe``) nor the
+        int64 key guard (``guard``) -- so each run reaches every
+        horizon."""
+        by_k: dict = {}
+        for wl, horizon in items:
+            assert batchable(wl, horizon)
+            by_k.setdefault(wl.n_orgs, []).append((wl, horizon))
+        for batch in by_k.values():
+            kern, seen = ref_batch(batch)
+            assert seen["unsafe"] == seen["guard"] == 0
+            assert kern.sweep() is None  # ran to every horizon
 
 
 class TestMultiKernelInternals:
@@ -163,10 +185,11 @@ class TestMultiKernelInternals:
         a = rand_workload(5, 2, 10, 41)
         b = rand_workload(5, 3, 15, 42)
         masks = [1, 3, 7, 31]
-        kern = MultiInstanceKernel([(a, masks, 100), (b, masks, 100)])
+        kern = FleetKernel.batch([(a, masks, 100), (b, masks, 100)])
+        assert kern.B == 2
         assert kern.n == 2 * len(masks)
         assert list(kern.row0) == [0, len(masks)]
         assert list(kern.row_inst) == [0] * len(masks) + [1] * len(masks)
         # padding machine columns of the narrower instance are never free
-        assert kern.n_mach_max == max(a.n_machines, b.n_machines)
+        assert kern.rec.free.shape[1] == max(a.n_machines, b.n_machines)
         assert kern.rec.free[: len(masks), a.n_machines :].sum() == 0

@@ -23,7 +23,6 @@ from repro.experiments.store import ResultStore
 from repro.experiments.registry import (
     FAMILIES,
     PORTFOLIOS,
-    SCENARIOS,
     get_family,
     get_portfolio,
     get_scenario,

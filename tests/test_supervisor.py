@@ -22,7 +22,6 @@ from repro.gateway import (
     ShardPool,
     ShardWal,
     WorkerDied,
-    generate_stream,
     load_wal,
     run_loadgen,
     verify_against_batch,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads.swf import SwfJob, SwfTrace, parse_swf, write_swf
+from repro.workloads.swf import SwfJob, parse_swf, write_swf
 
 SAMPLE = """\
 ; Version: 2.2

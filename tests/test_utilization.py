@@ -1,7 +1,6 @@
 """Tests for the Theorem 6.2 utilization machinery (Section 6)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -103,6 +103,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert "organizations" in out
 
+    @pytest.mark.slow
+    def test_run_table1_batched_prints_the_no_batch_tables(self, capsys):
+        """``repro run`` reaches the pipeline with and without the
+        cross-instance batched REF kernel: the tables are the same, only
+        the closing timing line differs."""
+        argv = ["run", "table1", "--duration", "5000", "--repeats", "1",
+                "--quiet"]
+        outs = []
+        for extra in ([], ["--no-batch"]):
+            assert main(argv + extra) == 0
+            outs.append(capsys.readouterr().out.rstrip("\n").splitlines())
+        batched, serial = outs
+        assert batched[-1].startswith("4 computed + 0 cached instances in ")
+        assert batched[0] == "table1 (synthetic)"
+        assert batched[:-1] == serial[:-1]
+
+    def test_table1_command_renders(self, capsys):
+        assert main(["table1", "--duration", "1000", "--repeats", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "table1 (scaled reproduction)" in out
+        assert "CurrFairShare" in out
+
     @pytest.mark.parametrize(
         "argv, flag",
         [

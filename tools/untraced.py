@@ -7,8 +7,8 @@ defined in one of the ``GATED`` files (``fnmatch`` patterns: the
 scheduler base classes and their event loops, greedy FIFO, the RAND and
 REF event bodies, the certified-approximation ladder, the Shapley
 solver, the job record and its constructors, the event engine, the
-coalition fleet, the coalition kernel and its engine views, the
-multi-instance kernel, the service with its policy adapters, its journal
+coalition fleet, the coalition kernel (one instance or many) and its
+engine views, the service with its policy adapters, its journal
 and its snapshot format, the pipe plumbing and row loop that ``repro
 serve`` and a gateway worker share, the gateway's pipe grammar,
 write-ahead log, worker pipes, shard pool and front door) that no test
@@ -43,7 +43,6 @@ GATED = (
     "core/engine.py",
     "core/fleet.py",
     "core/kernel.py",
-    "core/multikernel.py",
     "service/service.py",
     "service/state.py",
     "service/snapshot.py",
