@@ -140,7 +140,7 @@ class DirectContributionScheduler(PolicyScheduler):
             setattr(self, "_" + name, list(state[name]))
 
     # the select() hook is unused: scheduling is machine-driven
-    def select(self, engine: ClusterEngine) -> int:  # pragma: no cover
+    def select(self, engine: ClusterEngine) -> int:
         raise RuntimeError("DirectContr schedules per machine")
 
     def schedule_event(self, engine: ClusterEngine) -> None:

@@ -22,6 +22,7 @@ ignore *when* resources were needed and provided.
 from __future__ import annotations
 
 import math
+from abc import abstractmethod
 
 from ..core.engine import ClusterEngine
 from .base import PolicyScheduler
@@ -63,8 +64,9 @@ class _ShareBased(PolicyScheduler):
             for u in range(engine.n_orgs)
         )
 
+    @abstractmethod
     def _measure(self, engine: ClusterEngine, org: int) -> float:
-        raise NotImplementedError
+        """The quantity balanced against ``org``'s share."""
 
     def select(self, engine: ClusterEngine) -> int:
         def ratio(u: int) -> float:

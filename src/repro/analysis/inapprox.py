@@ -44,7 +44,7 @@ class OrderReverseGap:
     total_value: int  #: v = sum of utilities (equal in both schedules)
     ratio: float  #: delta_psi / total_value
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return (
             f"m={self.n_orgs} p={self.job_size}: "
             f"delta={self.delta_psi} v={self.total_value} "

@@ -14,9 +14,9 @@ here under one import::
 The surface is **versioned by snapshot**: ``API_SURFACE.txt`` at the
 repository root records every exported name and callable signature, and
 CI fails on unreviewed changes (``python tools/api_surface.py --check``).
-Deprecated aliases (``repro.service.service.POLICIES``,
-``batch_counterpart``) are *not* part of this surface — they emit
-``DeprecationWarning`` and forward here.
+The old aliases ``repro.service.service.POLICIES`` and
+``batch_counterpart`` are gone after one deprecation cycle; README's
+migration table names what replaces each.
 
 Layers (see DESIGN.md §7 for the policy registry / capability model):
 

@@ -105,6 +105,18 @@ def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _pipeline_kwargs(args: argparse.Namespace) -> "dict":
+    """``run_pipeline`` keywords from the :func:`_add_pipeline_flags`
+    flags."""
+    return {
+        "workers": args.workers,
+        "cache_dir": args.cache_dir,
+        "resume": not args.no_resume,
+        "batch": not args.no_batch,
+        "store_dir": args.store_dir,
+    }
+
+
 def _resilience_kwargs(args: argparse.Namespace) -> "dict":
     """``supervisor=`` / ``fault_plan=`` Gateway kwargs from CLI flags."""
     from .gateway import FaultPlan, SupervisorPolicy
@@ -164,17 +176,18 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--orgs", type=int, default=5)
     demo.add_argument("--seed", type=int, default=7)
 
-    for name, dur, reps in (("table1", 5_000, 3), ("table2", 20_000, 2)):
+    # defaults (None) are the same-named scenario's: `repro scenarios`
+    for name in ("table1", "table2"):
         t = sub.add_parser(name, help=f"regenerate {name} (scaled)")
-        t.add_argument("--duration", type=int, default=dur)
-        t.add_argument("--repeats", type=int, default=reps)
-        t.add_argument("--seed", type=int, default=0)
+        t.add_argument("--duration", type=int, default=None)
+        t.add_argument("--repeats", type=int, default=None)
+        t.add_argument("--seed", type=int, default=None)
         _add_pipeline_flags(t)
 
     f10 = sub.add_parser("figure10", help="unfairness vs #organizations")
-    f10.add_argument("--orgs", type=_int_list, default="2,3,4,5")
-    f10.add_argument("--duration", type=int, default=3000)
-    f10.add_argument("--repeats", type=int, default=2)
+    f10.add_argument("--orgs", type=_int_list, default=None)
+    f10.add_argument("--duration", type=int, default=None)
+    f10.add_argument("--repeats", type=int, default=None)
     _add_pipeline_flags(f10)
 
     sub.add_parser("scenarios", help="list the scenario registry")
@@ -439,20 +452,20 @@ def _cmd_demo(trace: str, duration: int, orgs: int, seed: int) -> None:
     print(fairness_report(comparison))
 
 
-def _cmd_table(which: str, args: argparse.Namespace) -> None:
+def _cmd_table(args: argparse.Namespace) -> None:
     from .experiments.reporting import render_pipeline
     from .experiments.tables import table1, table2
 
-    fn = table1 if which == "table1" else table2
+    fn = table1 if args.command == "table1" else table2
     result = fn(
         duration=args.duration,
         n_repeats=args.repeats,
         seed=args.seed,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        resume=not args.no_resume,
+        **_pipeline_kwargs(args),
     )
-    print(render_pipeline(result, title=f"{which} (scaled reproduction)"))
+    print(
+        render_pipeline(result, title=f"{args.command} (scaled reproduction)")
+    )
 
 
 def _cmd_figure10(args: argparse.Namespace) -> None:
@@ -464,9 +477,7 @@ def _cmd_figure10(args: argparse.Namespace) -> None:
         args.orgs,
         duration=args.duration,
         n_repeats=args.repeats,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        resume=not args.no_resume,
+        **_pipeline_kwargs(args),
     )
     print(render_series(xs, series, "organizations", "Figure 10 (scaled)"))
     print()
@@ -526,8 +537,7 @@ def _cmd_policies(capability: "str | None") -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
-    from .experiments.pipeline import run_pipeline
-    from .experiments.registry import scenario_spec
+    from .experiments.pipeline import run_scenario
     from .experiments.reporting import render_pipeline
 
     traces = (
@@ -543,7 +553,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
         # would otherwise override n_orgs per variant
         else (() if args.n_orgs is not None else None)
     )
-    spec = scenario_spec(
+    result = run_scenario(
         args.scenario,
         traces=traces,
         n_orgs=args.n_orgs,
@@ -556,17 +566,14 @@ def _cmd_run(args: argparse.Namespace) -> None:
         portfolio=args.portfolio,
         metrics=metrics,
         swf_path=args.swf_path,
-    )
-    result = run_pipeline(
-        spec,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        resume=not args.no_resume,
-        batch=not args.no_batch,
-        store_dir=args.store_dir,
         progress=None if args.quiet else lambda line: print(line, flush=True),
+        **_pipeline_kwargs(args),
     )
-    print(render_pipeline(result, title=f"{args.scenario} ({spec.family})"))
+    print(
+        render_pipeline(
+            result, title=f"{args.scenario} ({result.spec.family})"
+        )
+    )
     print(
         f"\n{result.computed} computed + {result.cached} cached instances "
         f"in {result.wall_time_s:.1f}s"
@@ -767,7 +774,7 @@ def main(argv: "list[str] | None" = None) -> int:
     elif args.command == "demo":
         _cmd_demo(args.trace, args.duration, args.orgs, args.seed)
     elif args.command in ("table1", "table2"):
-        _cmd_table(args.command, args)
+        _cmd_table(args)
     elif args.command == "figure10":
         _cmd_figure10(args)
     elif args.command == "scenarios":

@@ -60,7 +60,7 @@ class Coalition:
                 mask |= 1 << u
         object.__setattr__(self, "mask", mask)
 
-    def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
+    def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Coalition is immutable")
 
     # -- set protocol -----------------------------------------------------

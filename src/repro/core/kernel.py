@@ -942,5 +942,5 @@ class KernelEngineView:
     def schedule(self) -> Schedule:
         return Schedule(self.start_log)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         return f"KernelEngineView(mask={self._mask:#b})"

@@ -49,8 +49,3 @@ class Organization:
             raise ValueError(f"speed must be > 0, got {self.speed}")
         if not self.name:
             object.__setattr__(self, "name", f"O({self.id})")
-
-    @property
-    def is_identical_speed(self) -> bool:
-        """True when the organization's machines run at the reference speed."""
-        return self.speed == 1.0

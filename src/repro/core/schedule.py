@@ -51,7 +51,7 @@ class Schedule:
     def __init__(self, entries: Iterable[ScheduledJob]):
         object.__setattr__(self, "entries", tuple(sorted(entries)))
 
-    def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
+    def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Schedule is immutable")
 
     def __iter__(self) -> Iterator[ScheduledJob]:
@@ -68,17 +68,13 @@ class Schedule:
     def __hash__(self) -> int:
         return hash(self.entries)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         return f"Schedule({len(self.entries)} jobs)"
 
     # -- views ---------------------------------------------------------------
     def org_pairs(self, org: int) -> list[tuple[int, int]]:
         """``(start, size)`` pairs of one organization's scheduled jobs."""
         return [e.pair() for e in self.entries if e.job.org == org]
-
-    def all_pairs(self) -> list[tuple[int, int]]:
-        """``(start, size)`` pairs of every scheduled job."""
-        return [e.pair() for e in self.entries]
 
     def start_of(self, job_id: int) -> int:
         """Start time of the job with the given global id."""

@@ -31,7 +31,7 @@ class WorkloadStats:
     mean_size: float
     max_size: int
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return (
             f"{self.n_orgs} orgs, {self.n_machines} machines, "
             f"{self.n_jobs} jobs, work={self.total_work}, "
@@ -89,7 +89,7 @@ class Workload:
         object.__setattr__(self, "jobs", tuple(job_list))
         object.__setattr__(self, "_jobs_by_org", tuple(tuple(js) for js in by_org))
 
-    def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
+    def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Workload is immutable")
 
     def __setstate__(self, state: "tuple[None, dict]") -> None:
@@ -213,7 +213,7 @@ class Workload:
                 counters[j.org] += 1
         return Workload(self.organizations, out)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         return f"Workload({self.stats()})"
 
     def __eq__(self, other: object) -> bool:

@@ -13,8 +13,7 @@ from ..core.schedule import Schedule, ScheduledJob
 from ..core.workload import Workload
 from ..utility.classic import flow_time
 from ..utility.strategyproof import psi_sp
-from .pipeline import run_pipeline
-from .spec import ScenarioSpec
+from .pipeline import run_scenario
 
 __all__ = [
     "Figure2Numbers",
@@ -143,51 +142,33 @@ FIGURE10_PAPER_SHAPE: tuple[str, ...] = (
 
 
 def figure10(
-    org_counts: tuple[int, ...] = (2, 3, 4, 5, 6),
-    *,
-    trace: str = "LPC-EGEE",
-    duration: int = 4_000,
-    n_repeats: int = 2,
-    scale: "float | None" = None,
-    seed: int = 0,
-    workers: int = 1,
-    cache_dir: "str | None" = None,
-    resume: bool = True,
+    org_counts: "tuple[int, ...] | None" = None, **overrides
 ) -> tuple[list[int], dict[str, list[float]]]:
     """Regenerate Fig. 10: avg delay vs number of organizations.
 
-    Thin consumer of the ``churn`` scenario family: an organization-count
-    sweep with common-random-numbers windows (each repeat fixes one trace
-    window and reuses it for every organization count, so the k-trend is
-    not swamped by window-to-window load variance; the paper instead
-    averages 100 windows per point).  ``workers``/``cache_dir`` forward to
-    the pipeline for parallel and resumable sweeps.
+    The ``figure10`` scenario: an organization-count sweep of the
+    ``churn`` family with common-random-numbers windows (each repeat fixes
+    one trace window and reuses it for every organization count, so the
+    k-trend is not swamped by window-to-window load variance; the paper
+    instead averages 100 windows per point).  ``overrides`` are
+    :func:`~repro.experiments.pipeline.run_scenario` keywords: spec
+    fields, or ``workers``/``cache_dir``/... for the pipeline.
 
     REF's cost is Theta(3^k) per event, so the default sweep stops at 6
     organizations; pass ``org_counts=(2,...,10)`` (and patience) for the
     paper's full range.
 
-    Returns ``(xs, {algorithm: [avg delay per x]})``.
+    Returns ``(xs, {algorithm: [avg delay per x]})`` for the spec's first
+    trace.
     """
-    spec = ScenarioSpec(
-        family="churn",
-        traces=(trace,),
-        duration=duration,
-        n_repeats=n_repeats,
-        scale=scale,
-        seed=seed,
-        org_counts=tuple(org_counts),
-    )
-    result = run_pipeline(
-        spec, workers=workers, cache_dir=cache_dir, resume=resume
-    )
-    xs: list[int] = list(org_counts)
-    series: dict[str, list[float]] = {}
-    for alg in result.algorithms():
-        series[alg] = [
-            result.mean_std(
-                trace, alg, variant=(("n_orgs", int(k)),)
-            )[0]
-            for k in org_counts
+    result = run_scenario("figure10", org_counts=org_counts, **overrides)
+    xs = list(result.spec.org_counts)
+    trace = result.spec.traces[0]
+    series = {
+        alg: [
+            result.mean_std(trace, alg, variant=(("n_orgs", k),))[0]
+            for k in xs
         ]
+        for alg in result.algorithms()
+    }
     return xs, series

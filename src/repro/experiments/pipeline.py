@@ -60,7 +60,7 @@ from typing import Callable, Iterator
 from ..algorithms.multiref import ref_results_batched
 from ..policies import build_scheduler
 from ..sim.runner import evaluate_portfolio
-from .registry import get_family, get_portfolio
+from .registry import get_family, get_portfolio, scenario_spec
 from .spec import InstanceSpec, ScenarioSpec
 from .store import ResultStore
 
@@ -71,6 +71,7 @@ __all__ = [
     "cache_path_for",
     "run_instance_spec",
     "run_pipeline",
+    "run_scenario",
     "run_shard",
     "shard_instances",
 ]
@@ -575,3 +576,19 @@ def run_pipeline(
         instances=tuple(kept) if keep_instances else None,
         timings=timings,
     )
+
+
+#: The keywords :func:`run_scenario` hands to :func:`run_pipeline`.
+_RUN_OPTIONS = frozenset(run_pipeline.__kwdefaults__)
+
+
+def run_scenario(name: str, **kwargs) -> PipelineResult:
+    """Run the registered scenario ``name`` through :func:`run_pipeline`.
+
+    A keyword :func:`run_pipeline` takes (``workers``, ``cache_dir``,
+    ``batch``, ...) goes to it; every other keyword overrides a field of
+    the scenario's spec (:func:`~repro.experiments.registry.scenario_spec`:
+    ``None`` keeps the scenario's value).
+    """
+    run = {k: kwargs.pop(k) for k in _RUN_OPTIONS & kwargs.keys()}
+    return run_pipeline(scenario_spec(name, **kwargs), **run)

@@ -216,16 +216,6 @@ def paper_portfolio(horizon: int, seed: int) -> list[Scheduler]:
     return get_portfolio("paper")(horizon, seed)
 
 
-def fast_portfolio(horizon: int, seed: int) -> list[Scheduler]:
-    """Cheap subset for smoke runs: no sampled-Shapley algorithms."""
-    return get_portfolio("fast")(horizon, seed)
-
-
-def contribution_portfolio(horizon: int, seed: int) -> list[Scheduler]:
-    """Only the contribution-tracking algorithms (RAND, DIRECTCONTR)."""
-    return get_portfolio("contribution")(horizon, seed)
-
-
 # ----------------------------------------------------------------------
 # built-in families
 # ----------------------------------------------------------------------

@@ -76,10 +76,6 @@ class InstanceSpec:
     variant: tuple[tuple[str, "int | float | str"], ...] = ()
     key: str = ""
 
-    def params(self) -> dict:
-        """The variant overrides as a dict."""
-        return dict(self.variant)
-
     def param(self, name: str, default):
         for k, v in self.variant:
             if k == name:

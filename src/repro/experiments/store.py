@@ -111,9 +111,6 @@ class ResultStore:
             self.hits += 1
         return row
 
-    def contains(self, key: str) -> bool:
-        return key in self._index
-
     def put(self, key: str, algorithm: str, metrics: dict[str, float]) -> None:
         if key in self._index:
             return

@@ -9,15 +9,14 @@ longer windows.  The paper's headline observations both tables support:
 * all gaps grow with the window length (Table 2 >> Table 1), i.e. static
   shares drift ever further from true contributions on long horizons.
 
-Both run here in scaled form by default; pass ``scale=1.0`` and the paper's
-durations/repeats to replicate full-size (hours of CPU).
+Both run here in scaled form by default (the ``table1`` and ``table2``
+scenarios of :mod:`repro.experiments.registry`); pass ``scale=1.0`` and
+the paper's durations/repeats to replicate full-size (hours of CPU).
 """
 
 from __future__ import annotations
 
-from ..workloads.traces import PAPER_TRACES
-from .pipeline import PipelineResult, run_pipeline
-from .spec import ScenarioSpec
+from .pipeline import PipelineResult, run_scenario
 
 __all__ = ["table1", "table2", "TABLE1_PAPER", "TABLE2_PAPER"]
 
@@ -66,69 +65,18 @@ TABLE2_PAPER: dict[str, dict[str, float]] = {
 }
 
 
-def _table(*, workers, cache_dir, resume, **knobs) -> PipelineResult:
-    """The Tables 1-2 protocol: a ``synthetic``-family scenario over the
-    paper portfolio, run through the shared pipeline."""
-    return run_pipeline(
-        ScenarioSpec(family="synthetic", **knobs),
-        workers=workers,
-        cache_dir=cache_dir,
-        resume=resume,
-    )
+def table1(**overrides) -> PipelineResult:
+    """Regenerate Table 1: the ``table1`` scenario (scaled; paper-size:
+    ``duration=50_000, n_repeats=100, scale=1.0``).  ``overrides`` are
+    :func:`~repro.experiments.pipeline.run_scenario` keywords: spec
+    fields, or ``workers``/``cache_dir``/``batch``/... for the pipeline
+    (results are identical at any worker count).  Render with
+    :func:`~repro.experiments.reporting.render_pipeline`."""
+    return run_scenario("table1", **overrides)
 
 
-def table1(
-    *,
-    traces: tuple[str, ...] = PAPER_TRACES,
-    n_orgs: int = 5,
-    duration: int = 5_000,
-    n_repeats: int = 3,
-    scale: "float | None" = None,
-    seed: int = 0,
-    workers: int = 1,
-    cache_dir: "str | None" = None,
-    resume: bool = True,
-) -> PipelineResult:
-    """Regenerate Table 1 (scaled by default; paper-size:
-    ``duration=50_000, n_repeats=100, scale=1.0``).  ``workers`` and
-    ``cache_dir`` forward to the experiment pipeline (parallel fan-out,
-    resumable checkpoint); results are identical at any worker count.
-    Render with :func:`~repro.experiments.reporting.render_pipeline`."""
-    return _table(
-        traces=traces,
-        n_orgs=n_orgs,
-        duration=duration,
-        n_repeats=n_repeats,
-        scale=scale,
-        seed=seed,
-        workers=workers,
-        cache_dir=cache_dir,
-        resume=resume,
-    )
-
-
-def table2(
-    *,
-    traces: tuple[str, ...] = PAPER_TRACES,
-    n_orgs: int = 5,
-    duration: int = 50_000,
-    n_repeats: int = 2,
-    scale: "float | None" = None,
-    seed: int = 1,
-    workers: int = 1,
-    cache_dir: "str | None" = None,
-    resume: bool = True,
-) -> PipelineResult:
-    """Regenerate Table 2: the Table 1 protocol with a 10x longer window
-    (paper-size: ``duration=500_000, n_repeats=100, scale=1.0``)."""
-    return _table(
-        traces=traces,
-        n_orgs=n_orgs,
-        duration=duration,
-        n_repeats=n_repeats,
-        scale=scale,
-        seed=seed,
-        workers=workers,
-        cache_dir=cache_dir,
-        resume=resume,
-    )
+def table2(**overrides) -> PipelineResult:
+    """Regenerate Table 2: the ``table2`` scenario, the Table 1 protocol
+    on longer windows (paper-size: ``duration=500_000, n_repeats=100,
+    scale=1.0``)."""
+    return run_scenario("table2", **overrides)

@@ -128,13 +128,6 @@ class RelatedEngine:
         self.t = t
 
     # -- state ------------------------------------------------------------
-    @property
-    def free_count(self) -> int:
-        return len(self._free)
-
-    def has_waiting(self) -> bool:
-        return self._n_waiting > 0
-
     def waiting_orgs(self) -> list[int]:
         return [u for u in self.members if self._pending[u]]
 
@@ -152,9 +145,6 @@ class RelatedEngine:
         for entry in self.log:
             out[entry.job.org] += psi_sp([entry.pair()], t)
         return out
-
-    def value(self, t: int | None = None) -> int:
-        return sum(self.psis(t))
 
     # -- actions ----------------------------------------------------------
     def start_next(self, org: int, machine: int | None = None) -> RelatedStart:
@@ -185,13 +175,6 @@ class RelatedEngine:
             self.advance_to(t)
             while self._free and self._n_waiting:
                 self.start_next(select(self))
-
-    def done(self) -> bool:
-        return (
-            self._pos == len(self._stream)
-            and not self._running
-            and self._n_waiting == 0
-        )
 
 
 def run_related(

@@ -363,12 +363,6 @@ class PolicyEntry:
             out[key] = declared[key].coerce(value, self.name)
         return out
 
-    def spec(self, **params: ParamValue) -> PolicySpec:
-        """A validated :class:`PolicySpec` for this entry."""
-        s = PolicySpec.make(self.name, **params)
-        self.resolve_params(s)
-        return s
-
     # -- factories -----------------------------------------------------
     def build(
         self,

@@ -16,7 +16,6 @@ from .games import (
     SchedulingGame,
     TableGame,
     unit_coalition_value,
-    unit_coalition_values,
 )
 from .confidence import (
     empirical_bernstein_halfwidth,
@@ -60,5 +59,4 @@ __all__ = [
     "shapley_exact_scaled",
     "shapley_sample",
     "unit_coalition_value",
-    "unit_coalition_values",
 ]

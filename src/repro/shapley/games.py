@@ -33,7 +33,6 @@ __all__ = [
     "TableGame",
     "SchedulingGame",
     "unit_coalition_value",
-    "unit_coalition_values",
 ]
 
 
@@ -154,16 +153,6 @@ def unit_coalition_value(
     served = _lindley_served(releases, m)
     slots = np.arange(t, dtype=np.int64)
     return int(np.sum(served * (t - slots)))
-
-
-def unit_coalition_values(
-    workload: Workload, masks: Iterable[int], t: int
-) -> dict[int, int]:
-    """Batch :func:`unit_coalition_value` over several coalitions."""
-    return {
-        mask: unit_coalition_value(workload, list(iter_members(mask)), t)
-        for mask in masks
-    }
 
 
 def _lindley_served(releases: np.ndarray, m: int) -> np.ndarray:

@@ -120,17 +120,6 @@ def delay_never_profitable(
 # ----------------------------------------------------------------------
 # Workload manipulations (the strategic moves of Section 4)
 # ----------------------------------------------------------------------
-def _reindex(jobs: Sequence[Job]) -> list[Job]:
-    """Re-assign contiguous FIFO indices per organization, keeping order."""
-    counters: dict[int, int] = {}
-    out = []
-    for j in sorted(jobs, key=lambda j: (j.org, j.index, j.release)):
-        idx = counters.get(j.org, 0)
-        counters[j.org] = idx + 1
-        out.append(Job(j.release, j.org, idx, j.size, id=-1))
-    return out
-
-
 def apply_split(
     workload: Workload, org: int, job_index: int, sizes: Sequence[int]
 ) -> Workload:
@@ -138,16 +127,11 @@ def apply_split(
 
     This is the manipulation strategy-resistance must make unprofitable.
     """
-    jobs: list[Job] = []
-    for j in workload.jobs:
-        if j.org == org and j.index == job_index:
-            if sum(sizes) != j.size:
-                raise ValueError("split sizes must sum to the job size")
-            for off, sz in enumerate(sizes):
-                # fractional indices keep FIFO position before re-indexing
-                jobs.append(Job(j.release, org, j.index, sz, id=-1))
-        else:
-            jobs.append(j)
+    split = [j for j in workload.jobs if j.org == org and j.index == job_index]
+    if not split:
+        raise ValueError("job index out of bounds")
+    if sum(sizes) != split[0].size:
+        raise ValueError("split sizes must sum to the job size")
     # rebuild FIFO indices preserving submission order (split pieces stay
     # consecutive at the original position)
     per_org: dict[int, list[Job]] = {}

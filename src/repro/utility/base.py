@@ -46,9 +46,5 @@ class UtilityFunction(ABC):
         ``min(size, t - start)``.
         """
 
-    def values(self, per_org_pairs: Sequence[Pairs], t: int) -> list[float]:
-        """Vector of utilities for several organizations (convenience)."""
-        return [self.value(pairs, t) for pairs in per_org_pairs]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         return f"{type(self).__name__}()"

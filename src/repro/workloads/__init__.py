@@ -9,11 +9,7 @@ from .traces import (
     PAPER_TRACES,
     TRACE_PROFILES,
     TraceProfile,
-    lpc_egee,
     make_trace,
-    pik_iplex,
-    ricc,
-    sharcnet_whale,
 )
 from .transforms import (
     assign_users_to_orgs,
@@ -39,14 +35,10 @@ __all__ = [
     "federated_records",
     "generate_jobs",
     "load_swf",
-    "lpc_egee",
     "machine_split",
     "make_trace",
     "parallel_to_sequential",
     "parse_swf",
-    "pik_iplex",
-    "ricc",
-    "sharcnet_whale",
     "uniform_machine_split",
     "write_swf",
     "zipf_machine_split",

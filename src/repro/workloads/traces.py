@@ -38,10 +38,6 @@ __all__ = [
     "TRACE_PROFILES",
     "PAPER_TRACES",
     "make_trace",
-    "lpc_egee",
-    "pik_iplex",
-    "ricc",
-    "sharcnet_whale",
 ]
 
 
@@ -188,23 +184,3 @@ def make_trace(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     spec = TRACE_PROFILES[name].spec(horizon, scale)
     return generate_jobs(spec, rng), spec
-
-
-def lpc_egee(horizon: int, seed=0, scale: float = 1.0):
-    """Shorthand for ``make_trace("LPC-EGEE", ...)``."""
-    return make_trace("LPC-EGEE", horizon, seed, scale)
-
-
-def pik_iplex(horizon: int, seed=0, scale: float = 1.0):
-    """Shorthand for ``make_trace("PIK-IPLEX", ...)``."""
-    return make_trace("PIK-IPLEX", horizon, seed, scale)
-
-
-def ricc(horizon: int, seed=0, scale: float = 1.0):
-    """Shorthand for ``make_trace("RICC", ...)``."""
-    return make_trace("RICC", horizon, seed, scale)
-
-
-def sharcnet_whale(horizon: int, seed=0, scale: float = 1.0):
-    """Shorthand for ``make_trace("SHARCNET-Whale", ...)``."""
-    return make_trace("SHARCNET-Whale", horizon, seed, scale)

@@ -78,6 +78,14 @@ class TestWorkloadManipulations:
         with pytest.raises(ValueError):
             apply_split(self.base(), org=0, job_index=0, sizes=[1, 1])
 
+    def test_apply_split_refuses_a_missing_job(self):
+        """A job the organization does not have is refused, as
+        ``apply_merge`` refuses its range, not returned unchanged."""
+        with pytest.raises(ValueError, match="out of bounds"):
+            apply_split(self.base(), org=0, job_index=2, sizes=[1, 2])
+        with pytest.raises(ValueError, match="out of bounds"):
+            apply_split(self.base(), org=1, job_index=1, sizes=[2, 2])
+
     def test_apply_merge(self):
         wl = apply_merge(self.base(), org=0, first_index=0, count=2)
         jobs = wl.jobs_of(0)

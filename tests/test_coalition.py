@@ -58,6 +58,11 @@ class TestCoalition:
         with pytest.raises(AttributeError):
             Coalition([0]).mask = 3
 
+    def test_truth_and_hash(self):
+        assert not Coalition(0) and Coalition([0])
+        assert hash(Coalition([0, 2])) == hash(Coalition(0b101))
+        assert len({Coalition([0, 2]), Coalition(0b101), Coalition([1])}) == 2
+
     def test_subsets_iterator(self):
         subs = {tuple(sorted(s)) for s in Coalition([0, 2]).subsets()}
         assert subs == {(), (0,), (2,), (0, 2)}

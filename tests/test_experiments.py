@@ -15,10 +15,15 @@ from repro.experiments.harness import (
     sample_instance,
     sample_window,
 )
-from repro.experiments.registry import paper_portfolio
+from repro.experiments.registry import paper_portfolio, scenario_spec
 from repro.experiments.reporting import format_cell, render_pipeline, render_series
 from repro.experiments.spec import ScenarioSpec
-from repro.experiments.tables import TABLE1_PAPER, TABLE2_PAPER, table1
+from repro.experiments.tables import (
+    TABLE1_PAPER,
+    TABLE2_PAPER,
+    table1,
+    table2,
+)
 from repro.sim.runner import evaluate_portfolio
 
 
@@ -106,6 +111,17 @@ class TestRunExperiment:
             assert mean >= 0 and std >= 0
         with pytest.raises(KeyError):
             result.mean_std("LPC-EGEE", "nope")
+
+    def test_table2_is_the_table2_scenario(self):
+        knobs = dict(
+            traces=("LPC-EGEE",), n_orgs=3, duration=400, n_repeats=1,
+            scale=0.08,
+        )
+        result = table2(**knobs)
+        assert result.spec == scenario_spec("table2", **knobs)
+        assert result.spec.seed == 1
+        assert result.computed == 1
+        assert "Rand(N=15)" in result.algorithms()
 
     def test_evaluate_portfolio_custom_algorithms(self):
         """Was ``test_run_instance_custom_algorithms``: ``run_instance`` is

@@ -285,6 +285,7 @@ class TestScaledShapleySolver:
         grand = (1 << k) - 1
         masks = all_masks(k)
         index = {m: i for i, m in enumerate(masks)}
+        assert grand in index  # the solver sees every coalition
         values = {0: 0}
         arr = np.zeros(len(masks), dtype=np.int64)
         for m in masks:

@@ -1137,6 +1137,33 @@ class TestGatewayCli:
         # the checkpoint + WAL directory loadgen made for itself is gone
         assert list(tmp_path.iterdir()) == []
 
+    def test_gateway_subcommand_in_process(self, capsys, monkeypatch):
+        """``repro gateway`` in this process: one worker, one shard, a
+        status command, then EOF ends the loop and closes the fleet."""
+        from repro.cli import main
+
+        assert main(["gateway", "--workers", "2", "--shards", "1"]) == 2
+        assert "--shards must be >= --workers" in capsys.readouterr().err
+        monkeypatch.setattr(
+            sys, "stdin", io.StringIO('{"id": 1, "op": "status"}\n')
+        )
+        handlers = {
+            s: signal.getsignal(s) for s in (signal.SIGTERM, signal.SIGINT)
+        }
+        try:
+            code = main([
+                "gateway", "--workers", "1", "--shards", "1",
+                "--tenants", "2", "--policy", "fifo",
+            ])
+        finally:
+            for signum, handler in handlers.items():
+                signal.signal(signum, handler)
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert "1 workers / 1 shards / 2 tenants, policy=fifo" in err
+        (reply,) = [json.loads(line) for line in out.splitlines()]
+        assert reply["ok"] and reply["id"] == 1
+
     def test_gateway_daemon_round_trip(self):
         proc = spawn_cli(
             [

@@ -392,7 +392,7 @@ class TestChurnFamily:
 
         trace, duration, seed = "LPC-EGEE", 500, 0
         xs, series = figure10(
-            (2, 3), trace=trace, duration=duration, n_repeats=1,
+            (2, 3), traces=(trace,), duration=duration, n_repeats=1,
             scale=0.08, seed=seed,
         )
         window = sample_window(

@@ -105,6 +105,12 @@ class TestFairShareFamily:
             r = cls().run(wl)
             assert len(r.schedule) == 2, cls.__name__
 
+    def test_share_base_declares_its_measure(self):
+        from repro.algorithms.fairshare import _ShareBased
+
+        with pytest.raises(TypeError, match="_measure"):
+            _ShareBased()
+
 
 class TestDirectContr:
     def test_modes(self):
@@ -115,6 +121,15 @@ class TestDirectContr:
             assert r.meta["mode"] == mode
         with pytest.raises(ValueError):
             DirectContributionScheduler(mode="bogus")
+
+    def test_select_is_a_misuse(self):
+        """DIRECTCONTR picks per machine (``schedule_event``); the
+        per-organization ``select`` hook refuses."""
+        from repro.core.engine import ClusterEngine
+
+        wl = make_workload([1, 1], [(0, 0, 2), (0, 1, 2)])
+        with pytest.raises(RuntimeError, match="per machine"):
+            DirectContributionScheduler(seed=0).select(ClusterEngine(wl))
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(4)

@@ -512,6 +512,8 @@ class TestCliAndFacade:
         from repro.cli import build_parser
 
         help_text = build_parser().format_help()
+        for command in ("replay", "serve", "gateway", "loadgen"):
+            assert command in help_text
         # can't drift: the replay/serve --policy help names every
         # step-capable policy
         from repro.cli import _policy_flag_help

@@ -168,3 +168,42 @@ class TestLazyImports:
         with pytest.raises(AttributeError, match="no attribute 'nope'"):
             repro.nope  # noqa: B018
         assert not hasattr(api, "nope")
+
+
+def _cosmetic_cases():
+    from repro.analysis.inapprox import order_reverse_gap
+    from repro.core import Coalition, Job, Schedule, ScheduledJob, Workload
+    from repro.core.organization import Organization
+    from repro.utility import StrategyProofUtility
+    from repro.workloads.swf import parse_swf
+
+    job = Job(0, 0, 0, 2)
+    trace = parse_swf("1 0 0 10 8 -1 -1 8\n2 5 0 3 1 -1 -1 1")
+    cases = {
+        "OrderReverseGap.__str__": (
+            lambda: str(order_reverse_gap(2, 1)), "m=2 p=1: delta="
+        ),
+        "Coalition.__repr__": (
+            lambda: repr(Coalition([2, 0])), "Coalition([0, 2])"
+        ),
+        "Schedule.__repr__": (
+            lambda: repr(Schedule([ScheduledJob(0, 0, job)])),
+            "Schedule(1 jobs)",
+        ),
+        "Workload.__repr__": (
+            lambda: repr(Workload([Organization(0, 1)], [job])), "Workload("
+        ),
+        "UtilityFunction.__repr__": (
+            lambda: repr(StrategyProofUtility()), "StrategyProofUtility()"
+        ),
+        "SwfTrace.__iter__": (
+            lambda: " ".join(str(j.job_id) for j in trace), "1 2"
+        ),
+    }
+    return [pytest.param(*case, id=name) for name, case in cases.items()]
+
+
+@pytest.mark.parametrize("render, want", _cosmetic_cases())
+def test_cosmetic_members_render(render, want):
+    """The display and iteration dunders of the model records."""
+    assert render().startswith(want)

@@ -57,6 +57,15 @@ class TestScheduleBasics:
         with pytest.raises(KeyError):
             s.start_of(99)
 
+    def test_immutable_and_hashable(self):
+        s = Schedule([entry(0, 0, 0, 3, 0, 0)])
+        with pytest.raises(AttributeError, match="immutable"):
+            s.entries = ()
+        same = Schedule([entry(0, 0, 0, 3, 0, 0)])
+        assert hash(s) == hash(same)
+        assert {s, same} == {s}
+        assert Schedule([entry(0, 0, 0, 3, 1, 0)]) not in {s}
+
 
 class TestValidation:
     def wl(self):

@@ -14,7 +14,7 @@ from repro.sim.metrics import (
     unfairness,
     utilization_ratio,
 )
-from repro.sim.runner import compare_algorithms
+from repro.sim.runner import compare_algorithms, run_schedule
 
 from .conftest import make_workload, random_workload
 
@@ -50,6 +50,18 @@ class TestMetrics:
         t = 6
         ref = GreedyFifoScheduler(horizon=t).run(wl)
         assert utilization_ratio(ref, ref, t) == 1.0
+
+
+class TestRunSchedule:
+    def test_resolves_names_and_passes_instances_through(self):
+        wl = make_workload([1, 1], [(0, 0, 2), (0, 1, 2), (1, 0, 1)])
+        by_name = run_schedule("fifo", wl, horizon=6)
+        built = run_schedule(GreedyFifoScheduler(6), wl)
+        assert by_name.schedule == built.schedule
+        assert by_name.algorithm == built.algorithm
+        only_0 = run_schedule("fifo", wl, [0], horizon=6)
+        assert only_0.members == (0,)
+        assert {e.job.org for e in only_0.schedule} == {0}
 
 
 class TestCompareAlgorithms:

@@ -119,6 +119,38 @@ class TestCli:
         assert batched[0] == "table1 (synthetic)"
         assert batched[:-1] == serial[:-1]
 
+    @pytest.mark.parametrize(
+        "argv", [["table1"], ["table2"], ["figure10"], ["run", "table1"]]
+    )
+    def test_pipeline_flags_reach_run_pipeline(
+        self, argv, monkeypatch, tmp_path
+    ):
+        """Every pipeline flag is passed on, and a command's defaults are
+        its scenario's: one definition per paper experiment."""
+        from repro.experiments import pipeline
+        from repro.experiments.registry import get_scenario
+
+        class Captured(Exception):
+            pass
+
+        seen = {}
+
+        def capture(spec, **kwargs):
+            seen.update(kwargs, spec=spec)
+            raise Captured
+
+        monkeypatch.setattr(pipeline, "run_pipeline", capture)
+        cache, store = str(tmp_path / "cache"), str(tmp_path / "store")
+        with pytest.raises(Captured):
+            main(argv + ["--workers", "2", "--cache-dir", cache,
+                         "--no-resume", "--no-batch", "--store-dir", store])
+        seen.pop("progress", None)  # `run` only
+        assert seen.pop("spec") == get_scenario(argv[-1]).spec
+        assert seen == {
+            "workers": 2, "cache_dir": cache, "resume": False,
+            "batch": False, "store_dir": store,
+        }
+
     def test_table1_command_renders(self, capsys):
         assert main(["table1", "--duration", "1000", "--repeats", "1"]) == 0
         out = capsys.readouterr().out

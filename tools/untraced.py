@@ -2,20 +2,15 @@
 
 Runs the test suite in-process under a call trace (``sys.settrace``, call
 events only) and compares the functions it entered with the ``def``s of
-``src/repro``.  Report-only for the package as a whole, but a function
-defined in one of the ``GATED`` files (``fnmatch`` patterns: the
-scheduler base classes and their event loops, greedy FIFO, the RAND and
-REF event bodies, the certified-approximation ladder, the Shapley
-solver, the job record and its constructors, the event engine, the
-coalition fleet, the coalition kernel (one instance or many) and its
-engine views, the service with its policy adapters, its journal
-and its snapshot format, the pipe plumbing and row loop that ``repro
-serve`` and a gateway worker share, the gateway's pipe grammar,
-write-ahead log, worker pipes, shard pool and front door) that no test
-calls fails the run: every REF path, every kernel pass, every engine and
-fleet method, every ingest method, every checkpoint helper, every WAL
-path and every recovery path is a tested one.  ``@abstractmethod``
-bodies are declarations, not paths, and are skipped.
+``src/repro``.  Every concrete def is gated: one that no test calls
+fails the run, so a dead helper cannot land unnoticed and every user
+path is a tested one.  Two kinds of def are exempt:
+
+* ``@abstractmethod`` bodies are declarations, not paths;
+* the ``CHILD_ONLY`` defs run only in a child process, where the trace
+  cannot see them (a test still runs each one there).  An entry that
+  names no def, or a def the trace does see, fails the run, so the list
+  cannot rot.
 
     PYTHONPATH=src python tools/untraced.py [pytest args...]
 """
@@ -25,34 +20,22 @@ from __future__ import annotations
 import ast
 import sys
 import threading
-from fnmatch import fnmatch
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
-GATED = (
-    "algorithms/base.py",
-    "algorithms/greedy.py",
-    "algorithms/rand.py",
-    "algorithms/ref.py",
-    "algorithms/multiref.py",
-    "approx/*.py",
-    "shapley/vectorized.py",
-    "core/job.py",
-    "core/engine.py",
-    "core/fleet.py",
-    "core/kernel.py",
-    "service/service.py",
-    "service/state.py",
-    "service/snapshot.py",
-    "service/daemon.py",
-    "gateway/worker.py",
-    "gateway/wal.py",
-    "gateway/wire.py",
-    "gateway/transport.py",
-    "gateway/pool.py",
-    "gateway/gateway.py",
+
+#: ``(file under src/repro, def)`` pairs that run only in a child process.
+CHILD_ONLY = (
+    # a pool worker's shard loop (run_pipeline with workers > 1)
+    ("experiments/pipeline.py", "_run_shard"),
+    # a gateway worker's fault hooks (chaos runs)
+    ("gateway/faults.py", "bind_output"),
+    ("gateway/faults.py", "after_reply"),
+    ("gateway/faults.py", "take_torn_checkpoint"),
+    ("gateway/faults.py", "_hard_exit"),
 )
 
 
@@ -76,9 +59,10 @@ def defined(path: Path) -> dict[int, str]:
     return out
 
 
-def main(argv: list[str]) -> int:
+def traced(run: Callable[[], object], prefix: str):
+    """``(run(), {(file, first line)} of every code object under ``prefix``
+    that ``run`` entered)``.  A tracer already installed is put back."""
     called: set[tuple[str, int]] = set()
-    prefix = str(SRC)
 
     def tracer(frame, event, arg):
         code = frame.f_code
@@ -86,33 +70,57 @@ def main(argv: list[str]) -> int:
             called.add((code.co_filename, code.co_firstlineno))
         return None  # call events only: no per-line tracing
 
+    outer, outer_threads = sys.gettrace(), threading.gettrace()
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        rc = pytest.main(["-q", "-p", "no:cacheprovider", *argv])
+        result = run()
     finally:
-        sys.settrace(None)
-        threading.settrace(None)
-    failed = []
-    for path in sorted(SRC.rglob("*.py")):
-        rel = path.relative_to(SRC).as_posix()
-        missing = [
-            f"{name}:{line}"
-            for line, name in sorted(defined(path).items())
-            if (str(path), line) not in called
-        ]
+        sys.settrace(outer)
+        threading.settrace(outer_threads)
+    return result, called
+
+
+def report(
+    root: Path,
+    called: "set[tuple[str, int]]",
+    child_only: "tuple[tuple[str, str], ...]" = CHILD_ONLY,
+) -> list[str]:
+    """One ``FAIL`` line per file under ``root`` with a def not in
+    ``called``, and one per stale ``child_only`` entry."""
+    lines = []
+    seen = set()
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        missing = []
+        for line, name in sorted(defined(path).items()):
+            hit = (str(path), line) in called
+            if (rel, name) in child_only:
+                seen.add((rel, name))
+                if hit:
+                    lines.append(f"FAIL CHILD_ONLY {rel}: {name} runs in-process")
+            elif not hit:
+                missing.append(f"{name}:{line}")
         if missing:
-            gate = any(fnmatch(rel, g) for g in GATED)
-            print(f"{'FAIL' if gate else 'note'} {rel}: {', '.join(missing)}")
-            if gate:
-                failed.append(rel)
+            lines.append(f"FAIL {rel}: {', '.join(missing)}")
+    lines.extend(
+        f"FAIL CHILD_ONLY {rel}: no def {name}"
+        for rel, name in sorted(set(child_only) - seen)
+    )
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    rc, called = traced(
+        lambda: pytest.main(["-q", "-p", "no:cacheprovider", *argv]), str(SRC)
+    )
+    failed = report(SRC, called)
+    for line in failed:
+        print(line)
     if rc:
         print(f"pytest exited {rc}: the trace is incomplete")
         return int(rc)
-    if failed:
-        print(f"untested functions in gated files: {', '.join(failed)}")
-        return 1
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
