@@ -19,7 +19,7 @@ from .fairshare import (
 )
 from .greedy import GreedyFifoScheduler, fifo_select
 from .rand import RandScheduler
-from .ref import GeneralRefScheduler, RefScheduler, update_vals_scaled
+from .ref import GeneralRefScheduler, RefScheduler
 from .round_robin import RoundRobinScheduler
 
 __all__ = [
@@ -36,5 +36,4 @@ __all__ = [
     "SchedulerResult",
     "UtFairShareScheduler",
     "fifo_select",
-    "update_vals_scaled",
 ]

@@ -173,20 +173,9 @@ class RandRun:
     def keys(self, t: int) -> dict[int, int]:
         """Every member's ``phi - psi`` at ``t``, scaled by ``N`` (exact
         integers), driving the oracle to ``t``."""
-        # with the batched oracle the whole estimate is one int64
-        # matrix-vector product over the coalition value vector, guarded
-        # like every other vectorized path (None -> exact big-int dict
-        # fallback)
-        phi_scaled = None
-        arr = self.oracle.values_array(t, select=fifo_select)
-        if arr is not None and self.oracle.masks == self._sampled_t:
-            max_abs = int(np.abs(arr).max()) if len(arr) else 0
-            phi_scaled = self.prefixes.estimate_scaled_array(
-                self._sampled_t, arr, max_abs
-            )
-        if phi_scaled is None:
-            values = self.oracle.values_at(t, select=fifo_select)
-            phi_scaled = self.prefixes.estimate_scaled(values)
+        phi_scaled, _, _ = self.prefixes.estimate_scaled_at(
+            self.oracle, self._sampled_t, t, fifo_select
+        )
         psis = self.grand.psis(t)
         return {
             u: phi_scaled[u] - self.n_orderings * psis[u]

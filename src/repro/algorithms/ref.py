@@ -32,7 +32,8 @@ against).  Both costs run vectorized: subcoalition simulation and batched
 values live in :class:`repro.core.fleet.CoalitionFleet`, and ``UpdateVals``
 is a cached coefficient-matrix product
 (:class:`repro.shapley.vectorized.ScaledShapleySolver`) with
-:func:`update_vals_scaled` as the exact big-int fallback and reference.
+:func:`repro.shapley.exact.shapley_exact_scaled` (the package's one Eq. 1
+loop) as the exact big-int fallback and reference.
 
 The loop is stated twice, and only twice (DESIGN.md §2.5):
 :func:`fused_round`, the array body over a structure-of-arrays kernel
@@ -54,16 +55,11 @@ from typing import Iterable
 
 import numpy as np
 
-from ..core.coalition import (
-    iter_members,
-    iter_subsets,
-    popcount,
-    scaled_shapley_weights,
-    subsets_by_size,
-)
+from ..core.coalition import iter_members, popcount, subsets_by_size
 from ..core.engine import ClusterEngine
 from ..core.fleet import CoalitionFleet
 from ..core.workload import Workload
+from ..shapley.exact import shapley_exact_scaled
 from ..shapley.vectorized import ScaledShapleySolver
 from ..utility.base import UtilityFunction
 from ..utility.strategyproof import StrategyProofUtility
@@ -75,7 +71,7 @@ from .base import (
     members_mask,
 )
 
-__all__ = ["RefScheduler", "GeneralRefScheduler", "RefRun", "update_vals_scaled"]
+__all__ = ["RefScheduler", "GeneralRefScheduler", "RefRun"]
 
 #: Coalition size from which REF uses the numpy value/contribution path;
 #: below it the per-event array overhead exceeds the Python loops it
@@ -84,45 +80,11 @@ __all__ = ["RefScheduler", "GeneralRefScheduler", "RefRun", "update_vals_scaled"
 #: itself is guarded by ``benchmarks/bench_smallk.py``).
 VECTORIZE_MIN_K = 5
 
-#: Largest coalition whose ``UpdateVals`` subset decomposition is cached.
-#: A mask of size s has 3^s (weight, subset, member) terms, so both the
-#: size cap and the LRU bound below matter: the small-k exact dispatch
-#: only ever sees masks of size < VECTORIZE_MIN_K, but the vectorized
-#: path's overflow fallback can route size<=cap subcoalitions of an
-#: arbitrarily large grand coalition through here, and without eviction
-#: those would accumulate for the process lifetime.  512 size-6 masks
-#: bound the cache at ~512 * 3^6 small tuples (a few tens of MB worst
-#: case); bigger masks use the uncached loop.
-_TERMS_MAX_K = 6
-
 #: The fused round's int64 caps on ``|phi|`` and on a key ``|phi| +
 #: |C|!·|psi|``, checked per round (:func:`fused_round`) and, statically on
 #: an instance's certified bound, by ``multiref.batchable``.
 PHI_CAP = 1 << 62
 KEY_CAP = 1 << 63
-
-
-@lru_cache(maxsize=512)
-def _update_terms(
-    mask: int,
-) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
-    """The Eq. 1 subset sum of ``mask``, flattened and cached: one
-    ``(weight, sub, ((member, sub_without_member), ...))`` entry per
-    nonempty subcoalition.  Pure combinatorics — independent of any
-    workload — so the cache is shared by every run in the process."""
-    weights = scaled_shapley_weights(popcount(mask))
-    terms = []
-    for sub in iter_subsets(mask):
-        if sub == 0:
-            continue
-        terms.append(
-            (
-                weights[popcount(sub)],
-                sub,
-                tuple((u, sub ^ (1 << u)) for u in iter_members(sub)),
-            )
-        )
-    return tuple(terms)
 
 
 @lru_cache(maxsize=4)
@@ -215,38 +177,6 @@ def fused_round(kern, plan, seen: dict) -> bool:
     keys = phi_full - facts * psis
     kern.fill_rows(rows, keys[rows])
     return True
-
-
-def update_vals_scaled(mask: int, values: dict[int, int]) -> dict[int, int]:
-    """Shapley contributions of the members of ``mask``, scaled by ``|mask|!``.
-
-    The paper's ``UpdateVals`` (Fig. 1): for every subcoalition ``Csub`` of
-    ``mask`` and member ``u`` of ``Csub``, add
-    ``(|Csub|-1)! (|mask|-|Csub|)! * (v[Csub] - v[Csub \\ {u}])``.
-
-    ``values`` must contain every submask of ``mask`` (and 0).
-
-    This is REF's small-k hot path (below :data:`VECTORIZE_MIN_K` the
-    numpy batch costs more than it saves), so for ``|mask| <=``
-    :data:`_TERMS_MAX_K` the subset/weight/member decomposition comes from
-    the :func:`_update_terms` cache instead of being re-derived per event.
-    """
-    phi = {u: 0 for u in iter_members(mask)}
-    if popcount(mask) <= _TERMS_MAX_K:
-        for w, sub, members in _update_terms(mask):
-            v_sub = values[sub]
-            for u, without in members:
-                phi[u] += w * (v_sub - values[without])
-        return phi
-    weights = scaled_shapley_weights(popcount(mask))
-    for sub in iter_subsets(mask):
-        if sub == 0:
-            continue
-        w = weights[popcount(sub)]
-        v_sub = values[sub]
-        for u in iter_members(sub):
-            phi[u] += w * (v_sub - values[sub ^ (1 << u)])
-    return phi
 
 
 class RefRun:
@@ -363,16 +293,16 @@ class RefRun:
             phi_rows = phi.tolist() if phi is not None else None
             for i, m in capable:
                 if phi_rows is not None:
-                    row = phi_rows[i]
-                    phi_scaled = {u: row[u] for u in iter_members(m)}
+                    phi_scaled, fact = phi_rows[i], factorial(popcount(m))
                 else:  # small k, or the int64 guard tripped: exact path
                     if values_dict is None:
                         # the batch guard tripped but the (exact) values are
                         # already in hand -- no need to re-query the fleet
                         values_dict = {0: 0}
                         values_dict.update(zip(fleet.masks, vals.tolist()))
-                    phi_scaled = update_vals_scaled(m, values_dict)
-                fact = factorial(popcount(m))
+                    phi_scaled, fact = shapley_exact_scaled(
+                        values_dict, self.workload.n_orgs, grand=m
+                    )
                 psis = fleet.engine(m).psis(t)
                 keys = {
                     u: phi_scaled[u] - fact * psis[u]
@@ -410,12 +340,10 @@ class RefRun:
 
     def contributions_at(self, t: int) -> list[Fraction]:
         """Exact Shapley contributions φ(u) of the grand coalition at ``t``."""
-        phi_scaled = update_vals_scaled(self.grand_mask, self.values_at(t))
-        denom = factorial(popcount(self.grand_mask))
-        out = [Fraction(0)] * self.workload.n_orgs
-        for u, val in phi_scaled.items():
-            out[u] = Fraction(val, denom)
-        return out
+        phi_scaled, denom = shapley_exact_scaled(
+            self.values_at(t), self.workload.n_orgs, grand=self.grand_mask
+        )
+        return [Fraction(p, denom) for p in phi_scaled]
 
 
 class RefScheduler(Scheduler):
@@ -541,18 +469,13 @@ class GeneralRefScheduler(Scheduler):
                     if eng.free_count == 0 or not eng.has_waiting():
                         continue
                     size = popcount(m)
-                    weights = scaled_shapley_weights(size)
-                    denom = factorial(size)
-                    phi = {u: Fraction(0) for u in iter_members(m)}
-                    for sub in iter_subsets(m):
-                        if sub == 0:
-                            continue
-                        w = weights[popcount(sub)]
-                        v_sub = values[sub]
-                        for u in iter_members(sub):
-                            phi[u] += w * (v_sub - values[sub ^ (1 << u)])
-                    for u in phi:
-                        phi[u] /= denom
+                    phi_scaled, denom = shapley_exact_scaled(
+                        values, workload.n_orgs, grand=m
+                    )
+                    phi = {
+                        u: Fraction(phi_scaled[u], denom)
+                        for u in iter_members(m)
+                    }
                     while eng.free_count > 0 and eng.has_waiting():
                         u = self._select_distance(
                             eng, util, pairs[m], phi, psi_tab[m], t, size

@@ -39,7 +39,7 @@ budget covers *every* joining order (``k! <= n_max``), Monte-Carlo
 estimation is pointless -- the deduplicated sampled prefixes would
 approach the full ``2^k - 1`` lattice anyway -- so the run builds the
 lattice outright and takes the subset-formula Shapley value
-(:func:`~repro.shapley.exact.shapley_exact_scaled`) over the FIFO-driven
+(:func:`~repro.shapley.exact.shapley_keys_scaled`) over the FIFO-driven
 coalition values.  Every contested decision is then exact (ties broken
 canonically), which also covers the case CI separation structurally
 cannot: exact key ties, common whenever the game is locally additive.
@@ -75,7 +75,7 @@ from ..core.coalition import iter_subsets
 from ..core.fleet import CoalitionFleet
 from ..core.workload import Workload
 from ..shapley.confidence import interval_halfwidth, separates_argmax
-from ..shapley.exact import shapley_exact_scaled
+from ..shapley.exact import shapley_keys_scaled
 from ..shapley.sampling import ORDERING_SAMPLERS, SampledPrefixes, hoeffding_samples
 
 __all__ = [
@@ -206,34 +206,18 @@ class _Wave:
         self, t: int
     ) -> "tuple[list[int], dict[int, np.ndarray], int]":
         """``(exact scaled sums, per-member float marginal samples, max
-        absolute sampled value)`` at time ``t``.  Sums reuse RAND's
-        guarded int64 matvec with exact big-int fallback; the per-sample
-        view (variance only) is float."""
+        absolute sampled value)`` at time ``t``.  Sums are RAND's guarded
+        estimate (:meth:`~repro.shapley.sampling.SampledPrefixes.
+        estimate_scaled_at`); the per-sample view (variance only) is
+        float."""
         self._ensure()
-        arr = self.oracle.values_array(t, select=fifo_select)
-        sums = None
-        if arr is not None and len(arr) and self.oracle.masks == self.order_t:
-            max_abs = int(np.abs(arr).max())
-            sums = self.prefixes.estimate_scaled_array(
-                self.order_t, arr, max_abs
-            )
-            arr_f = arr.astype(np.float64)
-        if sums is None:
-            values = self.oracle.values_at(t, select=fifo_select)
-            sums = self.prefixes.estimate_scaled(values)
-            max_abs = max(
-                (abs(values[m]) for m in self.order_t), default=0
-            )
-            arr_f = np.array(
-                [float(values[m]) for m in self.order_t], dtype=np.float64
-            )
-        marginals = {
-            u: s.astype(np.float64) if s.dtype != np.float64 else s
-            for u, s in self.prefixes.marginal_samples(
-                self.order_t, arr_f
-            ).items()
-        }
-        return list(map(int, sums)), marginals, int(max_abs)
+        sums, values, max_abs = self.prefixes.estimate_scaled_at(
+            self.oracle, self.order_t, t, fifo_select
+        )
+        marginals = self.prefixes.marginal_samples(
+            self.order_t, values.astype(np.float64)
+        )
+        return sums, marginals, max_abs
 
 
 class AdaptiveRun:
@@ -454,14 +438,12 @@ class AdaptiveRun:
     def _estimate_exact(self, t: int, psis) -> dict:
         """Bottom-rung state: exact subset-formula keys from the full
         FIFO-driven lattice (no sampling, nothing to separate)."""
-        values = self._exact_oracle.values_at(t, select=fifo_select)
-        vf = lambda m: 0 if m == 0 else values[m]  # noqa: E731
-        phi_scaled, denom = shapley_exact_scaled(
-            vf, self._n_orgs, grand=self.grand_mask
+        keys = shapley_keys_scaled(
+            self._exact_oracle.values_at(t, select=fifo_select),
+            self._n_orgs,
+            self.grand_mask,
+            psis,
         )
-        keys = {
-            u: phi_scaled[u] - denom * psis[u] for u in self.members_t
-        }
         return {
             "keys": keys,
             "n": 0,

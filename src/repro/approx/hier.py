@@ -160,24 +160,25 @@ class HierRun:
         SelectAndSchedule maximizes)."""
         values = self.oracle.values_at(t, select=fifo_select)
         psis = self.grand.psis(t)
-        vf = lambda m: 0 if m == 0 else values[m]  # noqa: E731
 
         # across-block game: Phi_B as (numerator, denominator)
         if self.exact_across:
             shA, denomA = shapley_exact_scaled(
-                lambda bm: vf(self._union[bm]), self.n_blocks
+                lambda bm: values[self._union[bm]], self.n_blocks
             )
         else:
-            valsA = {bm: vf(self._union[bm]) for bm in self.block_prefixes.masks}
+            valsA = {
+                bm: values[self._union[bm]] for bm in self.block_prefixes.masks
+            }
             shA = self.block_prefixes.estimate_scaled(valsA)
             denomA = self.block_prefixes.n
 
         keys: dict[int, Fraction] = {}
         for b, (block, bmask) in enumerate(zip(self.blocks, self.block_masks)):
             shW, denomW = shapley_exact_scaled(
-                vf, self._n_orgs, grand=bmask
+                values, self._n_orgs, grand=bmask
             )
-            synergy = Fraction(shA[b], denomA) - vf(bmask)
+            synergy = Fraction(shA[b], denomA) - values[bmask]
             share = synergy / len(block)
             for u in block:
                 keys[u] = Fraction(shW[u], denomW) + share - psis[u]

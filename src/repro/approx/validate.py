@@ -21,7 +21,7 @@ from ..algorithms.greedy import fifo_select
 from ..core.coalition import iter_subsets
 from ..core.fleet import CoalitionFleet
 from ..core.workload import Workload
-from ..shapley.exact import shapley_exact_scaled
+from ..shapley.exact import shapley_keys_scaled
 
 __all__ = ["ExactDecisionOracle", "agreement_report"]
 
@@ -58,14 +58,12 @@ class ExactDecisionOracle:
         """Exact integer keys ``k! * (phi_u - psi_u)`` at decision time
         ``t``; ``psis`` is the carrier's executed-parts vector frozen in
         the certificate."""
-        values = self.fleet.values_at(t, select=fifo_select)
-        vf = lambda m: 0 if m == 0 else values[m]  # noqa: E731
-        phi_scaled, denom = shapley_exact_scaled(
-            vf, self._n_orgs, grand=self.grand_mask
+        return shapley_keys_scaled(
+            self.fleet.values_at(t, select=fifo_select),
+            self._n_orgs,
+            self.grand_mask,
+            psis,
         )
-        return {
-            u: phi_scaled[u] - denom * psis[u] for u in self.members_t
-        }
 
     def winner(
         self, t: int, waiting: Sequence[int], psis: "dict[int, int]"

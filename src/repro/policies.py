@@ -208,12 +208,6 @@ class PolicySpec:
                 params.append((key.strip(), _parse_value(value.strip())))
         return cls(name.strip(), tuple(params))
 
-    def with_params(self, **params: ParamValue) -> "PolicySpec":
-        """A copy with ``params`` merged over the existing pairs."""
-        merged = dict(self.params)
-        merged.update(params)
-        return PolicySpec(self.name, tuple(merged.items()))
-
     def param(self, name: str, default=None):
         """One parameter's value (``default`` when absent)."""
         for k, v in self.params:

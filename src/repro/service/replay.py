@@ -108,7 +108,6 @@ class ReplayDriver:
         horizon: "int | None" = None,
         snapshot_every: "int | None" = None,
         check_batch: bool = True,
-        policy_params: "dict | None" = None,
     ) -> None:
         if snapshot_every is not None and snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
@@ -118,7 +117,6 @@ class ReplayDriver:
         self.horizon = horizon
         self.snapshot_every = snapshot_every
         self.check_batch = check_batch
-        self.policy_params = policy_params
 
     def run(self) -> ReplayReport:
         service = ClusterService(
@@ -126,7 +124,6 @@ class ReplayDriver:
             self.policy,
             seed=self.seed,
             horizon=self.horizon,
-            policy_params=self.policy_params,
         )
         jobs = sorted(self.workload.jobs)
         n_snapshots = 0
@@ -156,10 +153,9 @@ class ReplayDriver:
             schedule=service.schedule(),
         )
         if self.check_batch:
-            spec = PolicySpec.parse(self.policy)
-            if self.policy_params:
-                spec = spec.with_params(**self.policy_params)
-            batch = build_scheduler(spec, seed=self.seed, horizon=self.horizon)
+            batch = build_scheduler(
+                self.policy, seed=self.seed, horizon=self.horizon
+            )
             batch_result = batch.run(self.workload)
             report.batch_schedule = batch_result.schedule
             report.equivalent = report.schedule == batch_result.schedule

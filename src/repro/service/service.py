@@ -535,9 +535,6 @@ class ClusterService:
     horizon:
         Optional stop time: decision events at/after it are ignored,
         exactly like the batch schedulers' ``horizon``.
-    policy_params:
-        Extra policy knobs merged over the spec's params (kept for
-        backward compatibility; prefer params on the spec itself).
 
     Ingest API: :meth:`submit`, :meth:`join_org`, :meth:`leave_org`,
     :meth:`add_machines`, :meth:`remove_machines`; time advances through
@@ -555,14 +552,11 @@ class ClusterService:
         *,
         seed: int = 0,
         horizon: "int | None" = None,
-        policy_params: "dict | None" = None,
     ) -> None:
         counts = tuple(int(c) for c in machine_counts)
         if not counts:
             raise ValueError("need at least one genesis organization")
         spec = PolicySpec.parse(policy)
-        if policy_params:
-            spec = spec.with_params(**policy_params)
         entry = get_policy(spec.name)
         if not entry.capabilities.step:
             raise CapabilityError(
@@ -929,10 +923,9 @@ class ClusterService:
         policy = payload["policy"]
         service = cls(
             payload["genesis_machines"],
-            policy["name"],
+            PolicySpec.make(policy["name"], **(policy.get("params") or {})),
             seed=int(policy["seed"]),
             horizon=payload["horizon"],
-            policy_params=policy.get("params") or {},
         )
         if loaded is not None:
             service._load(payload, *loaded)

@@ -19,6 +19,7 @@ scheduling decision.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 from typing import Callable, Mapping, Sequence
@@ -33,6 +34,7 @@ from ..core.coalition import (
 __all__ = [
     "shapley_exact",
     "shapley_exact_scaled",
+    "shapley_keys_scaled",
     "shapley_by_permutations",
     "check_efficiency",
     "check_symmetry",
@@ -54,7 +56,10 @@ def _as_charfn(v: "CharFn | Mapping[int, object]") -> CharFn:
 def shapley_exact(
     v: "CharFn | Mapping[int, object]", k: int, *, grand: int | None = None
 ) -> list[Fraction]:
-    """Shapley values of all ``k`` players by the subset formula (Eq. 1).
+    """Shapley values of all ``k`` players by the subset formula (Eq. 1):
+    the exact-:class:`~fractions.Fraction` view of
+    :func:`shapley_exact_scaled` (any real values, floats included, are
+    taken exactly).
 
     Parameters
     ----------
@@ -69,54 +74,104 @@ def shapley_exact(
         Coalition to divide (default: the grand coalition of all k players).
         Players outside ``grand`` receive 0.
 
-    Complexity: O(2^k * k) value queries -- use only for small k (the paper's
-    experiments use k <= 10); this exactness is what makes REF a *benchmark*.
+    Complexity: O(3^|grand|) value reads over 2^|grand| value queries --
+    use only for small k (the paper's experiments use k <= 10); this
+    exactness is what makes REF a *benchmark*.
     """
     vf = _as_charfn(v)
-    g = (1 << k) - 1 if grand is None else grand
-    n = popcount(g)
-    phi = [Fraction(0)] * k
-    if n == 0:
-        return phi
-    denom = factorial(n)
-    weights = scaled_shapley_weights(n)
-    # iterate subsets of g containing each player once: for every nonempty
-    # subset S and every u in S, add w(|S|) * (v(S) - v(S \ {u})).
-    for sub in iter_subsets(g):
-        if sub == 0:
-            continue
-        s = popcount(sub)
-        w = weights[s]
-        v_sub = vf(sub)
-        for u in iter_members(sub):
-            phi[u] += Fraction(w) * (Fraction(v_sub) - Fraction(vf(sub ^ (1 << u))))
-    return [p / denom for p in phi]
+    phi, denom = shapley_exact_scaled(
+        lambda mask: Fraction(vf(mask)), k, grand=grand
+    )
+    return [Fraction(p, denom) for p in phi]
+
+
+#: Largest coalition whose subset decomposition :func:`_decomposition`
+#: caches.  A mask of size s has 3^s (weight, subset, member) terms, so
+#: both this cap and the LRU bound matter: REF's small-k body only sees
+#: masks below ``VECTORIZE_MIN_K``, but its int64-guard fallback can route
+#: the subcoalitions of an arbitrarily large grand coalition through here,
+#: and without eviction those would accumulate for the process lifetime.
+#: 512 size-6 masks bound the cache at ~512 * 3^6 small tuples (a few tens
+#: of MB worst case); bigger masks stream.
+_DECOMPOSITION_MAX_K = 6
+
+
+@lru_cache(maxsize=512)
+def _decomposition(
+    mask: int,
+) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+    """The Eq. 1 subset sum of ``mask``, flattened: one ``(weight, sub,
+    ((member, sub_without_member), ...))`` entry per nonempty submask.
+    Pure combinatorics -- independent of any game -- so the cache is
+    shared by every caller in the process."""
+    weights = scaled_shapley_weights(popcount(mask))
+    return tuple(
+        (
+            weights[popcount(sub)],
+            sub,
+            tuple((u, sub ^ (1 << u)) for u in iter_members(sub)),
+        )
+        for sub in iter_subsets(mask)
+        if sub
+    )
 
 
 def shapley_exact_scaled(
-    v: "CharFn | Mapping[int, int]", k: int, *, grand: int | None = None
-) -> tuple[list[int], int]:
-    """Integer-scaled Shapley values: returns ``(phi_scaled, denom)`` with
-    ``phi[u] = phi_scaled[u] / denom`` and ``denom = |grand|!``.
+    v: "CharFn | Mapping[int, object]", k: int, *, grand: int | None = None
+) -> tuple[list, int]:
+    """Scaled Shapley values by Eq. 1: returns ``(phi_scaled, denom)``
+    with ``phi[u] = phi_scaled[u] / denom`` and ``denom = |grand|!``.
 
-    Requires an integer-valued characteristic function; this is the exact
-    arithmetic used inside REF's ``UpdateVals``.
+    For every nonempty submask ``S`` of ``grand`` and member ``u`` of
+    ``S`` it adds ``(|S|-1)! (|grand|-|S|)! * (v(S) - v(S \\ {u}))`` --
+    the paper's ``UpdateVals`` (Fig. 1).  Integer values give exact
+    integers (what REF compares); Fraction values give Fractions.
+    ``phi_scaled`` has length ``k``, 0 for players outside ``grand``.
+
+    ``v`` is read by subscript when it is a mapping, which must hold
+    every submask of ``grand`` (0 included); a callable is tabulated over
+    those submasks first.  Masks of up to :data:`_DECOMPOSITION_MAX_K`
+    members take their decomposition from a cache (REF's small-k exact
+    body runs here once per capable coalition per event); larger ones
+    stream it.
     """
-    vf = _as_charfn(v)
     g = (1 << k) - 1 if grand is None else grand
-    n = popcount(g)
+    if not 0 <= g < 1 << k:
+        raise ValueError(
+            f"grand={grand!r} is not a coalition of {k} players "
+            f"(need 0 <= grand < 2**{k})"
+        )
+    values = {sub: v(sub) for sub in iter_subsets(g)} if callable(v) else v
     phi = [0] * k
+    n = popcount(g)
     if n == 0:
         return phi, 1
+    if n <= _DECOMPOSITION_MAX_K:
+        for w, sub, members in _decomposition(g):
+            v_sub = values[sub]
+            for u, without in members:
+                phi[u] += w * (v_sub - values[without])
+        return phi, factorial(n)
     weights = scaled_shapley_weights(n)
     for sub in iter_subsets(g):
         if sub == 0:
             continue
         w = weights[popcount(sub)]
-        v_sub = vf(sub)
+        v_sub = values[sub]
         for u in iter_members(sub):
-            phi[u] += w * (v_sub - vf(sub ^ (1 << u)))
+            phi[u] += w * (v_sub - values[sub ^ (1 << u)])
     return phi, factorial(n)
+
+
+def shapley_keys_scaled(
+    values: "Mapping[int, int]", k: int, grand: int, psis: Sequence[int]
+) -> dict[int, int]:
+    """Exact decision keys ``|grand|! * (phi_u - psi_u)`` of every member
+    ``u`` of ``grand``, with ``phi`` the Eq. 1 value of the coalition
+    ``values`` holds in full (the exact lattice of the approximation
+    ladder's oracles) and ``psis`` indexed by player."""
+    phi, denom = shapley_exact_scaled(values, k, grand=grand)
+    return {u: phi[u] - denom * psis[u] for u in iter_members(grand)}
 
 
 def shapley_by_permutations(

@@ -236,6 +236,29 @@ class SampledPrefixes:
             return None
         return (coef @ values).tolist()
 
+    def estimate_scaled_at(
+        self, oracle, order: "tuple[int, ...]", t: int, select
+    ) -> "tuple[list[int], np.ndarray, int]":
+        """:meth:`estimate_scaled` from a value-oracle fleet (a
+        :class:`~repro.core.fleet.CoalitionFleet` over :attr:`masks`, each
+        engine driven by ``select``) at time ``t``: ``(sums, values,
+        max_abs)``.  The sums are one guarded int64 matrix-vector product
+        (:meth:`estimate_scaled_array`) when the fleet's int64 value
+        vector is aligned with ``order``, else the exact big-int sum over
+        its ``values_at``.  ``values`` is the value vector aligned with
+        ``order`` (int64, or Python ints in an object array) and
+        ``max_abs`` its largest magnitude."""
+        arr = oracle.values_array(t, select=select)
+        if arr is not None and oracle.masks == order:
+            max_abs = int(np.abs(arr).max()) if len(arr) else 0
+            sums = self.estimate_scaled_array(order, arr, max_abs)
+            if sums is not None:
+                return sums, arr, max_abs
+        values = oracle.values_at(t, select=select)
+        vec = np.array([values[m] for m in order], dtype=object)
+        max_abs = max((abs(v) for v in vec), default=0)
+        return self.estimate_scaled(values), vec, max_abs
+
     def sample_indices(
         self, order: "tuple[int, ...]"
     ) -> "dict[int, tuple[np.ndarray, np.ndarray]]":

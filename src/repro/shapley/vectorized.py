@@ -21,8 +21,9 @@ Exactness: coefficients and values are int64, and each product carries a
 precomputed worst-case bound (``Σ|row coefficients| · max|v|``); a query
 whose bound does not fit in signed int64 returns ``None`` and the caller
 falls back to the unbounded-int reference implementation
-(:func:`repro.algorithms.ref.update_vals_scaled`) -- results are bit-equal
-whenever both paths run (verified in tests).
+(:func:`repro.shapley.exact.shapley_exact_scaled`, the package's one
+Eq. 1 loop) -- results are bit-equal whenever both paths run (verified
+in tests).
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ class ScaledShapleySolver:
         ``max_abs_value`` must bound ``|values[i]|`` over the rows of their
         submasks (any global bound works).  Returns ``None`` when the int64
         guard cannot certify the products (the caller falls back to exact
-        big-int ``update_vals_scaled``).
+        big-int ``shapley_exact_scaled``).
         """
         coef, rows, cols, row_weight = self.matrix_plan(masks)
         if max_abs_value < 0 or row_weight * max_abs_value >= _INT64_CAP:

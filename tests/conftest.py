@@ -7,9 +7,13 @@ import signal
 import numpy as np
 import pytest
 
+from repro.algorithms.greedy import fifo_select
+from repro.core.coalition import iter_members, iter_subsets
+from repro.core.engine import ClusterEngine
 from repro.core.job import Job
 from repro.core.organization import Organization
 from repro.core.workload import Workload
+from repro.gateway.config import GatewayConfig
 
 
 def make_workload(
@@ -50,6 +54,54 @@ def random_workload(
         for r in sorted(rels):
             triples.append((r, u, int(rng.choice(sizes))))
     return make_workload(machine_counts, triples)
+
+
+def k3_workload(seed: int) -> Workload:
+    """The k=3 instance family the golden transcripts were captured on."""
+    return random_workload(
+        np.random.default_rng(seed), n_orgs=3, n_jobs=14, max_release=12,
+        sizes=(1, 2, 3), machine_counts=[1, 2, 1],
+    )
+
+
+def transcript(schedule) -> list:
+    """A schedule (or a result carrying one) as golden-transcript rows."""
+    return [
+        (e.start, e.machine, e.job.org, e.job.index, e.job.size)
+        for e in getattr(schedule, "schedule", schedule)
+    ]
+
+
+def all_masks(k: int) -> list[int]:
+    return [m for m in iter_subsets((1 << k) - 1) if m]
+
+
+def reference_values(workload, masks, t, horizon, drive=True):
+    """Per-coalition values via independent engines and the original
+    O(k + #running) psis() sum -- the pre-fleet formulation: each engine
+    FIFO-driven to ``t``, or (``drive=False``) only advanced through its
+    own events."""
+    out = {0: 0}
+    for m in masks:
+        eng = ClusterEngine(workload, list(iter_members(m)), horizon=horizon)
+        if drive:
+            eng.drive(fifo_select, until=t)
+        else:
+            while (
+                nxt := eng.next_event_time()
+            ) is not None and nxt <= t:
+                eng.advance_to(nxt)
+        if eng.t < t:
+            eng.advance_to(t)
+        out[m] = sum(eng.psis(t))
+    return out
+
+
+def small_config(**kwargs) -> GatewayConfig:
+    defaults = dict(n_workers=2, n_shards=4, policy="fifo", seed=0)
+    defaults.update(kwargs)
+    n_tenants = defaults.pop("n_tenants", 8)
+    return GatewayConfig.uniform(n_tenants, **defaults)
 
 
 def as_version_2(snap: dict) -> dict:

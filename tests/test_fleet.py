@@ -9,7 +9,7 @@ Three layers of protection for the fleet refactor:
   times far past int64;
 * **solver tests** -- the cached coefficient-matrix ``UpdateVals``
   (:class:`repro.shapley.vectorized.ScaledShapleySolver`) is bit-equal to
-  the reference subset-sum ``update_vals_scaled``;
+  the reference subset sum ``shapley_exact_scaled`` (Eq. 1);
 * **golden transcripts** -- the fleet-based REF / GeneralREF / RAND /
   DIRECTCONTR reproduce, job for job, the schedules of the pre-refactor
   per-algorithm implementations (captured from the seed commit).
@@ -28,39 +28,23 @@ from repro.algorithms.base import fill_capacity
 from repro.algorithms.direct import DirectContributionScheduler
 from repro.algorithms.greedy import fifo_select
 from repro.algorithms.rand import RandScheduler
-from repro.algorithms.ref import (
-    GeneralRefScheduler,
-    RefScheduler,
-    update_vals_scaled,
-)
-from repro.core.coalition import iter_members, iter_subsets
+from repro.algorithms.ref import GeneralRefScheduler, RefScheduler
 from repro.core.engine import ClusterEngine
 from repro.core.fleet import CoalitionFleet
 from repro.core.job import Job
 from repro.core.workload import Workload
+from repro.shapley.exact import shapley_exact_scaled
 from repro.shapley.vectorized import ScaledShapleySolver
 
-from .conftest import make_workload, random_workload
+from .conftest import (
+    all_masks,
+    k3_workload,
+    make_workload,
+    random_workload,
+    reference_values,
+    transcript,
+)
 from .golden_transcripts import GOLDEN
-
-
-def all_masks(k: int) -> list[int]:
-    return [m for m in iter_subsets((1 << k) - 1) if m]
-
-
-def reference_values(workload, masks, t, horizon):
-    """Per-coalition values via independent engines and the original
-    O(k + #running) psis() sum -- the pre-fleet formulation."""
-    out = {0: 0}
-    for m in masks:
-        eng = ClusterEngine(
-            workload, list(iter_members(m)), horizon=horizon
-        )
-        eng.drive(fifo_select, until=t)
-        if eng.t < t:
-            eng.advance_to(t)
-        out[m] = sum(eng.psis(t))
-    return out
 
 
 class TestFleetValueEquivalence:
@@ -280,7 +264,7 @@ class TestEngineValuePath:
 
 class TestScaledShapleySolver:
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
-    def test_matches_reference_update_vals(self, k):
+    def test_matches_shapley_exact_scaled(self, k):
         rng = np.random.default_rng(k)
         grand = (1 << k) - 1
         masks = all_masks(k)
@@ -300,8 +284,7 @@ class TestScaledShapleySolver:
             phi = solver.phi_scaled_matrix(tuple(group), arr, 10_000, k)
             assert phi.shape == (len(group), k)
             for m, row in zip(group, phi.tolist()):
-                want = update_vals_scaled(m, values)
-                assert row == [want.get(u, 0) for u in range(k)], m
+                assert row == shapley_exact_scaled(values, k, grand=m)[0], m
         with pytest.raises(ValueError):
             solver.phi_scaled_matrix((1, 3), arr, 10, k)
 
@@ -360,35 +343,20 @@ class TestEngineFreeSet:
         eng.schedule().validate(wl)
 
 
-def _transcript(result):
-    return [
-        (e.start, e.machine, e.job.org, e.job.index, e.job.size)
-        for e in result.schedule
-    ]
-
-
-def _k3_workload(seed: int) -> Workload:
-    rng = np.random.default_rng(seed)
-    return random_workload(
-        rng, n_orgs=3, n_jobs=14, max_release=12,
-        sizes=(1, 2, 3), machine_counts=[1, 2, 1],
-    )
-
-
 class TestGoldenTranscripts:
     """The fleet-based algorithms reproduce the seed implementations'
     schedules (and REF's exact contribution fractions) bit for bit."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_ref(self, seed):
-        wl = _k3_workload(seed)
+        wl = k3_workload(seed)
         g = GOLDEN[f"k3_seed{seed}"]
-        assert _transcript(RefScheduler().run(wl)) == g["ref"]
-        assert _transcript(RefScheduler(horizon=10).run(wl)) == g["ref_h10"]
+        assert transcript(RefScheduler().run(wl)) == g["ref"]
+        assert transcript(RefScheduler(horizon=10).run(wl)) == g["ref_h10"]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_ref_contributions(self, seed):
-        wl = _k3_workload(seed)
+        wl = k3_workload(seed)
         r = RefScheduler(collect_contributions=True).run(wl)
         want = [
             Fraction(n, d)
@@ -398,26 +366,26 @@ class TestGoldenTranscripts:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_general_ref(self, seed):
-        wl = _k3_workload(seed)
-        got = _transcript(GeneralRefScheduler().run(wl))
+        wl = k3_workload(seed)
+        got = transcript(GeneralRefScheduler().run(wl))
         assert got == GOLDEN[f"k3_seed{seed}"]["genref"]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rand(self, seed):
-        wl = _k3_workload(seed)
-        got = _transcript(RandScheduler(n_orderings=5, seed=seed).run(wl))
+        wl = k3_workload(seed)
+        got = transcript(RandScheduler(n_orderings=5, seed=seed).run(wl))
         assert got == GOLDEN[f"k3_seed{seed}"]["rand"]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_direct_contr(self, seed):
-        wl = _k3_workload(seed)
+        wl = k3_workload(seed)
         g = GOLDEN[f"k3_seed{seed}"]
         exact = DirectContributionScheduler(seed=seed).run(wl)
         faithful = DirectContributionScheduler(
             seed=seed, mode="faithful"
         ).run(wl)
-        assert _transcript(exact) == g["direct_exact"]
-        assert _transcript(faithful) == g["direct_faithful"]
+        assert transcript(exact) == g["direct_exact"]
+        assert transcript(faithful) == g["direct_faithful"]
 
     def test_k4(self):
         rng = np.random.default_rng(99)
@@ -426,8 +394,8 @@ class TestGoldenTranscripts:
             sizes=(1, 2, 4), machine_counts=[1, 1, 2, 1],
         )
         g = GOLDEN["k4_seed99"]
-        assert _transcript(RefScheduler().run(wl)) == g["ref"]
-        got = _transcript(RandScheduler(n_orderings=6, seed=7).run(wl))
+        assert transcript(RefScheduler().run(wl)) == g["ref"]
+        got = transcript(RandScheduler(n_orderings=6, seed=7).run(wl))
         assert got == g["rand"]
 
 

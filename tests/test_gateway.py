@@ -57,14 +57,9 @@ from repro.service.daemon import (
 )
 from repro.service.snapshot import load_snapshot
 
+from .conftest import small_config
+
 REPO_ROOT = Path(__file__).parent.parent
-
-
-def small_config(**kwargs):
-    defaults = dict(n_workers=2, n_shards=4, policy="fifo", seed=0)
-    defaults.update(kwargs)
-    n_tenants = defaults.pop("n_tenants", 8)
-    return GatewayConfig.uniform(n_tenants, **defaults)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from repro.algorithms.greedy import fifo_select
 from repro.algorithms.rand import RandScheduler
 from repro.algorithms.ref import GeneralRefScheduler, RefRun, RefScheduler
 from repro.core import kernel as kernel_mod
-from repro.core.coalition import iter_members, iter_subsets
+from repro.core.coalition import iter_members
 from repro.core.engine import ClusterEngine
 from repro.core.fleet import CoalitionFleet
 from repro.core.job import Job
@@ -49,35 +49,13 @@ from repro.core.kernel import (
 )
 from repro.core.workload import Workload
 
-from .conftest import make_workload, random_workload
-
-
-def all_masks(k: int) -> list[int]:
-    return [m for m in iter_subsets((1 << k) - 1) if m]
-
-
-def transcript(result) -> list:
-    return [
-        (e.start, e.machine, e.job.org, e.job.index, e.job.size)
-        for e in result.schedule
-    ]
-
-
-def reference_values(workload, masks, t, horizon, drive=True):
-    out = {0: 0}
-    for m in masks:
-        eng = ClusterEngine(workload, list(iter_members(m)), horizon=horizon)
-        if drive:
-            eng.drive(fifo_select, until=t)
-        else:
-            while (
-                nxt := eng.next_event_time()
-            ) is not None and nxt <= t:
-                eng.advance_to(nxt)
-        if eng.t < t:
-            eng.advance_to(t)
-        out[m] = sum(eng.psis(t))
-    return out
+from .conftest import (
+    all_masks,
+    make_workload,
+    random_workload,
+    reference_values,
+    transcript,
+)
 
 
 @pytest.fixture
@@ -799,7 +777,7 @@ class TestRefBodiesAgree:
         uncertified = self._scaled(base, 10**7)
         assert not kernel_certified(uncertified, None)
         with mock.patch.object(
-            ref_mod, "update_vals_scaled", wraps=ref_mod.update_vals_scaled
+            ref_mod, "shapley_exact_scaled", wraps=ref_mod.shapley_exact_scaled
         ) as exact:
             auto = RefScheduler().run(uncertified).schedule
         assert exact.call_count  # the big-int UpdateVals did run

@@ -7,12 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.ref import (
-    GeneralRefScheduler,
-    RefScheduler,
-    update_vals_scaled,
-)
-from repro.shapley.exact import shapley_exact
+from repro.algorithms.ref import GeneralRefScheduler, RefScheduler
+from repro.shapley.exact import shapley_exact, shapley_exact_scaled
 from repro.shapley.games import SchedulingGame
 from repro.sim.metrics import manhattan
 
@@ -22,18 +18,16 @@ from .conftest import make_workload, random_workload
 class TestUpdateVals:
     def test_matches_exact_shapley(self):
         values = {0: 0, 0b01: 4, 0b10: 6, 0b11: 14}
-        phi = update_vals_scaled(0b11, values)
+        phi, denom = shapley_exact_scaled(values, 2)
         # k!=2; phi scaled by 2
+        assert denom == 2
         exact = shapley_exact(lambda m: values[m], 2)
-        assert {u: Fraction(v, 2) for u, v in phi.items()} == {
-            0: exact[0],
-            1: exact[1],
-        }
+        assert [Fraction(v, 2) for v in phi] == [exact[0], exact[1]]
 
     def test_efficiency_scaled(self):
         values = {0: 0, 1: 3, 2: 5, 3: 11, 4: 2, 5: 13, 6: 9, 7: 21}
-        phi = update_vals_scaled(0b111, values)
-        assert sum(phi.values()) == 6 * values[0b111]  # 3! * v(grand)
+        phi, _ = shapley_exact_scaled(values, 3)
+        assert sum(phi) == 6 * values[0b111]  # 3! * v(grand)
 
 
 class TestRefBehaviour:

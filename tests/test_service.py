@@ -48,29 +48,16 @@ from repro.service.state import OP_FIELDS
 from .conftest import (
     as_version_1,
     as_version_2,
+    k3_workload,
     make_workload,
     random_workload,
+    transcript,
 )
 from .golden_transcripts import GOLDEN
 
 ALL_POLICIES = sorted(policy_names("step"))
 
 SWF_FIXTURE = str(Path(__file__).parent / "data" / "tiny.swf")
-
-
-def _transcript(schedule):
-    return [
-        (e.start, e.machine, e.job.org, e.job.index, e.job.size)
-        for e in schedule
-    ]
-
-
-def _k3_workload(seed: int):
-    rng = np.random.default_rng(seed)
-    return random_workload(
-        rng, n_orgs=3, n_jobs=14, max_release=12,
-        sizes=(1, 2, 3), machine_counts=[1, 2, 1],
-    )
 
 
 # ----------------------------------------------------------------------
@@ -83,7 +70,7 @@ class TestReplayEqualsBatch:
         rng = np.random.default_rng(100 + seed)
         wl = random_workload(rng, n_orgs=3, n_jobs=25, max_release=15)
         report = ReplayDriver(wl, policy, seed=seed).run()
-        assert report.equivalent, _transcript(report.schedule)
+        assert report.equivalent, transcript(report.schedule)
         assert report.n_jobs == len(wl.jobs)
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
@@ -156,38 +143,34 @@ class TestGoldenReplay:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_ref(self, seed):
-        wl = _k3_workload(seed)
+        wl = k3_workload(seed)
         report = ReplayDriver(wl, "ref", snapshot_every=3).run()
-        assert _transcript(report.schedule) == GOLDEN[f"k3_seed{seed}"]["ref"]
+        assert transcript(report.schedule) == GOLDEN[f"k3_seed{seed}"]["ref"]
         assert report.equivalent
 
     @pytest.mark.parametrize("seed", range(4))
     def test_ref_horizon(self, seed):
-        wl = _k3_workload(seed)
+        wl = k3_workload(seed)
         report = ReplayDriver(wl, "ref", horizon=10).run()
         assert (
-            _transcript(report.schedule) == GOLDEN[f"k3_seed{seed}"]["ref_h10"]
+            transcript(report.schedule) == GOLDEN[f"k3_seed{seed}"]["ref_h10"]
         )
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rand(self, seed):
-        wl = _k3_workload(seed)
+        wl = k3_workload(seed)
         report = ReplayDriver(
-            wl,
-            "rand",
-            seed=seed,
-            snapshot_every=4,
-            policy_params={"n_orderings": 5},
+            wl, "rand:n_orderings=5", seed=seed, snapshot_every=4
         ).run()
-        assert _transcript(report.schedule) == GOLDEN[f"k3_seed{seed}"]["rand"]
+        assert transcript(report.schedule) == GOLDEN[f"k3_seed{seed}"]["rand"]
         assert report.equivalent
 
     @pytest.mark.parametrize("seed", range(4))
     def test_direct_contr(self, seed):
-        wl = _k3_workload(seed)
+        wl = k3_workload(seed)
         report = ReplayDriver(wl, "directcontr", seed=seed, snapshot_every=3).run()
         assert (
-            _transcript(report.schedule)
+            transcript(report.schedule)
             == GOLDEN[f"k3_seed{seed}"]["direct_exact"]
         )
         assert report.equivalent

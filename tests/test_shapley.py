@@ -75,6 +75,37 @@ class TestExact:
         assert denom == math.factorial(k)
         assert [Fraction(s, denom) for s in scaled] == phi
 
+    @pytest.mark.parametrize("fraction", [False, True], ids=["int", "Fraction"])
+    @pytest.mark.parametrize("k", [6, 7])  # both sides of the cache cap
+    def test_scaled_is_permutations_times_factorial(self, k, fraction):
+        game = random_game(k, np.random.default_rng(k))
+        if fraction:
+            game = {m: Fraction(v, 7) for m, v in game.items()}
+        phi, denom = shapley_exact_scaled(game, k)
+        assert denom == math.factorial(k)
+        assert phi == [p * denom for p in shapley_by_permutations(game, k)]
+
+    @pytest.mark.parametrize("fraction", [False, True], ids=["int", "Fraction"])
+    def test_strict_submask_grand(self, fraction):
+        grand = 0b10110  # players 0 and 3 are outside it
+        full = random_game(5, np.random.default_rng(5))
+        # only grand's submasks are in the table: nothing else is read
+        game = {
+            m: Fraction(full[m], 3) if fraction else full[m]
+            for m in iter_subsets(grand)
+        }
+        phi, denom = shapley_exact_scaled(game, 5, grand=grand)
+        assert denom == 6 and phi[0] == phi[3] == 0
+        assert phi == [
+            p * 6 for p in shapley_by_permutations(game, 5, grand=grand)
+        ]
+
+    @pytest.mark.parametrize("grand", [0b100, -1])
+    def test_grand_outside_the_players_is_refused(self, grand):
+        for shapley in (shapley_exact, shapley_exact_scaled):
+            with pytest.raises(ValueError, match=f"grand={grand} "):
+                shapley(lambda mask: mask, 2, grand=grand)
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 1000), k=st.integers(1, 5))
     def test_efficiency_axiom(self, seed, k):

@@ -17,7 +17,6 @@ import pytest
 from repro.gateway import (
     FaultPlan,
     Gateway,
-    GatewayConfig,
     LoadSpec,
     ShardPool,
     ShardWal,
@@ -40,14 +39,7 @@ from repro.gateway.supervisor import (
     SupervisorPolicy,
 )
 
-from .conftest import as_version_1
-
-
-def small_config(**kwargs):
-    defaults = dict(n_workers=2, n_shards=4, policy="fifo", seed=0)
-    defaults.update(kwargs)
-    n_tenants = defaults.pop("n_tenants", 8)
-    return GatewayConfig.uniform(n_tenants, **defaults)
+from .conftest import as_version_1, small_config
 
 
 #: Fast-detection policy for process tests: a stalled or silent worker
