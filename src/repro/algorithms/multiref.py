@@ -29,7 +29,14 @@ from ..core.kernel import _QUERY_CAP, FleetKernel, instance_bound
 from ..core.schedule import Schedule
 from ..core.workload import Workload
 from .base import SchedulerResult, members_mask
-from .ref import KEY_CAP, PHI_CAP, _solver_for, fused_plan, fused_round
+from .ref import (
+    KEY_CAP,
+    PHI_CAP,
+    _solver_for,
+    fused_plan,
+    fused_round,
+    guard_coefficients,
+)
 
 __all__ = ["ref_results_batched", "ref_batch", "batchable"]
 
@@ -38,15 +45,12 @@ __all__ = ["ref_results_batched", "ref_batch", "batchable"]
 def _layout_for(k: int):
     """Shared per-k REF layout: subcoalition masks (size-ascending, grand
     coalition last -- the exact row order of the per-instance path), their
-    size groups, each mask's row in one instance, the solver over them,
-    and the fused round's two guard coefficients (largest coefficient row
-    weight, largest ``|C|!``)."""
+    size groups, each mask's row in one instance, and the solver over
+    them."""
     groups = [tuple(g) for g in subsets_by_size((1 << k) - 1)[1:]]
     nonempty = [m for group in groups for m in group]
     index = {m: i for i, m in enumerate(nonempty)}
-    solver = _solver_for(tuple(nonempty))
-    guard = fused_plan(solver, groups, index, [0])[3:]
-    return nonempty, groups, index, solver, guard
+    return nonempty, groups, index, _solver_for(tuple(nonempty))
 
 
 def batchable(workload: Workload, horizon: "int | None") -> bool:
@@ -60,7 +64,7 @@ def batchable(workload: Workload, horizon: "int | None") -> bool:
     bound = instance_bound(workload, horizon)
     if bound >= _QUERY_CAP:
         return False
-    max_rw, max_fact = _layout_for(workload.n_orgs)[4]
+    max_rw, max_fact = guard_coefficients(workload.n_orgs)
     if max_rw * bound >= PHI_CAP:
         return False
     return max_rw * bound + max_fact * bound < KEY_CAP
@@ -74,7 +78,7 @@ def ref_batch(
     :func:`~repro.algorithms.ref.fused_round`'s counts; the run stops at a
     declined round (``unsafe`` or ``guard``), which :func:`batchable`
     rules out."""
-    nonempty, groups, index, solver, _ = _layout_for(items[0][0].n_orgs)
+    nonempty, groups, index, solver = _layout_for(items[0][0].n_orgs)
     kern = FleetKernel.batch([(wl, nonempty, h) for wl, h in items])
     plan = fused_plan(solver, groups, index, kern.row0)
     seen = dict.fromkeys(("forced", "contested", "unsafe", "guard"), 0)

@@ -101,12 +101,11 @@ class RandRun:
         )
         orderings = draw(member_arr, n_orderings, rng)
         self.prefixes = SampledPrefixes(workload.n_orgs, orderings)
-        self.sampled = sorted(m for m in self.prefixes.masks if m)
-        self._sampled_t = tuple(self.sampled)
+        sampled = list(self.prefixes.order)
         self.oracle = (
-            oracle_factory(self.sampled)
+            oracle_factory(sampled)
             if oracle_factory is not None
-            else CoalitionFleet(workload, self.sampled, horizon=horizon)
+            else CoalitionFleet(workload, sampled, horizon=horizon)
         )
         self.fleet = (
             fleet
@@ -174,7 +173,7 @@ class RandRun:
         """Every member's ``phi - psi`` at ``t``, scaled by ``N`` (exact
         integers), driving the oracle to ``t``."""
         phi_scaled, _, _ = self.prefixes.estimate_scaled_at(
-            self.oracle, self._sampled_t, t, fifo_select
+            self.oracle, t, fifo_select
         )
         psis = self.grand.psis(t)
         return {
@@ -312,6 +311,6 @@ class RandScheduler(Scheduler):
             horizon=self.horizon,
             meta={
                 "n_orderings": run.n_orderings,
-                "n_coalitions": len(run.sampled),
+                "n_coalitions": len(run.prefixes.order),
             },
         )

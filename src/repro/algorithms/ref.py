@@ -60,7 +60,7 @@ from ..core.engine import ClusterEngine
 from ..core.fleet import CoalitionFleet
 from ..core.workload import Workload
 from ..shapley.exact import shapley_exact_scaled
-from ..shapley.vectorized import ScaledShapleySolver
+from ..shapley.vectorized import ScaledShapleySolver, size_plan
 from ..utility.base import UtilityFunction
 from ..utility.strategyproof import StrategyProofUtility
 from .base import (
@@ -87,38 +87,44 @@ PHI_CAP = 1 << 62
 KEY_CAP = 1 << 63
 
 
+def guard_coefficients(k: int) -> "tuple[int, int]":
+    """The fused round's two int64 guard coefficients over a grand
+    coalition of ``k`` members and its subcoalitions: the largest
+    ``UpdateVals`` row weight of any size, and ``k!``."""
+    weights = (size_plan(s)[1] for s in range(1, k + 1))
+    return max(weights, default=0), factorial(k)
+
+
 @lru_cache(maxsize=4)
 def _solver_for(masks: "tuple[int, ...]") -> ScaledShapleySolver:
     """One :class:`ScaledShapleySolver` per coalition layout, shared across
-    runs (its cached coefficient plans depend only on the mask order)."""
+    runs (its cached value-row plans depend only on the mask order)."""
     return ScaledShapleySolver({m: i for i, m in enumerate(masks)})
 
 
 def fused_plan(solver: ScaledShapleySolver, groups, row_of, row0):
     """:func:`fused_round`'s plan over kernel instances sharing one row
     layout (``row_of[mask]``: a row of one instance; instance ``i``'s rows
-    start at ``row0[i]``): per size group the stacked ``UpdateVals``
-    coefficients, value-row gather, phi scatter rows and columns; each
-    row's ``|C|!`` and group; the two int64 guard coefficients (largest
-    coefficient row weight, largest ``|C|!``)."""
+    start at ``row0[i]``): per size group its size's transposed
+    ``UpdateVals`` matrix, the value-row gather and phi scatter rows lifted
+    over every instance, and the phi columns; each row's ``|C|!`` and
+    group; :func:`guard_coefficients` of the grand coalition."""
     n_rows = len(row_of)
     facts = np.zeros((n_rows, 1), dtype=np.int64)
     group_of = np.zeros(n_rows, dtype=np.intp)
     lift = np.asarray(row0, dtype=np.intp)[:, None, None]
     plans = []
-    max_rw, max_fact = 0, 1
     for g, group in enumerate(groups):
-        coef, vrows, cols, rw = solver.matrix_plan(group)
+        coef, vrows, cols, _ = solver.matrix_plan(group)
         krows = np.array([row_of[m] for m in group], dtype=np.intp)
-        fact = factorial(popcount(group[0]))
-        facts[krows, 0] = fact
+        facts[krows, 0] = factorial(popcount(group[0]))
         group_of[krows] = g
-        plans.append((coef, vrows + lift, krows[:, None] + lift, cols))
-        max_rw = max(max_rw, rw)
-        max_fact = max(max_fact, fact)
+        coef_t = np.ascontiguousarray(coef.T)
+        plans.append((coef_t, vrows + lift, krows[:, None] + lift, cols))
     B = len(row0)
     facts, group_of = np.tile(facts, (B, 1)), np.tile(group_of, B)
-    return plans, facts, group_of, max_rw, max_fact
+    # one size group per member of the grand coalition
+    return (plans, facts, group_of, *guard_coefficients(len(groups)))
 
 
 def fused_round(kern, plan, seen: dict) -> bool:
@@ -172,8 +178,8 @@ def fused_round(kern, plan, seen: dict) -> bool:
     # bincount, not np.unique: the groups are few small ints, and unique
     # imports numpy.ma (~1 MB) on first use
     for g in np.flatnonzero(np.bincount(group_of[contested])).tolist():
-        coef, vrows, krows, cols = plans[g]
-        phi_full[krows, cols] = np.matmul(coef, vals[vrows][..., None])[..., 0]
+        coef_t, vrows, krows, cols = plans[g]
+        phi_full[krows, cols] = vals[vrows] @ coef_t
     keys = phi_full - facts * psis
     kern.fill_rows(rows, keys[rows])
     return True
@@ -207,8 +213,8 @@ class RefRun:
         self.grand_mask = grand_mask
         self.horizon = horizon
         # nonempty subcoalitions by ascending size (Fig. 1's processing
-        # order), as stable tuples: the solver caches its stacked
-        # coefficient plans per tuple
+        # order), as stable tuples: the solver caches each group's
+        # value-row plan per tuple
         self._groups = [tuple(g) for g in subsets_by_size(grand_mask)[1:]]
         self.nonempty = [m for group in self._groups for m in group]
         self.fleet = (

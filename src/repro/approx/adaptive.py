@@ -192,9 +192,7 @@ class _Wave:
         if self._built:
             return
         self.prefixes = SampledPrefixes(self._k, self._orderings)
-        self.sampled = sorted(m for m in self.prefixes.masks if m)
-        self.order_t = tuple(self.sampled)
-        self._oracle = self._factory(self.sampled)
+        self._oracle = self._factory(list(self.prefixes.order))
         self._built = True
 
     @property
@@ -212,11 +210,9 @@ class _Wave:
         float."""
         self._ensure()
         sums, values, max_abs = self.prefixes.estimate_scaled_at(
-            self.oracle, self.order_t, t, fifo_select
+            self.oracle, t, fifo_select
         )
-        marginals = self.prefixes.marginal_samples(
-            self.order_t, values.astype(np.float64)
-        )
+        marginals = self.prefixes.marginal_samples(values.astype(np.float64))
         return sums, marginals, max_abs
 
 

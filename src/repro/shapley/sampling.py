@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -199,77 +200,57 @@ class SampledPrefixes:
             tuple(p) for p in pairs
         )
         self.masks: frozenset[int] = frozenset(masks)
-        self._coef_cache: "tuple[tuple[int, ...], np.ndarray, int] | None" = None
-        self._idx_cache: "tuple[tuple[int, ...], dict[int, tuple[np.ndarray, np.ndarray]]] | None" = None
+        #: the nonzero masks, sorted: the row order of the value-oracle
+        #: fleet and of every value vector :meth:`estimate_scaled_at` and
+        #: :meth:`marginal_samples` read
+        self.order: tuple[int, ...] = tuple(sorted(m for m in masks if m))
 
-    def _coefficients(
-        self, order: "tuple[int, ...]"
-    ) -> "tuple[np.ndarray, int]":
+    @cached_property
+    def _coefficients(self) -> "tuple[np.ndarray, int]":
         """``(k, len(order))`` int64 coefficient matrix ``M`` with
         ``M @ values == estimate_scaled`` for a value vector aligned with
-        ``order``, plus the max absolute row sum (the overflow guard
-        weight).  Cached per coalition order."""
-        cached = self._coef_cache
-        if cached is not None and cached[0] == order:
-            return cached[1], cached[2]
-        index = {m: i for i, m in enumerate(order)}
-        coef = np.zeros((self.k, len(order)), dtype=np.int64)
+        :attr:`order`, plus the max absolute row sum (the overflow guard
+        weight)."""
+        index = {m: i for i, m in enumerate(self.order)}
+        coef = np.zeros((self.k, len(self.order)), dtype=np.int64)
         for u in range(self.k):
             for pred, with_u in self.pairs[u]:
                 coef[u, index[with_u]] += 1
                 if pred:
                     coef[u, index[pred]] -= 1
         weight = int(np.abs(coef).sum(axis=1).max()) if coef.size else 0
-        self._coef_cache = (order, coef, weight)
         return coef, weight
 
-    def estimate_scaled_array(
-        self, order: "tuple[int, ...]", values: np.ndarray, max_abs_value: int
-    ) -> "list[int] | None":
-        """:meth:`estimate_scaled` as one int64 matrix-vector product over a
-        dense value vector aligned with ``order`` (every mask in
-        :attr:`masks` except 0 must appear).  Returns ``None`` when the
-        int64 guard cannot certify the product -- fall back to the exact
-        big-int :meth:`estimate_scaled`."""
-        coef, weight = self._coefficients(order)
-        if max_abs_value < 0 or weight * max_abs_value >= 1 << 62:
-            return None
-        return (coef @ values).tolist()
-
     def estimate_scaled_at(
-        self, oracle, order: "tuple[int, ...]", t: int, select
+        self, oracle, t: int, select
     ) -> "tuple[list[int], np.ndarray, int]":
         """:meth:`estimate_scaled` from a value-oracle fleet (a
         :class:`~repro.core.fleet.CoalitionFleet` over :attr:`masks`, each
         engine driven by ``select``) at time ``t``: ``(sums, values,
-        max_abs)``.  The sums are one guarded int64 matrix-vector product
-        (:meth:`estimate_scaled_array`) when the fleet's int64 value
-        vector is aligned with ``order``, else the exact big-int sum over
-        its ``values_at``.  ``values`` is the value vector aligned with
-        ``order`` (int64, or Python ints in an object array) and
-        ``max_abs`` its largest magnitude."""
+        max_abs)``.  The sums are one int64 matrix-vector product when the
+        fleet's int64 value vector is aligned with :attr:`order` and the
+        guard ``weight * max_abs < 2^62`` certifies it, else the exact
+        big-int sum over its ``values_at``.  ``values`` is the value
+        vector aligned with :attr:`order` (int64, or Python ints in an
+        object array) and ``max_abs`` its largest magnitude."""
         arr = oracle.values_array(t, select=select)
-        if arr is not None and oracle.masks == order:
+        if arr is not None and oracle.masks == self.order:
             max_abs = int(np.abs(arr).max()) if len(arr) else 0
-            sums = self.estimate_scaled_array(order, arr, max_abs)
-            if sums is not None:
-                return sums, arr, max_abs
+            coef, weight = self._coefficients
+            if weight * max_abs < 1 << 62:
+                return (coef @ arr).tolist(), arr, max_abs
         values = oracle.values_at(t, select=select)
-        vec = np.array([values[m] for m in order], dtype=object)
+        vec = np.array([values[m] for m in self.order], dtype=object)
         max_abs = max((abs(v) for v in vec), default=0)
         return self.estimate_scaled(values), vec, max_abs
 
-    def sample_indices(
-        self, order: "tuple[int, ...]"
-    ) -> "dict[int, tuple[np.ndarray, np.ndarray]]":
+    @cached_property
+    def _sample_indices(self) -> "dict[int, tuple[np.ndarray, np.ndarray]]":
         """Per-player ``(pred_idx, with_idx)`` int64 index arrays into a
-        dense value vector aligned with ``order`` (``pred_idx == -1``
-        marks the empty predecessor coalition, whose value is 0).  Cached
-        per coalition order; players with no sampled pairs are absent."""
-        cached = self._idx_cache
-        if cached is not None and cached[0] == order:
-            return cached[1]
-        index = {m: i for i, m in enumerate(order)}
+        dense value vector aligned with :attr:`order` (``pred_idx == -1``
+        marks the empty predecessor coalition, whose value is 0); players
+        with no sampled pairs are absent."""
+        index = {m: i for i, m in enumerate(self.order)}
         out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for u in range(self.k):
             if not self.pairs[u]:
@@ -282,19 +263,16 @@ class SampledPrefixes:
                 [index[w] for _, w in self.pairs[u]], dtype=np.int64
             )
             out[u] = (pred_idx, with_idx)
-        self._idx_cache = (order, out)
         return out
 
-    def marginal_samples(
-        self, order: "tuple[int, ...]", values: np.ndarray
-    ) -> "dict[int, np.ndarray]":
+    def marginal_samples(self, values: np.ndarray) -> "dict[int, np.ndarray]":
         """Per-player vectors of the individual sampled marginal
         contributions (one entry per ordering containing the player), from
-        a dense int64 value vector aligned with ``order``.  This is the
+        a dense int64 value vector aligned with :attr:`order`.  This is the
         per-sample view the adaptive certifier needs for empirical
         variance; ``sum(marginal_samples[u]) == estimate_scaled[u]``."""
         out: dict[int, np.ndarray] = {}
-        for u, (pred_idx, with_idx) in self.sample_indices(order).items():
+        for u, (pred_idx, with_idx) in self._sample_indices.items():
             pred_vals = np.where(pred_idx >= 0, values[pred_idx], 0)
             out[u] = values[with_idx] - pred_vals
         return out

@@ -31,8 +31,10 @@ from repro.algorithms.rand import RandScheduler
 from repro.algorithms.ref import GeneralRefScheduler, RefScheduler
 from repro.core.engine import ClusterEngine
 from repro.core.fleet import CoalitionFleet
+from repro.core.coalition import iter_subsets, subsets_by_size
 from repro.core.job import Job
 from repro.core.workload import Workload
+from repro.service import ClusterService
 from repro.shapley.exact import shapley_exact_scaled
 from repro.shapley.vectorized import ScaledShapleySolver
 
@@ -262,14 +264,31 @@ class TestEngineValuePath:
         assert kf.kernel is not None, kf.materialize_reason
 
 
+def solver_layout(name: str) -> "tuple[int, list[int]]":
+    """``(n_orgs, fleet masks)`` of a REF layout: every subset of ``k``
+    organizations (``"k3"``), a service's fleet after one ``join_org``
+    (the new organization's coalitions are appended after the old grand
+    coalition, out of size order), or the subsets of the sparse grand
+    coalition ``0b10110`` of k=5."""
+    if name == "joined":
+        svc = ClusterService([1, 1, 1, 1], "ref")
+        svc.join_org(machines=1)
+        return 5, list(svc._policy.run.fleet.masks)
+    if name == "sparse":
+        return 5, [m for m in iter_subsets(0b10110) if m]
+    k = int(name[1:])
+    return k, all_masks(k)
+
+
 class TestScaledShapleySolver:
-    @pytest.mark.parametrize("k", [1, 2, 3, 5])
-    def test_matches_shapley_exact_scaled(self, k):
-        rng = np.random.default_rng(k)
-        grand = (1 << k) - 1
-        masks = all_masks(k)
+    @pytest.mark.parametrize(
+        "layout", ["k1", "k2", "k3", "k5", "joined", "sparse"]
+    )
+    def test_matches_shapley_exact_scaled(self, layout):
+        k, masks = solver_layout(layout)
+        rng = np.random.default_rng(k + len(masks))
         index = {m: i for i, m in enumerate(masks)}
-        assert grand in index  # the solver sees every coalition
+        assert max(masks) in index  # the solver sees every coalition
         values = {0: 0}
         arr = np.zeros(len(masks), dtype=np.int64)
         for m in masks:
@@ -287,6 +306,34 @@ class TestScaledShapleySolver:
                 assert row == shapley_exact_scaled(values, k, grand=m)[0], m
         with pytest.raises(ValueError):
             solver.phi_scaled_matrix((1, 3), arr, 10, k)
+
+    def test_one_coefficient_matrix_per_size(self):
+        """Every group of a size shares one ``(s, 2^s - 1)`` matrix, so
+        k=12's coefficients stay far below the 32 MiB of one stacked copy
+        per mask."""
+        k = 12
+        masks = all_masks(k)
+        solver = ScaledShapleySolver({m: i for i, m in enumerate(masks)})
+        coefs = {}
+        for group in subsets_by_size((1 << k) - 1)[1:]:
+            size = group[0].bit_count()
+            coef, rows, cols, _ = solver.matrix_plan(tuple(group))
+            assert coef.shape == (size, (1 << size) - 1)
+            assert rows.shape == (len(group), (1 << size) - 1)
+            assert cols.shape == (len(group), size)
+            half = tuple(group[: len(group) // 2 + 1])
+            assert solver.matrix_plan(half)[0] is coef
+            coefs[id(coef)] = coef
+        assert len(coefs) == k
+        assert sum(c.nbytes for c in coefs.values()) < 1 << 20
+
+    def test_submask_outside_the_index_raises(self):
+        solver = ScaledShapleySolver({1: 0, 2: 1, 3: 2, 4: 3})
+        solver.matrix_plan((3,))
+        with pytest.raises(KeyError):
+            solver.matrix_plan((5,))  # {0, 2} has no row
+        with pytest.raises(KeyError):
+            solver.matrix_plan((9, 10))  # org 3 has no row at all
 
     def test_guard_returns_none_on_possible_overflow(self):
         index = {1: 0, 2: 1, 3: 2}

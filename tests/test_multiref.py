@@ -4,13 +4,20 @@ overflowing instance never evicts its batch siblings), the jagged
 lockstep handling of instances with very different event counts, and the
 instance axis of the one coalition kernel (``FleetKernel.batch``)."""
 
+from math import factorial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.multiref import batchable, ref_batch, ref_results_batched
-from repro.algorithms.ref import RefScheduler
+from repro.algorithms.multiref import (
+    _layout_for,
+    batchable,
+    ref_batch,
+    ref_results_batched,
+)
+from repro.algorithms.ref import RefScheduler, fused_plan, guard_coefficients
 from repro.core.job import Job
 from repro.core.kernel import (
     _QUERY_CAP,
@@ -137,6 +144,17 @@ class TestPerInstanceCertification:
         huge = huge_workload()
         assert instance_bound(huge, None) >= _QUERY_CAP
         assert not batchable(huge, None)
+
+    def test_guard_coefficients_are_a_function_of_k(self):
+        """The static and per-round guards' coefficients at k = 1..8: the
+        largest ``UpdateVals`` row weight (``k! + (k-1)·(k-1)!``) and
+        ``k!``, the same from the helper and from a built plan."""
+        max_rw = [1, 3, 10, 42, 216, 1320, 9360, 75600]
+        for k, rw in enumerate(max_rw, start=1):
+            assert guard_coefficients(k) == (rw, factorial(k))
+            _, groups, index, solver = _layout_for(k)
+            plan = fused_plan(solver, groups, index, [0])
+            assert plan[3:] == (rw, factorial(k))
 
     def test_overflow_sibling_does_not_perturb_batch(self):
         """The eviction contract: the middle instance fails certification
